@@ -10,36 +10,28 @@ integration, and classifies the asymptotics.
 
 import numpy as np
 
-from pfcircuit import (
-    build_T, build_bases, build_liouvillian, classify_asymptotics, coefficients,
-    derive, energy, evolve_closed, evolve_rk4, initial_state, normalized, power,
-    spectrum, validate,
-)
+from pfcircuit import Model, classify_asymptotics, energy, evolve_rk4, normalized, power, validate
 
-params = normalized(mu=0.5, gamma=3.0, i1=1.0)
-derived = derive(params)
+model = Model(normalized(mu=0.5, gamma=3.0, i1=1.0))
+params, derived = model.params, model.derived
 print("dimensionless parameters:", derived)
 
 report = validate(derived)
 print(f"regime accepted: {report.accepted}   rho = {report.rho:.6f}")
 
-spec = spectrum(derived)
+spec = model.spec
 print(f"eigenvalues: l3={spec.l3:+.6f} < l1={spec.l1:+.6f} < 0 "
       f"< l2={spec.l2:+.6f} < l4={spec.l4:+.6f}")
 
 # closed-form solution: expand the initial kick over the eigenbasis
-generator = build_liouvillian(derived)
-T, _ = build_T(spec, derived)
-pair = build_bases(T, spec)
-psi0 = initial_state(params.i1)
-coeffs = coefficients(psi0, pair)
+coeffs = model.coeffs
 print("mode weights c_kn:", np.array2string(coeffs.vector, precision=6))
 
 tau = np.linspace(0.0, 5.0, 1001)
-traj = evolve_closed(coeffs, pair, spec, tau, params, derived, psi0=psi0)
+traj = model.evolve(tau)
 
 # independent oracle: classical RK4 on the same grid
-oracle = evolve_rk4(generator, psi0, tau, params=params, derived=derived)
+oracle = evolve_rk4(model.generator, model.psi0, tau, params=params, derived=derived)
 gap = np.max(np.linalg.norm(traj.states - oracle.states, axis=1)
              / np.maximum(1.0, np.linalg.norm(traj.states, axis=1)))
 print(f"closed form vs RK4, max relative gap: {gap:.3e}")

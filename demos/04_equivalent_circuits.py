@@ -10,35 +10,21 @@ each component by a bare exponential.
 
 import numpy as np
 
-from pfcircuit import (
-    build_T, build_bases, build_pf, build_liouvillian, coefficients, derive,
-    evolve_adjoint, evolve_closed, evolve_h0, initial_state, normalized, spectrum,
-)
-from pfcircuit.dynamics import adjoint_circuit_map
+from pfcircuit import Model, evolve_h0, normalized
+from pfcircuit.dynamics import adjoint_circuit_map, adjoint_metric_route
 
-params = normalized(mu=0.5, gamma=3.0, i1=1.0)
-derived = derive(params)
-spec = spectrum(derived)
-generator = build_liouvillian(derived)
-T, _ = build_T(spec, derived)
-pair = build_bases(T, spec)
-pf = build_pf(T, spec, liouvillian=generator)
+model = Model(normalized(mu=0.5, gamma=3.0, i1=1.0))
+spec = model.spec
 
 tau = np.linspace(0.0, 5.0, 501)
-psi0 = initial_state(params.i1)
-forward = evolve_closed(coefficients(psi0, pair), pair, spec, tau,
-                        params, derived, psi0=psi0)
+forward = model.evolve(tau)
 
 # metric route into the adjoint system
-x0 = np.linalg.solve(pf.S_phi, psi0)
-adjoint_traj = evolve_adjoint(x0, pair, spec, tau)
-mapped = np.linalg.solve(pf.S_phi, forward.states.T).T
-gap = np.max(np.linalg.norm(adjoint_traj.states - mapped, axis=1)
-             / np.maximum(np.linalg.norm(mapped, axis=1), 1e-300))
+adjoint_traj, gap = adjoint_metric_route(model.psi0, forward, model.pair, spec)
 print(f"adjoint solution vs S_phi^-1 * forward solution, max gap: {gap:.3e}")
 
 # the adjoint system re-read as a circuit
-identification = adjoint_circuit_map(adjoint_traj, params, derived, strict=True)
+identification = adjoint_circuit_map(adjoint_traj, model.params, model.derived, strict=True)
 print(f"circuit-relation residuals of the relabeled adjoint trajectory: "
       f"{identification.max_residual:.3e}")
 print("identification: x1 -> I1, x2 -> I2, x3 -> -V1, x4 -> -V2 (L = C = 1)")

@@ -10,19 +10,13 @@ e^{-2 l3 tau}; the constant is reported rather than assumed to be one, since
 
 import numpy as np
 
-from pfcircuit import (
-    build_T, build_liouvillian, build_pf, derive, normalized, number_evolution,
-    spectrum,
-)
+from pfcircuit import Model, normalized, number_evolution
 from pfcircuit.heisenberg import (
     expectation_consistency_residual, growth_bound_report, product_formula_residual,
 )
 
-derived = derive(normalized(mu=0.5, gamma=3.0))
-spec = spectrum(derived)
-generator = build_liouvillian(derived)
-T, _ = build_T(spec, derived)
-pf = build_pf(T, spec, liouvillian=generator)
+model = Model(normalized(mu=0.5, gamma=3.0))
+spec, pf = model.spec, model.pf
 
 # expectation values agree between the two pictures
 rng = np.random.default_rng(3)

@@ -27,6 +27,7 @@ from .heisenberg import (
     number_evolution,
 )
 from .liouvillian import Spectrum, build_liouvillian, shift, spectrum
+from .model import Model
 from .observables import GainLossReport, classify_asymptotics, energy, power
 from .params import (
     CircuitParams,
@@ -55,6 +56,7 @@ __all__ = [
     "DerivedParams",
     "GainLossReport",
     "Gauge",
+    "Model",
     "ObservableTrajectory",
     "PFSystem",
     "RegimeReport",

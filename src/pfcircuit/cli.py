@@ -12,8 +12,10 @@ heisenberg  emit the number-operator norm series and the growth-bound report
 sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
-3 regime rejection where the command requires acceptance.  All outputs are
-deterministic: fixed float formatting, fixed key and row ordering.
+3 regime rejection where the command requires acceptance, or a numerical
+refusal (a singular or non-positive-definite matrix) at an accepted point.
+All outputs are deterministic: fixed float formatting, fixed key and row
+ordering.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import basis as basis_mod
 from . import dynamics as dyn
 from . import heisenberg as heis
-from . import linalg
 from . import observables as obs
 from .dynamics import format_float as _fmt
 from .errors import (
@@ -37,12 +37,15 @@ from .errors import (
     GaugeDegenerate,
     NearDegenerate,
     NonPositiveParameter,
+    NotSPD,
     RegimeRejected,
+    SingularMatrix,
     ZeroCoupling,
 )
-from .liouvillian import build_liouvillian, spectrum
-from .params import CircuitParams, derive, normalized, validate
-from .pfalgebra import Gauge, VerificationReport, build_T, build_pf, pf_verify
+from .model import Model
+from .params import CircuitParams, normalized, validate
+from .pfalgebra import Gauge
+from .verify import run_verification_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -122,11 +125,7 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-_CONFIG_FIELDS = {
-    "mode", "mu", "gamma", "L", "C", "R", "M", "i1", "gauge",
-    "tau_max", "samples", "rk4_step", "output_dir", "format",
-    "mu_range", "gamma_range",
-}
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -150,8 +149,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 data[key] = (float(rng[0]), float(rng[1]), int(rng[2]))
         cfg = replace(cfg, **data)
     overrides = {}
-    for name in ("mode", "mu", "gamma", "L", "C", "R", "M", "i1",
-                 "tau_max", "samples", "rk4_step", "format"):
+    for name in _CONFIG_FIELDS - {"gauge", "output_dir", "mu_range", "gamma_range"}:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -171,13 +169,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _resolve_params(cfg: RunConfig) -> CircuitParams:
+def _model(cfg: RunConfig) -> Model:
     try:
         if cfg.mode == "normalized":
-            return normalized(cfg.mu, cfg.gamma, i1=cfg.i1)
-        return CircuitParams(L=cfg.L, C=cfg.C, R=cfg.R, M=cfg.M, i1=cfg.i1)
+            params = normalized(cfg.mu, cfg.gamma, i1=cfg.i1)
+        else:
+            params = CircuitParams(L=cfg.L, C=cfg.C, R=cfg.R, M=cfg.M, i1=cfg.i1)
     except (NonPositiveParameter, CouplingOutOfRange) as exc:
         raise ConfigError(str(exc)) from exc
+    return Model(params, Gauge(*cfg.gauge))
 
 
 def _tau_grid(cfg: RunConfig) -> np.ndarray:
@@ -200,32 +200,17 @@ def _json_text(payload) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(cfg: RunConfig) -> int:
-    derived = derive(_resolve_params(cfg))
-    report = validate(derived)
+    report = validate(_model(cfg).derived)
     _write(Path(cfg.output_dir) / "regime.json", _json_text(report.to_dict()))
     print(f"accepted: {report.accepted} (rho={report.rho:.12g})")
     return EXIT_OK if report.accepted else EXIT_REGIME
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    derived = derive(_resolve_params(cfg))
-    spec = spectrum(derived)
+    spec = _model(cfg).spec
     _write(Path(cfg.output_dir) / "spectrum.json", _json_text(spec.to_dict()))
     print(f"l3={spec.l3:.12g} < l1={spec.l1:.12g} < 0 < l2={spec.l2:.12g} < l4={spec.l4:.12g}")
     return EXIT_OK
-
-
-def _simulation_stack(cfg: RunConfig):
-    params = _resolve_params(cfg)
-    derived = derive(params)
-    spec = spectrum(derived)
-    gen = build_liouvillian(derived)
-    gauge = Gauge(*cfg.gauge)
-    T, _ = build_T(spec, derived, gauge)
-    pair = basis_mod.build_bases(T, spec)
-    psi0 = dyn.initial_state(params.i1, params.C, derived.omega0)
-    coeffs = dyn.coefficients(psi0, pair)
-    return params, derived, spec, gen, gauge, T, pair, psi0, coeffs
 
 
 def _plot_data_text(columns: dict[str, np.ndarray], tau: np.ndarray) -> str:
@@ -240,46 +225,30 @@ def _plot_data_text(columns: dict[str, np.ndarray], tau: np.ndarray) -> str:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    params, derived, spec, _, _, _, pair, psi0, coeffs = _simulation_stack(cfg)
-    traj = dyn.evolve_closed(coeffs, pair, spec, _tau_grid(cfg), params, derived, psi0=psi0)
-    pw = obs.power(traj, params, derived)
-    en = obs.energy(traj, params)
+    model = _model(cfg)
+    traj = model.evolve(_tau_grid(cfg))
+    pw = obs.power(traj, model.params, model.derived)
+    en = obs.energy(traj, model.params)
     out = Path(cfg.output_dir)
     if cfg.format == "csv":
         _write(out / "trajectory.csv", dyn.trajectory_to_csv(traj, pw, en))
     else:
         _write(out / "trajectory.json", dyn.trajectory_to_json(traj, pw, en))
-    columns = {
-        "tau": traj.tau, "V1": traj.V1, "V2": traj.V2,
-        "V1p": traj.V1p, "V2p": traj.V2p, "I1": traj.I1, "I2": traj.I2,
-        "P1": pw.p1, "P2": pw.p2, "E1": en.e1, "E2": en.e2,
-    }
+    columns = dyn._trajectory_columns(traj, pw, en)
     _write(out / "plot_data.dat", _plot_data_text(columns, traj.tau))
     print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")
     return EXIT_OK
 
 
 def cmd_adjoint(cfg: RunConfig) -> int:
-    params, derived, spec, _, _, _, pair, psi0, coeffs = _simulation_stack(cfg)
+    model = _model(cfg)
     tau = _tau_grid(cfg)
-    x0 = linalg.inverse(pair.phi @ pair.phi.T) @ psi0  # S_phi^{-1} Psi(0)
-    xtraj = dyn.evolve_adjoint(x0, pair, spec, tau)
-    strict = params.L == 1.0 and params.C == 1.0
-    report = dyn.adjoint_circuit_map(xtraj, params, derived, strict=strict)
-    # metric route: the adjoint solution must track S_phi^{-1} Psi(tau)
-    psi_traj = dyn.evolve_closed(coeffs, pair, spec, tau, params, derived, psi0=psi0)
-    s_phi = pair.phi @ pair.phi.T
-    mapped = np.linalg.solve(s_phi, psi_traj.states.T).T
-    metric_res = float(np.max(
-        np.linalg.norm(xtraj.states - mapped, axis=1)
-        / np.maximum(np.linalg.norm(mapped, axis=1), 1e-300)
-    ))
-    lines = ["tau,x1,x2,x3,x4"]
-    for idx in range(tau.size):
-        row = [tau[idx], *xtraj.states[idx]]
-        lines.append(",".join(_fmt(float(v)) for v in row))
+    xtraj, metric_res = dyn.adjoint_metric_route(model.psi0, model.evolve(tau),
+                                                 model.pair, model.spec)
+    strict = model.params.L == 1.0 and model.params.C == 1.0
+    report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived, strict=strict)
     out = Path(cfg.output_dir)
-    _write(out / "adjoint.csv", "\n".join(lines) + "\n")
+    _write(out / "adjoint.csv", dyn.csv_text("tau,x1,x2,x3,x4", [tau, *xtraj.states.T]))
     payload = {
         "identification": "strict (x -> I1, I2, -V1, -V2)" if strict
         else "extended (voltage components scaled by C*omega0)",
@@ -294,23 +263,18 @@ def cmd_adjoint(cfg: RunConfig) -> int:
 
 
 def cmd_h0(cfg: RunConfig) -> int:
-    derived = derive(_resolve_params(cfg))
-    spec = spectrum(derived)
+    spec = _model(cfg).spec
     tau = _tau_grid(cfg)
-    y0 = np.ones(4)
-    traj = dyn.evolve_h0(spec, y0, tau)
-    lines = ["tau,y1,y2,y3,y4"]
-    for idx in range(tau.size):
-        row = [tau[idx], *traj.states[idx]]
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    _write(Path(cfg.output_dir) / "h0.csv", "\n".join(lines) + "\n")
+    traj = dyn.evolve_h0(spec, np.ones(4), tau)
+    _write(Path(cfg.output_dir) / "h0.csv",
+           dyn.csv_text("tau,y1,y2,y3,y4", [tau, *traj.states.T]))
     print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")
     return EXIT_OK
 
 
 def cmd_heisenberg(cfg: RunConfig) -> int:
-    params, derived, spec, gen, _, T, _, _, _ = _simulation_stack(cfg)
-    pf = build_pf(T, spec, liouvillian=gen)
+    model = _model(cfg)
+    pf, spec = model.pf, model.spec
     tau = np.linspace(0.0, min(cfg.tau_max, 3.0), min(cfg.samples, 61))
     evo1 = heis.number_evolution(1, pf, spec, tau)
     evo2 = heis.number_evolution(2, pf, spec, tau)
@@ -327,160 +291,8 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_verification_suite(cfg: RunConfig, seed: int = 20260810) -> VerificationReport:
-    """Every asserted identity across the package, plus the reported channels."""
-    params, derived, spec, gen, gauge, T, pair, psi0, coeffs = _simulation_stack(cfg)
-    pf = build_pf(T, spec, liouvillian=gen)
-    report = VerificationReport()
-    report.merge(pf_verify(pf, liouvillian=gen), prefix="pfalgebra/")
-
-    # --- basis ---
-    report.add("basis/gram_identity", basis_mod.gram_residual(pair), 1e-10)
-    r1, r2 = basis_mod.resolution_residuals(pair)
-    report.add("basis/resolution_phi_psi", r1, 1e-10)
-    report.add("basis/resolution_psi_phi", r2, 1e-10)
-    report.add("basis/eigen_relations_max", float(np.max(basis_mod.eigen_check(pair, gen))), 1e-9)
-    report.add("basis/metric_maps_max",
-               float(np.max(basis_mod.metric_map_check(pair, pf.S_phi))), 1e-9)
-    frame = basis_mod.frame_bounds(pair, pf.S_phi, seed=seed)
-    report.add("basis/frame_bounds_within", 0.0 if frame["within_bounds"] else 1.0, 0.0)
-    rng = np.random.default_rng(seed)
-    recon_res = 0.0
-    for _ in range(10):
-        v = rng.standard_normal(4)
-        w = basis_mod.expand(pair, v)
-        recon_res = max(recon_res,
-                        float(np.linalg.norm(basis_mod.reconstruct(pair, w) - v)
-                              / np.linalg.norm(v)))
-    report.add("basis/expansion_identity", recon_res, 1e-10)
-
-    # --- dynamics ---
-    tau = _tau_grid(cfg)
-    closed = dyn.evolve_closed(coeffs, pair, spec, tau, params, derived, psi0=psi0)
-    report.add(
-        "dynamics/initial_state_reconstruction",
-        float(np.linalg.norm(closed.states[0] - psi0)
-              / max(1.0, np.linalg.norm(psi0))), 1e-12)
-    substeps = max(1, round((tau[1] - tau[0]) / cfg.rk4_step))
-    rk4 = dyn.evolve_rk4(gen, psi0, tau, substeps=substeps, params=params, derived=derived)
-    rel = np.linalg.norm(closed.states - rk4.states, axis=1) / np.maximum(
-        1.0, np.linalg.norm(closed.states, axis=1))
-    report.add("dynamics/closed_vs_rk4_max_rel", float(np.max(rel)), 1e-6)
-
-    alt_gauge = Gauge(2.0, 0.5, 3.0, 1.0)
-    T2, _ = build_T(spec, derived, alt_gauge)
-    pair2 = basis_mod.build_bases(T2, spec)
-    coeffs2 = dyn.coefficients(psi0, pair2)
-    closed2 = dyn.evolve_closed(coeffs2, pair2, spec, tau, params, derived)
-    gauge_dev = np.linalg.norm(closed.states - closed2.states, axis=1) / np.maximum(
-        1.0, np.linalg.norm(closed.states, axis=1))
-    report.add("dynamics/gauge_invariance", float(np.max(gauge_dev)), 1e-10)
-
-    report.add("dynamics/quartic_residual_max",
-               float(np.max(dyn.quartic_residual(closed, derived))), 1e-8)
-
-    x0 = np.linalg.solve(pf.S_phi, psi0)
-    xtraj = dyn.evolve_adjoint(x0, pair, spec, tau)
-    mapped = np.linalg.solve(pf.S_phi, closed.states.T).T
-    metric_res = float(np.max(
-        np.linalg.norm(xtraj.states - mapped, axis=1)
-        / np.maximum(np.linalg.norm(mapped, axis=1), 1e-300)))
-    report.add("dynamics/adjoint_metric_route", metric_res, 1e-8)
-    strict = params.L == 1.0 and params.C == 1.0
-    adj = dyn.adjoint_circuit_map(xtraj, params, derived, strict=strict)
-    report.add("dynamics/adjoint_identification_max", adj.max_residual, 1e-8)
-    if adj.paper_literal_map_max_residual is not None:
-        report.add("dynamics/reported_paper_literal_adjoint_map",
-                   adj.paper_literal_map_max_residual, None)
-
-    y0 = np.ones(4)
-    h0_traj = dyn.evolve_h0(spec, y0, tau[:11])
-    h0_dev = 0.0
-    h0_matrix = pf.H0
-    for idx, t in enumerate(h0_traj.tau):
-        reference = linalg.expm(h0_matrix, t) @ y0
-        h0_dev = max(h0_dev, float(np.max(np.abs(h0_traj.states[idx] - reference))
-                                   / max(1.0, np.max(np.abs(reference)))))
-    report.add("dynamics/h0_vs_diagonal_expm", h0_dev, 1e-12)
-
-    half = dyn.evolve_closed(coeffs, pair, spec, np.array([0.0, 1.3]), params, derived)
-    coeffs_half = dyn.coefficients(half.states[1], pair)
-    two_step = dyn.evolve_closed(coeffs_half, pair, spec, np.array([0.0, 0.9]), params, derived)
-    direct = dyn.evolve_closed(coeffs, pair, spec, np.array([0.0, 2.2]), params, derived)
-    semigroup = float(np.linalg.norm(two_step.states[1] - direct.states[1])
-                      / np.linalg.norm(direct.states[1]))
-    report.add("dynamics/semigroup", semigroup, 1e-9)
-
-    display = dyn.display_series(coeffs, spec, derived, params, gauge, tau)
-    disp_dev = 0.0
-    for name, series in (("V1", closed.V1), ("V2", closed.V2),
-                         ("I1", closed.I1), ("I2", closed.I2)):
-        scale = np.maximum(np.abs(series), 1.0)
-        disp_dev = max(disp_dev, float(np.max(np.abs(display[name] - series) / scale)))
-    report.add("dynamics/display_extraction_agreement", disp_dev, 1e-9)
-
-    comparison = dyn.coefficients_paper(derived, spec, gauge, params.i1, params.C)
-    report.add("dynamics/reported_paper_coefficient_deviation",
-               comparison.max_relative_deviation, None)
-    report.add("dynamics/reported_paper_sigma", comparison.sigma, None)
-
-    # --- observables ---
-    pw = obs.power(closed, params, derived)
-    report.add("observables/power_two_path_max", pw.max_relative_deviation, 1e-10)
-    en = obs.energy(closed, params)
-    report.add("observables/energy_nonnegative",
-               max(0.0, -float(min(np.min(en.e1), np.min(en.e2)))), 1e-12)
-    gl = obs.classify_asymptotics(spec, derived, params, power_series=pw, coeffs=coeffs)
-    if gl.measurement_consistent is not None:
-        report.add("observables/power_tail_signs_match_prediction",
-                   0.0 if gl.measurement_consistent else 1.0, 0.0)
-    tail = tau >= 0.8 * tau[-1]
-    if abs(coeffs.c11) > obs.C11_THRESHOLD:
-        slope_p1 = np.polyfit(tau[tail], np.log(np.abs(pw.p1[tail])), 1)[0]
-        slope_e1 = np.polyfit(tau[tail], np.log(np.maximum(en.e1[tail], 1e-300)), 1)[0]
-        report.add("observables/power_log_slope_error",
-                   abs(slope_p1 - 2.0 * spec.l4), 1e-2)
-        report.add("observables/energy_log_slope_error",
-                   abs(slope_e1 - 2.0 * spec.l4), 1e-2)
-    report.add("observables/reported_energy_rewrite_deviation",
-               en.rewrite_max_relative_deviation, None)
-
-    # --- heisenberg ---
-    tau_h = np.linspace(0.0, 3.0, 31)
-    evo1 = heis.number_evolution(1, pf, spec, tau_h)
-    evo2 = heis.number_evolution(2, pf, spec, tau_h)
-    report.add("heisenberg/number_two_path_N1", evo1.max_relative_deviation, 1e-8)
-    report.add("heisenberg/number_two_path_N2", evo2.max_relative_deviation, 1e-8)
-    report.add("heisenberg/reported_printed_order_deviation_N1",
-               evo1.printed_order_max_relative_deviation, None)
-    report.add("heisenberg/reported_printed_order_deviation_N2",
-               evo2.printed_order_max_relative_deviation, None)
-    prod_res = max(heis.product_formula_residual(pf, spec, t) for t in (0.5, 1.3, 2.7))
-    report.add("heisenberg/product_formula", prod_res, 1e-9)
-    rng = np.random.default_rng(seed + 1)
-    expectation = 0.0
-    for _ in range(20):
-        x_random = rng.standard_normal((4, 4))
-        state = rng.standard_normal(4)
-        t = float(rng.uniform(0.0, 3.0))
-        expectation = max(expectation, heis.expectation_consistency_residual(
-            x_random, state, pf, spec, t))
-    report.add("heisenberg/expectation_consistency_max", expectation, 1e-8)
-    bound = heis.growth_bound_report((evo1.generic, evo2.generic), spec)
-    finite = np.isfinite(bound.bound_constant_1) and np.isfinite(bound.bound_constant_2)
-    report.add("heisenberg/growth_ratio_finite", 0.0 if finite else float("inf"), 0.0)
-    report.add("heisenberg/reported_growth_constant_N1", bound.bound_constant_1, None)
-    report.add("heisenberg/reported_growth_constant_N2", bound.bound_constant_2, None)
-    report.add("heisenberg/reported_norm_N1_initial", bound.norm_n1_initial, None)
-    report.add("heisenberg/reported_norm_N2_initial", bound.norm_n2_initial, None)
-    report.add("heisenberg/effective_hamiltonian_route",
-               heis.effective_hamiltonian_route_residual(gen, np.diag([1.0, 2.0, -1.0, 0.5]), 0.9),
-               1e-9)
-    return report
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    report = run_verification_suite(cfg)
+    report = run_verification_suite(_model(cfg), _tau_grid(cfg), cfg.rk4_step)
     _write(Path(cfg.output_dir) / "verify_report.json", report.to_json() + "\n")
     n_asserted = sum(1 for c in report.checks.values() if c.passed is not None)
     failed = report.failed()
@@ -506,12 +318,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for gamma in gammas:
             row = [_fmt(float(mu)), _fmt(float(gamma))]
             try:
-                derived = derive(normalized(float(mu), float(gamma)))
+                model = Model(normalized(float(mu), float(gamma)))
             except (NonPositiveParameter, CouplingOutOfRange):
                 lines.append(",".join(row + ["", "False", "False", "False", "False",
                                              "False", "", "", "", "", "", "", ""]))
                 continue
-            regime = validate(derived)
+            regime = validate(model.derived)
             row += [
                 _fmt(regime.rho),
                 str(regime.condition_rho_positive),
@@ -521,9 +333,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 str(regime.accepted),
             ]
             if regime.accepted:
-                spec = spectrum(derived)
-                params = normalized(float(mu), float(gamma))
-                gl = obs.classify_asymptotics(spec, derived, params)
+                gl = obs.classify_asymptotics(model.spec, model.derived, model.params)
                 row += [
                     _fmt(gl.l4), str(gl.power_window_ok),
                     "imaginary" if gl.energy_lower is None else _fmt(gl.energy_lower),
@@ -589,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate) as exc:
         print(f"regime rejected: {exc}", file=sys.stderr)
+        return EXIT_REGIME
+    except (SingularMatrix, NotSPD) as exc:
+        print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
 
 

@@ -39,12 +39,14 @@ __all__ = [
     "evolve_closed",
     "evolve_rk4",
     "evolve_adjoint",
+    "adjoint_metric_route",
     "adjoint_circuit_map",
     "evolve_h0",
     "quartic_residual",
     "display_series",
     "trajectory_to_csv",
     "trajectory_to_json",
+    "csv_text",
     "format_float",
 ]
 
@@ -210,6 +212,14 @@ def _check_grid(tau_grid) -> np.ndarray:
     return tau
 
 
+def _modal(start: np.ndarray, rates: np.ndarray, weights: np.ndarray,
+           tau_grid) -> StateTrajectory:
+    """start + sum_j weights[j] (e^(rates[j] tau) - 1) on the grid, via expm1."""
+    tau = _check_grid(tau_grid)
+    states = start[None, :] + (weights.T @ np.expm1(np.outer(rates, tau))).T
+    return StateTrajectory(tau=tau, states=states, mode_rates=rates, mode_weights=weights)
+
+
 def _currents(states: np.ndarray, params: CircuitParams, derived: DerivedParams):
     scale = params.C * derived.omega0
     i1 = states[:, 0] / params.R - scale * states[:, 2]
@@ -232,17 +242,11 @@ def evolve_closed(
     expm1, so the tau = 0 sample reproduces it bitwise instead of freezing
     the basis-reconstruction roundoff into every row.
     """
-    tau = _check_grid(tau_grid)
-    rates = spec.eigenvalues
     weights = (pair.phi * coeffs.vector[None, :]).T  # (mode, component)
-    if psi0 is None:
-        psi0 = weights.sum(axis=0)
-    else:
-        psi0 = linalg.as_vector(psi0)
-    states = psi0[None, :] + (weights.T @ np.expm1(np.outer(rates, tau))).T
-    i1, i2 = _currents(states, params, derived)
-    return Trajectory(tau=tau, states=states, mode_rates=rates,
-                      mode_weights=weights, I1=i1, I2=i2)
+    start = weights.sum(axis=0) if psi0 is None else linalg.as_vector(psi0)
+    modal = _modal(start, spec.eigenvalues, weights, tau_grid)
+    i1, i2 = _currents(modal.states, params, derived)
+    return Trajectory(**vars(modal), I1=i1, I2=i2)
 
 
 def evolve_rk4(
@@ -291,13 +295,24 @@ def evolve_adjoint(
     The psi vectors are eigenvectors of the adjoint with the same eigenvalues,
     so the machinery is the modal sum again with weights <phi_kn, x0>.
     """
-    tau = _check_grid(tau_grid)
     x0 = linalg.as_vector(x0)
-    d = pair.phi.T @ x0
-    rates = spec.eigenvalues
-    weights = (pair.psi * d[None, :]).T
-    states = x0[None, :] + (weights.T @ np.expm1(np.outer(rates, tau))).T
-    return StateTrajectory(tau=tau, states=states, mode_rates=rates, mode_weights=weights)
+    weights = (pair.psi * (pair.phi.T @ x0)[None, :]).T
+    return _modal(x0, spec.eigenvalues, weights, tau_grid)
+
+
+def adjoint_metric_route(
+    psi0: np.ndarray, closed: StateTrajectory, pair: BasisPair, spec: Spectrum
+) -> tuple[StateTrajectory, float]:
+    """Adjoint solution from S_phi^-1 Psi(0) and its largest relative gap to S_phi^-1 Psi(tau).
+
+    S_phi = phi phi^+ is applied by linear solves, never by an explicit inverse.
+    """
+    s_phi = pair.phi @ pair.phi.T
+    xtraj = evolve_adjoint(np.linalg.solve(s_phi, psi0), pair, spec, closed.tau)
+    mapped = np.linalg.solve(s_phi, closed.states.T).T
+    gap = np.linalg.norm(xtraj.states - mapped, axis=1) / np.maximum(
+        np.linalg.norm(mapped, axis=1), 1e-300)
+    return xtraj, float(np.max(gap))
 
 
 @dataclass(frozen=True)
@@ -379,12 +394,8 @@ def adjoint_circuit_map(
 
 def evolve_h0(spec: Spectrum, y0: np.ndarray, tau_grid) -> StateTrajectory:
     """Trivial solution of Y' = H0 Y: each component scales by its own exponential."""
-    tau = _check_grid(tau_grid)
     y0 = linalg.as_vector(y0)
-    rates = spec.shifted_eigenvalues
-    weights = np.diag(y0.astype(float))
-    states = y0[None, :] + (weights.T @ np.expm1(np.outer(rates, tau))).T
-    return StateTrajectory(tau=tau, states=states, mode_rates=rates, mode_weights=weights)
+    return _modal(y0, spec.shifted_eigenvalues, np.diag(y0.astype(float)), tau_grid)
 
 
 def quartic_residual(traj: StateTrajectory, derived: DerivedParams) -> np.ndarray:
@@ -472,14 +483,18 @@ def _trajectory_columns(traj: Trajectory, power=None, energy=None):
     return columns
 
 
+def csv_text(header: str, columns) -> str:
+    """The header line, then one row per sample of the equal-length columns."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(format_float(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def trajectory_to_csv(traj: Trajectory, power=None, energy=None) -> str:
     """CSV serialization with 17-significant-digit numbers, deterministic."""
     columns = _trajectory_columns(traj, power, energy)
-    lines = [",".join(columns)]
-    series = list(columns.values())
-    for idx in range(traj.tau.size):
-        lines.append(",".join(format_float(float(col[idx])) for col in series))
-    return "\n".join(lines) + "\n"
+    return csv_text(",".join(columns), columns.values())
 
 
 def trajectory_to_json(traj: Trajectory, power=None, energy=None) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import format_float
+from .dynamics import csv_text
 from .liouvillian import Spectrum
 from .pfalgebra import PFSystem
 
@@ -250,11 +250,5 @@ def norm_series_csv(
     """CSV export `tau,normN1,normN2,ratio1,ratio2` with 17 significant digits."""
     report = growth_bound_report(trajs, spec)
     t1, t2 = trajs
-    lines = ["tau,normN1,normN2,ratio1,ratio2"]
-    for idx in range(t1.tau.size):
-        values = (
-            t1.tau[idx], t1.norms[idx], t2.norms[idx],
-            report.ratios[idx, 0], report.ratios[idx, 1],
-        )
-        lines.append(",".join(format_float(float(v)) for v in values))
-    return "\n".join(lines) + "\n"
+    return csv_text("tau,normN1,normN2,ratio1,ratio2",
+                    [t1.tau, t1.norms, t2.norms, *report.ratios.T])

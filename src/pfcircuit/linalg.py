@@ -19,9 +19,7 @@ from .errors import NotSPD, SingularMatrix
 __all__ = [
     "as_square",
     "as_vector",
-    "multiply",
     "inverse",
-    "adjoint",
     "expm",
     "jacobi_eigh",
     "sqrtm_spd",
@@ -61,11 +59,6 @@ def as_vector(v, dim: int = 4) -> np.ndarray:
     return w
 
 
-def multiply(a, b) -> np.ndarray:
-    """Matrix product."""
-    return as_square(a) @ as_square(b)
-
-
 def inverse(a) -> np.ndarray:
     """Inverse, guarded by a scaled regularity test on the determinant.
 
@@ -78,11 +71,6 @@ def inverse(a) -> np.ndarray:
     if abs(det) <= SINGULARITY_RTOL * max(scale, 1e-300):
         raise SingularMatrix("matrix is numerically singular", float(abs(det)))
     return np.linalg.inv(m)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose (plain transpose for real input)."""
-    return as_square(a).conj().T
 
 
 def expm(a, tau: float = 1.0, eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:

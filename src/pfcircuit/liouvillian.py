@@ -18,7 +18,7 @@ operator construction rides on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,17 +63,7 @@ class Spectrum:
         return np.array([self.lambda0, self.lambda1, self.lambda2, self.lambda3])
 
     def to_dict(self) -> dict:
-        return {
-            "l1": self.l1,
-            "l2": self.l2,
-            "l3": self.l3,
-            "l4": self.l4,
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "rho": self.rho,
-        }
+        return asdict(self)
 
 
 def build_liouvillian(derived: DerivedParams, require_regime: bool = True) -> np.ndarray:

@@ -15,7 +15,7 @@ normalized units, to inequalities between l4, gamma, and sqrt(1 +- gamma^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -151,20 +151,8 @@ class GainLossReport:
     measurement_consistent: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "l4": self.l4,
-            "power_window_ok": self.power_window_ok,
-            "energy_lower": "imaginary" if self.energy_lower is None else self.energy_lower,
-            "energy_upper": self.energy_upper,
-            "energy_window_ok": self.energy_window_ok,
-            "p1_diverges_to": self.p1_diverges_to,
-            "p2_diverges_to": self.p2_diverges_to,
-            "e1_diverges_to": self.e1_diverges_to,
-            "e2_diverges_to": self.e2_diverges_to,
-            "measured_p1_sign": self.measured_p1_sign,
-            "measured_p2_sign": self.measured_p2_sign,
-            "measurement_consistent": self.measurement_consistent,
-        }
+        lower = "imaginary" if self.energy_lower is None else self.energy_lower
+        return {**asdict(self), "energy_lower": lower}
 
 
 def _tail_sign(series: np.ndarray) -> str:

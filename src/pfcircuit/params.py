@@ -29,7 +29,7 @@ may be computed at mu = 0, operator systems may not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import CouplingOutOfRange, NonPositiveParameter
 
@@ -149,15 +149,7 @@ class RegimeReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "condition_rho_positive": self.condition_rho_positive,
-            "condition_gamma_sq_gt_2alpha": self.condition_gamma_sq_gt_2alpha,
-            "condition_mu_sq_lt_1": self.condition_mu_sq_lt_1,
-            "coupling_nonzero": self.coupling_nonzero,
-            "accepted": self.accepted,
-            "near_degenerate_warning": self.near_degenerate_warning,
-        }
+        return asdict(self)
 
 
 def validate(derived: DerivedParams) -> RegimeReport:

@@ -22,7 +22,7 @@ reported-only channel rather than asserting them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,15 +62,12 @@ class Gauge:
     t24: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in asdict(self).items():
             if abs(value) <= GAUGE_MIN:
                 raise GaugeDegenerate(f"gauge scale {name} must be nonzero, got {value}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t21, self.t22, self.t23, self.t24])
-
-    def as_dict(self) -> dict:
-        return {"t21": self.t21, "t22": self.t22, "t23": self.t23, "t24": self.t24}
 
 
 def fermion_generators() -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +127,8 @@ class PFSystem:
 
     T: np.ndarray
     T_inv: np.ndarray
-    delta21: float
-    delta22: float
-    delta23: float
-    delta24: float
+    deltas: np.ndarray
+    """(delta21, delta22, delta23, delta24), the first/second row ratios of T."""
     a1: np.ndarray
     a2: np.ndarray
     b1: np.ndarray
@@ -146,10 +141,6 @@ class PFSystem:
     n_hat2: np.ndarray
     H0: np.ndarray
     spectrum: Spectrum
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([self.delta21, self.delta22, self.delta23, self.delta24])
 
 
 def build_pf(
@@ -177,12 +168,8 @@ def build_pf(
     n_hat1 = sqrt_S_psi @ N1 @ sqrt_S_phi
     n_hat2 = sqrt_S_psi @ N2 @ sqrt_S_phi
     H0 = build_h0(spec)
-    # the deltas are recoverable as first/second row ratios of T
-    deltas = T[0] / T[1]
     system = PFSystem(
-        T=T, T_inv=T_inv,
-        delta21=float(deltas[0]), delta22=float(deltas[1]),
-        delta23=float(deltas[2]), delta24=float(deltas[3]),
+        T=T, T_inv=T_inv, deltas=T[0] / T[1],
         a1=a1, a2=a2, b1=b1, b2=b2, N1=N1, N2=N2,
         S_phi=S_phi, S_psi=S_psi, n_hat1=n_hat1, n_hat2=n_hat2,
         H0=H0, spectrum=spec,

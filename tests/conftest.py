@@ -3,18 +3,7 @@
 import numpy as np
 import pytest
 
-from pfcircuit import (
-    Gauge,
-    build_T,
-    build_bases,
-    build_liouvillian,
-    build_pf,
-    coefficients,
-    derive,
-    initial_state,
-    normalized,
-    spectrum,
-)
+from pfcircuit import Model, normalized
 
 REFERENCE_MU = 0.5
 REFERENCE_GAMMA = 3.0
@@ -37,43 +26,45 @@ def sample_accepted(rng, n):
 
 
 @pytest.fixture(scope="session")
-def reference_params():
-    return normalized(REFERENCE_MU, REFERENCE_GAMMA, i1=1.0)
+def reference_model():
+    return Model(normalized(REFERENCE_MU, REFERENCE_GAMMA, i1=1.0))
 
 
 @pytest.fixture(scope="session")
-def reference_derived(reference_params):
-    return derive(reference_params)
+def reference_params(reference_model):
+    return reference_model.params
 
 
 @pytest.fixture(scope="session")
-def reference_spectrum(reference_derived):
-    return spectrum(reference_derived)
+def reference_derived(reference_model):
+    return reference_model.derived
 
 
 @pytest.fixture(scope="session")
-def reference_generator(reference_derived):
-    return build_liouvillian(reference_derived)
+def reference_spectrum(reference_model):
+    return reference_model.spec
 
 
 @pytest.fixture(scope="session")
-def reference_T(reference_spectrum, reference_derived):
-    T, deltas = build_T(reference_spectrum, reference_derived, Gauge())
-    return T, deltas
+def reference_generator(reference_model):
+    return reference_model.generator
 
 
 @pytest.fixture(scope="session")
-def reference_pf(reference_T, reference_spectrum, reference_generator):
-    T, _ = reference_T
-    return build_pf(T, reference_spectrum, liouvillian=reference_generator)
+def reference_T(reference_model):
+    return reference_model.T
 
 
 @pytest.fixture(scope="session")
-def reference_pair(reference_T, reference_spectrum):
-    T, _ = reference_T
-    return build_bases(T, reference_spectrum)
+def reference_pf(reference_model):
+    return reference_model.pf
 
 
 @pytest.fixture(scope="session")
-def reference_coefficients(reference_pair):
-    return coefficients(initial_state(1.0), reference_pair)
+def reference_pair(reference_model):
+    return reference_model.pair
+
+
+@pytest.fixture(scope="session")
+def reference_coefficients(reference_model):
+    return reference_model.coeffs

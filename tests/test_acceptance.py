@@ -6,26 +6,21 @@ lines on the terminal.
 
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from conftest import sample_accepted
 from pfcircuit import (
     Gauge,
-    build_T,
-    build_bases,
-    build_liouvillian,
-    build_pf,
+    Model,
     classify_asymptotics,
-    coefficients,
     coefficients_paper,
     derive,
     energy,
     evolve_adjoint,
-    evolve_closed,
     evolve_h0,
     evolve_rk4,
-    initial_state,
     normalized,
     number_evolution,
     pf_verify,
@@ -35,13 +30,14 @@ from pfcircuit import (
     validate,
 )
 from pfcircuit import linalg
-from pfcircuit.cli import EXIT_OK, main, run_verification_suite, RunConfig
+from pfcircuit.cli import EXIT_OK, main
 from pfcircuit.dynamics import adjoint_circuit_map
 from pfcircuit.heisenberg import (
     expectation_consistency_residual,
     growth_bound_report,
     product_formula_residual,
 )
+from pfcircuit.verify import run_verification_suite
 
 TAU = np.linspace(0.0, 5.0, 1001)
 
@@ -57,15 +53,7 @@ def criterion(number, title):
 
 
 def reference_stack():
-    params = normalized(0.5, 3.0, i1=1.0)
-    derived = derive(params)
-    spec = spectrum(derived)
-    gen = build_liouvillian(derived)
-    T, _ = build_T(spec, derived)
-    pair = build_bases(T, spec)
-    psi0 = initial_state(1.0)
-    coeffs = coefficients(psi0, pair)
-    return params, derived, spec, gen, T, pair, psi0, coeffs
+    return Model(normalized(0.5, 3.0, i1=1.0))
 
 
 def test_criterion_1_regime_and_spectrum():
@@ -102,11 +90,8 @@ def test_criterion_2_algebraic_suite():
             "crypto_hermiticity", "n_hat1_symmetric", "n_hat2_symmetric",
         }
 
-        def check(derived, gauge):
-            spec = spectrum(derived)
-            gen = build_liouvillian(derived)
-            T, _ = build_T(spec, derived, gauge)
-            report = pf_verify(build_pf(T, spec, liouvillian=gen), liouvillian=gen)
+        def check(model):
+            report = pf_verify(model.pf, liouvillian=model.generator)
             assert required <= set(report.checks)
             for name in required:
                 entry = report.checks[name]
@@ -114,11 +99,11 @@ def test_criterion_2_algebraic_suite():
                 assert entry.passed, (name, entry.residual)
             assert report.all_passed, report.failed()
 
-        check(derive(normalized(0.5, 3.0)), Gauge())
+        check(Model(normalized(0.5, 3.0)))
         rng = np.random.default_rng(2026)
         for mu, gamma in sample_accepted(rng, 50):
             gauge = Gauge(*rng.uniform(0.2, 3.0, size=4))
-            check(derive(normalized(mu, gamma)), gauge)
+            check(Model(normalized(mu, gamma), gauge))
 
 
 def test_criterion_3_basis_suite():
@@ -126,18 +111,20 @@ def test_criterion_3_basis_suite():
         from pfcircuit.basis import (
             eigen_check, gram_residual, metric_map_check, resolution_residuals,
         )
-        _, derived, spec, gen, T, pair, _, _ = reference_stack()
-        pf = build_pf(T, spec)
+        model = reference_stack()
+        pair = model.pair
         assert gram_residual(pair) < 1e-9
         assert max(resolution_residuals(pair)) < 1e-9
-        assert np.max(eigen_check(pair, gen)) < 1e-9
-        assert np.max(metric_map_check(pair, pf.S_phi)) < 1e-9
+        assert np.max(eigen_check(pair, model.generator)) < 1e-9
+        assert np.max(metric_map_check(pair, model.pf.S_phi)) < 1e-9
 
 
 def test_criterion_4_dynamics():
     with criterion(4, "dynamics"):
-        params, derived, spec, gen, T, pair, psi0, coeffs = reference_stack()
-        closed = evolve_closed(coeffs, pair, spec, TAU, params, derived, psi0=psi0)
+        model = reference_stack()
+        params, derived, spec, gen = model.params, model.derived, model.spec, model.generator
+        pair, psi0 = model.pair, model.psi0
+        closed = model.evolve(TAU)
         substeps = max(1, round((TAU[1] - TAU[0]) / 1e-3))
         rk4 = evolve_rk4(gen, psi0, TAU, substeps=substeps,
                          params=params, derived=derived)
@@ -145,16 +132,13 @@ def test_criterion_4_dynamics():
         scale = np.maximum(1.0, np.linalg.norm(closed.states, axis=1))
         assert np.max(deviation / scale) < 1e-6
 
-        T2, _ = build_T(spec, derived, Gauge(2.0, 0.5, 3.0, 1.0))
-        pair2 = build_bases(T2, spec)
-        closed2 = evolve_closed(coefficients(psi0, pair2), pair2, spec, TAU,
-                                params, derived, psi0=psi0)
+        closed2 = replace(model, gauge=Gauge(2.0, 0.5, 3.0, 1.0)).evolve(TAU)
         gauge_dev = np.linalg.norm(closed.states - closed2.states, axis=1) / scale
         assert np.max(gauge_dev) < 1e-10
 
         assert np.max(quartic_residual(closed, derived)) < 1e-8
 
-        pf = build_pf(T, spec, liouvillian=gen)
+        pf = model.pf
         x0 = np.linalg.solve(pf.S_phi, psi0)
         xtraj = evolve_adjoint(x0, pair, spec, TAU)
         mapped = np.linalg.solve(pf.S_phi, closed.states.T).T
@@ -175,8 +159,9 @@ def test_criterion_4_dynamics():
 
 def test_criterion_5_observables():
     with criterion(5, "observables"):
-        params, derived, spec, gen, T, pair, psi0, coeffs = reference_stack()
-        traj = evolve_closed(coeffs, pair, spec, TAU, params, derived, psi0=psi0)
+        model = reference_stack()
+        params, derived, spec = model.params, model.derived, model.spec
+        traj = model.evolve(TAU)
         series = power(traj, params, derived)
         assert series.p1[0] == 0.0 and series.p2[0] == 0.0
         tail = TAU >= 4.0
@@ -187,7 +172,7 @@ def test_criterion_5_observables():
             slope = np.polyfit(TAU[tail], np.log(np.abs(p[tail])), 1)[0]
             assert abs(slope - 2.0 * spec.l4) < 1e-2
         report = classify_asymptotics(spec, derived, params,
-                                      power_series=series, coeffs=coeffs)
+                                      power_series=series, coeffs=model.coeffs)
         # window booleans against direct inequality evaluation
         cw = params.C * derived.omega0
         assert report.power_window_ok == (
@@ -203,8 +188,8 @@ def test_criterion_5_observables():
 
 def test_criterion_6_heisenberg():
     with criterion(6, "heisenberg"):
-        params, derived, spec, gen, T, pair, psi0, coeffs = reference_stack()
-        pf = build_pf(T, spec, liouvillian=gen)
+        model = reference_stack()
+        pf, spec = model.pf, model.spec
         rng = np.random.default_rng(99)
         for _ in range(20):
             x0 = rng.standard_normal((4, 4))
@@ -225,18 +210,17 @@ def test_criterion_6_heisenberg():
 
 def test_criterion_7_reported_channels():
     with criterion(7, "reported-only channels"):
-        params, derived, spec, gen, T, pair, psi0, coeffs = reference_stack()
-        comparison = coefficients_paper(derived, spec, Gauge(), params.i1, params.C)
+        model = reference_stack()
+        params = model.params
+        comparison = coefficients_paper(model.derived, model.spec, Gauge(), params.i1, params.C)
         assert np.all(np.isfinite(comparison.relative_deviation))
-        traj = evolve_closed(coeffs, pair, spec, TAU, params, derived, psi0=psi0)
-        en = energy(traj, params)
+        en = energy(model.evolve(TAU), params)
         assert np.isfinite(en.rewrite_max_relative_deviation)
-        pf = build_pf(T, spec)
-        norm_n1 = linalg.spectral_norm(pf.N1)
+        norm_n1 = linalg.spectral_norm(model.pf.N1)
         assert np.isfinite(norm_n1)
         # the channels are recorded in the verification report without a verdict
         # and therefore cannot gate its outcome
-        report = run_verification_suite(RunConfig(mu=0.5, gamma=3.0, samples=201))
+        report = run_verification_suite(model, np.linspace(0.0, 5.0, 201), 1e-3)
         reported = [name for name, c in report.checks.items() if c.passed is None]
         assert "dynamics/reported_paper_coefficient_deviation" in reported
         assert "observables/reported_energy_rewrite_deviation" in reported

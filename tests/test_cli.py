@@ -7,6 +7,7 @@ import pytest
 
 from pfcircuit import derive, normalized, spectrum, validate
 from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
+from pfcircuit.errors import NotSPD, SingularMatrix
 
 
 def run(tmp_path, *args):
@@ -97,14 +98,28 @@ def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
 
     real_suite = cli_mod.run_verification_suite
 
-    def failing_suite(cfg, seed=0):
-        report = real_suite(cfg, seed=seed)
+    def failing_suite(model, tau, rk4_step, seed=0):
+        report = real_suite(model, tau, rk4_step, seed=seed)
         report.add("injected_failure", 1.0, 1e-12)
         return report
 
     monkeypatch.setattr(cli_mod, "run_verification_suite", failing_suite)
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
                "--samples", "51") == EXIT_CHECK_FAILED
+
+
+@pytest.mark.parametrize("error", [SingularMatrix("matrix is numerically singular", 0.0),
+                                   NotSPD("matrix is not positive definite", -1.0)],
+                         ids=["SingularMatrix", "NotSPD"])
+def test_numerical_refusal_exit(tmp_path, monkeypatch, capsys, error):
+    import pfcircuit.cli as cli_mod
+
+    def refusing_suite(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "run_verification_suite", refusing_suite)
+    assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3") == EXIT_REGIME
+    assert type(error).__name__ in capsys.readouterr().err
 
 
 def test_adjoint_artifacts(tmp_path):
@@ -115,6 +130,24 @@ def test_adjoint_artifacts(tmp_path):
     assert len(lines) == 22
     payload = json.loads((tmp_path / "adjoint_report.json").read_text())
     assert payload["max_identification_residual"] < 1e-8
+    assert payload["metric_route_max_residual"] < 1e-8
+
+
+def test_adjoint_metric_route_matches_verify(tmp_path):
+    assert run(tmp_path, "adjoint", "--mu", "0.5", "--gamma", "3",
+               "--samples", "201") == EXIT_OK
+    assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
+               "--samples", "201") == EXIT_OK
+    adjoint = json.loads((tmp_path / "adjoint_report.json").read_text())
+    verify = json.loads((tmp_path / "verify_report.json").read_text())
+    assert adjoint["metric_route_max_residual"] \
+        == verify["dynamics/adjoint_metric_route"]["residual"]
+
+
+def test_adjoint_ill_conditioned_metric(tmp_path):
+    # S_phi fails the determinant regularity test here; the route solves with it
+    assert run(tmp_path, "adjoint", "--mu", "0.8", "--gamma", "7") == EXIT_OK
+    payload = json.loads((tmp_path / "adjoint_report.json").read_text())
     assert payload["metric_route_max_residual"] < 1e-8
 
 

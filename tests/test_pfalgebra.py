@@ -60,7 +60,7 @@ def test_h0_diagonal(reference_spectrum):
 
 def test_intertwiner_columns_are_eigenvectors(
         reference_T, reference_generator, reference_spectrum):
-    T, _ = reference_T
+    T = reference_T
     for col, eig in enumerate(reference_spectrum.eigenvalues):
         v = T[:, col]
         residual = np.linalg.norm(reference_generator @ v - eig * v)
@@ -85,7 +85,7 @@ def test_intertwiner_gauge_column_scaling(reference_spectrum, reference_derived)
 
 
 def test_intertwiner_relation(reference_T, reference_generator, reference_spectrum):
-    T, _ = reference_T
+    T = reference_T
     shifted = reference_generator - reference_spectrum.l3 * np.eye(4)
     h0 = build_h0(reference_spectrum)
     residual = np.linalg.norm(shifted @ T - T @ h0)
@@ -123,7 +123,7 @@ def test_build_pf_rejects_singular():
 
 
 def test_metric_operators(reference_pf, reference_T):
-    T, _ = reference_T
+    T = reference_T
     np.testing.assert_allclose(reference_pf.S_phi, T @ T.T, rtol=1e-14)
     product = reference_pf.S_phi @ reference_pf.S_psi
     assert np.linalg.norm(product - np.eye(4)) < 1e-10
@@ -158,7 +158,7 @@ def test_pf_verify_random_parameters_and_gauges():
 
 def test_pf_verify_localizes_injected_fault(
         reference_T, reference_spectrum, reference_generator):
-    T, _ = reference_T
+    T = reference_T
     corrupted = T.copy()
     corrupted[0, 0] += 1e-3
     report = pf_verify(build_pf(corrupted, reference_spectrum),
