@@ -13,7 +13,9 @@ sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
 3 regime rejection where the command requires acceptance, or a numerical
-refusal (a singular or non-positive-definite matrix) at an accepted point.
+refusal at an accepted point: a singular or non-positive-definite matrix, or
+a simulate/adjoint/h0 series that overflows (inf/nan) on the tau grid, which
+is refused before any file is written.
 All outputs are deterministic: fixed float formatting, fixed key and row
 ordering.
 """
@@ -39,6 +41,7 @@ from .errors import (
     NonPositiveParameter,
     NotSPD,
     RegimeRejected,
+    SeriesOverflow,
     SingularMatrix,
     ZeroCoupling,
 )
@@ -184,6 +187,11 @@ def _tau_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.tau_max, cfg.samples)
 
 
+def _refuse_overflow(cfg: RunConfig, *series) -> None:
+    if not all(np.isfinite(s).all() for s in series):
+        raise SeriesOverflow(f"series overflow to inf/nan on tau in [0, {cfg.tau_max}]")
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as handle:
@@ -226,15 +234,17 @@ def _plot_data_text(columns: dict[str, np.ndarray], tau: np.ndarray) -> str:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     model = _model(cfg)
-    traj = model.evolve(_tau_grid(cfg))
-    pw = obs.power(traj, model.params, model.derived)
-    en = obs.energy(traj, model.params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = model.evolve(_tau_grid(cfg))
+        pw = obs.power(traj, model.params, model.derived)
+        en = obs.energy(traj, model.params)
+    columns = dyn._trajectory_columns(traj, pw, en)
+    _refuse_overflow(cfg, *columns.values())
     out = Path(cfg.output_dir)
     if cfg.format == "csv":
         _write(out / "trajectory.csv", dyn.trajectory_to_csv(traj, pw, en))
     else:
         _write(out / "trajectory.json", dyn.trajectory_to_json(traj, pw, en))
-    columns = dyn._trajectory_columns(traj, pw, en)
     _write(out / "plot_data.dat", _plot_data_text(columns, traj.tau))
     print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")
     return EXIT_OK
@@ -243,10 +253,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_adjoint(cfg: RunConfig) -> int:
     model = _model(cfg)
     tau = _tau_grid(cfg)
-    xtraj, metric_res = dyn.adjoint_metric_route(model.psi0, model.evolve(tau),
-                                                 model.pair, model.spec)
     strict = model.params.L == 1.0 and model.params.C == 1.0
-    report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived, strict=strict)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtraj, metric_res = dyn.adjoint_metric_route(model.psi0, model.evolve(tau),
+                                                     model.pair, model.spec)
+        report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived, strict=strict)
+    _refuse_overflow(cfg, xtraj.states, report.residuals, metric_res)
     out = Path(cfg.output_dir)
     _write(out / "adjoint.csv", dyn.csv_text("tau,x1,x2,x3,x4", [tau, *xtraj.states.T]))
     payload = {
@@ -265,7 +277,9 @@ def cmd_adjoint(cfg: RunConfig) -> int:
 def cmd_h0(cfg: RunConfig) -> int:
     spec = _model(cfg).spec
     tau = _tau_grid(cfg)
-    traj = dyn.evolve_h0(spec, np.ones(4), tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = dyn.evolve_h0(spec, np.ones(4), tau)
+    _refuse_overflow(cfg, traj.states)
     _write(Path(cfg.output_dir) / "h0.csv",
            dyn.csv_text("tau,y1,y2,y3,y4", [tau, *traj.states.T]))
     print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")
@@ -280,7 +294,7 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     evo2 = heis.number_evolution(2, pf, spec, tau)
     bound = heis.growth_bound_report((evo1.generic, evo2.generic), spec)
     out = Path(cfg.output_dir)
-    _write(out / "heisenberg.csv", heis.norm_series_csv((evo1.generic, evo2.generic), spec))
+    _write(out / "heisenberg.csv", heis.norm_series_csv((evo1.generic, evo2.generic), bound))
     payload = dict(bound.to_dict())
     payload["two_path_deviation_N1"] = evo1.max_relative_deviation
     payload["two_path_deviation_N2"] = evo2.max_relative_deviation
@@ -400,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate) as exc:
         print(f"regime rejected: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (SingularMatrix, NotSPD) as exc:
+    except (SingularMatrix, NotSPD, SeriesOverflow) as exc:
         print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
 

@@ -146,7 +146,7 @@ def coefficients_paper(
         (l2 * (d21 - d24) + l4 * (d21 + d24 - 2.0 * d22) * i1) / (sigma * t[2]),
         (l4 * (d22 - d23) + l2 * (d22 + d23 - 2.0 * d21) * i1) / (sigma * t[3]),
     ])
-    projection = linalg.inverse(T) @ initial_state(i1, capacitance)
+    projection = linalg.inverse(T) @ initial_state(i1, capacitance, derived.omega0)
     deviation = np.abs(printed - projection) / np.maximum(
         np.maximum(np.abs(printed), np.abs(projection)), 1e-300
     )
@@ -260,26 +260,31 @@ def evolve_rk4(
     """Classical fourth-order Runge-Kutta oracle for Psi' = L Psi.
 
     ``substeps`` fixes the number of RK4 steps per grid interval; by default
-    it is chosen so the step is about RK4_DEFAULT_STEP.  Currents are filled
-    in only when circuit parameters are supplied.
+    it is chosen so the step is about RK4_DEFAULT_STEP.  On a linear system
+    one RK4 step of size h is exactly y <- P(h) y with the Taylor polynomial
+    P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so each interval applies
+    P(h)^substeps, built once per distinct (span, substeps).  Currents are
+    filled in only when circuit parameters are supplied.
     """
     tau = _check_grid(tau_grid)
     m = linalg.as_square(liouvillian, 4)
-    y = linalg.as_vector(psi0).astype(float).copy()
     states = np.empty((tau.size, 4))
-    states[0] = y
-    for idx in range(1, tau.size):
-        span = tau[idx] - tau[idx - 1]
+    states[0] = y = linalg.as_vector(psi0)
+    eye = np.eye(4)
+    # (span, substeps) -> P(h)^substeps - I, kept as an increment because
+    # forming I + (small) would round away the low bits of every step
+    increments = {}
+    for idx, span in enumerate(np.diff(tau).tolist(), start=1):
         n_sub = substeps if substeps is not None else max(1, round(span / RK4_DEFAULT_STEP))
         if n_sub < 1:
             raise ValueError(f"substeps must be >= 1, got {n_sub}")
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = m @ y
-            k2 = m @ (y + 0.5 * h * k1)
-            k3 = m @ (y + 0.5 * h * k2)
-            k4 = m @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (span, n_sub) not in increments:
+            hm = (span / n_sub) * m
+            step = inc = hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
+            for _ in range(n_sub - 1):
+                inc = inc + step + inc @ step  # (I + inc) P(h) - I
+            increments[(span, n_sub)] = inc
+        y = y + increments[(span, n_sub)] @ y
         states[idx] = y
     i1 = i2 = None
     if params is not None and derived is not None:

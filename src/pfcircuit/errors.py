@@ -25,6 +25,10 @@ class NotSPD(ValueError):
         self.eigenvalue = eigenvalue
 
 
+class SeriesOverflow(ValueError):
+    """A computed series left the double range (inf/nan) on the requested time grid."""
+
+
 class RegimeRejected(ValueError):
     """Parameters fall outside the real-spectrum regime."""
 

@@ -111,7 +111,9 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
 
     Returns ``(w, V)`` with ascending eigenvalues and orthonormal columns.
     Sweeps stop once the off-diagonal Frobenius norm falls below
-    ``tol * max(1, ||A||_F)`` or after ``max_sweeps`` sweeps.
+    ``tol * max(1, ||A||_F)`` or after ``max_sweeps`` sweeps.  Each rotation
+    R in the (p, q) plane updates only rows p and q of A (R^T A), then
+    columns p and q (A R), and columns p and q of V (V R).
     """
     m = as_square(a)
     if np.iscomplexobj(m):
@@ -121,33 +123,32 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
     if sym_err > 1e-10 * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"matrix is not symmetric (max asymmetry {sym_err:.3e})")
     w = (m + m.T) / 2.0
-    v = np.eye(n)
     threshold = tol * max(1.0, np.linalg.norm(w, "fro"))
+    w, v = w.tolist(), np.eye(n).tolist()  # float lists: cheaper than numpy at n <= 4
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
     for _ in range(max_sweeps):
         # off-diagonal norm taken entrywise; the sum-of-squares difference
         # cancels catastrophically for ill-conditioned input
-        off = float(np.linalg.norm(w - np.diag(np.diag(w)), "fro"))
+        off = math.sqrt(sum(w[i][j] * w[i][j] for i, j in off_diagonal))
         if off < threshold:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = w[p, q]
+                apq = w[p][q]
                 if apq == 0.0:
                     continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
+                theta = (w[q][q] - w[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                w = rot.T @ w @ rot
-                v = v @ rot
-    eigenvalues = np.diag(w).copy()
+                w[p], w[q] = ([c * x - s * y for x, y in zip(w[p], w[q])],
+                              [s * x + c * y for x, y in zip(w[p], w[q])])
+                for row in (*w, *v):
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+    eigenvalues = np.array([w[i][i] for i in range(n)])
     order = np.argsort(eigenvalues)
-    return eigenvalues[order], v[:, order]
+    return eigenvalues[order], np.array(v)[:, order]
 
 
 def sqrtm_spd(a) -> np.ndarray:

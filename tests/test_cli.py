@@ -1,6 +1,7 @@
 """Command-line interface: commands, artifacts, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ def test_numerical_refusal_exit(tmp_path, monkeypatch, capsys, error):
     monkeypatch.setattr(cli_mod, "run_verification_suite", refusing_suite)
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3") == EXIT_REGIME
     assert type(error).__name__ in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "adjoint", "h0"])
+def test_overflow_refused_before_writing(tmp_path, capsys, command):
+    # e^{l4 tau} leaves the double range well before tau = 400 at this point
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--mu", "0.5", "--gamma", "3", "--tau-max", "400",
+                     "--samples", "11", "--output", str(out)])
+    assert code == EXIT_REGIME
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refusal: SeriesOverflow: ") and "overflow" in err
+    assert not out.exists()
 
 
 def test_adjoint_artifacts(tmp_path):

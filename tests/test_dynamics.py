@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pfcircuit import (
+    CircuitParams,
     Gauge,
+    Model,
     build_T,
     build_bases,
     coefficients,
@@ -86,6 +88,14 @@ def test_paper_coefficients_zero_current(reference_derived, reference_spectrum):
     # the printed numerators keep their current-free terms, so the relative
     # deviation saturates at 1 for every coefficient
     np.testing.assert_array_equal(result.relative_deviation, np.ones(4))
+
+
+def test_paper_coefficient_projection_physical_units():
+    # omega0 = 0.5 here, so the projected initial state must carry it
+    model = Model(CircuitParams(L=2.0, C=2.0, R=0.4, M=0.7, i1=1.0))
+    assert model.derived.omega0 == pytest.approx(0.5)
+    result = coefficients_paper(model.derived, model.spec, model.gauge, 1.0, model.params.C)
+    np.testing.assert_allclose(result.projection, model.coeffs.vector, rtol=0, atol=1e-12)
 
 
 def test_paper_sigma_guard(monkeypatch, reference_derived, reference_spectrum):
@@ -193,6 +203,32 @@ def test_rk4_order_of_convergence(reference_generator):
         errors.append(np.linalg.norm(approx.states[1] - exact))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 20.0
+
+
+def _stage_rk4(m, y, tau):
+    """Reference RK4 in stage form, default substeps, one step at a time."""
+    states = [y]
+    for span in np.diff(tau):
+        n_sub = max(1, round(span / dyn.RK4_DEFAULT_STEP))
+        h = span / n_sub
+        for _ in range(n_sub):
+            k1 = m @ y
+            k2 = m @ (y + 0.5 * h * k1)
+            k3 = m @ (y + 0.5 * h * k2)
+            k4 = m @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("grid", [TAU, np.array([0.0, 0.013, 0.05, 0.0501, 0.4, 0.75, 2.0, 5.0])],
+                         ids=["uniform", "nonuniform"])
+def test_rk4_propagator_equals_stage_form(reference_generator, grid):
+    psi0 = initial_state(1.0)
+    expected = _stage_rk4(reference_generator, psi0, grid)
+    states = evolve_rk4(reference_generator, psi0, grid).states
+    rel = np.linalg.norm(states - expected, axis=1) / np.linalg.norm(expected, axis=1)
+    assert np.max(rel) <= 1e-13
 
 
 def test_rk4_rejects_bad_substeps(reference_generator):

@@ -39,6 +39,16 @@ def test_identity_observable_stays_positive(reference_pf, reference_spectrum):
         assert np.min(np.linalg.eigvalsh((xt + xt.T) / 2.0)) > 0.0
 
 
+def test_batched_evolution_matches_per_sample_sandwich(reference_pf, reference_spectrum):
+    x0 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
+    traj = evolve_observable(x0, reference_pf, reference_spectrum, TAU)
+    np.testing.assert_array_equal(traj.X[0], x0)
+    for t, xt in zip(TAU, traj.X):
+        e = shifted_propagator(reference_pf, reference_spectrum, t)
+        expected = np.exp(2.0 * reference_spectrum.l3 * t) * (e.T @ x0 @ e)
+        assert np.max(np.abs(xt - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+
+
 def test_expectation_consistency(reference_pf, reference_spectrum):
     rng = np.random.default_rng(81)
     for _ in range(20):
@@ -122,9 +132,8 @@ def test_effective_hamiltonian_route(reference_generator):
 
 
 def test_norm_series_csv(number_evolutions, reference_spectrum):
-    text = norm_series_csv(
-        (number_evolutions[0].generic, number_evolutions[1].generic),
-        reference_spectrum)
+    trajs = (number_evolutions[0].generic, number_evolutions[1].generic)
+    text = norm_series_csv(trajs, growth_bound_report(trajs, reference_spectrum))
     lines = text.splitlines()
     assert lines[0] == "tau,normN1,normN2,ratio1,ratio2"
     assert len(lines) == TAU.size + 1

@@ -140,3 +140,33 @@ def test_jacobi_ill_conditioned_metric(reference_pf):
     residual = np.linalg.norm(reference_pf.S_phi @ v - v @ np.diag(w))
     assert residual < 1e-11 * np.linalg.norm(reference_pf.S_phi)
     assert np.linalg.norm(v.T @ v - np.eye(4)) < 1e-13
+
+
+def _assert_eigh(a, w, v):
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(v.T @ v - np.eye(len(w)))) <= 1e-13
+    assert np.max(np.abs(v @ np.diag(w) @ v.T - a)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_jacobi_reconstructs_random_symmetric(n):
+    rng = np.random.default_rng(10 + n)
+    for _ in range(20):
+        base = rng.standard_normal((n, n))
+        sym = base + base.T
+        _assert_eigh(sym, *linalg.jacobi_eigh(sym))
+
+
+def test_jacobi_diagonal_input_takes_no_rotation():
+    a = np.diag([3.0, -1.0, 2.0, 0.5])
+    w, v = linalg.jacobi_eigh(a)
+    np.testing.assert_array_equal(w, [-1.0, 0.5, 2.0, 3.0])
+    np.testing.assert_array_equal(v, np.eye(4)[:, [1, 3, 2, 0]])
+
+
+def test_jacobi_zero_off_diagonal_pair():
+    a = np.array([[2.0, 0.0, 0.3, -0.1],
+                  [0.0, 1.0, 0.7, 0.2],
+                  [0.3, 0.7, -1.5, 0.4],
+                  [-0.1, 0.2, 0.4, 0.8]])
+    _assert_eigh(a, *linalg.jacobi_eigh(a))
