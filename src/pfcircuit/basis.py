@@ -152,18 +152,14 @@ def frame_bounds(
     S_phi = linalg.as_square(S_phi, 4)
     upper = linalg.spectral_norm(S_phi)
     lower = 1.0 / linalg.spectral_norm(linalg.inverse(S_phi))
-    rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(n_samples):
-        f = rng.standard_normal(4)
-        f /= np.linalg.norm(f)
-        values.append(float(np.sum((pair.phi.T @ f) ** 2)))
+    f = np.random.default_rng(seed).standard_normal((n_samples, 4))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    values = np.sum((f @ pair.phi) ** 2, axis=1)
+    lowest, highest = float(np.min(values)), float(np.max(values))
     return {
         "lower_bound": float(lower),
         "upper_bound": float(upper),
-        "min_observed": min(values),
-        "max_observed": max(values),
-        "within_bounds": bool(
-            min(values) >= lower - 1e-9 and max(values) <= upper + 1e-9
-        ),
+        "min_observed": lowest,
+        "max_observed": highest,
+        "within_bounds": bool(lowest >= lower - 1e-9 and highest <= upper + 1e-9),
     }

@@ -14,8 +14,8 @@ sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
 3 regime rejection where the command requires acceptance, or a numerical
 refusal at an accepted point: a singular or non-positive-definite matrix, or
-a simulate/adjoint/h0 series that overflows (inf/nan) on the tau grid, which
-is refused before any file is written.
+a simulate/adjoint/h0/verify series that overflows (inf/nan) on the tau grid,
+which is refused before any file is written.
 All outputs are deterministic: fixed float formatting, fixed key and row
 ordering.
 """
@@ -187,11 +187,6 @@ def _tau_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.tau_max, cfg.samples)
 
 
-def _refuse_overflow(cfg: RunConfig, *series) -> None:
-    if not all(np.isfinite(s).all() for s in series):
-        raise SeriesOverflow(f"series overflow to inf/nan on tau in [0, {cfg.tau_max}]")
-
-
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as handle:
@@ -239,7 +234,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         pw = obs.power(traj, model.params, model.derived)
         en = obs.energy(traj, model.params)
     columns = dyn._trajectory_columns(traj, pw, en)
-    _refuse_overflow(cfg, *columns.values())
+    SeriesOverflow.check(cfg.tau_max, *columns.values())
     out = Path(cfg.output_dir)
     if cfg.format == "csv":
         _write(out / "trajectory.csv", dyn.trajectory_to_csv(traj, pw, en))
@@ -258,7 +253,7 @@ def cmd_adjoint(cfg: RunConfig) -> int:
         xtraj, metric_res = dyn.adjoint_metric_route(model.psi0, model.evolve(tau),
                                                      model.pair, model.spec)
         report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived, strict=strict)
-    _refuse_overflow(cfg, xtraj.states, report.residuals, metric_res)
+    SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
     out = Path(cfg.output_dir)
     _write(out / "adjoint.csv", dyn.csv_text("tau,x1,x2,x3,x4", [tau, *xtraj.states.T]))
     payload = {
@@ -279,7 +274,7 @@ def cmd_h0(cfg: RunConfig) -> int:
     tau = _tau_grid(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = dyn.evolve_h0(spec, np.ones(4), tau)
-    _refuse_overflow(cfg, traj.states)
+    SeriesOverflow.check(cfg.tau_max, traj.states)
     _write(Path(cfg.output_dir) / "h0.csv",
            dyn.csv_text("tau,y1,y2,y3,y4", [tau, *traj.states.T]))
     print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")

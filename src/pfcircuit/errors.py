@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class NonPositiveParameter(ValueError):
     """A physical parameter that must be strictly positive is not."""
@@ -27,6 +29,12 @@ class NotSPD(ValueError):
 
 class SeriesOverflow(ValueError):
     """A computed series left the double range (inf/nan) on the requested time grid."""
+
+    @classmethod
+    def check(cls, tau_max: float, *series) -> None:
+        """Raise unless every entry of every series is finite."""
+        if not all(np.isfinite(s).all() for s in series):
+            raise cls(f"series overflow to inf/nan on tau in [0, {tau_max}]")
 
 
 class RegimeRejected(ValueError):

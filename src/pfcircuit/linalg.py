@@ -1,9 +1,9 @@
 """Dense linear-algebra kernel for the 4x4 (and 2x2) matrices used everywhere else.
 
-Everything operates on plain numpy arrays in double precision.  Two independent
-matrix-exponential routes are provided on purpose: an eigendecomposition route
-(used when the caller can supply a diagonalizing pair) and a scaling-and-squaring
-truncated Taylor route that serves as a cross-check oracle.  The symmetric
+Everything operates on plain numpy arrays in double precision.  The matrix
+exponential is a scaling-and-squaring truncated Taylor series that serves as a
+cross-check oracle; the propagator itself is taken through the intertwiner as
+T diag(e^{lambda tau}) T^{-1} in :mod:`pfcircuit.heisenberg`.  The symmetric
 eigensolver is a cyclic Jacobi sweep so that square roots and spectral norms do
 not depend on the same LAPACK path the tests compare against.
 """
@@ -29,7 +29,7 @@ __all__ = [
 #: relative determinant threshold for the regularity test in :func:`inverse`
 SINGULARITY_RTOL = 1e-12
 
-#: Taylor terms retained by the scaling-and-squaring fallback of :func:`expm`
+#: Taylor terms retained by the scaling-and-squaring series of :func:`expm`
 TAYLOR_TERMS = 18
 
 #: scaled off-diagonal Frobenius target for the cyclic Jacobi sweeps
@@ -73,23 +73,12 @@ def inverse(a) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def expm(a, tau: float = 1.0, eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """e^{A tau}.
+def expm(a, tau: float = 1.0) -> np.ndarray:
+    """e^{A tau} by scaling and squaring with TAYLOR_TERMS Taylor terms.
 
-    With ``eig=(V, d)`` the exponential is taken through the supplied
-    diagonalization A = V diag(d) V^{-1}; otherwise scaling-and-squaring with
-    TAYLOR_TERMS Taylor terms is used (scaled until ||A tau / 2^s||_1 < 0.5).
+    A tau is scaled by 2^-s until ||A tau / 2^s||_1 < 0.5, then squared s times.
     """
-    m = as_square(a)
-    if eig is not None:
-        v, d = eig
-        v = as_square(v, m.shape[0])
-        d = np.asarray(d, dtype=float)
-        return v @ np.diag(np.exp(d * tau)) @ inverse(v)
-    return _expm_taylor(m * tau)
-
-
-def _expm_taylor(b: np.ndarray) -> np.ndarray:
+    b = as_square(a) * tau
     norm1 = np.linalg.norm(b, 1)
     squarings = 0
     if norm1 >= 0.5:

@@ -15,6 +15,7 @@ from . import heisenberg as heis
 from . import linalg
 from . import observables as obs
 from . import pfalgebra
+from .errors import SeriesOverflow
 from .model import Model
 
 
@@ -52,14 +53,19 @@ def run_verification_suite(
     report.add("basis/expansion_identity", recon_res, 1e-10)
 
     # --- dynamics ---
-    closed = model.evolve(tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = model.evolve(tau)
+        row_scale = np.maximum(1.0, np.linalg.norm(closed.states, axis=1))
+        pw = obs.power(closed, params, derived)
+        en = obs.energy(closed, params)
+    SeriesOverflow.check(tau[-1], closed.states, row_scale, pw.p1, pw.p2, en.e1, en.e2,
+                         pw.max_relative_deviation, en.rewrite_max_relative_deviation)
     report.add(
         "dynamics/initial_state_reconstruction",
         float(np.linalg.norm(closed.states[0] - psi0)
               / max(1.0, np.linalg.norm(psi0))), 1e-12)
     substeps = max(1, round((tau[1] - tau[0]) / rk4_step))
     rk4 = dyn.evolve_rk4(gen, psi0, tau, substeps=substeps, params=params, derived=derived)
-    row_scale = np.maximum(1.0, np.linalg.norm(closed.states, axis=1))
     rel = np.linalg.norm(closed.states - rk4.states, axis=1) / row_scale
     report.add("dynamics/closed_vs_rk4_max_rel", float(np.max(rel)), 1e-6)
 
@@ -95,7 +101,7 @@ def run_verification_suite(
     two_step = dyn.evolve_closed(coeffs_half, pair, spec, np.array([0.0, 0.9]), params, derived)
     direct = dyn.evolve_closed(coeffs, pair, spec, np.array([0.0, 2.2]), params, derived)
     semigroup = float(np.linalg.norm(two_step.states[1] - direct.states[1])
-                      / np.linalg.norm(direct.states[1]))
+                      / max(np.linalg.norm(direct.states[1]), 1e-300))
     report.add("dynamics/semigroup", semigroup, 1e-9)
 
     display = dyn.display_series(coeffs, spec, derived, params, model.gauge, tau)
@@ -112,9 +118,7 @@ def run_verification_suite(
     report.add("dynamics/reported_paper_sigma", comparison.sigma, None)
 
     # --- observables ---
-    pw = obs.power(closed, params, derived)
     report.add("observables/power_two_path_max", pw.max_relative_deviation, 1e-10)
-    en = obs.energy(closed, params)
     report.add("observables/energy_nonnegative",
                max(0.0, -float(min(np.min(en.e1), np.min(en.e2)))), 1e-12)
     gl = obs.classify_asymptotics(spec, derived, params, power_series=pw, coeffs=coeffs)

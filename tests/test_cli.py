@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,8 @@ def test_verify_reference(tmp_path):
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
                "--samples", "201") == EXIT_OK
     payload = json.loads((tmp_path / "verify_report.json").read_text())
+    pinned = Path(__file__).parents[1] / "bench" / "verify_keys.json"
+    assert list(payload) == json.loads(pinned.read_text())
     asserted = {k: v for k, v in payload.items() if v["pass"] is not None}
     reported = {k: v for k, v in payload.items() if v["pass"] is None}
     assert all(v["pass"] for v in asserted.values())
@@ -92,6 +95,12 @@ def test_verify_reference(tmp_path):
     assert "dynamics/reported_paper_coefficient_deviation" in reported
     assert "heisenberg/reported_norm_N1_initial" in reported
     assert "observables/reported_energy_rewrite_deviation" in reported
+
+
+def test_verify_zero_initial_current(tmp_path):
+    # the zero trajectory satisfies every identity; no relative residual may divide by 0
+    assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3", "--i1", "0",
+               "--samples", "201") == EXIT_OK
 
 
 def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
@@ -123,13 +132,17 @@ def test_numerical_refusal_exit(tmp_path, monkeypatch, capsys, error):
     assert type(error).__name__ in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "adjoint", "h0"])
-def test_overflow_refused_before_writing(tmp_path, capsys, command):
-    # e^{l4 tau} leaves the double range well before tau = 400 at this point
+@pytest.mark.parametrize(("command", "tau_max"),
+                         [("simulate", "400"), ("adjoint", "400"), ("h0", "400"),
+                          ("verify", "400"), ("verify", "143.5")],
+                         ids=["simulate", "adjoint", "h0", "verify", "verify-143.5"])
+def test_overflow_refused_before_writing(tmp_path, capsys, command, tau_max):
+    # e^{l4 tau} leaves the double range well before tau = 400 at this point;
+    # at 143.5 the states are finite but their squares (row norms, energies) are not
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, "--mu", "0.5", "--gamma", "3", "--tau-max", "400",
+        code = main([command, "--mu", "0.5", "--gamma", "3", "--tau-max", tau_max,
                      "--samples", "11", "--output", str(out)])
     assert code == EXIT_REGIME
     err = capsys.readouterr().err

@@ -75,7 +75,7 @@ def test_number_printed_order_deviates(number_evolutions):
 def test_number_initial_sample(number_evolutions, reference_pf):
     for evo, n_op in zip(number_evolutions, (reference_pf.N1, reference_pf.N2)):
         assert np.max(np.abs(evo.generic.X[0] - n_op)) < 1e-12
-        assert np.max(np.abs(evo.closed.X[0] - n_op)) < 1e-12
+        assert np.max(np.abs(evo.closed[0] - n_op)) < 1e-12
 
 
 def test_scalar_expansion_identity(reference_pf):
@@ -99,11 +99,29 @@ def test_product_formula(reference_pf, reference_spectrum):
 def test_propagator_matches_taylor_route(reference_pf, reference_spectrum,
                                          reference_generator):
     shifted = reference_generator - reference_spectrum.l3 * np.eye(4)
-    for tau in (0.5, 1.7):
+    stack = shifted_propagator(reference_pf, reference_spectrum, np.array([0.5, 1.7]))
+    for tau, sliced in zip((0.5, 1.7), stack):
         via_eig = shifted_propagator(reference_pf, reference_spectrum, tau)
         via_taylor = linalg.expm(shifted, tau)
-        assert np.linalg.norm(via_eig - via_taylor) \
-            < 1e-9 * np.linalg.norm(via_taylor)
+        for e in (via_eig, sliced):
+            assert np.linalg.norm(e - via_taylor) < 1e-9 * np.linalg.norm(via_taylor)
+        assert np.linalg.norm(sliced - via_eig) <= 1e-15 * np.linalg.norm(via_eig)
+    at_zero = shifted_propagator(reference_pf, reference_spectrum, np.array([0.0, 1.0]))[0]
+    assert np.max(np.abs(at_zero - np.eye(4))) < 1e-14
+
+
+def test_number_evolution_norms_only_generic(reference_pf, reference_spectrum, monkeypatch):
+    # the closed-form stack carries no norms: one Jacobi norm per generic sample
+    calls = []
+    real_norm = linalg.spectral_norm
+
+    def counting_norm(a):
+        calls.append(1)
+        return real_norm(a)
+
+    monkeypatch.setattr(linalg, "spectral_norm", counting_norm)
+    number_evolution(1, reference_pf, reference_spectrum, np.linspace(0.0, 3.0, 31))
+    assert len(calls) == 31
 
 
 def test_growth_bound(number_evolutions, reference_spectrum):
