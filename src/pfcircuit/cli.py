@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration; see the JSON schema in the module docstring."""
+    """Resolved run configuration; `build_config` reads each field from a flag or the file."""
 
     mode: str = "normalized"
     mu: float | None = None
@@ -88,10 +89,16 @@ class RunConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.samples < 2:
             raise ConfigError(f"samples must be >= 2, got {self.samples}")
-        if not self.tau_max > 0.0:
-            raise ConfigError(f"tau_max must be > 0, got {self.tau_max}")
-        if not self.rk4_step > 0.0:
-            raise ConfigError(f"rk4_step must be > 0, got {self.rk4_step}")
+        for name in ("tau_max", "rk4_step"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if not all(math.isfinite(g) for g in self.gauge):
+            raise ConfigError(f"gauge scales must be finite, got {self.gauge}")
+        for name in ("mu_range", "gamma_range"):
+            value = getattr(self, name)
+            if value is not None and value[2] < 1:
+                raise ConfigError(f"{name} steps must be >= 1, got {value[2]}")
         sweep_style = self.mu_range is not None and self.gamma_range is not None
         if self.mode == "normalized":
             if (self.mu is None or self.gamma is None) and not sweep_style:
@@ -103,19 +110,6 @@ class RunConfig:
                 raise ConfigError("physical mode requires L, C, R, and M")
             if self.mu is not None or self.gamma is not None:
                 raise ConfigError("physical mode does not accept mu/gamma")
-
-
-def _parse_triple(text: str, name: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{name} must look like MIN:MAX:STEPS, got {text!r}")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"could not parse {name}: {exc}") from exc
-    if steps < 1:
-        raise ConfigError(f"{name} steps must be >= 1")
-    return lo, hi, steps
 
 
 def _load_config_file(path: str) -> dict:
@@ -130,44 +124,56 @@ def _load_config_file(path: str) -> dict:
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
+#: how each field is read: a parser of its text, or for a tuple field the
+#: separator of its flag text and one parser per element
+_FIELD_PARSERS = {
+    "mode": str, "format": str, "output_dir": str, "samples": int,
+    **dict.fromkeys(("mu", "gamma", "L", "C", "R", "M", "i1", "tau_max", "rk4_step"), float),
+    "gauge": (",", (float,) * 4),
+    "mu_range": (":", (float, float, int)),
+    "gamma_range": (":", (float, float, int)),
+}
+
+
+def _text(value) -> str:
+    """A flag's text, or a config-file string or number as the text its flag would carry."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(value)
+    return str(value)
+
+
+def _coerce(name: str, value):
+    """Field ``name`` read from a flag's text or a config-file value, one way for both.
+
+    A config number is read from its text as the flag is: 3 and "3" give the
+    same gamma, while 5.5 samples, true, and null for a field that defaults to
+    a value are refused.  A tuple field takes its flag text or a JSON list with
+    one entry per element.
+    """
+    if value is None and getattr(RunConfig, name) is None:
+        return None
+    parse = _FIELD_PARSERS[name]
+    try:
+        if not isinstance(parse, tuple):
+            return parse(_text(value))
+        sep, parsers = parse
+        parts = value.split(sep) if isinstance(value, str) else value
+        if not isinstance(parts, list) or len(parts) != len(parsers):
+            raise ValueError(value)
+        return tuple(element(_text(part)) for element, part in zip(parsers, parts))
+    except ValueError:
+        raise ConfigError(f"cannot read {name} from {value!r}") from None
+
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and command-line flags (flags win)."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        data = _load_config_file(args.config)
-        unknown = set(data) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "gauge" in data:
-            gauge = data["gauge"]
-            if not (isinstance(gauge, (list, tuple)) and len(gauge) == 4):
-                raise ConfigError("gauge must be a list of four numbers")
-            data["gauge"] = tuple(float(g) for g in gauge)
-        for key in ("mu_range", "gamma_range"):
-            if key in data and data[key] is not None:
-                rng = data[key]
-                if not (isinstance(rng, (list, tuple)) and len(rng) == 3):
-                    raise ConfigError(f"{key} must be [min, max, steps]")
-                data[key] = (float(rng[0]), float(rng[1]), int(rng[2]))
-        cfg = replace(cfg, **data)
-    overrides = {}
-    for name in _CONFIG_FIELDS - {"gauge", "output_dir", "mu_range", "gamma_range"}:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "output", None) is not None:
-        overrides["output_dir"] = args.output
-    if getattr(args, "gauge", None) is not None:
-        parts = args.gauge.split(",")
-        if len(parts) != 4:
-            raise ConfigError("--gauge expects four comma-separated numbers")
-        overrides["gauge"] = tuple(float(p) for p in parts)
-    if getattr(args, "mu_range", None) is not None:
-        overrides["mu_range"] = _parse_triple(args.mu_range, "--mu-range")
-    if getattr(args, "gamma_range", None) is not None:
-        overrides["gamma_range"] = _parse_triple(args.gamma_range, "--gamma-range")
-    cfg = replace(cfg, **overrides)
+    values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = set(values) - _CONFIG_FIELDS
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    values.update({name: getattr(args, name) for name in _CONFIG_FIELDS
+                   if getattr(args, name, None) is not None})
+    cfg = RunConfig(**{name: _coerce(name, value) for name, value in values.items()})
     cfg.check()
     return cfg
 
@@ -216,15 +222,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _plot_data_text(columns: dict[str, np.ndarray], tau: np.ndarray) -> str:
-    blocks = []
-    for name, series in columns.items():
-        if name == "tau":
-            continue
-        lines = [f"# series {name}", f"tau,{name}"]
-        lines.extend(f"{_fmt(float(t))},{_fmt(float(v))}" for t, v in zip(tau, series))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+#: samples formatted at a time by simulate: each block's strings are joined into
+#: both artifacts before the next block is formatted, because holding all 11 n
+#: value strings at once raised the peak RSS of a 5,001-sample run by about 8%
+_BLOCK_ROWS = 128
+
+
+def _plot_data_text(rows: dict[str, list[str]]) -> str:
+    """One block per series: its name, `tau,NAME`, then its rows, given as CSV parts."""
+    pieces = []
+    for name, parts in rows.items():
+        pieces += [f"# series {name}\ntau,{name}\n", *parts, "\n"]
+    pieces.pop()  # a blank line between blocks, none after the last
+    return "".join(pieces)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -233,14 +243,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
         traj = model.evolve(_tau_grid(cfg))
         pw = obs.power(traj, model.params, model.derived)
         en = obs.energy(traj, model.params)
-    columns = dyn._trajectory_columns(traj, pw, en)
+    columns = dyn.trajectory_columns(traj, pw, en)
     SeriesOverflow.check(cfg.tau_max, *columns.values())
+    csv_parts = [",".join(columns) + "\n"]
+    plot_parts = {name: [] for name in columns if name != "tau"}
+    for lo in range(0, cfg.samples, _BLOCK_ROWS):
+        # every written value is formatted once; both artifacts join these strings
+        tau, *cells = (list(map(_fmt, c[lo:lo + _BLOCK_ROWS].tolist())) for c in columns.values())
+        if cfg.format == "csv":
+            csv_parts.append(dyn.csv_text([tau, *cells]))
+        for parts, series in zip(plot_parts.values(), cells):
+            parts.append(dyn.csv_text([tau, series]))
     out = Path(cfg.output_dir)
     if cfg.format == "csv":
-        _write(out / "trajectory.csv", dyn.trajectory_to_csv(traj, pw, en))
+        _write(out / "trajectory.csv", "".join(csv_parts))
     else:
-        _write(out / "trajectory.json", dyn.trajectory_to_json(traj, pw, en))
-    _write(out / "plot_data.dat", _plot_data_text(columns, traj.tau))
+        _write(out / "trajectory.json",
+               json.dumps({name: series.tolist() for name, series in columns.items()}, indent=2))
+    _write(out / "plot_data.dat", _plot_data_text(plot_parts))
     print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")
     return EXIT_OK
 
@@ -255,7 +275,8 @@ def cmd_adjoint(cfg: RunConfig) -> int:
         report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived, strict=strict)
     SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
     out = Path(cfg.output_dir)
-    _write(out / "adjoint.csv", dyn.csv_text("tau,x1,x2,x3,x4", [tau, *xtraj.states.T]))
+    _write(out / "adjoint.csv", "tau,x1,x2,x3,x4\n" + dyn.csv_text(
+        [map(_fmt, c.tolist()) for c in (tau, *xtraj.states.T)]))
     payload = {
         "identification": "strict (x -> I1, I2, -V1, -V2)" if strict
         else "extended (voltage components scaled by C*omega0)",
@@ -275,8 +296,8 @@ def cmd_h0(cfg: RunConfig) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         traj = dyn.evolve_h0(spec, np.ones(4), tau)
     SeriesOverflow.check(cfg.tau_max, traj.states)
-    _write(Path(cfg.output_dir) / "h0.csv",
-           dyn.csv_text("tau,y1,y2,y3,y4", [tau, *traj.states.T]))
+    _write(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4\n" + dyn.csv_text(
+        [map(_fmt, c.tolist()) for c in (tau, *traj.states.T)]))
     print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")
     return EXIT_OK
 
@@ -289,7 +310,9 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     evo2 = heis.number_evolution(2, pf, spec, tau)
     bound = heis.growth_bound_report((evo1.generic, evo2.generic), spec)
     out = Path(cfg.output_dir)
-    _write(out / "heisenberg.csv", heis.norm_series_csv((evo1.generic, evo2.generic), bound))
+    _write(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2\n" + dyn.csv_text(
+        [map(_fmt, c.tolist()) for c in (evo1.generic.tau, evo1.generic.norms,
+                                         evo2.generic.norms, *bound.ratios.T)]))
     payload = dict(bound.to_dict())
     payload["two_path_deviation_N1"] = evo1.max_relative_deviation
     payload["two_path_deviation_N2"] = evo2.max_relative_deviation
@@ -302,7 +325,7 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = run_verification_suite(_model(cfg), _tau_grid(cfg), cfg.rk4_step)
-    _write(Path(cfg.output_dir) / "verify_report.json", report.to_json() + "\n")
+    _write(Path(cfg.output_dir) / "verify_report.json", _json_text(report.to_dict()))
     n_asserted = sum(1 for c in report.checks.values() if c.passed is not None)
     failed = report.failed()
     print(f"{n_asserted} asserted checks, {len(failed)} failed")
@@ -379,22 +402,14 @@ def _make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--mode", choices=["normalized", "physical"])
-        p.add_argument("--mu", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--L", type=float)
-        p.add_argument("--C", type=float)
-        p.add_argument("--R", type=float)
-        p.add_argument("--M", type=float)
-        p.add_argument("--i1", type=float)
+        for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples", "rk4-step"):
+            p.add_argument(f"--{flag}")
         p.add_argument("--gauge", help="four comma-separated column scales")
-        p.add_argument("--tau-max", dest="tau_max", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--rk4-step", dest="rk4_step", type=float)
-        p.add_argument("--output", help="output directory")
+        p.add_argument("--output", dest="output_dir", metavar="DIR", help="output directory")
         p.add_argument("--format", choices=["csv", "json"])
         if name == "sweep":
-            p.add_argument("--mu-range", dest="mu_range", help="MIN:MAX:STEPS")
-            p.add_argument("--gamma-range", dest="gamma_range", help="MIN:MAX:STEPS")
+            p.add_argument("--mu-range", help="MIN:MAX:STEPS")
+            p.add_argument("--gamma-range", help="MIN:MAX:STEPS")
     return parser
 
 

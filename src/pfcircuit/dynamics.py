@@ -15,7 +15,6 @@ this reproduces the plain I = V/R - C*dV/dt relations verbatim.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +43,12 @@ __all__ = [
     "evolve_h0",
     "quartic_residual",
     "display_series",
-    "trajectory_to_csv",
-    "trajectory_to_json",
+    "trajectory_columns",
     "csv_text",
     "format_float",
 ]
 
 RK4_DEFAULT_STEP = 1e-3
-
-CSV_HEADER = "tau,V1,V2,V1p,V2p,I1,I2"
 
 
 @dataclass(frozen=True)
@@ -471,7 +467,8 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _trajectory_columns(traj: Trajectory, power=None, energy=None):
+def trajectory_columns(traj: Trajectory, power=None, energy=None) -> dict[str, np.ndarray]:
+    """The written series by name, in artifact column order: tau, states, currents, P, E."""
     columns = {
         "tau": traj.tau,
         "V1": traj.V1, "V2": traj.V2, "V1p": traj.V1p, "V2p": traj.V2p,
@@ -488,22 +485,6 @@ def _trajectory_columns(traj: Trajectory, power=None, energy=None):
     return columns
 
 
-def csv_text(header: str, columns) -> str:
-    """The header line, then one row per sample of the equal-length columns."""
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(format_float(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_to_csv(traj: Trajectory, power=None, energy=None) -> str:
-    """CSV serialization with 17-significant-digit numbers, deterministic."""
-    columns = _trajectory_columns(traj, power, energy)
-    return csv_text(",".join(columns), columns.values())
-
-
-def trajectory_to_json(traj: Trajectory, power=None, energy=None) -> str:
-    """Column-major JSON mirror of the CSV serialization."""
-    columns = _trajectory_columns(traj, power, energy)
-    payload = {name: [float(x) for x in col] for name, col in columns.items()}
-    return json.dumps(payload, indent=2)
+def csv_text(columns) -> str:
+    """CSV rows: a comma-joined, newline-ended line per sample of equal-length string columns."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import csv_text
 from .liouvillian import Spectrum
 from .pfalgebra import PFSystem
 
@@ -37,7 +36,6 @@ __all__ = [
     "product_formula_residual",
     "expectation_consistency_residual",
     "effective_hamiltonian_route_residual",
-    "norm_series_csv",
 ]
 
 
@@ -224,12 +222,3 @@ def effective_hamiltonian_route_residual(
     return float(
         np.linalg.norm(left - right, "fro") / max(np.linalg.norm(right, "fro"), 1e-300)
     )
-
-
-def norm_series_csv(
-    trajs: tuple[ObservableTrajectory, ObservableTrajectory], bound: GrowthBoundReport
-) -> str:
-    """CSV export `tau,normN1,normN2,ratio1,ratio2` of ``trajs`` and their ``bound``."""
-    t1, t2 = trajs
-    return csv_text("tau,normN1,normN2,ratio1,ratio2",
-                    [t1.tau, t1.norms, t2.norms, *bound.ratios.T])

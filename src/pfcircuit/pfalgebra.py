@@ -21,7 +21,6 @@ reported-only channel rather than asserting them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -225,9 +224,6 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {name: check.to_dict() for name, check in self.checks.items()}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _rel(x: np.ndarray, scale: float) -> float:

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfcircuit import derive, normalized, spectrum, validate
+from pfcircuit import Model, derive, normalized, number_evolution, spectrum, validate
+from pfcircuit import cli as cli_mod
+from pfcircuit import dynamics as dyn
 from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
 from pfcircuit.errors import NotSPD, SingularMatrix
 
@@ -65,6 +67,52 @@ def test_simulate_json_format(tmp_path):
     assert list(payload) == ["tau", "V1", "V2", "V1p", "V2p", "I1", "I2",
                              "P1", "P2", "E1", "E2"]
     assert len(payload["tau"]) == 5
+    traj = Model(normalized(0.5, 3.0, i1=1.0)).evolve(np.linspace(0.0, 5.0, 5))
+    np.testing.assert_array_equal(payload["V1p"], traj.V1p)
+
+
+def _plot_text(tau, series):
+    """plot_data.dat as the contract states it: per series, its name, `tau,NAME`, the rows."""
+    blocks = [f"# series {name}\ntau,{name}\n" + "\n".join(map(",".join, zip(tau, values)))
+              for name, values in series.items()]
+    return "\n\n".join(blocks) + "\n"
+
+
+def test_plot_data_repeats_csv_strings(tmp_path):
+    # 301 samples span three formatting blocks, the last one partial
+    assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", "--samples", "301") == EXIT_OK
+    header, *rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    names = header.split(",")
+    columns = list(zip(*(row.split(",") for row in rows)))
+    assert len(columns[0]) == 301
+    expected = _plot_text(columns[0], dict(zip(names[1:], columns[1:])))
+    assert (tmp_path / "plot_data.dat").read_text() == expected
+
+
+def test_plot_data_formats_json_values(tmp_path):
+    assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", "--samples", "301",
+               "--format", "json") == EXIT_OK
+    payload = json.loads((tmp_path / "trajectory.json").read_text())
+    strings = {name: [dyn.format_float(v) for v in values] for name, values in payload.items()}
+    tau = strings.pop("tau")
+    assert (tmp_path / "plot_data.dat").read_text() == _plot_text(tau, strings)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_formats_each_value_once(tmp_path, monkeypatch, fmt):
+    # 11 written series of 101 samples: tau, 4 states, 2 currents, 2 powers, 2 energies
+    calls = []
+    real = dyn.format_float
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(dyn, "format_float", counting)
+    monkeypatch.setattr(cli_mod, "_fmt", counting)
+    assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", "--samples", "101",
+               "--format", fmt) == EXIT_OK
+    assert len(calls) == 11 * 101
 
 
 def test_simulate_determinism(tmp_path):
@@ -191,6 +239,12 @@ def test_heisenberg_artifacts(tmp_path):
     assert run(tmp_path, "heisenberg", "--mu", "0.5", "--gamma", "3") == EXIT_OK
     lines = (tmp_path / "heisenberg.csv").read_text().splitlines()
     assert lines[0] == "tau,normN1,normN2,ratio1,ratio2"
+    assert len(lines) == 61 + 1  # the norm series caps the default 1001 samples at 61
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    model = Model(normalized(0.5, 3.0))
+    norm0 = number_evolution(1, model.pf, model.spec, np.array([0.0])).generic.norms[0]
+    assert float(first[1]) == pytest.approx(norm0, rel=1e-15)
     payload = json.loads((tmp_path / "heisenberg_report.json").read_text())
     assert payload["two_path_deviation_N1"] < 1e-8
     assert payload["printed_order_deviation_N1"] > 1e-2
@@ -235,7 +289,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert float(lines[-1].split(",")[0]) == 2.0  # tau_max from the file
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     assert run(tmp_path, "simulate", "--mu", "0.5") == EXIT_CONFIG  # missing gamma
     assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3",
                "--samples", "1") == EXIT_CONFIG
@@ -247,6 +301,24 @@ def test_config_errors(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"mu": 0.5, "gamma": 3.0, "bogus": 1}))
     assert run(tmp_path, "simulate", "--config", str(unknown)) == EXIT_CONFIG
+    capsys.readouterr()
+    # malformed values are refused by name, whether a flag or the file carries them
+    for flags in (["--gauge", "a,1,1,1"], ["--tau-max", "inf"], ["--rk4-step", "inf"]):
+        assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", *flags) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+    for entry in ({"samples": "many"}, {"tau_max": None}, {"gauge": ["x", 1, 1, 1]}):
+        config = tmp_path / "entry.json"
+        config.write_text(json.dumps({"mu": 0.5, "gamma": 3.0, **entry}))
+        assert run(tmp_path, "simulate", "--config", str(config)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+    # a number given as a string is read as its flag would be
+    text_gamma = tmp_path / "text_gamma.json"
+    text_gamma.write_text(json.dumps({"mu": 0.5, "gamma": "3", "samples": 5}))
+    assert run(tmp_path / "text", "simulate", "--config", str(text_gamma)) == EXIT_OK
+    assert run(tmp_path / "flag", "simulate", "--mu", "0.5", "--gamma", "3",
+               "--samples", "5") == EXIT_OK
+    assert (tmp_path / "text" / "trajectory.csv").read_bytes() \
+        == (tmp_path / "flag" / "trajectory.csv").read_bytes()
 
 
 def test_physical_mode(tmp_path):

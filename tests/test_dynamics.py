@@ -27,10 +27,10 @@ from pfcircuit import dynamics as dyn
 from pfcircuit import linalg
 from pfcircuit.dynamics import (
     adjoint_circuit_map,
+    csv_text,
     display_series,
     format_float,
-    trajectory_to_csv,
-    trajectory_to_json,
+    trajectory_columns,
 )
 from pfcircuit.errors import GridEmpty, UnitMismatch, ZeroSigma
 
@@ -354,26 +354,34 @@ def test_quartic_residual_needs_modes(reference_generator):
         quartic_residual(traj, derive(normalized(0.5, 3.0)))
 
 
+def _trajectory_csv(traj):
+    columns = trajectory_columns(traj)
+    cells = [map(format_float, c.tolist()) for c in columns.values()]
+    return ",".join(columns) + "\n" + csv_text(cells)
+
+
 def test_csv_golden_first_row(reference_trajectory):
-    text = trajectory_to_csv(reference_trajectory)
-    lines = text.splitlines()
+    lines = _trajectory_csv(reference_trajectory).splitlines()
     assert lines[0] == "tau,V1,V2,V1p,V2p,I1,I2"
     assert lines[1] == "0,0,0,-1,0,1,0"
     assert len(lines) == TAU.size + 1
 
 
 def test_csv_float_round_trip(reference_trajectory):
-    text = trajectory_to_csv(reference_trajectory)
-    row = text.splitlines()[500].split(",")  # data row 499
+    row = _trajectory_csv(reference_trajectory).splitlines()[500].split(",")  # data row 499
     assert float(row[0]) == reference_trajectory.tau[499]
     assert float(row[1]) == reference_trajectory.V1[499]
     assert float(row[5]) == reference_trajectory.I1[499]
 
 
 def test_json_mirror(reference_trajectory):
-    payload = json.loads(trajectory_to_json(reference_trajectory))
+    # simulate's json format dumps the column dict; its values format to the CSV's strings
+    columns = trajectory_columns(reference_trajectory)
+    payload = json.loads(json.dumps({name: c.tolist() for name, c in columns.items()}))
     assert list(payload) == ["tau", "V1", "V2", "V1p", "V2p", "I1", "I2"]
     np.testing.assert_array_equal(payload["V1p"], reference_trajectory.V1p)
+    rows = _trajectory_csv(reference_trajectory).splitlines()[1:]
+    assert [",".join(map(format_float, r)) for r in zip(*payload.values())] == rows
 
 
 def test_format_float_negative_zero():
@@ -387,4 +395,4 @@ def test_format_float_negative_zero():
 def test_serialization_requires_currents(reference_generator):
     traj = evolve_rk4(reference_generator, initial_state(1.0), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        trajectory_to_csv(traj)
+        trajectory_columns(traj)

@@ -7,10 +7,10 @@ import pytest
 
 from pfcircuit import evolve_observable, growth_bound_report, number_evolution
 from pfcircuit import linalg
+from pfcircuit.cli import EXIT_OK, main
 from pfcircuit.heisenberg import (
     effective_hamiltonian_route_residual,
     expectation_consistency_residual,
-    norm_series_csv,
     product_formula_residual,
     shifted_propagator,
 )
@@ -149,13 +149,20 @@ def test_effective_hamiltonian_route(reference_generator):
     assert effective_hamiltonian_route_residual(reference_generator, x0, 0.9) < 1e-9
 
 
-def test_norm_series_csv(number_evolutions, reference_spectrum):
-    trajs = (number_evolutions[0].generic, number_evolutions[1].generic)
-    text = norm_series_csv(trajs, growth_bound_report(trajs, reference_spectrum))
-    lines = text.splitlines()
+def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):
+    # `heisenberg` on the TAU grid writes the fixture's norms and growth ratios
+    assert main(["heisenberg", "--mu", "0.5", "--gamma", "3", "--tau-max", "3",
+                 "--samples", str(TAU.size), "--output", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "heisenberg.csv").read_text().splitlines()
     assert lines[0] == "tau,normN1,normN2,ratio1,ratio2"
     assert len(lines) == TAU.size + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(
         number_evolutions[0].generic.norms[0], rel=1e-15)
+    trajs = (number_evolutions[0].generic, number_evolutions[1].generic)
+    ratios = growth_bound_report(trajs, reference_spectrum).ratios
+    written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_allclose(written[:, 1], trajs[0].norms, rtol=1e-15)
+    np.testing.assert_allclose(written[:, 2], trajs[1].norms, rtol=1e-15)
+    np.testing.assert_allclose(written[:, 3:], ratios, rtol=1e-15)

@@ -210,7 +210,7 @@ def test_mixed_dagger_channels_are_nonzero(reference_pf, reference_generator):
 
 def test_report_json_round_trip(reference_pf, reference_generator):
     report = pf_verify(reference_pf, liouvillian=reference_generator)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert set(payload) == set(report.checks)
     sample = payload["anticommutator_a1_b1_is_identity"]
     assert set(sample) == {"residual", "tolerance", "pass"}
