@@ -10,8 +10,8 @@ The verifier runs one named check per identity and serializes to JSON.
 import numpy as np
 
 from pfcircuit import (
-    Gauge, build_T, build_liouvillian, build_pf, derive, normalized, pf_verify,
-    spectrum,
+    Gauge, build_bases, build_T, build_liouvillian, build_pf, derive, normalized,
+    pf_verify, spectrum,
 )
 from pfcircuit.pfalgebra import fermion_generators, verify_two_level_pair
 
@@ -28,7 +28,8 @@ print(f"det(T) = {np.linalg.det(T):.6f} "
       f"(closed form -4*rho*l4*l2/(alpha*mu)^2 = "
       f"{-4 * spec.rho * spec.l4 * spec.l2 / (derived.alpha * derived.mu) ** 2:.6f})")
 
-pf = build_pf(T, spec, liouvillian=generator)
+# T^-1 is taken once, by the basis pair; the operator system reads both from it
+pf = build_pf(build_bases(T, spec), spec, liouvillian=generator)
 report = pf_verify(pf, liouvillian=generator)
 
 print(f"\nall asserted identities hold: {report.all_passed}")

@@ -26,7 +26,7 @@ from .heisenberg import (
     growth_bound_report,
     number_evolution,
 )
-from .liouvillian import Spectrum, build_liouvillian, shift, spectrum
+from .liouvillian import Spectrum, build_liouvillian, spectrum
 from .model import Model
 from .observables import GainLossReport, classify_asymptotics, energy, power
 from .params import (
@@ -85,7 +85,6 @@ __all__ = [
     "pf_verify",
     "power",
     "quartic_residual",
-    "shift",
     "spectrum",
     "validate",
 ]

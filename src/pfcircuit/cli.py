@@ -13,8 +13,9 @@ sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
 3 regime rejection where the command requires acceptance, or a numerical
-refusal at an accepted point: a singular or non-positive-definite matrix, or
-a simulate/adjoint/h0/verify series that overflows (inf/nan) on the tau grid,
+refusal at an accepted point: a singular or non-positive-definite matrix, a
+vanishing printed coefficient denominator in verify, or a
+simulate/adjoint/h0/verify series that overflows (inf/nan) on the tau grid,
 which is refused before any file is written.
 All outputs are deterministic: fixed float formatting, fixed key and row
 ordering.
@@ -45,6 +46,7 @@ from .errors import (
     SeriesOverflow,
     SingularMatrix,
     ZeroCoupling,
+    ZeroSigma,
 )
 from .model import Model
 from .params import CircuitParams, normalized, validate
@@ -424,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate) as exc:
         print(f"regime rejected: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (SingularMatrix, NotSPD, SeriesOverflow) as exc:
+    except (SingularMatrix, NotSPD, SeriesOverflow, ZeroSigma) as exc:
         print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
 

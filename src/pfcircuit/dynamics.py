@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .basis import KN_ORDER, BasisPair, expand
+from .basis import BasisPair, expand
 from .errors import GridEmpty, UnitMismatch, ZeroSigma
 from .liouvillian import Spectrum
 from .params import CircuitParams, DerivedParams
-from .pfalgebra import Gauge, build_T
 
 __all__ = [
     "Coefficients",
@@ -55,25 +54,13 @@ RK4_DEFAULT_STEP = 1e-3
 class Coefficients:
     """Expansion weights of the initial state over the phi family."""
 
-    c: np.ndarray
-    """Shape (2, 2), indexed [k][n]."""
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Weights in column order (0,0), (1,0), (0,1), (1,1)."""
-        return np.array([self.c[k, n] for k, n in KN_ORDER])
+    vector: np.ndarray
+    """Weights in column order (0,0), (1,0), (0,1), (1,1)."""
 
     @property
     def c11(self) -> float:
-        """Weight of the dominant (growing) mode."""
-        return float(self.c[1, 1])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "Coefficients":
-        c = np.zeros((2, 2))
-        for value, (k, n) in zip(vec, KN_ORDER):
-            c[k, n] = value
-        return cls(c=c)
+        """Weight of the dominant (growing) mode, the (1,1) column."""
+        return float(self.vector[3])
 
 
 def initial_state(i1: float, capacitance: float = 1.0, omega0: float = 1.0) -> np.ndarray:
@@ -87,15 +74,16 @@ def initial_state(i1: float, capacitance: float = 1.0, omega0: float = 1.0) -> n
 
 def coefficients(psi0: np.ndarray, pair: BasisPair) -> Coefficients:
     """Biorthogonal projection of the initial state; the authoritative path."""
-    return Coefficients.from_vector(expand(pair, psi0))
+    return Coefficients(expand(pair, psi0))
 
 
-def _paper_sigma(deltas: np.ndarray, l2: float, l4: float, capacitance: float) -> float:
-    # The printed display has one unclosed bracket; the minimal closure appends
-    # the missing parenthesis at the end, turning -2*l4*l2*(-2*(...)) into
-    # +4*l4*l2*(...).  This channel is reported-only, never asserted.
+def _paper_sigma(deltas: np.ndarray, l2: float, l4: float) -> float:
+    # The dimensionless bracket of the printed sigma = C * (...).  The display
+    # has one unclosed bracket; the minimal closure appends the missing
+    # parenthesis at the end, turning -2*l4*l2*(-2*(...)) into +4*l4*l2*(...).
+    # This channel is reported-only, never asserted.
     d21, d22, d23, d24 = deltas
-    return capacitance * (
+    return (
         (l4 * l4 + l2 * l2) * (d22 - d23) * d21 * d24
         + 4.0 * l4 * l2 * (d22 * d23 + d21 * (d22 + d23 - 2.0 * d24) + d22 * d24 + d23 * d24)
     )
@@ -116,25 +104,27 @@ class PaperCoefficientComparison:
 
 
 def coefficients_paper(
-    derived: DerivedParams,
+    coeffs: Coefficients,
     spec: Spectrum,
-    gauge: Gauge,
+    deltas: np.ndarray,
+    t: np.ndarray,
     i1: float,
     capacitance: float = 1.0,
 ) -> PaperCoefficientComparison:
-    """Evaluate the printed closed-form coefficients and compare to projection.
+    """Evaluate the printed closed-form coefficients and compare to the projection.
 
-    The printed numerators attach i1 to only part of each term and the sigma
-    display has suspect bracketing, so the deviation is returned for
-    inspection, never asserted.  Raises :class:`ZeroSigma` if the printed
-    denominator vanishes.
+    ``deltas`` and the column scales ``t`` are those of the intertwiner whose
+    projection ``coeffs`` is, so no inverse is taken here.  The printed
+    numerators attach i1 to only part of each term and the sigma display has
+    suspect bracketing, so the deviation is returned for inspection, never
+    asserted.  Raises :class:`ZeroSigma` if the dimensionless bracket of the
+    printed denominator vanishes.
     """
-    T, deltas = build_T(spec, derived, gauge)
-    sigma = _paper_sigma(deltas, spec.l2, spec.l4, capacitance)
-    if abs(sigma) < 1e-12:
-        raise ZeroSigma(f"printed denominator sigma = {sigma}")
+    bracket = _paper_sigma(deltas, spec.l2, spec.l4)
+    if abs(bracket) < 1e-12:
+        raise ZeroSigma(f"printed denominator sigma = C * {bracket}")
+    sigma = capacitance * bracket
     d21, d22, d23, d24 = deltas
-    t = gauge.as_array()
     l2, l4 = spec.l2, spec.l4
     printed = np.array([
         -(-l4 * (d22 - d23) + l2 * (d22 + d23 - 2.0 * d24) * i1) / (sigma * t[0]),
@@ -142,7 +132,7 @@ def coefficients_paper(
         (l2 * (d21 - d24) + l4 * (d21 + d24 - 2.0 * d22) * i1) / (sigma * t[2]),
         (l4 * (d22 - d23) + l2 * (d22 + d23 - 2.0 * d21) * i1) / (sigma * t[3]),
     ])
-    projection = linalg.inverse(T) @ initial_state(i1, capacitance, derived.omega0)
+    projection = coeffs.vector
     deviation = np.abs(printed - projection) / np.maximum(
         np.maximum(np.abs(printed), np.abs(projection)), 1e-300
     )
@@ -429,19 +419,18 @@ def display_series(
     spec: Spectrum,
     derived: DerivedParams,
     params: CircuitParams,
-    gauge: Gauge,
+    deltas: np.ndarray,
+    t: np.ndarray,
     tau_grid,
 ) -> dict[str, np.ndarray]:
     """The explicit four-term displays for V_j and I_j, as an alternative path.
 
-    Reconstructs the series from the coefficient/delta/gauge data alone (no
-    matrix products), with the current weights (1/R -+ C*omega0*l) attached
-    mode by mode.  Must agree with the state-layout extraction when fed the
-    projection coefficients.
+    Reconstructs the series from the coefficients and the intertwiner's deltas
+    and column scales ``t`` alone (no matrix products), with the current
+    weights (1/R -+ C*omega0*l) attached mode by mode.  Must agree with the
+    state-layout extraction when fed the projection coefficients.
     """
     tau = _check_grid(tau_grid)
-    _, deltas = build_T(spec, derived, gauge)
-    t = gauge.as_array()
     c = coeffs.vector
     rates = spec.eigenvalues
     cw = params.C * derived.omega0

@@ -28,8 +28,6 @@ from .params import DerivedParams, validate
 __all__ = [
     "Spectrum",
     "build_liouvillian",
-    "effective_hamiltonian",
-    "shift",
     "spectrum",
     "characteristic_residual",
 ]
@@ -66,22 +64,12 @@ class Spectrum:
         return asdict(self)
 
 
-def build_liouvillian(derived: DerivedParams, require_regime: bool = True) -> np.ndarray:
-    """Assemble the generator matrix.
+def build_liouvillian(derived: DerivedParams) -> np.ndarray:
+    """Assemble the generator matrix at any parameter point.
 
-    mu = 0 is allowed (decoupled sub-circuits).  With ``require_regime`` the
-    spectral conditions are checked and :class:`RegimeRejected` raised on
-    failure; pass ``require_regime=False`` for exploratory use, in which case
-    spectrum operations will refuse instead.
+    mu = 0 is allowed (decoupled sub-circuits).  The regime is checked only by
+    :func:`spectrum`, which raises :class:`RegimeRejected` outside it.
     """
-    if require_regime:
-        report = validate(derived)
-        if not report.spectrally_valid:
-            raise RegimeRejected(
-                f"spectral regime rejected: rho={report.rho}, "
-                f"gamma^2-2alpha>0 is {report.condition_gamma_sq_gt_2alpha}, "
-                f"mu^2<1 is {report.condition_mu_sq_lt_1}"
-            )
     a, m, g = derived.alpha, derived.mu, derived.gamma
     return np.array([
         [0.0, 0.0, 1.0, 0.0],
@@ -89,20 +77,6 @@ def build_liouvillian(derived: DerivedParams, require_regime: bool = True) -> np
         [-a, a * m, g, 0.0],
         [a * m, -a, 0.0, -g],
     ])
-
-
-def effective_hamiltonian(derived: DerivedParams) -> np.ndarray:
-    """The complex matrix i*L, exposing the Schroedinger-like form i Psi' = H Psi.
-
-    Provided for documentation parity only; all computation in this package
-    uses the real generator.
-    """
-    return 1j * build_liouvillian(derived)
-
-
-def shift(liouvillian: np.ndarray, spec: Spectrum) -> np.ndarray:
-    """The shifted generator L - l3*I, whose spectrum starts at zero."""
-    return np.asarray(liouvillian, dtype=float) - spec.l3 * np.eye(4)
 
 
 def spectrum(derived: DerivedParams) -> Spectrum:

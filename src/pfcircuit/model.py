@@ -1,8 +1,10 @@
 """One parameter point and everything its intertwiner T determines.
 
-The bases, the deformed pairs and the metric all derive from T; :class:`Model`
-builds each once, on first use.  Calls go through the defining modules so
-that wrappers installed there (tracing, test doubles) see them.
+The bases, the deformed pairs, the metric and the printed coefficient
+displays all derive from T; :class:`Model` is the one place that builds T and
+its deltas, and builds each derived object once, on first use.  Calls go
+through the defining modules so that wrappers installed there (tracing, test
+doubles) see them.
 """
 
 from __future__ import annotations
@@ -39,16 +41,32 @@ class Model:
         return liouvillian.build_liouvillian(self.derived)
 
     @cached_property
+    def intertwiner(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(T, deltas)`` from the one :func:`pfalgebra.build_T` call of this point."""
+        return pfalgebra.build_T(self.spec, self.derived, self.gauge)
+
+    @property
     def T(self) -> np.ndarray:
-        return pfalgebra.build_T(self.spec, self.derived, self.gauge)[0]
+        return self.intertwiner[0]
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """(delta21, delta22, delta23, delta24), the first-row factors of T's columns."""
+        return self.intertwiner[1]
+
+    @property
+    def scales(self) -> np.ndarray:
+        """Column scales of T, which form its second row."""
+        return self.T[1]
 
     @cached_property
     def pair(self) -> basis.BasisPair:
+        """Both eigenfamilies; the only inverse of T is taken here."""
         return basis.build_bases(self.T, self.spec)
 
     @cached_property
     def pf(self) -> pfalgebra.PFSystem:
-        return pfalgebra.build_pf(self.T, self.spec, liouvillian=self.generator)
+        return pfalgebra.build_pf(self.pair, self.spec, liouvillian=self.generator)
 
     @cached_property
     def psi0(self) -> np.ndarray:

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import linalg
+from .basis import BasisPair
 from .errors import GaugeDegenerate, ZeroCoupling
 from .liouvillian import Spectrum
 from .params import DerivedParams
@@ -126,8 +127,6 @@ class PFSystem:
 
     T: np.ndarray
     T_inv: np.ndarray
-    deltas: np.ndarray
-    """(delta21, delta22, delta23, delta24), the first/second row ratios of T."""
     a1: np.ndarray
     a2: np.ndarray
     b1: np.ndarray
@@ -143,16 +142,16 @@ class PFSystem:
 
 
 def build_pf(
-    T: np.ndarray, spec: Spectrum, liouvillian: np.ndarray | None = None
+    pair: BasisPair, spec: Spectrum, liouvillian: np.ndarray | None = None
 ) -> PFSystem:
-    """Construct every operator of the system from the intertwiner.
+    """Construct every operator of the system from the intertwiner's two families.
 
-    When the independently assembled generator matrix is supplied, the
-    reconstruction identity lambda1 N1 + lambda2 N2 + l3 I = L is verified and
-    a failure raises ValueError (it indicates a corrupted T).
+    T is the phi family and T^-1 the transposed psi family, so no inverse is
+    taken here.  When the independently assembled generator matrix is
+    supplied, the reconstruction identity lambda1 N1 + lambda2 N2 + l3 I = L
+    is verified and a failure raises ValueError (it indicates a corrupted T).
     """
-    T = linalg.as_square(T, 4)
-    T_inv = linalg.inverse(T)
+    T, T_inv = pair.phi, pair.psi.T
     A1, A2 = fermion_generators()
     a1 = T @ A1 @ T_inv
     a2 = T @ A2 @ T_inv
@@ -168,7 +167,7 @@ def build_pf(
     n_hat2 = sqrt_S_psi @ N2 @ sqrt_S_phi
     H0 = build_h0(spec)
     system = PFSystem(
-        T=T, T_inv=T_inv, deltas=T[0] / T[1],
+        T=T, T_inv=T_inv,
         a1=a1, a2=a2, b1=b1, b2=b2, N1=N1, N2=N2,
         S_phi=S_phi, S_psi=S_psi, n_hat1=n_hat1, n_hat2=n_hat2,
         H0=H0, spectrum=spec,

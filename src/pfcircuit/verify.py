@@ -104,7 +104,7 @@ def run_verification_suite(
                       / max(np.linalg.norm(direct.states[1]), 1e-300))
     report.add("dynamics/semigroup", semigroup, 1e-9)
 
-    display = dyn.display_series(coeffs, spec, derived, params, model.gauge, tau)
+    display = dyn.display_series(coeffs, spec, derived, params, model.deltas, model.scales, tau)
     disp_dev = 0.0
     for name, series in (("V1", closed.V1), ("V2", closed.V2),
                          ("I1", closed.I1), ("I2", closed.I2)):
@@ -112,7 +112,8 @@ def run_verification_suite(
         disp_dev = max(disp_dev, float(np.max(np.abs(display[name] - series) / scale)))
     report.add("dynamics/display_extraction_agreement", disp_dev, 1e-9)
 
-    comparison = dyn.coefficients_paper(derived, spec, model.gauge, params.i1, params.C)
+    comparison = dyn.coefficients_paper(coeffs, spec, model.deltas, model.scales,
+                                        params.i1, params.C)
     report.add("dynamics/reported_paper_coefficient_deviation",
                comparison.max_relative_deviation, None)
     report.add("dynamics/reported_paper_sigma", comparison.sigma, None)

@@ -212,7 +212,8 @@ def test_criterion_7_reported_channels():
     with criterion(7, "reported-only channels"):
         model = reference_stack()
         params = model.params
-        comparison = coefficients_paper(model.derived, model.spec, Gauge(), params.i1, params.C)
+        comparison = coefficients_paper(model.coeffs, model.spec, model.deltas, model.scales,
+                                        params.i1, params.C)
         assert np.all(np.isfinite(comparison.relative_deviation))
         en = energy(model.evolve(TAU), params)
         assert np.isfinite(en.rewrite_max_relative_deviation)

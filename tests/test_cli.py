@@ -1,17 +1,21 @@
 """Command-line interface: commands, artifacts, exit codes, determinism."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pfcircuit
 from pfcircuit import Model, derive, normalized, number_evolution, spectrum, validate
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
 from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
-from pfcircuit.errors import NotSPD, SingularMatrix
+from pfcircuit.errors import NotSPD, SingularMatrix, ZeroSigma
 
 
 def run(tmp_path, *args):
@@ -167,8 +171,9 @@ def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("error", [SingularMatrix("matrix is numerically singular", 0.0),
-                                   NotSPD("matrix is not positive definite", -1.0)],
-                         ids=["SingularMatrix", "NotSPD"])
+                                   NotSPD("matrix is not positive definite", -1.0),
+                                   ZeroSigma("printed denominator sigma = C * 0.0")],
+                         ids=["SingularMatrix", "NotSPD", "ZeroSigma"])
 def test_numerical_refusal_exit(tmp_path, monkeypatch, capsys, error):
     import pfcircuit.cli as cli_mod
 
@@ -178,6 +183,59 @@ def test_numerical_refusal_exit(tmp_path, monkeypatch, capsys, error):
     monkeypatch.setattr(cli_mod, "run_verification_suite", refusing_suite)
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3") == EXIT_REGIME
     assert type(error).__name__ in capsys.readouterr().err
+
+
+def test_verify_small_capacitance_physical_point(tmp_path):
+    # mu = 0.5, gamma = 3 in physical units: sigma = C * 449 is far below 1e-12
+    # here, yet the printed denominator is not zero
+    assert run(tmp_path, "verify", "--mode", "physical", "--L", "1e-6", "--C", "1e-15",
+               "--R", "10540.925533894598", "--M", "0.5e-6", "--i1", "1") == EXIT_OK
+    payload = json.loads((tmp_path / "verify_report.json").read_text())
+    assert 0.0 < payload["dynamics/reported_paper_sigma"]["residual"] < 1e-12
+
+
+def _count_calls(monkeypatch, targets):
+    """Count calls of each ``module.function`` in ``targets``, under every name bound to it.
+
+    ``from x import f`` copies are wrapped too, so a call is counted whichever
+    binding it goes through.
+    """
+    counts = dict.fromkeys(targets, 0)
+    wrappers = {}
+    for target in targets:
+        module_name, name = target.split(".")
+        fn = getattr(importlib.import_module(f"pfcircuit.{module_name}"), name)
+
+        def counting(*args, _fn=fn, _target=target, **kwargs):
+            counts[_target] += 1
+            return _fn(*args, **kwargs)
+
+        wrappers[fn] = counting
+    modules = [pfcircuit] + [importlib.import_module(f"pfcircuit.{info.name}")
+                             for info in pkgutil.iter_modules(pfcircuit.__path__)]
+    for module in modules:
+        for attr, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[obj])
+    return counts
+
+
+def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
+    # verify builds two Models: the run's own and its second-gauge copy
+    counts = _count_calls(monkeypatch, ["pfalgebra.build_T", "linalg.inverse",
+                                        "basis.build_bases", "pfalgebra.build_pf",
+                                        "params.validate"])
+    assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
+               "--samples", "201") == EXIT_OK
+    # inverses: T in each build_bases, and S_phi in the metric-map and frame checks
+    assert counts == {"pfalgebra.build_T": 2, "linalg.inverse": 4, "basis.build_bases": 2,
+                      "pfalgebra.build_pf": 1, "params.validate": 2}
+
+
+def test_heisenberg_checks_the_regime_once(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, ["params.validate"])
+    assert run(tmp_path, "heisenberg", "--mu", "0.5", "--gamma", "3") == EXIT_OK
+    assert counts == {"params.validate": 1}
 
 
 @pytest.mark.parametrize(("command", "tau_max"),

@@ -73,8 +73,13 @@ def test_coefficients_reconstruction(reference_pair):
     assert np.linalg.norm(recon - psi0) < 1e-12 * np.linalg.norm(psi0)
 
 
-def test_paper_coefficient_comparison(reference_derived, reference_spectrum):
-    result = coefficients_paper(reference_derived, reference_spectrum, Gauge(), 1.0)
+def _paper(model, coeffs=None, i1=1.0, capacitance=1.0):
+    return coefficients_paper(model.coeffs if coeffs is None else coeffs, model.spec,
+                              model.deltas, model.scales, i1, capacitance)
+
+
+def test_paper_coefficient_comparison(reference_model):
+    result = _paper(reference_model)
     assert np.isfinite(result.sigma) and result.sigma != 0.0
     assert result.printed.shape == (4,) and result.projection.shape == (4,)
     assert np.all(np.isfinite(result.relative_deviation))
@@ -82,8 +87,9 @@ def test_paper_coefficient_comparison(reference_derived, reference_spectrum):
     assert result.max_relative_deviation >= 0.0
 
 
-def test_paper_coefficients_zero_current(reference_derived, reference_spectrum):
-    result = coefficients_paper(reference_derived, reference_spectrum, Gauge(), 0.0)
+def test_paper_coefficients_zero_current(reference_model):
+    result = _paper(reference_model, coefficients(initial_state(0.0), reference_model.pair),
+                    i1=0.0)
     np.testing.assert_array_equal(result.projection, np.zeros(4))
     # the printed numerators keep their current-free terms, so the relative
     # deviation saturates at 1 for every coefficient
@@ -91,17 +97,23 @@ def test_paper_coefficients_zero_current(reference_derived, reference_spectrum):
 
 
 def test_paper_coefficient_projection_physical_units():
-    # omega0 = 0.5 here, so the projected initial state must carry it
+    # omega0 = 0.5 here, so the model's initial state must carry it, and its
+    # coefficients must rebuild that state
     model = Model(CircuitParams(L=2.0, C=2.0, R=0.4, M=0.7, i1=1.0))
     assert model.derived.omega0 == pytest.approx(0.5)
-    result = coefficients_paper(model.derived, model.spec, model.gauge, 1.0, model.params.C)
-    np.testing.assert_allclose(result.projection, model.coeffs.vector, rtol=0, atol=1e-12)
+    psi0 = initial_state(1.0, model.params.C, model.derived.omega0)
+    np.testing.assert_array_equal(model.psi0, psi0)
+    assert not np.array_equal(psi0, initial_state(1.0, model.params.C))
+    recon = model.pair.phi @ model.coeffs.vector
+    assert np.linalg.norm(recon - psi0) < 1e-12 * np.linalg.norm(psi0)
+    np.testing.assert_array_equal(_paper(model, capacitance=model.params.C).projection,
+                                  model.coeffs.vector)
 
 
-def test_paper_sigma_guard(monkeypatch, reference_derived, reference_spectrum):
+def test_paper_sigma_guard(monkeypatch, reference_model):
     monkeypatch.setattr(dyn, "_paper_sigma", lambda *args: 0.0)
     with pytest.raises(ZeroSigma):
-        coefficients_paper(reference_derived, reference_spectrum, Gauge(), 1.0)
+        _paper(reference_model)
 
 
 def test_closed_form_initial_sample(reference_trajectory):
@@ -164,11 +176,9 @@ def test_asymptotic_slope(reference_trajectory, reference_spectrum):
     assert abs(slope - reference_spectrum.l4) < 1e-3
 
 
-def test_display_extraction_agrees(reference_coefficients, reference_spectrum,
-                                   reference_derived, reference_params,
-                                   reference_trajectory):
-    series = display_series(reference_coefficients, reference_spectrum,
-                            reference_derived, reference_params, Gauge(), TAU)
+def test_display_extraction_agrees(reference_model, reference_trajectory):
+    m = reference_model
+    series = display_series(m.coeffs, m.spec, m.derived, m.params, m.deltas, m.scales, TAU)
     for name, expected in (("V1", reference_trajectory.V1),
                            ("V2", reference_trajectory.V2),
                            ("I1", reference_trajectory.I1),
@@ -341,7 +351,7 @@ def test_quartic_residual(reference_trajectory, reference_derived):
 def test_quartic_residual_single_mode(reference_pair, reference_spectrum,
                                       reference_params, reference_derived):
     from pfcircuit.dynamics import Coefficients
-    coeffs = Coefficients.from_vector(np.array([1.0, 0.0, 0.0, 0.0]))
+    coeffs = Coefficients(np.array([1.0, 0.0, 0.0, 0.0]))
     traj = evolve_closed(coeffs, reference_pair, reference_spectrum,
                          np.linspace(0.0, 5.0, 51), reference_params,
                          reference_derived)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import sample_accepted
-from pfcircuit import build_liouvillian, derive, normalized, spectrum, validate
+from pfcircuit import Model, build_liouvillian, derive, normalized, spectrum, validate
 from pfcircuit.errors import NearDegenerate, RegimeRejected
-from pfcircuit.liouvillian import characteristic_residual, effective_hamiltonian, shift
+from pfcircuit.liouvillian import characteristic_residual
 
 
 def quartic_roots(derived):
@@ -33,25 +33,17 @@ def test_matrix_decoupled_at_zero_coupling():
 
 
 def test_build_rejects_regime():
+    # the generator assembles anywhere; building the model's spectrum refuses
+    model = Model(normalized(0.5, 2.0))
+    assert model.generator.shape == (4, 4)
     with pytest.raises(RegimeRejected):
-        build_liouvillian(derive(normalized(0.5, 2.0)))
-    # exploratory override still assembles the matrix
-    gen = build_liouvillian(derive(normalized(0.5, 2.0)), require_regime=False)
-    assert gen.shape == (4, 4)
+        model.spec
     with pytest.raises(RegimeRejected):
-        spectrum(derive(normalized(0.5, 2.0)))
-
-
-def test_effective_hamiltonian(reference_derived, reference_generator):
-    h = effective_hamiltonian(reference_derived)
-    np.testing.assert_array_equal(h.imag, reference_generator)
-    np.testing.assert_array_equal(h.real, np.zeros((4, 4)))
+        model.pair
 
 
 def test_shift(reference_generator, reference_spectrum):
-    shifted = shift(reference_generator, reference_spectrum)
-    np.testing.assert_array_equal(shifted + reference_spectrum.l3 * np.eye(4),
-                                  reference_generator)
+    shifted = reference_generator - reference_spectrum.l3 * np.eye(4)
     # numeric eigenvalues of the shifted matrix are the shifted closed forms
     eigs = np.sort(np.linalg.eigvals(shifted).real)
     np.testing.assert_allclose(eigs, reference_spectrum.shifted_eigenvalues, atol=1e-9)

@@ -154,7 +154,7 @@ def test_dominant_mode_measured_signs_flip_with_prediction(
     # drive only the decaying mode: the tail measurement then disagrees with
     # the growth-based prediction, but the guard keeps consistency unset
     from pfcircuit.dynamics import Coefficients
-    coeffs = Coefficients.from_vector(np.array([1.0, 0.0, 0.0, 0.0]))
+    coeffs = Coefficients(np.array([1.0, 0.0, 0.0, 0.0]))
     traj = evolve_closed(coeffs, reference_pair, reference_spectrum, TAU,
                          reference_params, reference_derived)
     series = power(traj, reference_params, reference_derived)

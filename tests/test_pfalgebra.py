@@ -8,15 +8,16 @@ import pytest
 from conftest import sample_accepted
 from pfcircuit import (
     Gauge,
+    Model,
     build_T,
-    build_liouvillian,
+    build_bases,
     build_pf,
     derive,
     normalized,
     pf_verify,
     spectrum,
 )
-from pfcircuit.errors import GaugeDegenerate, SingularMatrix, ZeroCoupling
+from pfcircuit.errors import GaugeDegenerate, ZeroCoupling
 from pfcircuit.pfalgebra import (
     VerificationReport,
     build_h0,
@@ -116,12 +117,6 @@ def test_build_pf_core_identities(reference_pf, reference_generator, reference_s
         reference_generator)
 
 
-def test_build_pf_rejects_singular():
-    spec = spectrum(derive(normalized(0.5, 3.0)))
-    with pytest.raises(SingularMatrix):
-        build_pf(np.ones((4, 4)), spec)
-
-
 def test_metric_operators(reference_pf, reference_T):
     T = reference_T
     np.testing.assert_allclose(reference_pf.S_phi, T @ T.T, rtol=1e-14)
@@ -147,12 +142,8 @@ def test_pf_verify_reference(reference_pf, reference_generator):
 def test_pf_verify_random_parameters_and_gauges():
     rng = np.random.default_rng(31)
     for mu, gamma in sample_accepted(rng, 5):
-        derived = derive(normalized(mu, gamma))
-        spec = spectrum(derived)
-        gauge = Gauge(*rng.uniform(0.2, 3.0, size=4))
-        T, _ = build_T(spec, derived, gauge)
-        gen = build_liouvillian(derived)
-        report = pf_verify(build_pf(T, spec, liouvillian=gen), liouvillian=gen)
+        model = Model(normalized(mu, gamma), Gauge(*rng.uniform(0.2, 3.0, size=4)))
+        report = pf_verify(model.pf, liouvillian=model.generator)
         assert report.all_passed, (mu, gamma, report.failed())
 
 
@@ -161,7 +152,7 @@ def test_pf_verify_localizes_injected_fault(
     T = reference_T
     corrupted = T.copy()
     corrupted[0, 0] += 1e-3
-    report = pf_verify(build_pf(corrupted, reference_spectrum),
+    report = pf_verify(build_pf(build_bases(corrupted), reference_spectrum),
                        liouvillian=reference_generator)
     failed = report.failed()
     assert failed, "fault went unnoticed"
@@ -175,12 +166,9 @@ def test_pf_verify_localizes_injected_fault(
     assert report.checks["anticommutator_a1_b1_is_identity"].passed
 
 
-def test_operator_spectra_gauge_invariant(reference_spectrum, reference_derived):
-    gen = build_liouvillian(reference_derived)
-    systems = []
-    for gauge in (Gauge(), Gauge(2.0, 0.5, 3.0, 1.0)):
-        T, _ = build_T(reference_spectrum, reference_derived, gauge)
-        systems.append(build_pf(T, reference_spectrum, liouvillian=gen))
+def test_operator_spectra_gauge_invariant(reference_model):
+    systems = [Model(reference_model.params, gauge).pf
+               for gauge in (Gauge(), Gauge(2.0, 0.5, 3.0, 1.0))]
     first, second = systems
     # the number operators are exactly gauge-invariant (column scales commute
     # with the occupation diagonals), so the matrices themselves must agree
