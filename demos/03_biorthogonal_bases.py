@@ -30,7 +30,8 @@ print(f"resolutions of the identity:    {r1:.3e}, {r2:.3e}")
 print(f"eigen-relation residuals (max): {np.max(eigen_check(pair, generator)):.3e}")
 
 s_phi = pair.phi @ pair.phi.T
-print(f"metric map residuals (max):     {np.max(metric_map_check(pair, s_phi)):.3e}")
+s_psi = pair.psi @ pair.psi.T  # the inverse metric, from T^-1
+print(f"metric map residuals (max):     {np.max(metric_map_check(pair, s_phi, s_psi)):.3e}")
 
 # expanding an arbitrary vector over the phi family and rebuilding it
 rng = np.random.default_rng(0)
@@ -41,7 +42,7 @@ print(f"reconstruction error: {np.linalg.norm(reconstruct(pair, weights) - v):.3
 
 # numerical frame-bound evidence (the families are images of an orthonormal
 # basis under a bounded invertible map)
-frame = frame_bounds(pair, s_phi, n_samples=500, seed=1)
+frame = frame_bounds(pair, s_phi, s_psi, n_samples=500, seed=1)
 print(f"\nframe bounds [{frame['lower_bound']:.4f}, {frame['upper_bound']:.4f}]")
 print(f"observed range [{frame['min_observed']:.4f}, {frame['max_observed']:.4f}]"
       f"  within bounds: {frame['within_bounds']}")

@@ -111,14 +111,16 @@ def eigen_check(pair: BasisPair, liouvillian: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def metric_map_check(pair: BasisPair, S_phi: np.ndarray) -> np.ndarray:
+def metric_map_check(pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray) -> np.ndarray:
     """Relative residuals of the metric maps between the families.
 
     Returns eight values: ||S_phi psi_kn - phi_kn||/||phi_kn|| in KN order,
-    then the inverse direction ||S_psi phi_kn - psi_kn||/||psi_kn||.
+    then the inverse direction ||S_psi phi_kn - psi_kn||/||psi_kn||, where
+    S_psi = S_phi^-1 is taken as given (it comes from T^-1, and inverting
+    S_phi = T T^+ would square the condition number of T).
     """
     S_phi = linalg.as_square(S_phi, 4)
-    S_psi = linalg.inverse(S_phi)
+    S_psi = linalg.as_square(S_psi, 4)
     out = []
     for j in range(4):
         phi, psi = pair.phi[:, j], pair.psi[:, j]
@@ -141,17 +143,19 @@ def reconstruct(pair: BasisPair, weights: np.ndarray) -> np.ndarray:
 
 
 def frame_bounds(
-    pair: BasisPair, S_phi: np.ndarray, n_samples: int = 200, seed: int = 0
+    pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray, n_samples: int = 200, seed: int = 0
 ) -> dict:
     """Numerical frame-bound evidence for the phi family.
 
     For random unit vectors f, sum_kn |<phi_kn, f>|^2 equals <f, S_phi f> and
     must lie within the extreme eigenvalues of S_phi, i.e. [1/||S_psi||,
-    ||S_phi||].  Returns the measured extremes together with the bounds.
+    ||S_phi||], with S_psi = S_phi^-1 given as in :func:`metric_map_check`.
+    Returns the measured extremes together with the bounds.
     """
     S_phi = linalg.as_square(S_phi, 4)
+    S_psi = linalg.as_square(S_psi, 4)
     upper = linalg.spectral_norm(S_phi)
-    lower = 1.0 / linalg.spectral_norm(linalg.inverse(S_phi))
+    lower = 1.0 / linalg.spectral_norm(S_psi)
     f = np.random.default_rng(seed).standard_normal((n_samples, 4))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     values = np.sum((f @ pair.phi) ** 2, axis=1)

@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
 3 regime rejection where the command requires acceptance, or a numerical
 refusal at an accepted point: a singular or non-positive-definite matrix, a
 vanishing printed coefficient denominator in verify, or a
-simulate/adjoint/h0/verify series that overflows (inf/nan) on the tau grid,
-which is refused before any file is written.
+simulate/adjoint/h0/heisenberg/verify series that overflows (inf/nan) on the
+tau grid, which is refused before any file is written.
 All outputs are deterministic: fixed float formatting, fixed key and row
 ordering.
 """
@@ -395,23 +395,26 @@ _COMMANDS = {
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    # the flags are declared once, on two help-less parents that every
+    # subcommand (and sweep) copies, instead of once per subcommand
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file; flags override it")
+    shared.add_argument("--mode", choices=["normalized", "physical"])
+    for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples", "rk4-step"):
+        shared.add_argument(f"--{flag}")
+    shared.add_argument("--gauge", help="four comma-separated column scales")
+    shared.add_argument("--output", dest="output_dir", metavar="DIR", help="output directory")
+    shared.add_argument("--format", choices=["csv", "json"])
+    ranges = argparse.ArgumentParser(add_help=False)
+    ranges.add_argument("--mu-range", help="MIN:MAX:STEPS")
+    ranges.add_argument("--gamma-range", help="MIN:MAX:STEPS")
     parser = argparse.ArgumentParser(
         prog="pfcircuit",
         description="Loss-gain circuit simulator and identity-verification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--mode", choices=["normalized", "physical"])
-        for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples", "rk4-step"):
-            p.add_argument(f"--{flag}")
-        p.add_argument("--gauge", help="four comma-separated column scales")
-        p.add_argument("--output", dest="output_dir", metavar="DIR", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"])
-        if name == "sweep":
-            p.add_argument("--mu-range", help="MIN:MAX:STEPS")
-            p.add_argument("--gamma-range", help="MIN:MAX:STEPS")
+        sub.add_parser(name, parents=[shared, ranges] if name == "sweep" else [shared])
     return parser
 
 

@@ -58,14 +58,17 @@ def shifted_propagator(pf: PFSystem, spec: Spectrum, tau) -> np.ndarray:
 def evolve_observable(
     X0: np.ndarray, pf: PFSystem, spec: Spectrum, tau_grid
 ) -> ObservableTrajectory:
-    """X(tau) = e^{2 l3 tau} e^{Lt^+ tau} X(0) e^{Lt tau} on the sample grid; X(0) at tau = 0."""
+    """X(tau) = e^{2 l3 tau} e^{Lt^+ tau} X(0) e^{Lt tau} on the sample grid; X(0) at tau = 0.
+
+    Raises :class:`SeriesOverflow` when X(tau) or its norm leaves the double range.
+    """
     X0 = linalg.as_square(X0, 4)
     tau = np.asarray(tau_grid, dtype=float)
-    e = shifted_propagator(pf, spec, tau)
-    out = np.exp(2.0 * spec.l3 * tau)[:, None, None] * (e.transpose(0, 2, 1) @ X0 @ e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = shifted_propagator(pf, spec, tau)
+        out = np.exp(2.0 * spec.l3 * tau)[:, None, None] * (e.transpose(0, 2, 1) @ X0 @ e)
     out[tau == 0.0] = X0
-    norms = np.array([linalg.spectral_norm(x) for x in out])
-    return ObservableTrajectory(tau=tau, X=out, norms=norms)
+    return ObservableTrajectory(tau=tau, X=out, norms=linalg.spectral_norm(out))
 
 
 def _expansion_factor(n_op: np.ndarray, rate: float, tau) -> np.ndarray:

@@ -39,8 +39,8 @@ def run_verification_suite(
     report.add("basis/resolution_psi_phi", r2, 1e-10)
     report.add("basis/eigen_relations_max", float(np.max(basis_mod.eigen_check(pair, gen))), 1e-9)
     report.add("basis/metric_maps_max",
-               float(np.max(basis_mod.metric_map_check(pair, pf.S_phi))), 1e-9)
-    frame = basis_mod.frame_bounds(pair, pf.S_phi, seed=seed)
+               float(np.max(basis_mod.metric_map_check(pair, pf.S_phi, pf.S_psi))), 1e-9)
+    frame = basis_mod.frame_bounds(pair, pf.S_phi, pf.S_psi, seed=seed)
     report.add("basis/frame_bounds_within", 0.0 if frame["within_bounds"] else 1.0, 0.0)
     rng = np.random.default_rng(seed)
     recon_res = 0.0

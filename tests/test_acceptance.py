@@ -116,7 +116,7 @@ def test_criterion_3_basis_suite():
         assert gram_residual(pair) < 1e-9
         assert max(resolution_residuals(pair)) < 1e-9
         assert np.max(eigen_check(pair, model.generator)) < 1e-9
-        assert np.max(metric_map_check(pair, model.pf.S_phi)) < 1e-9
+        assert np.max(metric_map_check(pair, model.pf.S_phi, model.pf.S_psi)) < 1e-9
 
 
 def test_criterion_4_dynamics():

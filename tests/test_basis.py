@@ -67,13 +67,13 @@ def test_eigen_relations_gauge_independent(reference_spectrum, reference_derived
 
 
 def test_metric_maps(reference_pair, reference_pf):
-    residuals = metric_map_check(reference_pair, reference_pf.S_phi)
+    residuals = metric_map_check(reference_pair, reference_pf.S_phi, reference_pf.S_psi)
     assert np.max(residuals) < 1e-9
 
 
 def test_metric_maps_identity_limit():
     pair = build_bases(np.eye(4))
-    residuals = metric_map_check(pair, np.eye(4))
+    residuals = metric_map_check(pair, np.eye(4), np.eye(4))
     assert np.max(residuals) == 0.0
 
 
@@ -87,7 +87,8 @@ def test_expansion_identity(reference_pair):
 
 
 def test_frame_bounds(reference_pair, reference_pf):
-    result = frame_bounds(reference_pair, reference_pf.S_phi, n_samples=200, seed=0)
+    result = frame_bounds(reference_pair, reference_pf.S_phi, reference_pf.S_psi,
+                          n_samples=200, seed=0)
     assert result["within_bounds"]
     assert result["lower_bound"] <= result["min_observed"] + 1e-9
     assert result["max_observed"] <= result["upper_bound"] + 1e-9

@@ -224,12 +224,15 @@ def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
     # verify builds two Models: the run's own and its second-gauge copy
     counts = _count_calls(monkeypatch, ["pfalgebra.build_T", "linalg.inverse",
                                         "basis.build_bases", "pfalgebra.build_pf",
-                                        "params.validate"])
+                                        "params.validate", "linalg.jacobi_eigh"])
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
                "--samples", "201") == EXIT_OK
-    # inverses: T in each build_bases, and S_phi in the metric-map and frame checks
-    assert counts == {"pfalgebra.build_T": 2, "linalg.inverse": 4, "basis.build_bases": 2,
-                      "pfalgebra.build_pf": 1, "params.validate": 2}
+    # inverses: T in each build_bases only; S_psi = S_phi^-1 is read from the model.
+    # Jacobi: two metric roots, four metric and n-hat spectra, two frame-bound
+    # norms, and one stacked call per Heisenberg norm stack
+    assert counts == {"pfalgebra.build_T": 2, "linalg.inverse": 2, "basis.build_bases": 2,
+                      "pfalgebra.build_pf": 1, "params.validate": 2,
+                      "linalg.jacobi_eigh": 10}
 
 
 def test_heisenberg_checks_the_regime_once(tmp_path, monkeypatch):
@@ -254,6 +257,29 @@ def test_overflow_refused_before_writing(tmp_path, capsys, command, tau_max):
     err = capsys.readouterr().err
     assert err.startswith("numerical refusal: SeriesOverflow: ") and "overflow" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(("command", "mu"),
+                         [("heisenberg", "0.98"), ("verify", "0.98"), ("verify", "-0.98")])
+def test_heisenberg_norm_overflow_refused(tmp_path, capsys, command, mu):
+    # l4 is large enough here that the evolved number operators leave the
+    # double range before tau = 3, the end of the Heisenberg grid
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--mu", mu, "--gamma", "68.88820038093009",
+                     "--output", str(out)])
+    assert code == EXIT_REGIME
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refusal: SeriesOverflow: ") and "overflow" in err
+    assert not out.exists()
+
+
+def test_physical_point_with_ill_conditioned_metric_verifies(tmp_path):
+    # kappa(T) ~ 5e3: S_phi = T T^+ fails the inversion test, its inverse S_psi
+    # taken from T^-1 does not need one
+    assert run(tmp_path, "verify", "--mode", "physical", "--L", "2", "--C", "0.5",
+               "--R", "0.2", "--M", "0.7") == EXIT_OK
 
 
 def test_adjoint_artifacts(tmp_path):
@@ -395,3 +421,52 @@ def test_gauge_flag(tmp_path):
     a = np.genfromtxt(base / "trajectory.csv", delimiter=",", names=True)
     b = np.genfromtxt(scaled / "trajectory.csv", delimiter=",", names=True)
     np.testing.assert_allclose(a["V1"], b["V1"], atol=1e-10 * np.max(np.abs(a["V1"])))
+
+
+def _parser_one_flag_set_per_command():
+    """The CLI as it was declared before its flags moved onto shared parent parsers."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="pfcircuit",
+        description="Loss-gain circuit simulator and identity-verification toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli_mod._COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--mode", choices=["normalized", "physical"])
+        for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples", "rk4-step"):
+            p.add_argument(f"--{flag}")
+        p.add_argument("--gauge", help="four comma-separated column scales")
+        p.add_argument("--output", dest="output_dir", metavar="DIR", help="output directory")
+        p.add_argument("--format", choices=["csv", "json"])
+        if name == "sweep":
+            p.add_argument("--mu-range", help="MIN:MAX:STEPS")
+            p.add_argument("--gamma-range", help="MIN:MAX:STEPS")
+    return parser
+
+
+@pytest.mark.parametrize("command", [None, *cli_mod._COMMANDS])
+def test_help_text_unchanged_by_shared_flags(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    texts = []
+    for parse in (main, _parser_one_flag_set_per_command().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: pfcircuit")
+
+
+def test_parsed_flags_unchanged_by_shared_flags():
+    argv = ["sweep", "--mode", "physical", "--L", "2", "--C", "1", "--R", "0.3", "--M", "0.5",
+            "--gauge", "1,2,3,4", "--output", "out", "--mu-range", "0.1:0.9:3"]
+    assert vars(cli_mod._make_parser().parse_args(argv)) == vars(
+        _parser_one_flag_set_per_command().parse_args(argv))
+
+
+def test_range_flags_only_on_sweep(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--mu", "0.5", "--gamma", "3", "--mu-range", "0:1:2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --mu-range" in capsys.readouterr().err

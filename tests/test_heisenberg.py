@@ -111,17 +111,18 @@ def test_propagator_matches_taylor_route(reference_pf, reference_spectrum,
 
 
 def test_number_evolution_norms_only_generic(reference_pf, reference_spectrum, monkeypatch):
-    # the closed-form stack carries no norms: one Jacobi norm per generic sample
-    calls = []
+    # the closed-form stack carries no norms: one Jacobi norm per generic sample,
+    # all of them from one stacked call
+    normed = []
     real_norm = linalg.spectral_norm
 
     def counting_norm(a):
-        calls.append(1)
+        normed.append(len(a) if np.ndim(a) == 3 else 1)
         return real_norm(a)
 
     monkeypatch.setattr(linalg, "spectral_norm", counting_norm)
     number_evolution(1, reference_pf, reference_spectrum, np.linspace(0.0, 3.0, 31))
-    assert len(calls) == 31
+    assert normed == [31]
 
 
 def test_growth_bound(number_evolutions, reference_spectrum):

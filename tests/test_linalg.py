@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from pfcircuit import linalg
-from pfcircuit.errors import NotSPD, SingularMatrix
+from pfcircuit.errors import NotSPD, SeriesOverflow, SingularMatrix
 
 
 def test_as_square_rejects_nonfinite():
@@ -164,3 +164,62 @@ def test_jacobi_zero_off_diagonal_pair():
                   [0.3, 0.7, -1.5, 0.4],
                   [-0.1, 0.2, 0.4, 0.8]])
     _assert_eigh(a, *linalg.jacobi_eigh(a))
+
+
+def _assert_stack_matches_list_route(stack, **kwargs):
+    w, v = linalg.jacobi_eigh(stack, **kwargs)
+    assert w.shape == stack.shape[:2] and v.shape == stack.shape
+    for k, member in enumerate(stack):
+        w_k, v_k = linalg.jacobi_eigh(member, **kwargs)
+        # equal bits, the signs of zeros included
+        assert w[k].tobytes() == w_k.tobytes() and v[k].tobytes() == v_k.tobytes()
+
+
+def _sweeps_taken(a):
+    full = linalg.jacobi_eigh(a)
+    return next(k for k in range(linalg.JACOBI_MAX_SWEEPS + 1)
+                if all(np.array_equal(x, y)
+                       for x, y in zip(linalg.jacobi_eigh(a, max_sweeps=k), full)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jacobi_stack_is_bitwise_the_list_route(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(20):
+        base = rng.standard_normal((12, n, n)) * np.exp(rng.uniform(-8.0, 8.0, (12, 1, 1)))
+        base[rng.random(base.shape) < 0.3] = 0.0  # zero pivots, skipped per member
+        stack = base + np.swapaxes(base, 1, 2)
+        stack[0] = np.diag(rng.standard_normal(n))  # already diagonal: no sweep at all
+        stack[1] = np.diag(rng.standard_normal(n)) + 1e-6 * stack[2]  # converges early
+        _assert_stack_matches_list_route(stack)
+        _assert_stack_matches_list_route(stack, max_sweeps=1)  # members left unconverged
+    assert len({_sweeps_taken(a) for a in stack}) > 1
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_jacobi_stack_on_the_verify_norm_stacks(reference_pf, reference_spectrum, j):
+    from pfcircuit.heisenberg import evolve_observable
+    n_op = reference_pf.N1 if j == 1 else reference_pf.N2
+    X = evolve_observable(n_op, reference_pf, reference_spectrum, np.linspace(0.0, 3.0, 31)).X
+    ata = np.swapaxes(X, 1, 2) @ X
+    for k, x in enumerate(X):
+        assert ata[k].tobytes() == (x.T @ x).tobytes()
+    _assert_stack_matches_list_route(ata)
+    norms = linalg.spectral_norm(X)
+    assert norms.tobytes() == np.array([linalg.spectral_norm(x) for x in X]).tobytes()
+    assert len({_sweeps_taken(a) for a in ata}) > 1
+
+
+def test_jacobi_stack_rejects_an_asymmetric_member():
+    stack = np.stack([np.eye(4)] * 3)
+    stack[2, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.jacobi_eigh(stack)
+
+
+def test_spectral_norm_stack_refuses_overflow():
+    finite = np.stack([np.eye(4), np.full((4, 4), 1e200)])  # A^T A overflows
+    bad = np.stack([np.eye(4), np.full((4, 4), np.inf)])
+    for stack in (finite, bad):
+        with pytest.raises(SeriesOverflow, match="overflow"):
+            linalg.spectral_norm(stack)
