@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -195,11 +196,29 @@ def _tau_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.tau_max, cfg.samples)
 
 
-def _write(path: Path, text: str) -> None:
+@contextmanager
+def _open(path: Path):
+    """Open an artifact for text with "\n" line ends, making its directory first.
+
+    Every command writes its files through here.  `wrote PATH` is printed once
+    the file is closed, and not at all if writing it fails.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+        yield handle
     print(f"wrote {path}")
+
+
+def _write(handle, text: str) -> None:
+    """Append ``text`` to an open artifact; every written character passes here,
+    which is what the benchmark's ``cli.bytes_written`` counts."""
+    handle.write(text)
+
+
+def _save(path: Path, text: str) -> None:
+    """Write a small artifact whole."""
+    with _open(path) as handle:
+        _write(handle, text)
 
 
 def _json_text(payload) -> str:
@@ -212,31 +231,38 @@ def _json_text(payload) -> str:
 
 def cmd_validate(cfg: RunConfig) -> int:
     report = validate(_model(cfg).derived)
-    _write(Path(cfg.output_dir) / "regime.json", _json_text(report.to_dict()))
+    _save(Path(cfg.output_dir) / "regime.json", _json_text(report.to_dict()))
     print(f"accepted: {report.accepted} (rho={report.rho:.12g})")
     return EXIT_OK if report.accepted else EXIT_REGIME
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     spec = _model(cfg).spec
-    _write(Path(cfg.output_dir) / "spectrum.json", _json_text(spec.to_dict()))
+    _save(Path(cfg.output_dir) / "spectrum.json", _json_text(spec.to_dict()))
     print(f"l3={spec.l3:.12g} < l1={spec.l1:.12g} < 0 < l2={spec.l2:.12g} < l4={spec.l4:.12g}")
     return EXIT_OK
 
 
-#: samples formatted at a time by simulate: each block's strings are joined into
-#: both artifacts before the next block is formatted, because holding all 11 n
-#: value strings at once raised the peak RSS of a 5,001-sample run by about 8%
+#: samples formatted at a time by simulate: each block's strings go to
+#: trajectory.csv and into the plot rows before the next block is formatted,
+#: because holding all 11 n value strings at once raised the peak RSS of a
+#: 5,001-sample run by about 8%
 _BLOCK_ROWS = 128
 
 
-def _plot_data_text(rows: dict[str, list[str]]) -> str:
-    """One block per series: its name, `tau,NAME`, then its rows, given as CSV parts."""
-    pieces = []
-    for name, parts in rows.items():
-        pieces += [f"# series {name}\ntau,{name}\n", *parts, "\n"]
-    pieces.pop()  # a blank line between blocks, none after the last
-    return "".join(pieces)
+def _write_json_columns(handle, columns: dict[str, np.ndarray]) -> None:
+    """``json.dumps(columns, indent=2)``, written one column at a time.
+
+    json writes a finite float as its ``float.__repr__``, and every series
+    here has passed the overflow check, so joining the reprs gives its bytes.
+    """
+    sep = "{\n"
+    for name, series in columns.items():
+        _write(handle, f'{sep}  "{name}": [\n    ')
+        _write(handle, ",\n    ".join(map(float.__repr__, series.tolist())))
+        _write(handle, "\n  ]")
+        sep = ",\n"
+    _write(handle, "\n}")
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -247,22 +273,28 @@ def cmd_simulate(cfg: RunConfig) -> int:
         en = obs.energy(traj, model.params)
     columns = dyn.trajectory_columns(traj, pw, en)
     SeriesOverflow.check(cfg.tau_max, *columns.values())
-    csv_parts = [",".join(columns) + "\n"]
-    plot_parts = {name: [] for name in columns if name != "tau"}
-    for lo in range(0, cfg.samples, _BLOCK_ROWS):
-        # every written value is formatted once; both artifacts join these strings
-        tau, *cells = (list(map(_fmt, c[lo:lo + _BLOCK_ROWS].tolist())) for c in columns.values())
-        if cfg.format == "csv":
-            csv_parts.append(dyn.csv_text([tau, *cells]))
-        for parts, series in zip(plot_parts.values(), cells):
-            parts.append(dyn.csv_text([tau, series]))
     out = Path(cfg.output_dir)
-    if cfg.format == "csv":
-        _write(out / "trajectory.csv", "".join(csv_parts))
-    else:
-        _write(out / "trajectory.json",
-               json.dumps({name: series.tolist() for name, series in columns.items()}, indent=2))
-    _write(out / "plot_data.dat", _plot_data_text(plot_parts))
+    # plot_data.dat is series-major, so its rows wait until every block is formatted
+    plot_parts = {name: [] for name in columns if name != "tau"}
+    with _open(out / f"trajectory.{cfg.format}") as handle:
+        if cfg.format == "csv":
+            _write(handle, ",".join(columns) + "\n")
+        else:
+            _write_json_columns(handle, columns)
+        for lo in range(0, cfg.samples, _BLOCK_ROWS):
+            # every written value is formatted once; trajectory.csv and the plot rows share it
+            tau, *cells = (list(map(_fmt, c[lo:lo + _BLOCK_ROWS].tolist())) for c in columns.values())
+            if cfg.format == "csv":
+                _write(handle, dyn.csv_text([tau, *cells]))
+            for parts, series in zip(plot_parts.values(), cells):
+                parts.append(dyn.csv_text([tau, series]))
+    with _open(out / "plot_data.dat") as handle:
+        sep = ""  # a blank line between series blocks, none after the last
+        for name, parts in plot_parts.items():
+            _write(handle, f"{sep}# series {name}\ntau,{name}\n")
+            for part in parts:
+                _write(handle, part)
+            sep = "\n"
     print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")
     return EXIT_OK
 
@@ -277,7 +309,7 @@ def cmd_adjoint(cfg: RunConfig) -> int:
         report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived, strict=strict)
     SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
     out = Path(cfg.output_dir)
-    _write(out / "adjoint.csv", "tau,x1,x2,x3,x4\n" + dyn.csv_text(
+    _save(out / "adjoint.csv", "tau,x1,x2,x3,x4\n" + dyn.csv_text(
         [map(_fmt, c.tolist()) for c in (tau, *xtraj.states.T)]))
     payload = {
         "identification": "strict (x -> I1, I2, -V1, -V2)" if strict
@@ -286,7 +318,7 @@ def cmd_adjoint(cfg: RunConfig) -> int:
         "paper_literal_map_max_residual": report.paper_literal_map_max_residual,
         "metric_route_max_residual": metric_res,
     }
-    _write(out / "adjoint_report.json", _json_text(payload))
+    _save(out / "adjoint_report.json", _json_text(payload))
     print(f"adjoint identification residual {report.max_residual:.3e}, "
           f"metric route {metric_res:.3e}")
     return EXIT_OK
@@ -298,7 +330,7 @@ def cmd_h0(cfg: RunConfig) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         traj = dyn.evolve_h0(spec, np.ones(4), tau)
     SeriesOverflow.check(cfg.tau_max, traj.states)
-    _write(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4\n" + dyn.csv_text(
+    _save(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4\n" + dyn.csv_text(
         [map(_fmt, c.tolist()) for c in (tau, *traj.states.T)]))
     print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")
     return EXIT_OK
@@ -312,7 +344,7 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     evo2 = heis.number_evolution(2, pf, spec, tau)
     bound = heis.growth_bound_report((evo1.generic, evo2.generic), spec)
     out = Path(cfg.output_dir)
-    _write(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2\n" + dyn.csv_text(
+    _save(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2\n" + dyn.csv_text(
         [map(_fmt, c.tolist()) for c in (evo1.generic.tau, evo1.generic.norms,
                                          evo2.generic.norms, *bound.ratios.T)]))
     payload = dict(bound.to_dict())
@@ -320,14 +352,14 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     payload["two_path_deviation_N2"] = evo2.max_relative_deviation
     payload["printed_order_deviation_N1"] = evo1.printed_order_max_relative_deviation
     payload["printed_order_deviation_N2"] = evo2.printed_order_max_relative_deviation
-    _write(out / "heisenberg_report.json", _json_text(payload))
+    _save(out / "heisenberg_report.json", _json_text(payload))
     print(f"growth constants: {bound.bound_constant_1:.6g}, {bound.bound_constant_2:.6g}")
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = run_verification_suite(_model(cfg), _tau_grid(cfg), cfg.rk4_step)
-    _write(Path(cfg.output_dir) / "verify_report.json", _json_text(report.to_dict()))
+    _save(Path(cfg.output_dir) / "verify_report.json", _json_text(report.to_dict()))
     n_asserted = sum(1 for c in report.checks.values() if c.passed is not None)
     failed = report.failed()
     print(f"{n_asserted} asserted checks, {len(failed)} failed")
@@ -377,7 +409,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             else:
                 row += [""] * 7
             lines.append(",".join(row))
-    _write(Path(cfg.output_dir) / "sweep.csv", "\n".join(lines) + "\n")
+    _save(Path(cfg.output_dir) / "sweep.csv", "\n".join(lines) + "\n")
     print(f"swept {mu_n}x{ga_n} grid")
     return EXIT_OK
 

@@ -107,7 +107,8 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
     Returns ``(w, V)`` with ascending eigenvalues and orthonormal columns; an
     (m, n, n) stack gives (m, n) eigenvalues and (m, n, n) vectors.
     Sweeps stop once the off-diagonal Frobenius norm falls below
-    ``tol * max(1, ||A||_F)`` or after ``max_sweeps`` sweeps.  Each rotation
+    ``tol * max(1, ||A||_F)`` or after ``max_sweeps`` sweeps; ||A||_F is taken
+    scaled by the largest entry when its square overflows.  Each rotation
     R in the (p, q) plane updates only rows p and q of A (R^T A), then
     columns p and q (A R), and columns p and q of V (V R).
     """
@@ -122,7 +123,11 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
     if w.ndim == 3:
         return _jacobi_eigh_stack(w, tol, max_sweeps)
     n = w.shape[0]
-    threshold = tol * max(1.0, np.linalg.norm(w, "fro"))
+    with np.errstate(over="ignore"):
+        frobenius = np.linalg.norm(w, "fro")
+    if not math.isfinite(frobenius):
+        frobenius = _scaled_frobenius(w.reshape(1, n * n))[0]
+    threshold = tol * max(1.0, frobenius)
     w, v = w.tolist(), np.eye(n).tolist()  # float lists: cheaper than numpy at n <= 4
     off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
     for _ in range(max_sweeps):
@@ -164,6 +169,9 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
     flat = w.reshape(m, n * n)
     # the dot product np.linalg.norm(w_k, "fro") takes, one per member
     frobenius = np.sqrt(flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+    overflowed = ~np.isfinite(frobenius)
+    if overflowed.any():
+        frobenius[overflowed] = _scaled_frobenius(flat[overflowed])
     threshold = tol * np.maximum(1.0, frobenius)
     # A stacked over V, member index last: a rotation's row update touches the
     # first n rows, and its column update both A and V at once
@@ -199,6 +207,17 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
     order = np.argsort(eigenvalues, axis=-1)
     return (np.take_along_axis(eigenvalues, order, axis=-1),
             np.take_along_axis(vectors, order[:, None, :], axis=-1))
+
+
+def _scaled_frobenius(flat: np.ndarray) -> np.ndarray:
+    """s ||A/s||_F with s = max |a_ij|, for each row A of ``flat``.
+
+    Jacobi's stopping threshold takes this when ||A||_F^2 overflows: an
+    infinite threshold would pass the off-diagonal test before any rotation.
+    """
+    s = np.max(np.abs(flat), axis=1)
+    scaled = flat / s[:, None]
+    return s * np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
 
 
 def _rotate(av: np.ndarray, p: int, q: int) -> None:

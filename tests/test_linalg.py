@@ -210,6 +210,16 @@ def test_jacobi_stack_on_the_verify_norm_stacks(reference_pf, reference_spectrum
     assert len({_sweeps_taken(a) for a in ata}) > 1
 
 
+def test_jacobi_rotates_when_the_frobenius_norm_overflows():
+    # ||A||_F^2 leaves the double range while the off-diagonal squares do not;
+    # an unscaled threshold would be inf and stop the sweeps before a rotation
+    a = np.array([[1e155, 1e153], [1e153, 1e154]])
+    want = np.linalg.eigvalsh(a)
+    for w in (linalg.jacobi_eigh(a)[0], linalg.jacobi_eigh(a[None])[0][0]):
+        np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
+    _assert_stack_matches_list_route(np.stack([a, np.eye(2), a * 1e-150]))
+
+
 def test_jacobi_stack_rejects_an_asymmetric_member():
     stack = np.stack([np.eye(4)] * 3)
     stack[2, 0, 1] = 0.5
