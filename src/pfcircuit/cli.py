@@ -14,7 +14,8 @@ sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
 3 regime rejection where the command requires acceptance, or a numerical
 refusal at an accepted point: a singular or non-positive-definite matrix, a
-vanishing printed coefficient denominator in verify, or a
+vanishing printed coefficient denominator in verify, a generator that the
+operator system fails to reconstruct (ReconstructionFailure), or a
 simulate/adjoint/h0/heisenberg/verify series that overflows (inf/nan) on the
 tau grid, which is refused before any file is written.
 All outputs are deterministic: fixed float formatting, fixed key and row
@@ -43,6 +44,7 @@ from .errors import (
     NearDegenerate,
     NonPositiveParameter,
     NotSPD,
+    ReconstructionFailure,
     RegimeRejected,
     SeriesOverflow,
     SingularMatrix,
@@ -338,20 +340,16 @@ def cmd_h0(cfg: RunConfig) -> int:
 
 def cmd_heisenberg(cfg: RunConfig) -> int:
     model = _model(cfg)
-    pf, spec = model.pf, model.spec
     tau = np.linspace(0.0, min(cfg.tau_max, 3.0), min(cfg.samples, 61))
-    evo1 = heis.number_evolution(1, pf, spec, tau)
-    evo2 = heis.number_evolution(2, pf, spec, tau)
-    bound = heis.growth_bound_report((evo1.generic, evo2.generic), spec)
+    evo = heis.number_evolution(model.pf, model.spec, tau)
+    bound = heis.growth_bound_report(evo, model.spec)
     out = Path(cfg.output_dir)
     _save(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2\n" + dyn.csv_text(
-        [map(_fmt, c.tolist()) for c in (evo1.generic.tau, evo1.generic.norms,
-                                         evo2.generic.norms, *bound.ratios.T)]))
-    payload = dict(bound.to_dict())
-    payload["two_path_deviation_N1"] = evo1.max_relative_deviation
-    payload["two_path_deviation_N2"] = evo2.max_relative_deviation
-    payload["printed_order_deviation_N1"] = evo1.printed_order_max_relative_deviation
-    payload["printed_order_deviation_N2"] = evo2.printed_order_max_relative_deviation
+        [map(_fmt, c.tolist()) for c in (tau, *evo.generic.norms, *bound.ratios.T)]))
+    two_path, printed = evo.max_relative_deviation, evo.printed_order_max_relative_deviation
+    payload = {**bound.to_dict(),
+               "two_path_deviation_N1": two_path[0], "two_path_deviation_N2": two_path[1],
+               "printed_order_deviation_N1": printed[0], "printed_order_deviation_N2": printed[1]}
     _save(out / "heisenberg_report.json", _json_text(payload))
     print(f"growth constants: {bound.bound_constant_1:.6g}, {bound.bound_constant_2:.6g}")
     return EXIT_OK
@@ -461,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate) as exc:
         print(f"regime rejected: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (SingularMatrix, NotSPD, SeriesOverflow, ZeroSigma) as exc:
+    except (SingularMatrix, NotSPD, SeriesOverflow, ZeroSigma, ReconstructionFailure) as exc:
         print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
 

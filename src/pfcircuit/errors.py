@@ -37,6 +37,10 @@ class SeriesOverflow(ValueError):
             raise cls(f"series overflow to inf/nan on tau in [0, {tau_max}]")
 
 
+class ReconstructionFailure(ValueError):
+    """lambda1 N1 + lambda2 N2 + l3 I misses the assembled generator by more than 1e-9."""
+
+
 class RegimeRejected(ValueError):
     """Parameters fall outside the real-spectrum regime."""
 

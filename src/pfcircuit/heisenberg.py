@@ -45,7 +45,7 @@ class ObservableTrajectory:
 
     tau: np.ndarray
     X: np.ndarray
-    """Shape (n, 4, 4)."""
+    """Shape (n, 4, 4), or (k, n, 4, 4) for a stack of k observables."""
     norms: np.ndarray
 
 
@@ -60,15 +60,19 @@ def evolve_observable(
 ) -> ObservableTrajectory:
     """X(tau) = e^{2 l3 tau} e^{Lt^+ tau} X(0) e^{Lt tau} on the sample grid; X(0) at tau = 0.
 
+    A (k, 4, 4) stack of observables goes through one propagator stack and one
+    stacked spectral-norm call, giving X of shape (k, n, 4, 4) and norms of
+    shape (k, n); a single 4x4 observable gives (n, 4, 4) and (n,).
     Raises :class:`SeriesOverflow` when X(tau) or its norm leaves the double range.
     """
-    X0 = linalg.as_square(X0, 4)
+    X0 = linalg.as_square(X0, 4, stack=True)[..., None, :, :]
     tau = np.asarray(tau_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         e = shifted_propagator(pf, spec, tau)
         out = np.exp(2.0 * spec.l3 * tau)[:, None, None] * (e.transpose(0, 2, 1) @ X0 @ e)
-    out[tau == 0.0] = X0
-    return ObservableTrajectory(tau=tau, X=out, norms=linalg.spectral_norm(out))
+    out[..., tau == 0.0, :, :] = X0
+    norms = linalg.spectral_norm(out.reshape(-1, 4, 4)).reshape(out.shape[:-2])
+    return ObservableTrajectory(tau=tau, X=out, norms=norms)
 
 
 def _expansion_factor(n_op: np.ndarray, rate: float, tau) -> np.ndarray:
@@ -78,51 +82,47 @@ def _expansion_factor(n_op: np.ndarray, rate: float, tau) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NumberEvolution:
-    """Number-operator evolution along both computation paths."""
+    """N1 and N2 evolved along both computation paths; a leading axis of 2 is (N1, N2)."""
 
     generic: ObservableTrajectory
+    """X of shape (2, n, 4, 4) and norms of shape (2, n)."""
     closed: np.ndarray
-    """Shape (n, 4, 4): the expansion closed form on the generic trajectory's grid."""
-    max_relative_deviation: float
-    printed_order_max_relative_deviation: float
+    """Shape (2, n, 4, 4): the expansion closed form on the generic trajectory's grid."""
+    max_relative_deviation: tuple[float, float]
+    printed_order_max_relative_deviation: tuple[float, float]
 
 
-def number_evolution(
-    j: int, pf: PFSystem, spec: Spectrum, tau_grid
-) -> NumberEvolution:
-    """Evolve N_j by the generic sandwich and by the expansion closed form.
+def number_evolution(pf: PFSystem, spec: Spectrum, tau_grid) -> NumberEvolution:
+    """Evolve N1 and N2 by the generic sandwich and by the expansion closed form.
 
     The closed form applies e^{x N} = I + (e^x - 1) N factor by factor in
     sandwich order, which validates the expansion itself (it rests on the
     idempotence of N_j).  The printed variant that commutes the opposite
     adjoint factor through N_j is also evaluated; its deviation is reported,
     not asserted, since that reordering is invalid for non-orthogonal T.
+    Each expansion factor E_j = I + (e^{lambda_j tau} - 1) N_j is built once;
+    the adjoint factor is its transpose, and the opposite operator's factor is
+    the same stack reversed.
     """
-    if j not in (1, 2):
-        raise ValueError(f"pair index must be 1 or 2, got {j}")
-    n_own = pf.N1 if j == 1 else pf.N2
-    n_other = pf.N2 if j == 1 else pf.N1
-    lam_own = spec.lambda1 if j == 1 else spec.lambda2
-    lam_other = spec.lambda2 if j == 1 else spec.lambda1
-    generic = evolve_observable(n_own, pf, spec, tau_grid)
+    n_ops = np.stack([pf.N1, pf.N2])
+    rates = np.array([spec.lambda1, spec.lambda2])
+    generic = evolve_observable(n_ops, pf, spec, tau_grid)
     tau = generic.tau
-    prefactor = np.exp((2.0 * spec.l3 + lam_own) * tau)[:, None, None]
-    own_adj = _expansion_factor(n_own.T, lam_own, tau)
-    other_adj = _expansion_factor(n_other.T, lam_other, tau)
-    other = _expansion_factor(n_other, lam_other, tau)
-    closed = prefactor * (other_adj @ own_adj @ n_own @ other)
-    grow = (np.exp(lam_other * tau) - 1.0)[:, None, None]
-    printed = prefactor * (own_adj @ n_own @ (
-        np.eye(4) + grow * (n_other + n_other.T) + grow**2 * (n_other.T @ n_other)))
-    scale = np.maximum(np.linalg.norm(generic.X, axis=(1, 2)), 1e-300)
-    dev_closed = np.max(np.linalg.norm(closed - generic.X, axis=(1, 2)) / scale)
-    dev_printed = np.max(np.linalg.norm(printed - generic.X, axis=(1, 2)) / scale)
-    return NumberEvolution(
-        generic=generic,
-        closed=closed,
-        max_relative_deviation=float(dev_closed),
-        printed_order_max_relative_deviation=float(dev_printed),
-    )
+    prefactor = np.exp(np.multiply.outer(2.0 * spec.l3 + rates, tau))[..., None, None]
+    grow = (np.exp(np.multiply.outer(rates, tau)) - 1.0)[..., None, None]
+    factor = np.eye(4) + grow * n_ops[:, None]
+    factor_adj = factor.swapaxes(-1, -2)
+    n_own, n_other = n_ops[:, None], n_ops[::-1, None]
+    n_other_adj = n_other.swapaxes(-1, -2)
+    closed = prefactor * (factor_adj[::-1] @ factor_adj @ n_own @ factor[::-1])
+    printed = prefactor * (factor_adj @ n_own @ (
+        np.eye(4) + grow[::-1] * (n_other + n_other_adj)
+        + grow[::-1]**2 * (n_other_adj @ n_other)))
+    scale = np.maximum(np.linalg.norm(generic.X, axis=(-2, -1)), 1e-300)
+    dev_closed, dev_printed = (
+        tuple(np.max(np.linalg.norm(path - generic.X, axis=(-2, -1)) / scale, axis=-1).tolist())
+        for path in (closed, printed))
+    return NumberEvolution(generic, closed, dev_closed, dev_printed)
 
 
 @dataclass(frozen=True)
@@ -156,21 +156,19 @@ class GrowthBoundReport:
         }
 
 
-def growth_bound_report(
-    trajs: tuple[ObservableTrajectory, ObservableTrajectory], spec: Spectrum
-) -> GrowthBoundReport:
+def growth_bound_report(evo: NumberEvolution, spec: Spectrum) -> GrowthBoundReport:
     """Compute the scaled norm ratios r_j(tau) = ||N_j(tau)|| e^{2 l3 tau}."""
-    t1, t2 = trajs
-    decay = np.exp(2.0 * spec.l3 * t1.tau)
-    ratios = np.column_stack([t1.norms * decay, t2.norms * decay])
-    n1_0, n2_0 = float(t1.norms[0]), float(t2.norms[0])
+    norms = evo.generic.norms
+    ratios = (norms * np.exp(2.0 * spec.l3 * evo.generic.tau)).T
+    n1_0, n2_0 = norms[:, 0].tolist()
+    c1, c2 = (np.max(ratios, axis=0) / norms[:, 0]).tolist()
     return GrowthBoundReport(
         norm_n1_initial=n1_0,
         norm_n2_initial=n2_0,
-        bound_constant_1=float(np.max(ratios[:, 0]) / n1_0),
-        bound_constant_2=float(np.max(ratios[:, 1]) / n2_0),
-        premise_norm_one_1=bool(abs(n1_0 - 1.0) <= 1e-9),
-        premise_norm_one_2=bool(abs(n2_0 - 1.0) <= 1e-9),
+        bound_constant_1=c1,
+        bound_constant_2=c2,
+        premise_norm_one_1=abs(n1_0 - 1.0) <= 1e-9,
+        premise_norm_one_2=abs(n2_0 - 1.0) <= 1e-9,
         ratios=ratios,
     )
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .basis import BasisPair
-from .errors import GaugeDegenerate, ZeroCoupling
+from .errors import GaugeDegenerate, ReconstructionFailure, ZeroCoupling
 from .liouvillian import Spectrum
 from .params import DerivedParams
 
@@ -149,7 +149,7 @@ def build_pf(
     T is the phi family and T^-1 the transposed psi family, so no inverse is
     taken here.  When the independently assembled generator matrix is
     supplied, the reconstruction identity lambda1 N1 + lambda2 N2 + l3 I = L
-    is verified and a failure raises ValueError (it indicates a corrupted T).
+    is verified and a failure raises :class:`ReconstructionFailure`.
     """
     T, T_inv = pair.phi, pair.psi.T
     A1, A2 = fermion_generators()
@@ -177,7 +177,7 @@ def build_pf(
         scale = np.linalg.norm(liouvillian, "fro")
         residual = np.linalg.norm(recon - liouvillian, "fro") / max(scale, 1e-300)
         if residual > 1e-9:
-            raise ValueError(
+            raise ReconstructionFailure(
                 f"generator reconstruction residual {residual:.3e} exceeds 1e-9; "
                 "T does not intertwine this generator"
             )

@@ -138,15 +138,11 @@ def run_verification_suite(
                en.rewrite_max_relative_deviation, None)
 
     # --- heisenberg ---
-    tau_h = np.linspace(0.0, 3.0, 31)
-    evo1 = heis.number_evolution(1, pf, spec, tau_h)
-    evo2 = heis.number_evolution(2, pf, spec, tau_h)
-    report.add("heisenberg/number_two_path_N1", evo1.max_relative_deviation, 1e-8)
-    report.add("heisenberg/number_two_path_N2", evo2.max_relative_deviation, 1e-8)
-    report.add("heisenberg/reported_printed_order_deviation_N1",
-               evo1.printed_order_max_relative_deviation, None)
-    report.add("heisenberg/reported_printed_order_deviation_N2",
-               evo2.printed_order_max_relative_deviation, None)
+    evo = heis.number_evolution(pf, spec, np.linspace(0.0, 3.0, 31))
+    for j, deviation in enumerate(evo.max_relative_deviation, 1):
+        report.add(f"heisenberg/number_two_path_N{j}", deviation, 1e-8)
+    for j, deviation in enumerate(evo.printed_order_max_relative_deviation, 1):
+        report.add(f"heisenberg/reported_printed_order_deviation_N{j}", deviation, None)
     prod_res = max(heis.product_formula_residual(pf, spec, t) for t in (0.5, 1.3, 2.7))
     report.add("heisenberg/product_formula", prod_res, 1e-9)
     rng = np.random.default_rng(seed + 1)
@@ -158,7 +154,7 @@ def run_verification_suite(
         expectation = max(expectation, heis.expectation_consistency_residual(
             x_random, state, pf, spec, t))
     report.add("heisenberg/expectation_consistency_max", expectation, 1e-8)
-    bound = heis.growth_bound_report((evo1.generic, evo2.generic), spec)
+    bound = heis.growth_bound_report(evo, spec)
     finite = np.isfinite(bound.bound_constant_1) and np.isfinite(bound.bound_constant_2)
     report.add("heisenberg/growth_ratio_finite", 0.0 if finite else float("inf"), 0.0)
     report.add("heisenberg/reported_growth_constant_N1", bound.bound_constant_1, None)

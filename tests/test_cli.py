@@ -1,5 +1,6 @@
 """Command-line interface: commands, artifacts, exit codes, determinism."""
 
+import hashlib
 import importlib
 import inspect
 import json
@@ -279,10 +280,20 @@ def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
                "--samples", "201") == EXIT_OK
     # inverses: T in each build_bases only; S_psi = S_phi^-1 is read from the model.
     # Jacobi: two metric roots, four metric and n-hat spectra, two frame-bound
-    # norms, and one stacked call per Heisenberg norm stack
+    # norms, and one stacked call for the N1 and N2 norm stacks together
     assert counts == {"pfalgebra.build_T": 2, "linalg.inverse": 2, "basis.build_bases": 2,
                       "pfalgebra.build_pf": 1, "params.validate": 2,
-                      "linalg.jacobi_eigh": 10}
+                      "linalg.jacobi_eigh": 9}
+
+
+def test_heisenberg_evolves_both_operators_in_one_pass(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, ["heisenberg.number_evolution",
+                                        "heisenberg.evolve_observable", "linalg.jacobi_eigh"])
+    assert run(tmp_path, "heisenberg", "--mu", "0.5", "--gamma", "3") == EXIT_OK
+    # Jacobi: the model's two metric roots, and one stacked call that norms N1(tau)
+    # and N2(tau) together
+    assert counts == {"heisenberg.number_evolution": 1, "heisenberg.evolve_observable": 1,
+                      "linalg.jacobi_eigh": 3}
 
 
 def test_heisenberg_checks_the_regime_once(tmp_path, monkeypatch):
@@ -323,6 +334,59 @@ def test_heisenberg_norm_overflow_refused(tmp_path, capsys, command, mu):
     err = capsys.readouterr().err
     assert err.startswith("numerical refusal: SeriesOverflow: ") and "overflow" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "heisenberg"])
+def test_reconstruction_failure_refused_by_name(tmp_path, capsys, command):
+    # the gauge is 1/||T[:, j]||; lambda1 N1 + lambda2 N2 + l3 I then misses the
+    # generator by 1.3e-9, from cancellation in the closed forms at large gamma
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--mu", "0.1", "--gamma", "180",
+                     "--gauge", "0.00555564,0.998731,0.0500604,8.66039e-09",
+                     "--output", str(out)])
+    assert code == EXIT_REGIME
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refusal: ReconstructionFailure: "
+                          "generator reconstruction residual ")
+    assert not out.exists()
+
+
+#: the 25 x 25 regime grid of the ROADMAP, and 8 accepted points on it at large
+#: gamma: in the column-equilibrated gauge mu = +-0.0817 and +-0.1633 give
+#: reconstruction residuals above 1e-9, mu = +-0.245 (gamma 200) 5e-11
+_GRID_MU, _GRID_GAMMA = np.linspace(-0.98, 0.98, 25), np.geomspace(1.2, 200.0, 25)
+_RECONSTRUCTION_POINTS = [(float(_GRID_MU[12 + sign * k]), float(_GRID_GAMMA[i]))
+                          for sign in (-1, 1) for k, i in ((1, 23), (1, 24), (2, 24), (3, 24))]
+
+
+def test_regime_grid_ends_without_a_traceback(tmp_path, capsys):
+    # every accepted point ends in a pass, failed checks or a named refusal, in
+    # the unit gauge and with T's columns scaled to unit norm; failed checks
+    # (exit 1) are still allowed, from the slope and conditioning checks
+    coarse = [(float(mu), float(gamma)) for mu in np.linspace(-0.98, 0.98, 6)
+              for gamma in np.geomspace(1.2, 200.0, 5)]  # an even mu count skips 0
+    runs = 0
+    for mu, gamma in coarse + _RECONSTRUCTION_POINTS:
+        model = Model(normalized(mu, gamma))
+        if not validate(model.derived).accepted:
+            continue
+        equilibrated = (1.0 / np.linalg.norm(model.T, axis=0)).tolist()
+        for gauge in ([1.0] * 4, equilibrated):
+            for command in ("verify", "heisenberg"):
+                args = [command, "--mu", repr(mu), "--gamma", repr(gamma), "--samples", "11",
+                        "--gauge", ",".join(map(repr, gauge)), "--output", str(tmp_path)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        code = main(args)
+                    except Exception as exc:  # report which run raised
+                        pytest.fail(f"{' '.join(args)} raised {exc!r}")
+                assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_REGIME), args
+                runs += 1
+    capsys.readouterr()
+    assert runs == 4 * (22 + len(_RECONSTRUCTION_POINTS))
 
 
 def test_physical_point_with_ill_conditioned_metric_verifies(tmp_path):
@@ -377,12 +441,59 @@ def test_heisenberg_artifacts(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     model = Model(normalized(0.5, 3.0))
-    norm0 = number_evolution(1, model.pf, model.spec, np.array([0.0])).generic.norms[0]
+    norm0 = number_evolution(model.pf, model.spec, np.array([0.0])).generic.norms[0, 0]
     assert float(first[1]) == pytest.approx(norm0, rel=1e-15)
     payload = json.loads((tmp_path / "heisenberg_report.json").read_text())
     assert payload["two_path_deviation_N1"] < 1e-8
     assert payload["printed_order_deviation_N1"] > 1e-2
     assert np.isfinite(payload["bound_constant_1"])
+
+
+#: sha256 of each artifact and of stdout, written with ``--output .``; recorded
+#: with numpy 2.4.6, so an intended byte change (or another numpy) updates them
+_PINNED_SHA256 = {
+    ("reference", "heisenberg"): {
+        "heisenberg.csv": "1317039f69dda14a321e7e47bce69553d1e298158d5194ad8b16430376f7184b",
+        "heisenberg_report.json":
+            "ef6efe1921c4a05cac75c095c9309bf01cc61c67b572054b843a4f10a42e0051",
+        "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
+    ("reference", "verify"): {
+        "verify_report.json": "083eaf4dec9765ae14278eeac5eb5ef0070adbf8991ca722596625ba8a3a92d1",
+        "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
+    ("gauge", "heisenberg"): {
+        "heisenberg.csv": "ef3865f927ab58da441c252ce31614a0d87e13d4ac6543bd3a4378041b525f1f",
+        "heisenberg_report.json":
+            "68f5eee533a6c3b740bb0b9787ce9900a3571bac11017b54cc093d7b26f7625f",
+        "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
+    ("gauge", "verify"): {
+        "verify_report.json": "7818472231d98e1f26d9f567aa127aa97ced0d8fbb4ce3816793c0d5c660c73d",
+        "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
+    ("physical", "heisenberg"): {
+        "heisenberg.csv": "541f697da018352bc243af157777ced9b5b3d9ff500beb44c7b2ae1fd3fb650a",
+        "heisenberg_report.json":
+            "5ac5d32c22cc4eeb449f3e6896a27f93ab09ecf6cd0fc0b4d5e01e44cd58b750",
+        "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
+    ("physical", "verify"): {
+        "verify_report.json": "92bcc860ffc973dd6bf181440c063e149458372308bb247fa510a8b3a96c019e",
+        "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
+}
+
+_PINNED_POINTS = {
+    "reference": ["--mu", "0.5", "--gamma", "3"],
+    "gauge": ["--mu", "0.5", "--gamma", "3", "--gauge", "2,0.5,3,1"],
+    "physical": ["--mode", "physical", "--L", "2", "--C", "0.5", "--R", "0.2", "--M", "0.7"],
+}
+
+
+@pytest.mark.parametrize(("point", "command"), list(_PINNED_SHA256),
+                         ids=[f"{p}-{c}" for p, c in _PINNED_SHA256])
+def test_artifact_bytes_pinned(tmp_path, monkeypatch, capsys, point, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *_PINNED_POINTS[point], "--output", "."]) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in _PINNED_SHA256[point, command] if name != "stdout"}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == _PINNED_SHA256[point, command]
 
 
 def test_sweep_matches_direct_evaluation(tmp_path):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pfcircuit import evolve_observable, growth_bound_report, number_evolution
-from pfcircuit import linalg
+from pfcircuit import Gauge, Model, evolve_observable, growth_bound_report, normalized
+from pfcircuit import linalg, number_evolution
 from pfcircuit.cli import EXIT_OK, main
 from pfcircuit.heisenberg import (
     effective_hamiltonian_route_residual,
@@ -21,8 +21,7 @@ TAU = np.linspace(0.0, 3.0, 31)
 
 @pytest.fixture(scope="module")
 def number_evolutions(reference_pf, reference_spectrum):
-    return (number_evolution(1, reference_pf, reference_spectrum, TAU),
-            number_evolution(2, reference_pf, reference_spectrum, TAU))
+    return number_evolution(reference_pf, reference_spectrum, TAU)
 
 
 def test_initial_observable_unchanged(reference_pf, reference_spectrum):
@@ -42,6 +41,7 @@ def test_identity_observable_stays_positive(reference_pf, reference_spectrum):
 def test_batched_evolution_matches_per_sample_sandwich(reference_pf, reference_spectrum):
     x0 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
     traj = evolve_observable(x0, reference_pf, reference_spectrum, TAU)
+    assert traj.X.shape == (TAU.size, 4, 4) and traj.norms.shape == (TAU.size,)
     np.testing.assert_array_equal(traj.X[0], x0)
     for t, xt in zip(TAU, traj.X):
         e = shifted_propagator(reference_pf, reference_spectrum, t)
@@ -61,21 +61,23 @@ def test_expectation_consistency(reference_pf, reference_spectrum):
 
 
 def test_number_two_path_agreement(number_evolutions):
-    for evo in number_evolutions:
-        assert evo.max_relative_deviation < 1e-8
+    for deviation in number_evolutions.max_relative_deviation:
+        assert deviation < 1e-8
 
 
 def test_number_printed_order_deviates(number_evolutions):
     # the printed rearrangement commutes the opposite adjoint factor through
     # N_j, which is invalid here; the deviation is O(1) and reported
-    for evo in number_evolutions:
-        assert evo.printed_order_max_relative_deviation > 1e-2
+    for deviation in number_evolutions.printed_order_max_relative_deviation:
+        assert deviation > 1e-2
 
 
 def test_number_initial_sample(number_evolutions, reference_pf):
-    for evo, n_op in zip(number_evolutions, (reference_pf.N1, reference_pf.N2)):
-        assert np.max(np.abs(evo.generic.X[0] - n_op)) < 1e-12
-        assert np.max(np.abs(evo.closed[0] - n_op)) < 1e-12
+    evo = number_evolutions
+    for generic, closed, n_op in zip(evo.generic.X, evo.closed,
+                                     (reference_pf.N1, reference_pf.N2)):
+        assert np.max(np.abs(generic[0] - n_op)) < 1e-12
+        assert np.max(np.abs(closed[0] - n_op)) < 1e-12
 
 
 def test_scalar_expansion_identity(reference_pf):
@@ -111,8 +113,8 @@ def test_propagator_matches_taylor_route(reference_pf, reference_spectrum,
 
 
 def test_number_evolution_norms_only_generic(reference_pf, reference_spectrum, monkeypatch):
-    # the closed-form stack carries no norms: one Jacobi norm per generic sample,
-    # all of them from one stacked call
+    # the closed-form stack carries no norms: one Jacobi norm per generic sample
+    # of both operators, all of them from one stacked call
     normed = []
     real_norm = linalg.spectral_norm
 
@@ -121,14 +123,12 @@ def test_number_evolution_norms_only_generic(reference_pf, reference_spectrum, m
         return real_norm(a)
 
     monkeypatch.setattr(linalg, "spectral_norm", counting_norm)
-    number_evolution(1, reference_pf, reference_spectrum, np.linspace(0.0, 3.0, 31))
-    assert normed == [31]
+    number_evolution(reference_pf, reference_spectrum, np.linspace(0.0, 3.0, 31))
+    assert normed == [62]
 
 
 def test_growth_bound(number_evolutions, reference_spectrum):
-    report = growth_bound_report(
-        (number_evolutions[0].generic, number_evolutions[1].generic),
-        reference_spectrum)
+    report = growth_bound_report(number_evolutions, reference_spectrum)
     assert np.isfinite(report.bound_constant_1)
     assert np.isfinite(report.bound_constant_2)
     assert np.all(report.ratios <= max(report.bound_constant_1 * report.norm_n1_initial,
@@ -159,11 +159,53 @@ def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):
     assert len(lines) == TAU.size + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(
-        number_evolutions[0].generic.norms[0], rel=1e-15)
-    trajs = (number_evolutions[0].generic, number_evolutions[1].generic)
-    ratios = growth_bound_report(trajs, reference_spectrum).ratios
+    norms = number_evolutions.generic.norms
+    assert float(first[1]) == pytest.approx(norms[0, 0], rel=1e-15)
+    ratios = growth_bound_report(number_evolutions, reference_spectrum).ratios
     written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    np.testing.assert_allclose(written[:, 1], trajs[0].norms, rtol=1e-15)
-    np.testing.assert_allclose(written[:, 2], trajs[1].norms, rtol=1e-15)
+    np.testing.assert_allclose(written[:, 1], norms[0], rtol=1e-15)
+    np.testing.assert_allclose(written[:, 2], norms[1], rtol=1e-15)
     np.testing.assert_allclose(written[:, 3:], ratios, rtol=1e-15)
+
+
+def _single_operator_route(j, pf, spec, tau):
+    """N_j evolved alone, with its closed and printed forms written out for that operator.
+
+    Returns the generic trajectory, the closed form, and the closed and printed
+    maximum relative deviations from the generic path.
+    """
+    n_own, n_other = (pf.N1, pf.N2) if j == 1 else (pf.N2, pf.N1)
+    lam_own, lam_other = (spec.lambda1, spec.lambda2) if j == 1 else (spec.lambda2, spec.lambda1)
+    generic = evolve_observable(n_own, pf, spec, tau)
+
+    def factor(n_op, rate):
+        return np.eye(4) + np.multiply.outer(np.exp(rate * tau) - 1.0, n_op)
+
+    prefactor = np.exp((2.0 * spec.l3 + lam_own) * tau)[:, None, None]
+    closed = prefactor * (factor(n_other.T, lam_other) @ factor(n_own.T, lam_own) @ n_own
+                          @ factor(n_other, lam_other))
+    grow = (np.exp(lam_other * tau) - 1.0)[:, None, None]
+    printed = prefactor * (factor(n_own.T, lam_own) @ n_own @ (
+        np.eye(4) + grow * (n_other + n_other.T) + grow**2 * (n_other.T @ n_other)))
+    scale = np.maximum(np.linalg.norm(generic.X, axis=(1, 2)), 1e-300)
+    dev_closed, dev_printed = (float(np.max(np.linalg.norm(path - generic.X, axis=(1, 2)) / scale))
+                               for path in (closed, printed))
+    return generic, closed, dev_closed, dev_printed
+
+
+@pytest.mark.parametrize("gauge", [Gauge(1.0, 1.0, 1.0, 1.0), Gauge(2.0, 0.5, 3.0, 1.0)],
+                         ids=["unit", "2,0.5,3,1"])
+def test_one_pass_matches_the_single_operator_route(gauge):
+    # the stacked pass gives each operator the bits of evolving it alone
+    model = Model(normalized(0.5, 3.0, i1=1.0), gauge)
+    pf, spec = model.pf, model.spec
+    evo = number_evolution(pf, spec, TAU)
+    assert evo.generic.X.shape == evo.closed.shape == (2, TAU.size, 4, 4)
+    for k, j in enumerate((1, 2)):
+        generic, closed, dev_closed, dev_printed = _single_operator_route(j, pf, spec, TAU)
+        assert evo.generic.tau.tobytes() == generic.tau.tobytes()
+        assert evo.generic.X[k].tobytes() == generic.X.tobytes()
+        assert evo.generic.norms[k].tobytes() == generic.norms.tobytes()
+        assert evo.closed[k].tobytes() == closed.tobytes()
+        assert evo.max_relative_deviation[k].hex() == dev_closed.hex()
+        assert evo.printed_order_max_relative_deviation[k].hex() == dev_printed.hex()
