@@ -31,7 +31,7 @@ tau = np.linspace(0.0, 5.0, 1001)
 traj = model.evolve(tau)
 
 # independent oracle: classical RK4 on the same grid
-oracle = evolve_rk4(model.generator, model.psi0, tau, params=params, derived=derived)
+oracle = evolve_rk4(model.generator, model.psi0, tau)
 gap = np.max(np.linalg.norm(traj.states - oracle.states, axis=1)
              / np.maximum(1.0, np.linalg.norm(traj.states, axis=1)))
 print(f"closed form vs RK4, max relative gap: {gap:.3e}")

@@ -16,23 +16,23 @@ from pfcircuit.heisenberg import (
 )
 
 model = Model(normalized(mu=0.5, gamma=3.0))
-spec, pf = model.spec, model.pf
+pf = model.pf
 
 # expectation values agree between the two pictures
 rng = np.random.default_rng(3)
 worst = max(
     expectation_consistency_residual(rng.standard_normal((4, 4)),
-                                     rng.standard_normal(4), pf, spec,
+                                     rng.standard_normal(4), pf,
                                      float(rng.uniform(0.0, 3.0)))
     for _ in range(20))
 print(f"state picture vs observable picture, worst relative gap: {worst:.3e}")
 
 # the two-factor product formula for the shifted propagator
 print(f"product-formula residual at tau=1.3: "
-      f"{product_formula_residual(pf, spec, 1.3):.3e}")
+      f"{product_formula_residual(pf, 1.3):.3e}")
 
 # N1 and N2 evolve together: one propagator stack, one stacked norm call
-evo = number_evolution(pf, spec, np.linspace(0.0, 3.0, 31))
+evo = number_evolution(pf, np.linspace(0.0, 3.0, 31))
 (dev1, dev2), (printed1, printed2) = (evo.max_relative_deviation,
                                       evo.printed_order_max_relative_deviation)
 print(f"\nN1: generic path vs ordered expansion product: {dev1:.3e}")
@@ -40,7 +40,7 @@ print(f"N1: the printed reordering (sliding the opposite adjoint factor through"
       f" N1) is off by {printed1:.3f}")
 print(f"N2: generic vs ordered {dev2:.3e}, printed reordering off by {printed2:.3f}")
 
-bound = growth_bound_report(evo, spec)
+bound = growth_bound_report(evo, model.spec)
 print(f"\n||N1(0)|| = {bound.norm_n1_initial:.6f}, "
       f"||N2(0)|| = {bound.norm_n2_initial:.6f} (the norm-one premise "
       f"holds: {bound.premise_norm_one_1}, {bound.premise_norm_one_2})")

@@ -36,10 +36,10 @@ KN_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 class BasisPair:
     """The two families as 4x4 arrays whose column j carries label KN_ORDER[j]."""
 
-    def __init__(self, phi: np.ndarray, psi: np.ndarray, labels: np.ndarray | None):
+    def __init__(self, phi: np.ndarray, psi: np.ndarray, labels: np.ndarray):
         self.phi = phi
         self.psi = psi
-        #: eigenvalue k*lambda1 + n*lambda2 + l3 per column, or None
+        #: eigenvalue k*lambda1 + n*lambda2 + l3 per column
         self.labels = labels
 
     def phi_vec(self, k: int, n: int) -> np.ndarray:
@@ -51,7 +51,7 @@ class BasisPair:
     def to_dict(self) -> dict:
         out = {"phi": [], "psi": []}
         for j, (k, n) in enumerate(KN_ORDER):
-            label = None if self.labels is None else float(self.labels[j])
+            label = float(self.labels[j])
             out["phi"].append({"k": k, "n": n, "eigenvalue": label,
                                "vector": [float(x) for x in self.phi[:, j]]})
             out["psi"].append({"k": k, "n": n, "eigenvalue": label,
@@ -59,20 +59,16 @@ class BasisPair:
         return out
 
 
-def build_bases(T: np.ndarray, spec: Spectrum | None = None) -> BasisPair:
+def build_bases(T: np.ndarray, spec: Spectrum) -> BasisPair:
     """Extract both families from the intertwiner.
 
     phi columns are the columns of T; psi columns are the columns of
-    (T^-1)^+.  With a spectrum supplied, each column is tagged with its
-    eigenvalue k*lambda1 + n*lambda2 + l3.
+    (T^-1)^+.  Each column is tagged with its eigenvalue
+    k*lambda1 + n*lambda2 + l3.
     """
     T = linalg.as_square(T, 4)
     t_inv = linalg.inverse(T)
-    labels = None
-    if spec is not None:
-        labels = np.array([
-            k * spec.lambda1 + n * spec.lambda2 + spec.l3 for k, n in KN_ORDER
-        ])
+    labels = np.array([k * spec.lambda1 + n * spec.lambda2 + spec.l3 for k, n in KN_ORDER])
     return BasisPair(phi=T.copy(), psi=t_inv.T.copy(), labels=labels)
 
 
@@ -96,8 +92,6 @@ def eigen_check(pair: BasisPair, liouvillian: np.ndarray) -> np.ndarray:
     Returns eight values in KN order: ||L phi - mu phi||/||phi|| followed by
     ||L^+ psi - mu psi||/||psi||.
     """
-    if pair.labels is None:
-        raise ValueError("basis pair carries no eigenvalue labels")
     liouvillian = linalg.as_square(liouvillian, 4)
     out = []
     for j in range(4):

@@ -13,9 +13,10 @@ sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
 3 regime rejection where the command requires acceptance, or a numerical
-refusal at an accepted point: a singular or non-positive-definite matrix, a
-vanishing printed coefficient denominator in verify, a generator that the
-operator system fails to reconstruct (ReconstructionFailure), or a
+refusal at an accepted point: a singular matrix, a non-positive-definite
+metric or a vanishing printed coefficient denominator in verify, a
+generator that the operator system fails to reconstruct
+(ReconstructionFailure), or a
 simulate/adjoint/h0/heisenberg/verify series that overflows (inf/nan) on the
 tau grid, which is refused before any file is written.
 All outputs are deterministic: fixed float formatting, fixed key and row
@@ -104,10 +105,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value[2] < 1:
                 raise ConfigError(f"{name} steps must be >= 1, got {value[2]}")
-        sweep_style = self.mu_range is not None and self.gamma_range is not None
         if self.mode == "normalized":
-            if (self.mu is None or self.gamma is None) and not sweep_style:
-                raise ConfigError("normalized mode requires mu and gamma")
             if any(v is not None for v in (self.L, self.C, self.R, self.M)):
                 raise ConfigError("normalized mode does not accept L/C/R/M")
         else:
@@ -184,6 +182,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _model(cfg: RunConfig) -> Model:
+    """The run's parameter point, which every command but sweep reads."""
+    if cfg.mode == "normalized" and (cfg.mu is None or cfg.gamma is None):
+        raise ConfigError("normalized mode requires mu and gamma")
     try:
         if cfg.mode == "normalized":
             params = normalized(cfg.mu, cfg.gamma, i1=cfg.i1)
@@ -304,17 +305,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_adjoint(cfg: RunConfig) -> int:
     model = _model(cfg)
     tau = _tau_grid(cfg)
-    strict = model.params.L == 1.0 and model.params.C == 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         xtraj, metric_res = dyn.adjoint_metric_route(model.psi0, model.evolve(tau),
                                                      model.pair, model.spec)
-        report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived, strict=strict)
+        report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived)
     SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
     out = Path(cfg.output_dir)
     _save(out / "adjoint.csv", "tau,x1,x2,x3,x4\n" + dyn.csv_text(
         [map(_fmt, c.tolist()) for c in (tau, *xtraj.states.T)]))
     payload = {
-        "identification": "strict (x -> I1, I2, -V1, -V2)" if strict
+        "identification": "strict (x -> I1, I2, -V1, -V2)" if report.strict
         else "extended (voltage components scaled by C*omega0)",
         "max_identification_residual": report.max_residual,
         "paper_literal_map_max_residual": report.paper_literal_map_max_residual,
@@ -341,7 +341,7 @@ def cmd_h0(cfg: RunConfig) -> int:
 def cmd_heisenberg(cfg: RunConfig) -> int:
     model = _model(cfg)
     tau = np.linspace(0.0, min(cfg.tau_max, 3.0), min(cfg.samples, 61))
-    evo = heis.number_evolution(model.pf, model.spec, tau)
+    evo = heis.number_evolution(model.pf, tau)
     bound = heis.growth_bound_report(evo, model.spec)
     out = Path(cfg.output_dir)
     _save(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2\n" + dyn.csv_text(

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .basis import BasisPair, expand
-from .errors import GridEmpty, UnitMismatch, ZeroSigma
+from .errors import GridEmpty, ZeroSigma
 from .liouvillian import Spectrum
 from .params import CircuitParams, DerivedParams
 
@@ -165,12 +165,12 @@ class StateTrajectory:
         return (scaled.T @ exps).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Trajectory(StateTrajectory):
     """State samples plus the circuit currents extracted from them."""
 
-    I1: np.ndarray | None = None
-    I2: np.ndarray | None = None
+    I1: np.ndarray
+    I2: np.ndarray
 
     @property
     def V1(self) -> np.ndarray:
@@ -236,21 +236,15 @@ def evolve_closed(
 
 
 def evolve_rk4(
-    liouvillian: np.ndarray,
-    psi0: np.ndarray,
-    tau_grid,
-    substeps: int | None = None,
-    params: CircuitParams | None = None,
-    derived: DerivedParams | None = None,
-) -> Trajectory:
+    liouvillian: np.ndarray, psi0: np.ndarray, tau_grid, substeps: int | None = None
+) -> StateTrajectory:
     """Classical fourth-order Runge-Kutta oracle for Psi' = L Psi.
 
     ``substeps`` fixes the number of RK4 steps per grid interval; by default
     it is chosen so the step is about RK4_DEFAULT_STEP.  On a linear system
     one RK4 step of size h is exactly y <- P(h) y with the Taylor polynomial
     P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so each interval applies
-    P(h)^substeps, built once per distinct (span, substeps).  Currents are
-    filled in only when circuit parameters are supplied.
+    P(h)^substeps, built once per distinct (span, substeps).
     """
     tau = _check_grid(tau_grid)
     m = linalg.as_square(liouvillian, 4)
@@ -272,10 +266,7 @@ def evolve_rk4(
             increments[(span, n_sub)] = inc
         y = y + increments[(span, n_sub)] @ y
         states[idx] = y
-    i1 = i2 = None
-    if params is not None and derived is not None:
-        i1, i2 = _currents(states, params, derived)
-    return Trajectory(tau=tau, states=states, I1=i1, I2=i2)
+    return StateTrajectory(tau=tau, states=states)
 
 
 def evolve_adjoint(
@@ -312,6 +303,7 @@ class AdjointCircuitReport:
 
     ``residuals`` holds the scaled per-sample deviations from the four circuit
     relations (columns: both voltage equations, then both current equations).
+    ``strict`` tells which identification was used (strict iff L = C = 1).
     ``paper_literal_map_max_residual`` measures the printed "-L*V" relabeling
     in non-normalized units; it is reported, not asserted, because that map is
     not consistent with the circuit relations unless L = C = 1.
@@ -323,6 +315,7 @@ class AdjointCircuitReport:
     V2: np.ndarray
     residuals: np.ndarray
     max_residual: float
+    strict: bool
     paper_literal_map_max_residual: float | None = None
 
 
@@ -350,22 +343,16 @@ def _circuit_relation_residuals(
 
 
 def adjoint_circuit_map(
-    xtraj: StateTrajectory,
-    params: CircuitParams,
-    derived: DerivedParams,
-    strict: bool = True,
+    xtraj: StateTrajectory, params: CircuitParams, derived: DerivedParams
 ) -> AdjointCircuitReport:
     """Relabel the adjoint trajectory as circuit quantities and verify them.
 
-    Strict mode demands normalized units and uses the identification
-    (x1, x2, x3, x4) -> (I1, I2, -V1, -V2).  Extended mode rescales the
-    voltage components by C*omega0, the factor forced by the circuit
-    relations, and additionally measures the printed "-L*V" relabeling.
+    In normalized units (L = C = 1) the identification is the strict
+    (x1, x2, x3, x4) -> (I1, I2, -V1, -V2).  Otherwise it is extended: the
+    voltage components are rescaled by C*omega0, the factor forced by the
+    circuit relations, and the printed "-L*V" relabeling is measured too.
     """
-    if strict and (params.L != 1.0 or params.C != 1.0):
-        raise UnitMismatch(
-            f"strict identification requires L = C = 1, got L={params.L}, C={params.C}"
-        )
+    strict = params.L == 1.0 and params.C == 1.0
     x = xtraj.states
     dx = xtraj.derivative(1)
     v_scale = 1.0 if strict else params.C * derived.omega0
@@ -379,6 +366,7 @@ def adjoint_circuit_map(
         V1=-x[:, 2] / v_scale, V2=-x[:, 3] / v_scale,
         residuals=residuals,
         max_residual=float(np.max(residuals)),
+        strict=strict,
         paper_literal_map_max_residual=paper_literal,
     )
 
@@ -463,8 +451,6 @@ def trajectory_columns(traj: Trajectory, power=None, energy=None) -> dict[str, n
         "V1": traj.V1, "V2": traj.V2, "V1p": traj.V1p, "V2p": traj.V2p,
         "I1": traj.I1, "I2": traj.I2,
     }
-    if traj.I1 is None:
-        raise ValueError("trajectory has no current series; cannot serialize")
     if power is not None:
         columns["P1"] = power.p1
         columns["P2"] = power.p2

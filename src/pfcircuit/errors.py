@@ -63,7 +63,3 @@ class ZeroSigma(ValueError):
 
 class GridEmpty(ValueError):
     """An evolution was requested on an empty time grid."""
-
-
-class UnitMismatch(ValueError):
-    """Strict mode requires normalized units L = C = 1."""

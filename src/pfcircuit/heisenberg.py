@@ -12,7 +12,8 @@ and the number-operator evolutions have closed forms built from the same
 expansion.  Note the adjoint factors do NOT commute with the opposite-pair
 number operators ([N2^+, N1] != 0 for non-orthogonal intertwiners), so the
 factors must be kept in sandwich order; the printed form that slides the
-N2^+ factor through N1 is evaluated in a reported-only channel.
+N2^+ factor through N1 is evaluated in a reported-only channel.  The
+spectrum of L is read from the operator system (``pf.spectrum``).
 """
 
 from __future__ import annotations
@@ -49,15 +50,13 @@ class ObservableTrajectory:
     norms: np.ndarray
 
 
-def shifted_propagator(pf: PFSystem, spec: Spectrum, tau) -> np.ndarray:
+def shifted_propagator(pf: PFSystem, tau) -> np.ndarray:
     """e^{(L - l3 I) tau} = T diag(e^{lambda tau}) T^{-1}; (n, 4, 4) for a length-n tau array."""
     return np.einsum("ij,...j,jk->...ik", pf.T,
-                     np.exp(np.multiply.outer(tau, spec.shifted_eigenvalues)), pf.T_inv)
+                     np.exp(np.multiply.outer(tau, pf.spectrum.shifted_eigenvalues)), pf.T_inv)
 
 
-def evolve_observable(
-    X0: np.ndarray, pf: PFSystem, spec: Spectrum, tau_grid
-) -> ObservableTrajectory:
+def evolve_observable(X0: np.ndarray, pf: PFSystem, tau_grid) -> ObservableTrajectory:
     """X(tau) = e^{2 l3 tau} e^{Lt^+ tau} X(0) e^{Lt tau} on the sample grid; X(0) at tau = 0.
 
     A (k, 4, 4) stack of observables goes through one propagator stack and one
@@ -68,8 +67,8 @@ def evolve_observable(
     X0 = linalg.as_square(X0, 4, stack=True)[..., None, :, :]
     tau = np.asarray(tau_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = shifted_propagator(pf, spec, tau)
-        out = np.exp(2.0 * spec.l3 * tau)[:, None, None] * (e.transpose(0, 2, 1) @ X0 @ e)
+        e = shifted_propagator(pf, tau)
+        out = np.exp(2.0 * pf.spectrum.l3 * tau)[:, None, None] * (e.transpose(0, 2, 1) @ X0 @ e)
     out[..., tau == 0.0, :, :] = X0
     norms = linalg.spectral_norm(out.reshape(-1, 4, 4)).reshape(out.shape[:-2])
     return ObservableTrajectory(tau=tau, X=out, norms=norms)
@@ -92,7 +91,7 @@ class NumberEvolution:
     printed_order_max_relative_deviation: tuple[float, float]
 
 
-def number_evolution(pf: PFSystem, spec: Spectrum, tau_grid) -> NumberEvolution:
+def number_evolution(pf: PFSystem, tau_grid) -> NumberEvolution:
     """Evolve N1 and N2 by the generic sandwich and by the expansion closed form.
 
     The closed form applies e^{x N} = I + (e^x - 1) N factor by factor in
@@ -104,9 +103,10 @@ def number_evolution(pf: PFSystem, spec: Spectrum, tau_grid) -> NumberEvolution:
     the adjoint factor is its transpose, and the opposite operator's factor is
     the same stack reversed.
     """
+    spec = pf.spectrum
     n_ops = np.stack([pf.N1, pf.N2])
     rates = np.array([spec.lambda1, spec.lambda2])
-    generic = evolve_observable(n_ops, pf, spec, tau_grid)
+    generic = evolve_observable(n_ops, pf, tau_grid)
     tau = generic.tau
     prefactor = np.exp(np.multiply.outer(2.0 * spec.l3 + rates, tau))[..., None, None]
     grow = (np.exp(np.multiply.outer(rates, tau)) - 1.0)[..., None, None]
@@ -173,21 +173,17 @@ def growth_bound_report(evo: NumberEvolution, spec: Spectrum) -> GrowthBoundRepo
     )
 
 
-def product_formula_residual(pf: PFSystem, spec: Spectrum, tau: float) -> float:
+def product_formula_residual(pf: PFSystem, tau: float) -> float:
     """Relative deviation of e^{Lt tau} from its two-factor expansion product."""
-    e = shifted_propagator(pf, spec, tau)
-    prod = _expansion_factor(pf.N1, spec.lambda1, tau) @ _expansion_factor(
-        pf.N2, spec.lambda2, tau
+    e = shifted_propagator(pf, tau)
+    prod = _expansion_factor(pf.N1, pf.spectrum.lambda1, tau) @ _expansion_factor(
+        pf.N2, pf.spectrum.lambda2, tau
     )
     return float(np.linalg.norm(e - prod, "fro") / max(np.linalg.norm(e, "fro"), 1e-300))
 
 
 def expectation_consistency_residual(
-    X0: np.ndarray,
-    state0: np.ndarray,
-    pf: PFSystem,
-    spec: Spectrum,
-    tau: float,
+    X0: np.ndarray, state0: np.ndarray, pf: PFSystem, tau: float
 ) -> float:
     """Relative gap between <state(tau), X0 state(tau)> and <state0, X(tau) state0>.
 
@@ -197,11 +193,12 @@ def expectation_consistency_residual(
     """
     X0 = linalg.as_square(X0, 4)
     state0 = linalg.as_vector(state0)
-    e_shift = shifted_propagator(pf, spec, tau)
-    propagator = np.exp(spec.l3 * tau) * e_shift
+    l3 = pf.spectrum.l3
+    e_shift = shifted_propagator(pf, tau)
+    propagator = np.exp(l3 * tau) * e_shift
     state_t = propagator @ state0
     lhs = float(state_t @ (X0 @ state_t))
-    x_t = np.exp(2.0 * spec.l3 * tau) * (e_shift.T @ X0 @ e_shift)
+    x_t = np.exp(2.0 * l3 * tau) * (e_shift.T @ X0 @ e_shift)
     rhs = float(state0 @ (x_t @ state0))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 

@@ -58,8 +58,6 @@ def power(traj: Trajectory, params: CircuitParams, derived: DerivedParams) -> Po
     relations; their deviation measures only floating-point noise and is
     exposed for the consistency check.
     """
-    if traj.I1 is None or traj.I2 is None:
-        raise ValueError("trajectory has no current series")
     cw = params.C * derived.omega0
     p1 = traj.V1 * traj.I1
     p2 = traj.V2 * traj.I2
@@ -103,8 +101,6 @@ def energy(traj: Trajectory, params: CircuitParams) -> EnergySeries:
     drop the V*Vdot cross term and flip the sign of the derivative square; they
     are evaluated verbatim and their deviation reported, never asserted.
     """
-    if traj.I1 is None or traj.I2 is None:
-        raise ValueError("trajectory has no current series")
     L, C, R = params.L, params.C, params.R
     omega0_sq = 1.0 / (L * C)
     omega_p_sq = 1.0 / (R * C) ** 2

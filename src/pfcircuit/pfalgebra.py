@@ -135,8 +135,6 @@ class PFSystem:
     N2: np.ndarray
     S_phi: np.ndarray
     S_psi: np.ndarray
-    n_hat1: np.ndarray
-    n_hat2: np.ndarray
     H0: np.ndarray
     spectrum: Spectrum
 
@@ -161,16 +159,10 @@ def build_pf(
     N2 = b2 @ a2
     S_phi = T @ T.T
     S_psi = T_inv.T @ T_inv
-    sqrt_S_psi = linalg.sqrtm_spd(S_psi)
-    sqrt_S_phi = linalg.sqrtm_spd(S_phi)  # equals S_psi^{-1/2}
-    n_hat1 = sqrt_S_psi @ N1 @ sqrt_S_phi
-    n_hat2 = sqrt_S_psi @ N2 @ sqrt_S_phi
-    H0 = build_h0(spec)
     system = PFSystem(
         T=T, T_inv=T_inv,
         a1=a1, a2=a2, b1=b1, b2=b2, N1=N1, N2=N2,
-        S_phi=S_phi, S_psi=S_psi, n_hat1=n_hat1, n_hat2=n_hat2,
-        H0=H0, spectrum=spec,
+        S_phi=S_phi, S_psi=S_psi, H0=build_h0(spec), spectrum=spec,
     )
     if liouvillian is not None:
         recon = spec.lambda1 * N1 + spec.lambda2 * N2 + spec.l3 * np.eye(4)
@@ -233,15 +225,15 @@ def _anti(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
-def pf_verify(
-    system: PFSystem, liouvillian: np.ndarray | None = None
-) -> VerificationReport:
+def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
     """Run every algebraic identity of the operator system, one named check each.
 
     Residuals are scaled by operand norms (the deltas span ~3 orders of
     magnitude at reference parameters, so absolute tolerances would mislead).
-    Checks against the independently assembled generator are included whenever
-    it is supplied; they are what localizes a corrupted intertwiner.
+    The checks against the independently assembled generator are what
+    localizes a corrupted intertwiner.  The self-adjoint n_hat_j =
+    S_psi^{1/2} N_j S_phi^{1/2} are built here, their only reader, so the
+    metric roots' :class:`NotSPD` can refuse a verification and nothing else.
     """
     report = VerificationReport()
     eye = np.eye(4)
@@ -312,25 +304,27 @@ def pf_verify(
                    _rel(s.S_phi @ nj.T - nj @ s.S_phi, scale_phi), 1e-9)
 
     # similarity-transported number operators are symmetric with spectrum {0, 1}
-    for j, nh in (("1", s.n_hat1), ("2", s.n_hat2)):
+    sqrt_S_psi = linalg.sqrtm_spd(s.S_psi)
+    sqrt_S_phi = linalg.sqrtm_spd(s.S_phi)  # equals S_psi^{-1/2}
+    for j, nj in (("1", s.N1), ("2", s.N2)):
+        nh = sqrt_S_psi @ nj @ sqrt_S_phi
         nh_scale = np.linalg.norm(nh, "fro")
         report.add(f"n_hat{j}_symmetric", _rel(nh - nh.T, nh_scale), 1e-9)
         w, _ = linalg.jacobi_eigh((nh + nh.T) / 2.0)
         report.add(f"n_hat{j}_eigenvalues_binary",
                    float(np.max(np.abs(np.sort(w) - np.array([0.0, 0.0, 1.0, 1.0])))), 1e-9)
 
-    if liouvillian is not None:
-        liouvillian = linalg.as_square(liouvillian, 4)
-        l_scale = np.linalg.norm(liouvillian, "fro")
-        recon = spec.lambda1 * s.N1 + spec.lambda2 * s.N2 + spec.l3 * eye
-        report.add("generator_reconstruction", _rel(recon - liouvillian, l_scale), 1e-9)
-        shifted = liouvillian - spec.l3 * eye
-        report.add("intertwining_generator_H0",
-                   _rel(shifted @ s.T - s.T @ s.H0,
-                        np.linalg.norm(shifted, "fro") * t_scale), 1e-9)
-        report.add("crypto_hermiticity",
-                   _rel(liouvillian @ s.S_phi - s.S_phi @ liouvillian.T,
-                        l_scale * sphi_scale), 1e-9)
+    liouvillian = linalg.as_square(liouvillian, 4)
+    l_scale = np.linalg.norm(liouvillian, "fro")
+    recon = spec.lambda1 * s.N1 + spec.lambda2 * s.N2 + spec.l3 * eye
+    report.add("generator_reconstruction", _rel(recon - liouvillian, l_scale), 1e-9)
+    shifted = liouvillian - spec.l3 * eye
+    report.add("intertwining_generator_H0",
+               _rel(shifted @ s.T - s.T @ s.H0,
+                    np.linalg.norm(shifted, "fro") * t_scale), 1e-9)
+    report.add("crypto_hermiticity",
+               _rel(liouvillian @ s.S_phi - s.S_phi @ liouvillian.T,
+                    l_scale * sphi_scale), 1e-9)
 
     report.add("reported_condition_number_T", float(np.linalg.cond(s.T)), None)
     return report

@@ -91,7 +91,7 @@ def test_criterion_2_algebraic_suite():
         }
 
         def check(model):
-            report = pf_verify(model.pf, liouvillian=model.generator)
+            report = pf_verify(model.pf, model.generator)
             assert required <= set(report.checks)
             for name in required:
                 entry = report.checks[name]
@@ -126,8 +126,7 @@ def test_criterion_4_dynamics():
         pair, psi0 = model.pair, model.psi0
         closed = model.evolve(TAU)
         substeps = max(1, round((TAU[1] - TAU[0]) / 1e-3))
-        rk4 = evolve_rk4(gen, psi0, TAU, substeps=substeps,
-                         params=params, derived=derived)
+        rk4 = evolve_rk4(gen, psi0, TAU, substeps=substeps)
         deviation = np.linalg.norm(closed.states - rk4.states, axis=1)
         scale = np.maximum(1.0, np.linalg.norm(closed.states, axis=1))
         assert np.max(deviation / scale) < 1e-6
@@ -146,7 +145,8 @@ def test_criterion_4_dynamics():
                       / np.maximum(np.linalg.norm(mapped, axis=1), 1e-300))
         assert np.max(metric_dev) < 1e-8
 
-        identification = adjoint_circuit_map(xtraj, params, derived, strict=True)
+        identification = adjoint_circuit_map(xtraj, params, derived)
+        assert identification.strict
         assert identification.max_residual < 1e-8
 
         y0 = np.array([1.0, -2.0, 0.5, 0.75])
@@ -189,20 +189,20 @@ def test_criterion_5_observables():
 def test_criterion_6_heisenberg():
     with criterion(6, "heisenberg"):
         model = reference_stack()
-        pf, spec = model.pf, model.spec
+        pf = model.pf
         rng = np.random.default_rng(99)
         for _ in range(20):
             x0 = rng.standard_normal((4, 4))
             state = rng.standard_normal(4)
             t = float(rng.uniform(0.0, 3.0))
-            assert expectation_consistency_residual(x0, state, pf, spec, t) < 1e-8
+            assert expectation_consistency_residual(x0, state, pf, t) < 1e-8
         grid = np.linspace(0.0, 3.0, 31)
-        evo = number_evolution(pf, spec, grid)
+        evo = number_evolution(pf, grid)
         assert evo.max_relative_deviation[0] < 1e-8
         assert evo.max_relative_deviation[1] < 1e-8
         for t in (0.4, 1.1, 2.6):
-            assert product_formula_residual(pf, spec, t) < 1e-9
-        bound = growth_bound_report(evo, spec)
+            assert product_formula_residual(pf, t) < 1e-9
+        bound = growth_bound_report(evo, model.spec)
         assert np.isfinite(bound.bound_constant_1)
         assert np.isfinite(bound.bound_constant_2)
 

@@ -19,16 +19,16 @@ from pfcircuit.basis import (
 from pfcircuit.errors import SingularMatrix
 
 
-def test_identity_intertwiner_gives_canonical_bases():
-    pair = build_bases(np.eye(4))
+def test_identity_intertwiner_gives_canonical_bases(reference_spectrum):
+    pair = build_bases(np.eye(4), reference_spectrum)
     np.testing.assert_array_equal(pair.phi, np.eye(4))
     np.testing.assert_array_equal(pair.psi, np.eye(4))
     assert gram_residual(pair) == 0.0
 
 
-def test_singular_intertwiner_rejected():
+def test_singular_intertwiner_rejected(reference_spectrum):
     with pytest.raises(SingularMatrix):
-        build_bases(np.zeros((4, 4)))
+        build_bases(np.zeros((4, 4)), reference_spectrum)
 
 
 def test_gram_and_resolutions(reference_pair):
@@ -71,8 +71,8 @@ def test_metric_maps(reference_pair, reference_pf):
     assert np.max(residuals) < 1e-9
 
 
-def test_metric_maps_identity_limit():
-    pair = build_bases(np.eye(4))
+def test_metric_maps_identity_limit(reference_spectrum):
+    pair = build_bases(np.eye(4), reference_spectrum)
     residuals = metric_map_check(pair, np.eye(4), np.eye(4))
     assert np.max(residuals) == 0.0
 

@@ -279,8 +279,8 @@ def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
                "--samples", "201") == EXIT_OK
     # inverses: T in each build_bases only; S_psi = S_phi^-1 is read from the model.
-    # Jacobi: two metric roots, four metric and n-hat spectra, two frame-bound
-    # norms, and one stacked call for the N1 and N2 norm stacks together
+    # Jacobi: the verifier's two metric roots, four metric and n-hat spectra, two
+    # frame-bound norms, and one stacked call for the N1 and N2 norm stacks together
     assert counts == {"pfalgebra.build_T": 2, "linalg.inverse": 2, "basis.build_bases": 2,
                       "pfalgebra.build_pf": 1, "params.validate": 2,
                       "linalg.jacobi_eigh": 9}
@@ -290,10 +290,10 @@ def test_heisenberg_evolves_both_operators_in_one_pass(tmp_path, monkeypatch):
     counts = _count_calls(monkeypatch, ["heisenberg.number_evolution",
                                         "heisenberg.evolve_observable", "linalg.jacobi_eigh"])
     assert run(tmp_path, "heisenberg", "--mu", "0.5", "--gamma", "3") == EXIT_OK
-    # Jacobi: the model's two metric roots, and one stacked call that norms N1(tau)
-    # and N2(tau) together
+    # Jacobi: one stacked call that norms N1(tau) and N2(tau) together; the metric
+    # roots are taken by the verifier only
     assert counts == {"heisenberg.number_evolution": 1, "heisenberg.evolve_observable": 1,
-                      "linalg.jacobi_eigh": 3}
+                      "linalg.jacobi_eigh": 1}
 
 
 def test_heisenberg_checks_the_regime_once(tmp_path, monkeypatch):
@@ -389,6 +389,15 @@ def test_regime_grid_ends_without_a_traceback(tmp_path, capsys):
     assert runs == 4 * (22 + len(_RECONSTRUCTION_POINTS))
 
 
+def test_gauge_check_relative_to_the_run_gauge(tmp_path):
+    # in the column-equilibrated gauge, the fixed second gauge (2, 0.5, 3, 1) made
+    # T singular here; scaled relative to the run's gauge it stays regular
+    mu, gamma = -0.245, 23.72792075861588
+    gauge = 1.0 / np.linalg.norm(Model(normalized(mu, gamma)).T, axis=0)
+    assert run(tmp_path, "verify", "--mu", repr(mu), "--gamma", repr(gamma), "--samples", "11",
+               "--gauge", ",".join(map(repr, gauge.tolist()))) == EXIT_OK
+
+
 def test_physical_point_with_ill_conditioned_metric_verifies(tmp_path):
     # kappa(T) ~ 5e3: S_phi = T T^+ fails the inversion test, its inverse S_psi
     # taken from T^-1 does not need one
@@ -441,7 +450,7 @@ def test_heisenberg_artifacts(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     model = Model(normalized(0.5, 3.0))
-    norm0 = number_evolution(model.pf, model.spec, np.array([0.0])).generic.norms[0, 0]
+    norm0 = number_evolution(model.pf, np.array([0.0])).generic.norms[0, 0]
     assert float(first[1]) == pytest.approx(norm0, rel=1e-15)
     payload = json.loads((tmp_path / "heisenberg_report.json").read_text())
     assert payload["two_path_deviation_N1"] < 1e-8
@@ -466,7 +475,7 @@ _PINNED_SHA256 = {
             "68f5eee533a6c3b740bb0b9787ce9900a3571bac11017b54cc093d7b26f7625f",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("gauge", "verify"): {
-        "verify_report.json": "7818472231d98e1f26d9f567aa127aa97ced0d8fbb4ce3816793c0d5c660c73d",
+        "verify_report.json": "824e91b309c25d2f90a12cbe9997db5521115a741e586677067e5cf53f873480",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("physical", "heisenberg"): {
         "heisenberg.csv": "541f697da018352bc243af157777ced9b5b3d9ff500beb44c7b2ae1fd3fb650a",
@@ -476,6 +485,18 @@ _PINNED_SHA256 = {
     ("physical", "verify"): {
         "verify_report.json": "92bcc860ffc973dd6bf181440c063e149458372308bb247fa510a8b3a96c019e",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
+    ("reference", "adjoint"): {
+        "adjoint.csv": "9ec912ec06372aaf69012c0e4348b4b2fe0a62838fbda06da0f42b0f39f73bac",
+        "adjoint_report.json": "f72145cf432cbf2c4b3f9c07ebc19aad1d8faa5171a2ba5b020662c4226ef8e5",
+        "stdout": "2047b24b4e23e2a6f9bff6ca4200865311af1c55fa2615280540d40c3c3438a4"},
+    ("gauge", "adjoint"): {
+        "adjoint.csv": "d3c695022ca0e30230221013477a3778bc194b30afe1e33bd2f8bf166bbccbdf",
+        "adjoint_report.json": "b1d181448a74a83efcd98f3bc416f69b3bac6f2d2b3b9fa03c338759513e9bc1",
+        "stdout": "0a985bfc000a8937fa40cc9da481c7d4ea9f3aff488473547d9f5404831bd2a8"},
+    ("physical", "adjoint"): {
+        "adjoint.csv": "aa3fbea166a1363f684434a0994f52f9b880635804baadd23eaf5da909c00a57",
+        "adjoint_report.json": "77555ad02df0fa9493d274b19918283b1708e5a30166f23add402f24aa2cddf3",
+        "stdout": "6aa5c57f0078fc8aafe8560699f03e1822eaa8b6f5e17e94530bb6a2a9103586"},
 }
 
 _PINNED_POINTS = {
@@ -547,6 +568,13 @@ def test_config_errors(tmp_path, capsys):
     unknown.write_text(json.dumps({"mu": 0.5, "gamma": 3.0, "bogus": 1}))
     assert run(tmp_path, "simulate", "--config", str(unknown)) == EXIT_CONFIG
     capsys.readouterr()
+    # sweep ranges give no parameter point to the commands that need one
+    ranges = tmp_path / "ranges.json"
+    ranges.write_text(json.dumps({"mu_range": "0.1:0.9:3", "gamma_range": "1:5:3"}))
+    for command in ("verify", "simulate"):
+        assert run(tmp_path, command, "--config", str(ranges)) == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == "configuration error: normalized mode requires mu and gamma\n"
     # malformed values are refused by name, whether a flag or the file carries them
     for flags in (["--gauge", "a,1,1,1"], ["--tau-max", "inf"], ["--rk4-step", "inf"]):
         assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", *flags) == EXIT_CONFIG

@@ -32,7 +32,7 @@ from pfcircuit.dynamics import (
     format_float,
     trajectory_columns,
 )
-from pfcircuit.errors import GridEmpty, UnitMismatch, ZeroSigma
+from pfcircuit.errors import GridEmpty, ZeroSigma
 
 TAU = np.linspace(0.0, 5.0, 1001)
 
@@ -122,10 +122,8 @@ def test_closed_form_initial_sample(reference_trajectory):
     assert reference_trajectory.I2[0] == 0.0
 
 
-def test_closed_form_vs_rk4(reference_trajectory, reference_generator,
-                            reference_params, reference_derived):
-    oracle = evolve_rk4(reference_generator, initial_state(1.0), TAU,
-                        params=reference_params, derived=reference_derived)
+def test_closed_form_vs_rk4(reference_trajectory, reference_generator):
+    oracle = evolve_rk4(reference_generator, initial_state(1.0), TAU)
     deviation = np.linalg.norm(reference_trajectory.states - oracle.states, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(reference_trajectory.states, axis=1))
     assert np.max(deviation / scale) < 1e-6
@@ -191,7 +189,6 @@ def test_rk4_zero_generator():
     traj = evolve_rk4(np.zeros((4, 4)), np.array([1.0, -2.0, 3.0, 0.5]),
                       np.linspace(0.0, 2.0, 21))
     np.testing.assert_array_equal(traj.states, np.tile([1.0, -2.0, 3.0, 0.5], (21, 1)))
-    assert traj.I1 is None
 
 
 def test_rk4_diagonal_decay():
@@ -299,6 +296,7 @@ def test_adjoint_identification_strict(reference_pair, reference_spectrum,
     grid = np.linspace(0.0, 5.0, 101)
     xtraj = evolve_adjoint(x0, reference_pair, reference_spectrum, grid)
     report = adjoint_circuit_map(xtraj, reference_params, reference_derived)
+    assert report.strict
     assert report.max_residual < 1e-8
     np.testing.assert_array_equal(report.I1, xtraj.states[:, 0])
     np.testing.assert_array_equal(report.V1, -xtraj.states[:, 2])
@@ -314,9 +312,9 @@ def test_adjoint_identification_strict_rejects_physical_units(
     pair = build_bases(T, spec)
     xtraj = evolve_adjoint(np.array([1.0, 0.5, -0.25, 0.75]), pair, spec,
                            np.linspace(0.0, 2.0, 11))
-    with pytest.raises(UnitMismatch):
-        adjoint_circuit_map(xtraj, params, derived, strict=True)
-    report = adjoint_circuit_map(xtraj, params, derived, strict=False)
+    report = adjoint_circuit_map(xtraj, params, derived)
+    # L = 2 is not the normalized unit, so the extended identification is used
+    assert not report.strict
     # the consistent rescaled identification satisfies the circuit relations
     assert report.max_residual < 1e-8
     # the printed -L*V relabeling does not; its failure is reported
@@ -400,9 +398,3 @@ def test_format_float_negative_zero():
     assert format_float(-1.5e-16) == "-1.5e-16"
     # 17 significant digits round-trip exactly
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
-
-
-def test_serialization_requires_currents(reference_generator):
-    traj = evolve_rk4(reference_generator, initial_state(1.0), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        trajectory_columns(traj)

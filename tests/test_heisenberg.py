@@ -20,18 +20,18 @@ TAU = np.linspace(0.0, 3.0, 31)
 
 
 @pytest.fixture(scope="module")
-def number_evolutions(reference_pf, reference_spectrum):
-    return number_evolution(reference_pf, reference_spectrum, TAU)
+def number_evolutions(reference_pf):
+    return number_evolution(reference_pf, TAU)
 
 
-def test_initial_observable_unchanged(reference_pf, reference_spectrum):
+def test_initial_observable_unchanged(reference_pf):
     x0 = np.diag([1.0, 2.0, 3.0, 4.0])
-    traj = evolve_observable(x0, reference_pf, reference_spectrum, np.array([0.0, 1.0]))
+    traj = evolve_observable(x0, reference_pf, np.array([0.0, 1.0]))
     np.testing.assert_array_equal(traj.X[0], x0)
 
 
-def test_identity_observable_stays_positive(reference_pf, reference_spectrum):
-    traj = evolve_observable(np.eye(4), reference_pf, reference_spectrum, TAU)
+def test_identity_observable_stays_positive(reference_pf):
+    traj = evolve_observable(np.eye(4), reference_pf, TAU)
     for idx in range(TAU.size):
         xt = traj.X[idx]
         assert np.max(np.abs(xt - xt.T)) < 1e-9 * np.linalg.norm(xt)
@@ -40,23 +40,22 @@ def test_identity_observable_stays_positive(reference_pf, reference_spectrum):
 
 def test_batched_evolution_matches_per_sample_sandwich(reference_pf, reference_spectrum):
     x0 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
-    traj = evolve_observable(x0, reference_pf, reference_spectrum, TAU)
+    traj = evolve_observable(x0, reference_pf, TAU)
     assert traj.X.shape == (TAU.size, 4, 4) and traj.norms.shape == (TAU.size,)
     np.testing.assert_array_equal(traj.X[0], x0)
     for t, xt in zip(TAU, traj.X):
-        e = shifted_propagator(reference_pf, reference_spectrum, t)
+        e = shifted_propagator(reference_pf, t)
         expected = np.exp(2.0 * reference_spectrum.l3 * t) * (e.T @ x0 @ e)
         assert np.max(np.abs(xt - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
 
 
-def test_expectation_consistency(reference_pf, reference_spectrum):
+def test_expectation_consistency(reference_pf):
     rng = np.random.default_rng(81)
     for _ in range(20):
         x0 = rng.standard_normal((4, 4))
         state = rng.standard_normal(4)
         tau = float(rng.uniform(0.0, 3.0))
-        residual = expectation_consistency_residual(x0, state, reference_pf,
-                                                    reference_spectrum, tau)
+        residual = expectation_consistency_residual(x0, state, reference_pf, tau)
         assert residual < 1e-8
 
 
@@ -93,26 +92,26 @@ def test_scalar_expansion_identity(reference_pf):
     assert np.linalg.norm(series - expansion) < 1e-10 * np.linalg.norm(expansion)
 
 
-def test_product_formula(reference_pf, reference_spectrum):
+def test_product_formula(reference_pf):
     for tau in (0.4, 1.3, 2.9):
-        assert product_formula_residual(reference_pf, reference_spectrum, tau) < 1e-9
+        assert product_formula_residual(reference_pf, tau) < 1e-9
 
 
 def test_propagator_matches_taylor_route(reference_pf, reference_spectrum,
                                          reference_generator):
     shifted = reference_generator - reference_spectrum.l3 * np.eye(4)
-    stack = shifted_propagator(reference_pf, reference_spectrum, np.array([0.5, 1.7]))
+    stack = shifted_propagator(reference_pf, np.array([0.5, 1.7]))
     for tau, sliced in zip((0.5, 1.7), stack):
-        via_eig = shifted_propagator(reference_pf, reference_spectrum, tau)
+        via_eig = shifted_propagator(reference_pf, tau)
         via_taylor = linalg.expm(shifted, tau)
         for e in (via_eig, sliced):
             assert np.linalg.norm(e - via_taylor) < 1e-9 * np.linalg.norm(via_taylor)
         assert np.linalg.norm(sliced - via_eig) <= 1e-15 * np.linalg.norm(via_eig)
-    at_zero = shifted_propagator(reference_pf, reference_spectrum, np.array([0.0, 1.0]))[0]
+    at_zero = shifted_propagator(reference_pf, np.array([0.0, 1.0]))[0]
     assert np.max(np.abs(at_zero - np.eye(4))) < 1e-14
 
 
-def test_number_evolution_norms_only_generic(reference_pf, reference_spectrum, monkeypatch):
+def test_number_evolution_norms_only_generic(reference_pf, monkeypatch):
     # the closed-form stack carries no norms: one Jacobi norm per generic sample
     # of both operators, all of them from one stacked call
     normed = []
@@ -123,7 +122,7 @@ def test_number_evolution_norms_only_generic(reference_pf, reference_spectrum, m
         return real_norm(a)
 
     monkeypatch.setattr(linalg, "spectral_norm", counting_norm)
-    number_evolution(reference_pf, reference_spectrum, np.linspace(0.0, 3.0, 31))
+    number_evolution(reference_pf, np.linspace(0.0, 3.0, 31))
     assert normed == [62]
 
 
@@ -168,15 +167,16 @@ def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):
     np.testing.assert_allclose(written[:, 3:], ratios, rtol=1e-15)
 
 
-def _single_operator_route(j, pf, spec, tau):
+def _single_operator_route(j, pf, tau):
     """N_j evolved alone, with its closed and printed forms written out for that operator.
 
     Returns the generic trajectory, the closed form, and the closed and printed
     maximum relative deviations from the generic path.
     """
+    spec = pf.spectrum
     n_own, n_other = (pf.N1, pf.N2) if j == 1 else (pf.N2, pf.N1)
     lam_own, lam_other = (spec.lambda1, spec.lambda2) if j == 1 else (spec.lambda2, spec.lambda1)
-    generic = evolve_observable(n_own, pf, spec, tau)
+    generic = evolve_observable(n_own, pf, tau)
 
     def factor(n_op, rate):
         return np.eye(4) + np.multiply.outer(np.exp(rate * tau) - 1.0, n_op)
@@ -198,11 +198,11 @@ def _single_operator_route(j, pf, spec, tau):
 def test_one_pass_matches_the_single_operator_route(gauge):
     # the stacked pass gives each operator the bits of evolving it alone
     model = Model(normalized(0.5, 3.0, i1=1.0), gauge)
-    pf, spec = model.pf, model.spec
-    evo = number_evolution(pf, spec, TAU)
+    pf = model.pf
+    evo = number_evolution(pf, TAU)
     assert evo.generic.X.shape == evo.closed.shape == (2, TAU.size, 4, 4)
     for k, j in enumerate((1, 2)):
-        generic, closed, dev_closed, dev_printed = _single_operator_route(j, pf, spec, TAU)
+        generic, closed, dev_closed, dev_printed = _single_operator_route(j, pf, TAU)
         assert evo.generic.tau.tobytes() == generic.tau.tobytes()
         assert evo.generic.X[k].tobytes() == generic.X.tobytes()
         assert evo.generic.norms[k].tobytes() == generic.norms.tobytes()

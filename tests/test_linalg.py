@@ -197,10 +197,10 @@ def test_jacobi_stack_is_bitwise_the_list_route(n):
 
 
 @pytest.mark.parametrize("j", [1, 2])
-def test_jacobi_stack_on_the_verify_norm_stacks(reference_pf, reference_spectrum, j):
+def test_jacobi_stack_on_the_verify_norm_stacks(reference_pf, j):
     from pfcircuit.heisenberg import evolve_observable
     n_op = reference_pf.N1 if j == 1 else reference_pf.N2
-    X = evolve_observable(n_op, reference_pf, reference_spectrum, np.linspace(0.0, 3.0, 31)).X
+    X = evolve_observable(n_op, reference_pf, np.linspace(0.0, 3.0, 31)).X
     ata = np.swapaxes(X, 1, 2) @ X
     for k, x in enumerate(X):
         assert ata[k].tobytes() == (x.T @ x).tobytes()

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from conftest import sample_accepted
 from pfcircuit import (
@@ -125,8 +126,14 @@ def test_metric_operators(reference_pf, reference_T):
     assert np.all(np.linalg.eigvalsh(reference_pf.S_phi) > 0.0)
 
 
+def _n_hats(pf):
+    """n_hat_j = S_psi^{1/2} N_j S_phi^{1/2}, with the roots taken by scipy, not by Jacobi."""
+    root_psi, root_phi = sqrtm(pf.S_psi), sqrtm(pf.S_phi)
+    return {"n_hat1": root_psi @ pf.N1 @ root_phi, "n_hat2": root_psi @ pf.N2 @ root_phi}
+
+
 def test_n_hat_symmetric_with_binary_spectrum(reference_pf):
-    for nh in (reference_pf.n_hat1, reference_pf.n_hat2):
+    for nh in _n_hats(reference_pf).values():
         assert np.linalg.norm(nh - nh.T) < 1e-9 * np.linalg.norm(nh)
         eigs = np.sort(np.linalg.eigvalsh((nh + nh.T) / 2.0))
         np.testing.assert_allclose(eigs, [0.0, 0.0, 1.0, 1.0], atol=1e-9)
@@ -152,7 +159,7 @@ def test_pf_verify_localizes_injected_fault(
     T = reference_T
     corrupted = T.copy()
     corrupted[0, 0] += 1e-3
-    report = pf_verify(build_pf(build_bases(corrupted), reference_spectrum),
+    report = pf_verify(build_pf(build_bases(corrupted, reference_spectrum), reference_spectrum),
                        liouvillian=reference_generator)
     failed = report.failed()
     assert failed, "fault went unnoticed"
@@ -176,9 +183,10 @@ def test_operator_spectra_gauge_invariant(reference_model):
         a, b = getattr(first, attr), getattr(second, attr)
         assert np.linalg.norm(a - b) < 1e-9 * np.linalg.norm(a)
     # the symmetrized number operators change but stay isospectral
+    n_hats = [_n_hats(system) for system in systems]
     for attr in ("n_hat1", "n_hat2"):
-        wa = np.sort(np.linalg.eigvalsh(getattr(first, attr)))
-        wb = np.sort(np.linalg.eigvalsh(getattr(second, attr)))
+        wa = np.sort(np.linalg.eigvalsh(n_hats[0][attr]))
+        wb = np.sort(np.linalg.eigvalsh(n_hats[1][attr]))
         np.testing.assert_allclose(wa, wb, atol=1e-9)
     # ladder operators are nilpotent in every gauge (eigenvalues of a nilpotent
     # matrix are numerically ill-conditioned, hence the loose tolerance)
