@@ -18,7 +18,10 @@ metric or a vanishing printed coefficient denominator in verify, a
 generator that the operator system fails to reconstruct
 (ReconstructionFailure), or a
 simulate/adjoint/h0/heisenberg/verify series that overflows (inf/nan) on the
-tau grid, which is refused before any file is written.
+tau grid, which is refused before any file is written.  A sweep point
+that validate accepts but whose spectrum is refused keeps its regime columns
+and leaves the asymptotic ones blank; the sweep goes on.  verify's RK4
+oracle picks its own step from the generator (see dynamics.evolve_rk4).
 All outputs are deterministic: fixed float formatting, fixed key and row
 ordering.
 """
@@ -62,6 +65,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 
+#: refusals that put a point outside the regime the model handles: exit 3 for
+#: a single point, blank asymptotic columns for a sweep point
+_REGIME_REFUSALS = (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate)
+
 
 class ConfigError(ValueError):
     pass
@@ -82,7 +89,6 @@ class RunConfig:
     gauge: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     tau_max: float = 5.0
     samples: int = 1001
-    rk4_step: float = 1e-3
     output_dir: str = "."
     format: str = "csv"
     mu_range: tuple[float, float, int] | None = None
@@ -95,10 +101,8 @@ class RunConfig:
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.samples < 2:
             raise ConfigError(f"samples must be >= 2, got {self.samples}")
-        for name in ("tau_max", "rk4_step"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if not (self.tau_max > 0.0 and math.isfinite(self.tau_max)):
+            raise ConfigError(f"tau_max must be finite and > 0, got {self.tau_max}")
         if not all(math.isfinite(g) for g in self.gauge):
             raise ConfigError(f"gauge scales must be finite, got {self.gauge}")
         for name in ("mu_range", "gamma_range"):
@@ -131,7 +135,7 @@ _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 #: separator of its flag text and one parser per element
 _FIELD_PARSERS = {
     "mode": str, "format": str, "output_dir": str, "samples": int,
-    **dict.fromkeys(("mu", "gamma", "L", "C", "R", "M", "i1", "tau_max", "rk4_step"), float),
+    **dict.fromkeys(("mu", "gamma", "L", "C", "R", "M", "i1", "tau_max"), float),
     "gauge": (",", (float,) * 4),
     "mu_range": (":", (float, float, int)),
     "gamma_range": (":", (float, float, int)),
@@ -340,7 +344,7 @@ def cmd_h0(cfg: RunConfig) -> int:
 
 def cmd_heisenberg(cfg: RunConfig) -> int:
     model = _model(cfg)
-    tau = np.linspace(0.0, min(cfg.tau_max, 3.0), min(cfg.samples, 61))
+    tau = np.linspace(0.0, min(cfg.tau_max, heis.TAU_END), min(cfg.samples, 61))
     evo = heis.number_evolution(model.pf, tau)
     bound = heis.growth_bound_report(evo, model.spec)
     out = Path(cfg.output_dir)
@@ -356,7 +360,7 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report = run_verification_suite(_model(cfg), _tau_grid(cfg), cfg.rk4_step)
+    report = run_verification_suite(_model(cfg), _tau_grid(cfg))
     _save(Path(cfg.output_dir) / "verify_report.json", _json_text(report.to_dict()))
     n_asserted = sum(1 for c in report.checks.values() if c.passed is not None)
     failed = report.failed()
@@ -396,8 +400,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 str(regime.coupling_nonzero),
                 str(regime.accepted),
             ]
-            if regime.accepted:
-                gl = obs.classify_asymptotics(model.spec, model.derived, model.params)
+            try:
+                gl = (obs.classify_asymptotics(model.spec, model.derived, model.params)
+                      if regime.accepted else None)
+            except _REGIME_REFUSALS:
+                gl = None
+            if gl is not None:
                 row += [
                     _fmt(gl.l4), str(gl.power_window_ok),
                     "imaginary" if gl.energy_lower is None else _fmt(gl.energy_lower),
@@ -430,7 +438,7 @@ def _make_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override it")
     shared.add_argument("--mode", choices=["normalized", "physical"])
-    for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples", "rk4-step"):
+    for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples"):
         shared.add_argument(f"--{flag}")
     shared.add_argument("--gauge", help="four comma-separated column scales")
     shared.add_argument("--output", dest="output_dir", metavar="DIR", help="output directory")
@@ -456,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate) as exc:
+    except _REGIME_REFUSALS as exc:
         print(f"regime rejected: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except (SingularMatrix, NotSPD, SeriesOverflow, ZeroSigma, ReconstructionFailure) as exc:

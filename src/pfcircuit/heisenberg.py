@@ -39,6 +39,10 @@ __all__ = [
     "effective_hamiltonian_route_residual",
 ]
 
+#: end of the tau grid on which verify and the heisenberg command evolve
+#: observables (the command stops at tau_max when that is earlier)
+TAU_END = 3.0
+
 
 @dataclass(frozen=True)
 class ObservableTrajectory:

@@ -20,12 +20,11 @@ from .model import Model
 
 
 def run_verification_suite(
-    model: Model, tau: np.ndarray, rk4_step: float, seed: int = 20260810
+    model: Model, tau: np.ndarray, seed: int = 20260810
 ) -> pfalgebra.VerificationReport:
     """Every asserted identity across the package, plus the reported channels.
 
-    ``tau`` is the sample grid of the dynamics checks and ``rk4_step`` the
-    target step of the RK4 oracle on it.
+    ``tau`` is the sample grid of the dynamics checks.
     """
     params, derived, spec, gen = model.params, model.derived, model.spec, model.generator
     pair, pf, psi0, coeffs = model.pair, model.pf, model.psi0, model.coeffs
@@ -64,8 +63,7 @@ def run_verification_suite(
         "dynamics/initial_state_reconstruction",
         float(np.linalg.norm(closed.states[0] - psi0)
               / max(1.0, np.linalg.norm(psi0))), 1e-12)
-    substeps = max(1, round((tau[1] - tau[0]) / rk4_step))
-    rk4 = dyn.evolve_rk4(gen, psi0, tau, substeps=substeps)
+    rk4 = dyn.evolve_rk4(gen, psi0, tau)
     rel = np.linalg.norm(closed.states - rk4.states, axis=1) / row_scale
     report.add("dynamics/closed_vs_rk4_max_rel", float(np.max(rel)), 1e-6)
 
@@ -138,7 +136,7 @@ def run_verification_suite(
                en.rewrite_max_relative_deviation, None)
 
     # --- heisenberg ---
-    evo = heis.number_evolution(pf, np.linspace(0.0, 3.0, 31))
+    evo = heis.number_evolution(pf, np.linspace(0.0, heis.TAU_END, 31))
     for j, deviation in enumerate(evo.max_relative_deviation, 1):
         report.add(f"heisenberg/number_two_path_N{j}", deviation, 1e-8)
     for j, deviation in enumerate(evo.printed_order_max_relative_deviation, 1):
@@ -150,7 +148,7 @@ def run_verification_suite(
     for _ in range(20):
         x_random = rng.standard_normal((4, 4))
         state = rng.standard_normal(4)
-        t = float(rng.uniform(0.0, 3.0))
+        t = float(rng.uniform(0.0, heis.TAU_END))
         expectation = max(expectation,
                           heis.expectation_consistency_residual(x_random, state, pf, t))
     report.add("heisenberg/expectation_consistency_max", expectation, 1e-8)

@@ -18,7 +18,7 @@ from pfcircuit import (Gauge, Model, derive, energy, normalized, number_evolutio
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
 from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
-from pfcircuit.errors import NotSPD, SingularMatrix, ZeroSigma
+from pfcircuit.errors import NearDegenerate, NotSPD, SingularMatrix, ZeroSigma
 
 
 def run(tmp_path, *args):
@@ -211,8 +211,8 @@ def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
 
     real_suite = cli_mod.run_verification_suite
 
-    def failing_suite(model, tau, rk4_step, seed=0):
-        report = real_suite(model, tau, rk4_step, seed=seed)
+    def failing_suite(model, tau, seed=0):
+        report = real_suite(model, tau, seed=seed)
         report.add("injected_failure", 1.0, 1e-12)
         return report
 
@@ -398,6 +398,17 @@ def test_gauge_check_relative_to_the_run_gauge(tmp_path):
                "--gauge", ",".join(map(repr, gauge.tolist()))) == EXIT_OK
 
 
+def test_rk4_oracle_refines_its_step_at_large_l4(tmp_path):
+    # l4 = 44.95: a fixed step of 1e-3 misses by 7.4e-6, so the oracle must
+    # refine its step to stay near its 1e-7 target
+    mu, gamma = 0.245, 44.977
+    gauge = 1.0 / np.linalg.norm(Model(normalized(mu, gamma)).T, axis=0)
+    assert run(tmp_path, "verify", "--mu", repr(mu), "--gamma", repr(gamma),
+               "--gauge", ",".join(map(repr, gauge.tolist()))) == EXIT_OK
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["dynamics/closed_vs_rk4_max_rel"]["residual"] <= 2e-7
+
+
 def test_physical_point_with_ill_conditioned_metric_verifies(tmp_path):
     # kappa(T) ~ 5e3: S_phi = T T^+ fails the inversion test, its inverse S_psi
     # taken from T^-1 does not need one
@@ -537,6 +548,23 @@ def test_sweep_matches_direct_evaluation(tmp_path):
             assert row["l4"] == ""
 
 
+def test_sweep_keeps_refused_points(tmp_path):
+    # above gamma ~ 1.4e4 the spectrum is refused as near-degenerate (or l1
+    # cancels); those points keep validate's columns and leave the rest blank
+    assert run(tmp_path, "sweep", "--mu-range", "0.05:0.95:10",
+               "--gamma-range", "1:20000:10") == EXIT_OK
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 101
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    refused = [row for row in rows if row["accepted"] == "True" and row["l4"] == ""]
+    assert len(refused) == 25
+    for row in refused:
+        with pytest.raises(NearDegenerate):
+            spectrum(derive(normalized(float(row["mu"]), float(row["gamma"]))))
+        assert row["rho"] != "" and all(row[name] == "" for name in header[8:])
+
+
 def test_sweep_requires_ranges(tmp_path):
     assert run(tmp_path, "sweep", "--mu", "0.5", "--gamma", "3") == EXIT_CONFIG
 
@@ -576,7 +604,7 @@ def test_config_errors(tmp_path, capsys):
         assert capsys.readouterr().err \
             == "configuration error: normalized mode requires mu and gamma\n"
     # malformed values are refused by name, whether a flag or the file carries them
-    for flags in (["--gauge", "a,1,1,1"], ["--tau-max", "inf"], ["--rk4-step", "inf"]):
+    for flags in (["--gauge", "a,1,1,1"], ["--tau-max", "inf"]):
         assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", *flags) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: ")
     for entry in ({"samples": "many"}, {"tau_max": None}, {"gauge": ["x", 1, 1, 1]}):
@@ -584,6 +612,12 @@ def test_config_errors(tmp_path, capsys):
         config.write_text(json.dumps({"mu": 0.5, "gamma": 3.0, **entry}))
         assert run(tmp_path, "simulate", "--config", str(config)) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: ")
+    # the RK4 oracle picks its own step, so no flag or field sets it
+    step = tmp_path / "step.json"
+    step.write_text(json.dumps({"mu": 0.5, "gamma": 3.0, "rk4_step": 1e-3}))
+    assert run(tmp_path, "verify", "--config", str(step)) == EXIT_CONFIG
+    assert capsys.readouterr().err \
+        == "configuration error: unknown config fields: ['rk4_step']\n"
     # a number given as a string is read as its flag would be
     text_gamma = tmp_path / "text_gamma.json"
     text_gamma.write_text(json.dumps({"mu": 0.5, "gamma": "3", "samples": 5}))
@@ -624,7 +658,7 @@ def _parser_one_flag_set_per_command():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--mode", choices=["normalized", "physical"])
-        for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples", "rk4-step"):
+        for flag in ("mu", "gamma", "L", "C", "R", "M", "i1", "tau-max", "samples"):
             p.add_argument(f"--{flag}")
         p.add_argument("--gauge", help="four comma-separated column scales")
         p.add_argument("--output", dest="output_dir", metavar="DIR", help="output directory")

@@ -197,13 +197,16 @@ def test_rk4_diagonal_decay():
     np.testing.assert_allclose(traj.states[1], np.exp(rates), atol=1e-10)
 
 
-def test_rk4_order_of_convergence(reference_generator):
+def test_rk4_order_of_convergence(reference_generator, monkeypatch):
+    # on [0, 1] at the reference point the error-model bound (about 7.9e-3) is
+    # above both steps, so each run takes 1/RK4_DEFAULT_STEP substeps
     psi0 = initial_state(1.0)
     grid = np.array([0.0, 1.0])
     exact = None
     errors = []
-    for substeps in (500, 1000):
-        approx = evolve_rk4(reference_generator, psi0, grid, substeps=substeps)
+    for step in (2e-3, 1e-3):
+        monkeypatch.setattr(dyn, "RK4_DEFAULT_STEP", step)
+        approx = evolve_rk4(reference_generator, psi0, grid)
         if exact is None:
             from scipy.linalg import expm as scipy_expm
             exact = scipy_expm(reference_generator) @ psi0
@@ -213,7 +216,8 @@ def test_rk4_order_of_convergence(reference_generator):
 
 
 def _stage_rk4(m, y, tau):
-    """Reference RK4 in stage form, default substeps, one step at a time."""
+    """Reference RK4 in stage form at RK4_DEFAULT_STEP, the step evolve_rk4 takes at the
+    reference point, one step at a time."""
     states = [y]
     for span in np.diff(tau):
         n_sub = max(1, round(span / dyn.RK4_DEFAULT_STEP))
@@ -236,12 +240,6 @@ def test_rk4_propagator_equals_stage_form(reference_generator, grid):
     states = evolve_rk4(reference_generator, psi0, grid).states
     rel = np.linalg.norm(states - expected, axis=1) / np.linalg.norm(expected, axis=1)
     assert np.max(rel) <= 1e-13
-
-
-def test_rk4_rejects_bad_substeps(reference_generator):
-    with pytest.raises(ValueError):
-        evolve_rk4(reference_generator, initial_state(1.0), np.array([0.0, 1.0]),
-                   substeps=0)
 
 
 def test_empty_grid_rejected(reference_coefficients, reference_pair,
