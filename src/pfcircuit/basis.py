@@ -141,16 +141,17 @@ def frame_bounds(
 ) -> dict:
     """Numerical frame-bound evidence for the phi family.
 
-    For random unit vectors f, sum_kn |<phi_kn, f>|^2 equals <f, S_phi f> and
-    must lie within the extreme eigenvalues of S_phi, i.e. [1/||S_psi||,
-    ||S_phi||], with S_psi = S_phi^-1 given as in :func:`metric_map_check`.
-    Returns the measured extremes together with the bounds.
+    For normalised probe vectors f (rows of :func:`linalg.probes` scaled to
+    unit length), sum_kn |<phi_kn, f>|^2 equals <f, S_phi f> and must lie
+    within the extreme eigenvalues of S_phi, i.e. [1/||S_psi||, ||S_phi||],
+    with S_psi = S_phi^-1 given as in :func:`metric_map_check`.  Returns the
+    measured extremes together with the bounds.
     """
     S_phi = linalg.as_square(S_phi, 4)
     S_psi = linalg.as_square(S_psi, 4)
     upper = linalg.spectral_norm(S_phi)
     lower = 1.0 / linalg.spectral_norm(S_psi)
-    f = np.random.default_rng(seed).standard_normal((n_samples, 4))
+    f = linalg.probes(seed, (n_samples, 4))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     values = np.sum((f @ pair.phi) ** 2, axis=1)
     lowest, highest = float(np.min(values)), float(np.max(values))

@@ -29,6 +29,7 @@ ordering.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -58,7 +59,7 @@ from .errors import (
 from .model import Model
 from .params import CircuitParams, normalized, validate
 from .pfalgebra import Gauge
-from .verify import run_verification_suite
+from .verify import SLOPE_TAIL, run_verification_suite, slope_tail
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -360,7 +361,17 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report = run_verification_suite(_model(cfg), _tau_grid(cfg))
+    tau = _tau_grid(cfg)
+    held = int(np.count_nonzero(slope_tail(tau)))
+    if held < 2:
+        # a line through fewer than two points is not a slope
+        needed = next(n for n in itertools.count(cfg.samples + 1)
+                      if np.count_nonzero(slope_tail(np.linspace(0.0, cfg.tau_max, n))) >= 2)
+        raise ConfigError(
+            f"verify fits its log slopes on tau >= {SLOPE_TAIL:g}*tau_max = "
+            f"{SLOPE_TAIL * cfg.tau_max:g}, which holds {held} of {cfg.samples} "
+            f"samples; the fit needs 2, so use --samples {needed} or more")
+    report = run_verification_suite(_model(cfg), tau)
     _save(Path(cfg.output_dir) / "verify_report.json", _json_text(report.to_dict()))
     n_asserted = sum(1 for c in report.checks.values() if c.passed is not None)
     failed = report.failed()

@@ -8,12 +8,15 @@ eigensolver is a cyclic Jacobi sweep so that square roots and spectral norms do
 not depend on the same LAPACK path the tests compare against.  The Jacobi
 eigensolver and the spectral norm also take an (m, n, n) stack, which they
 solve in one pass with the stack on the last axis; each member gets bit for bit
-what the single-matrix route gives it.
+what the single-matrix route gives it.  Probe vectors for the numerical checks
+come from :func:`probes`, which reads the stdlib generator, so no command
+loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "jacobi_eigh",
     "sqrtm_spd",
     "spectral_norm",
+    "probes",
 ]
 
 #: relative determinant threshold for the regularity test in :func:`inverse`
@@ -267,3 +271,15 @@ def spectral_norm(a):
     m = as_square(m)
     w, _ = jacobi_eigh(m.T @ m)
     return float(math.sqrt(max(w[-1], 0.0)))
+
+
+def probes(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Deterministic probe values, uniform on [-1, 1), in an array of ``shape``.
+
+    Each value takes the top 53 bits of one little-endian 64-bit word of
+    ``random.Random(seed).randbytes``.  The integer-to-float arithmetic is
+    exact, so the bits follow the seed alone and not numpy's SIMD paths.
+    """
+    n = math.prod(shape)
+    words = np.frombuffer(random.Random(seed).randbytes(8 * n), "<u8")
+    return ((words >> 11) * 2.0 ** -52 - 1.0).reshape(shape)

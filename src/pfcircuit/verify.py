@@ -18,6 +18,14 @@ from . import pfalgebra
 from .errors import SeriesOverflow
 from .model import Model
 
+#: the log-slope checks fit the grid's tail tau >= SLOPE_TAIL * tau_max
+SLOPE_TAIL = 0.8
+
+
+def slope_tail(tau: np.ndarray) -> np.ndarray:
+    """Mask of the grid samples that the log-slope checks fit a line through."""
+    return tau >= SLOPE_TAIL * tau[-1]
+
 
 def run_verification_suite(
     model: Model, tau: np.ndarray, seed: int = 20260810
@@ -41,10 +49,8 @@ def run_verification_suite(
                float(np.max(basis_mod.metric_map_check(pair, pf.S_phi, pf.S_psi))), 1e-9)
     frame = basis_mod.frame_bounds(pair, pf.S_phi, pf.S_psi, seed=seed)
     report.add("basis/frame_bounds_within", 0.0 if frame["within_bounds"] else 1.0, 0.0)
-    rng = np.random.default_rng(seed)
     recon_res = 0.0
-    for _ in range(10):
-        v = rng.standard_normal(4)
+    for v in linalg.probes(seed, (10, 4)):
         w = basis_mod.expand(pair, v)
         recon_res = max(recon_res,
                         float(np.linalg.norm(basis_mod.reconstruct(pair, w) - v)
@@ -124,7 +130,7 @@ def run_verification_suite(
     if gl.measurement_consistent is not None:
         report.add("observables/power_tail_signs_match_prediction",
                    0.0 if gl.measurement_consistent else 1.0, 0.0)
-    tail = tau >= 0.8 * tau[-1]
+    tail = slope_tail(tau)
     if abs(coeffs.c11) > obs.C11_THRESHOLD:
         slope_p1 = np.polyfit(tau[tail], np.log(np.abs(pw.p1[tail])), 1)[0]
         slope_e1 = np.polyfit(tau[tail], np.log(np.maximum(en.e1[tail], 1e-300)), 1)[0]
@@ -143,14 +149,12 @@ def run_verification_suite(
         report.add(f"heisenberg/reported_printed_order_deviation_N{j}", deviation, None)
     prod_res = max(heis.product_formula_residual(pf, t) for t in (0.5, 1.3, 2.7))
     report.add("heisenberg/product_formula", prod_res, 1e-9)
-    rng = np.random.default_rng(seed + 1)
     expectation = 0.0
-    for _ in range(20):
-        x_random = rng.standard_normal((4, 4))
-        state = rng.standard_normal(4)
-        t = float(rng.uniform(0.0, heis.TAU_END))
-        expectation = max(expectation,
-                          heis.expectation_consistency_residual(x_random, state, pf, t))
+    # each row: the observable X (16 values), the state (4) and u for t in [0, TAU_END)
+    for row in linalg.probes(seed + 1, (20, 21)):
+        t = float(row[20] + 1.0) * heis.TAU_END / 2.0
+        expectation = max(expectation, heis.expectation_consistency_residual(
+            row[:16].reshape(4, 4), row[16:20], pf, t))
     report.add("heisenberg/expectation_consistency_max", expectation, 1e-8)
     bound = heis.growth_bound_report(evo, spec)
     finite = np.isfinite(bound.bound_constant_1) and np.isfinite(bound.bound_constant_2)

@@ -4,7 +4,10 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -204,6 +207,36 @@ def test_verify_zero_initial_current(tmp_path):
     # the zero trajectory satisfies every identity; no relative residual may divide by 0
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3", "--i1", "0",
                "--samples", "201") == EXIT_OK
+
+
+def test_verify_refuses_a_slope_tail_of_one_sample(tmp_path, capsys):
+    # tau >= 0.8 * 5 holds only tau = 5 of [0, 2.5, 5]: polyfit warned twice and
+    # the slope checks read 2.7; pytest's filterwarnings = error catches a warning
+    out = tmp_path / "out"
+    assert main(["verify", "--mu", "0.5", "--gamma", "3", "--samples", "3",
+                 "--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: verify fits its log slopes on tau >= 0.8*tau_max")
+    assert "holds 1 of 3 samples" in err and "--samples 6" in err
+    assert not out.exists()
+    assert main(["verify", "--mu", "0.5", "--gamma", "3", "--samples", "6",
+                 "--output", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+
+
+_COMMAND_ARGS = {name: ["--mu-range", "0.1:0.9:3", "--gamma-range", "1:5:3"] if name == "sweep"
+                 else ["--mu", "0.5", "--gamma", "3"] for name in cli_mod._COMMANDS}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_command_leaves_numpy_random_unloaded(tmp_path, command):
+    # a fresh interpreter, because these tests themselves import numpy.random
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\nfrom pfcircuit.cli import main\n"
+              f"code = main({[command, *_COMMAND_ARGS[command], '--output', str(tmp_path)]!r})\n"
+              "print(code, 'numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
@@ -478,7 +511,7 @@ _PINNED_SHA256 = {
             "ef6efe1921c4a05cac75c095c9309bf01cc61c67b572054b843a4f10a42e0051",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("reference", "verify"): {
-        "verify_report.json": "083eaf4dec9765ae14278eeac5eb5ef0070adbf8991ca722596625ba8a3a92d1",
+        "verify_report.json": "e644ba0a587347067dc723310aafca7182487e390ae0663ade7ae5cbcdfcc9d0",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("gauge", "heisenberg"): {
         "heisenberg.csv": "ef3865f927ab58da441c252ce31614a0d87e13d4ac6543bd3a4378041b525f1f",
@@ -486,7 +519,7 @@ _PINNED_SHA256 = {
             "68f5eee533a6c3b740bb0b9787ce9900a3571bac11017b54cc093d7b26f7625f",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("gauge", "verify"): {
-        "verify_report.json": "824e91b309c25d2f90a12cbe9997db5521115a741e586677067e5cf53f873480",
+        "verify_report.json": "71a55e230ec205854927ab53b9949f20ddb83b7755c8fe37e160a11e65e254e1",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("physical", "heisenberg"): {
         "heisenberg.csv": "541f697da018352bc243af157777ced9b5b3d9ff500beb44c7b2ae1fd3fb650a",
@@ -494,7 +527,7 @@ _PINNED_SHA256 = {
             "5ac5d32c22cc4eeb449f3e6896a27f93ab09ecf6cd0fc0b4d5e01e44cd58b750",
         "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
     ("physical", "verify"): {
-        "verify_report.json": "92bcc860ffc973dd6bf181440c063e149458372308bb247fa510a8b3a96c019e",
+        "verify_report.json": "ae67c444521ffa180b92244ea1dc58210fb1aca899f617e81b695b1ea7d7c2ea",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("reference", "adjoint"): {
         "adjoint.csv": "9ec912ec06372aaf69012c0e4348b4b2fe0a62838fbda06da0f42b0f39f73bac",

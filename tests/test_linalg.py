@@ -233,3 +233,25 @@ def test_spectral_norm_stack_refuses_overflow():
     for stack in (finite, bad):
         with pytest.raises(SeriesOverflow, match="overflow"):
             linalg.spectral_norm(stack)
+
+
+def test_probes_repeat_for_one_seed():
+    assert linalg.probes(7, (10, 4)).tobytes() == linalg.probes(7, (10, 4)).tobytes()
+
+
+def test_probes_shape_and_range():
+    p = linalg.probes(3, (50, 21))
+    assert p.shape == (50, 21) and p.dtype == np.float64
+    assert np.all(p >= -1.0) and np.all(p < 1.0)
+    assert p.min() < -0.99 and p.max() > 0.99
+
+
+def test_probes_differ_between_seeds():
+    assert not np.any(linalg.probes(1, (4, 4)) == linalg.probes(2, (4, 4)))
+
+
+def test_probes_pinned_for_the_verify_seed():
+    # verify's bytes follow these values; a Python or numpy change must not move them
+    first = [float(x).hex() for x in linalg.probes(20260810, (2, 3)).ravel()]
+    assert first == ["0x1.c08e6f094ab54p-1", "-0x1.290f4ee79c564p-2", "-0x1.93dddeffb5bc0p-5",
+                     "0x1.32f909e0ddcf8p-3", "-0x1.430509667ce00p-3", "-0x1.9e2f5bfc1eed0p-1"]
