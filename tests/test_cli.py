@@ -541,6 +541,39 @@ _PINNED_SHA256 = {
         "adjoint.csv": "aa3fbea166a1363f684434a0994f52f9b880635804baadd23eaf5da909c00a57",
         "adjoint_report.json": "77555ad02df0fa9493d274b19918283b1708e5a30166f23add402f24aa2cddf3",
         "stdout": "6aa5c57f0078fc8aafe8560699f03e1822eaa8b6f5e17e94530bb6a2a9103586"},
+    ("reference", "simulate"): {
+        "trajectory.csv": "de449ef45beccecefb03ce373e0b8c1a147b3d1cd70fffdef7af3821095da1ef",
+        "plot_data.dat": "50a85ca7c9cc725d0efa767d30d8857c6780e1e5494f7a08b3c53006800361fa",
+        "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
+    ("gauge", "simulate"): {
+        "trajectory.csv": "47dc6099c7eb0fc1f9e1e296f58ec0463decd1b5b5abfcc2e5a112848882acc5",
+        "plot_data.dat": "feeb0bd46fe8c390201d84c948ea090f04e386423bd1fde0f85bd56e656ba670",
+        "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
+    ("physical", "simulate"): {
+        "trajectory.csv": "e7c77bc8fad362a5dad920a92068397aa1dae501069ec7c34c76e6e889b03c28",
+        "plot_data.dat": "654f78bf3cdd1fcfdffd91f3b9dddbfdebc6391323fec6f07ed26108943fea15",
+        "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
+    ("reference", "simulate-json"): {
+        "trajectory.json": "7bcbd456e76280dd3a447ba21e6f6b5b89b21bb90c1dbea87d34165fbf9ed1e0",
+        "plot_data.dat": "50a85ca7c9cc725d0efa767d30d8857c6780e1e5494f7a08b3c53006800361fa",
+        "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
+    ("gauge", "simulate-json"): {
+        "trajectory.json": "62868758fffcb4c6eadd660760f0c02a1490fb2d9b201981b5cb7505b77fc443",
+        "plot_data.dat": "feeb0bd46fe8c390201d84c948ea090f04e386423bd1fde0f85bd56e656ba670",
+        "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
+    ("physical", "simulate-json"): {
+        "trajectory.json": "ba4984a6f3d2dadc6d92ca899fb75e62be92baa957a2a6cdd7194b15c5b2a153",
+        "plot_data.dat": "654f78bf3cdd1fcfdffd91f3b9dddbfdebc6391323fec6f07ed26108943fea15",
+        "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
+    ("reference", "h0"): {
+        "h0.csv": "1cc50e32e5fbbcc2788e084036e6dbd499343898e0483138fe8d70685d6c0004",
+        "stdout": "fad924da5b4efb3e4114225968a70d2d847f0aeb10c8493a693c97f1debcacaa"},
+    ("gauge", "h0"): {
+        "h0.csv": "1cc50e32e5fbbcc2788e084036e6dbd499343898e0483138fe8d70685d6c0004",
+        "stdout": "fad924da5b4efb3e4114225968a70d2d847f0aeb10c8493a693c97f1debcacaa"},
+    ("physical", "h0"): {
+        "h0.csv": "dc95524497db1718c412e856b8848404bce636306d97fe07a3a00f64c29d4f2d",
+        "stdout": "afc0603bca20ac9d6cd909b4d68dd896c021f70ead0d4e2119151144a09d9590"},
 }
 
 _PINNED_POINTS = {
@@ -549,12 +582,16 @@ _PINNED_POINTS = {
     "physical": ["--mode", "physical", "--L", "2", "--C", "0.5", "--R", "0.2", "--M", "0.7"],
 }
 
+#: argv of a pinned command whose key is not the command's own name
+_PINNED_ARGV = {"simulate-json": ["simulate", "--format", "json"]}
+
 
 @pytest.mark.parametrize(("point", "command"), list(_PINNED_SHA256),
                          ids=[f"{p}-{c}" for p, c in _PINNED_SHA256])
 def test_artifact_bytes_pinned(tmp_path, monkeypatch, capsys, point, command):
     monkeypatch.chdir(tmp_path)
-    assert main([command, *_PINNED_POINTS[point], "--output", "."]) == EXIT_OK
+    argv = _PINNED_ARGV.get(command, [command])
+    assert main([*argv, *_PINNED_POINTS[point], "--output", "."]) == EXIT_OK
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in _PINNED_SHA256[point, command] if name != "stdout"}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
