@@ -251,11 +251,30 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-#: samples formatted at a time by simulate: each block's strings go to
-#: trajectory.csv and into the plot rows before the next block is formatted,
-#: because holding all 11 n value strings at once raised the peak RSS of a
-#: 5,001-sample run by about 8%
-_BLOCK_ROWS = 128
+#: rows per dyn.format_floats call and per written piece of CSV text: larger
+#: blocks make fewer numpy calls, smaller ones smaller temporaries
+_BLOCK_ROWS = 256
+
+
+def _rows_text(fields: np.ndarray) -> str:
+    """CSV rows of a (rows, columns) block of ``dyn.format_floats`` fields."""
+    rows, cols = fields.shape
+    template = (",".join(["%s"] * cols) + "\n").encode() * rows
+    return (template % tuple(fields.ravel().tolist())).decode("ascii")
+
+
+def _format_blocks(columns: list[np.ndarray]):
+    """The fields of each block of rows, each value formatted once."""
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield dyn.format_floats(np.stack([c[lo:lo + _BLOCK_ROWS] for c in columns], axis=1))
+
+
+def _save_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
+    """Write equal-length float series as a CSV file, one column each."""
+    with _open(path) as handle:
+        _write(handle, header + "\n")
+        for fields in _format_blocks(columns):
+            _write(handle, _rows_text(fields))
 
 
 def _write_json_columns(handle, columns: dict[str, np.ndarray]) -> None:
@@ -277,31 +296,32 @@ def cmd_simulate(cfg: RunConfig) -> int:
     model = _model(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = model.evolve(_tau_grid(cfg))
-        pw = obs.power(traj, model.params, model.derived)
-        en = obs.energy(traj, model.params)
-    columns = dyn.trajectory_columns(traj, pw, en)
+        # only the written series outlive this line, not the powers' and
+        # energies' comparison channels
+        columns = dyn.trajectory_columns(traj, obs.power(traj, model.params, model.derived),
+                                         obs.energy(traj, model.params))
     SeriesOverflow.check(cfg.tau_max, *columns.values())
     out = Path(cfg.output_dir)
-    # plot_data.dat is series-major, so its rows wait until every block is formatted
-    plot_parts = {name: [] for name in columns if name != "tau"}
+    # plot_data.dat is series-major, so each block's fields are kept until
+    # every block is formatted, as one small contiguous copy per series: the
+    # allocator fits those into free heap better than whole blocks
+    kept = [[] for _ in columns]
     with _open(out / f"trajectory.{cfg.format}") as handle:
         if cfg.format == "csv":
             _write(handle, ",".join(columns) + "\n")
         else:
             _write_json_columns(handle, columns)
-        for lo in range(0, cfg.samples, _BLOCK_ROWS):
-            # every written value is formatted once; trajectory.csv and the plot rows share it
-            tau, *cells = (list(map(_fmt, c[lo:lo + _BLOCK_ROWS].tolist())) for c in columns.values())
+        for fields in _format_blocks(list(columns.values())):
+            for series, column in zip(kept, fields.T):
+                series.append(column.copy())
             if cfg.format == "csv":
-                _write(handle, dyn.csv_text([tau, *cells]))
-            for parts, series in zip(plot_parts.values(), cells):
-                parts.append(dyn.csv_text([tau, series]))
+                _write(handle, _rows_text(fields))
     with _open(out / "plot_data.dat") as handle:
         sep = ""  # a blank line between series blocks, none after the last
-        for name, parts in plot_parts.items():
+        for name, series in zip(list(columns)[1:], kept[1:]):
             _write(handle, f"{sep}# series {name}\ntau,{name}\n")
-            for part in parts:
-                _write(handle, part)
+            for tau, values in zip(kept[0], series):
+                _write(handle, _rows_text(np.stack((tau, values), axis=1)))
             sep = "\n"
     print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")
     return EXIT_OK
@@ -316,8 +336,7 @@ def cmd_adjoint(cfg: RunConfig) -> int:
         report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived)
     SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
     out = Path(cfg.output_dir)
-    _save(out / "adjoint.csv", "tau,x1,x2,x3,x4\n" + dyn.csv_text(
-        [map(_fmt, c.tolist()) for c in (tau, *xtraj.states.T)]))
+    _save_csv(out / "adjoint.csv", "tau,x1,x2,x3,x4", [tau, *xtraj.states.T])
     payload = {
         "identification": "strict (x -> I1, I2, -V1, -V2)" if report.strict
         else "extended (voltage components scaled by C*omega0)",
@@ -337,8 +356,7 @@ def cmd_h0(cfg: RunConfig) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         traj = dyn.evolve_h0(spec, np.ones(4), tau)
     SeriesOverflow.check(cfg.tau_max, traj.states)
-    _save(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4\n" + dyn.csv_text(
-        [map(_fmt, c.tolist()) for c in (tau, *traj.states.T)]))
+    _save_csv(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4", [tau, *traj.states.T])
     print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")
     return EXIT_OK
 
@@ -349,8 +367,8 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     evo = heis.number_evolution(model.pf, tau)
     bound = heis.growth_bound_report(evo, model.spec)
     out = Path(cfg.output_dir)
-    _save(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2\n" + dyn.csv_text(
-        [map(_fmt, c.tolist()) for c in (tau, *evo.generic.norms, *bound.ratios.T)]))
+    _save_csv(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2",
+              [tau, *evo.generic.norms, *bound.ratios.T])
     two_path, printed = evo.max_relative_deviation, evo.printed_order_max_relative_deviation
     payload = {**bound.to_dict(),
                "two_path_deviation_N1": two_path[0], "two_path_deviation_N2": two_path[1],

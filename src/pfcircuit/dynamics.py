@@ -15,6 +15,7 @@ this reproduces the plain I = V/R - C*dV/dt relations verbatim.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ __all__ = [
     "quartic_residual",
     "display_series",
     "trajectory_columns",
-    "csv_text",
     "format_float",
+    "format_floats",
 ]
 
 RK4_DEFAULT_STEP = 1e-3
@@ -445,13 +446,6 @@ def display_series(
     return {"V1": v1, "V2": v2, "I1": i1_weights @ exps, "I2": i2_weights @ exps}
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit formatting with negative zero normalized."""
-    if x == 0.0:
-        return "0"
-    return f"{x:.17g}"
-
-
 def trajectory_columns(traj: Trajectory, power=None, energy=None) -> dict[str, np.ndarray]:
     """The written series by name, in artifact column order: tau, states, currents, P, E."""
     columns = {
@@ -468,6 +462,175 @@ def trajectory_columns(traj: Trajectory, power=None, energy=None) -> dict[str, n
     return columns
 
 
-def csv_text(columns) -> str:
-    """CSV rows: a comma-joined, newline-ended line per sample of equal-length string columns."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+def format_float(x: float) -> str:
+    """17-significant-digit formatting with negative zero normalized."""
+    if x == 0.0:
+        return "0"
+    return f"{x:.17g}"
+
+
+#: the characters of one format_floats field: "%.17g" writes at most 24
+_FIELD = np.dtype("S24")
+
+# While it is built, a field is three little-endian 64-bit words, held as
+# the rows of a (3, n) array: byte i of the text is bits 8(i % 8) of word
+# i // 8, so moving text by whole bytes is a shift.
+_WORDS = np.dtype("<u8")
+
+
+def _words(fields: list[bytes]) -> np.ndarray:
+    """(3, n) words of n 24-byte fields."""
+    return np.frombuffer(b"".join(fields), _WORDS).reshape(-1, 3).T.copy()
+
+
+def _byte_masks(ends) -> np.ndarray:
+    """Per end e, the field whose bytes below e are 0xFF."""
+    return _words([b"\xff" * e + b"\0" * (24 - e) for e in ends])
+
+
+@functools.cache
+def _format_tables() -> dict[str, np.ndarray]:
+    """format_floats' lookup tables, built on its first call from Python bytes,
+    so that building them runs little numpy code."""
+    # quads: the four digits of 0..9999, then a last digit "d" at 10000 + d;
+    # sig: how many of those digits are left once trailing zeros go, -99 for none
+    quad = [b"%04d" % q for q in range(10000)]
+    sig = [len(q.rstrip(b"0")) or -99 for q in quad] + [-99] + [1] * 9
+    quads = np.frombuffer(b"".join(quad + [b"%d\0\0\0" % d for d in range(10)]), "<u4")
+    # one layout per (exponent X in -4..16, negative, decimal point): the
+    # sign and "0.000" lead, the shift that puts the digits after them, and
+    # the byte where the fraction begins; below X = 0 the point is in the
+    # lead, so both point entries are the same
+    const, shift, ends = [], [], []
+    for x in range(-4, 17):
+        lead = b"0." + b"0" * (-x - 1) if x < 0 else b""
+        for neg in (0, 1):
+            for point in (0, 1):
+                text = b"-" * neg + lead
+                cut = len(text) + x + 1 if point and x >= 0 else 24
+                const.append((text + b"\0" * (cut - len(text)) + b".").ljust(24, b"\0")[:24])
+                shift.append(8 * len(text))
+                ends.append(cut)
+    powers = [float(10**s) for s in range(22)]  # 10^(16 - e) for e >= -5, all exact
+    return {
+        "quads": quads, "sig": np.array(sig), "const": _words(const),
+        "shift": np.array(shift, np.uint64), "low": _byte_masks(ends),
+        "digits": _byte_masks(range(18)), "pow": np.array(powers),
+        "pow_hi": np.array([_SPLIT * p - (_SPLIT * p - p) for p in powers]),
+    }
+
+
+#: Veltkamp's splitting constant 2^27 + 1 for float64
+_SPLIT = 134217729.0
+#: 1.5 * 2^52: x + _RINT - _RINT rounds x to an integer, half to even
+_RINT = 6755399441055744.0
+
+
+def _below(hi: np.ndarray, lo: np.ndarray, bound: float) -> np.ndarray:
+    """hi + lo < bound exactly, for |lo| at most half an ulp of hi and an
+    integer bound that hi can equal."""
+    return (hi < bound) | ((hi == bound) & (lo < 0.0))
+
+
+def _round17(y: np.ndarray, e: np.ndarray, tables) -> tuple[np.ndarray, ...]:
+    """round(y * 10^(16 - e)) half to even, and where e is one too small or too large.
+
+    Dekker's product gives hi + lo = y * 10^(16 - e) exactly (numpy applies
+    every multiply on its own, never fused).  Where that lies in [1e16, 1e17),
+    hi >= 2^53 is an even integer, so hi + rint(lo) rounds the exact product;
+    adding and taking away 1.5 * 2^52 is rint for |lo| < 2^51.  e is one
+    too large where the exact product is below 1e16, and one too small where
+    the rounded digits reach 1e17 (hi is a multiple of 16 there).
+    """
+    b, b_hi = np.take(tables["pow"], 16 - e), np.take(tables["pow_hi"], 16 - e)
+    hi = y * b
+    y_hi = _SPLIT * y
+    y_hi -= y_hi - y
+    y_lo = y - y_hi
+    b -= b_hi
+    lo = y_hi * b_hi - hi
+    lo += y_hi * b
+    lo += y_lo * b_hi
+    lo += y_lo * b
+    below = _below(hi, lo, 1e16)
+    lo += _RINT
+    lo -= _RINT
+    above = ~_below(hi, lo, 1e17)
+    d = hi.astype(np.int64)
+    d += lo.astype(np.int64)
+    return d, above, below
+
+
+def _shift_bytes(words: np.ndarray, bits) -> None:
+    """Move (3, n) fields ``bits`` (a multiple of 8, below 64) towards their end, in place."""
+    carry = np.zeros_like(words)
+    carry[1:] = words[:-1]
+    carry >>= np.uint64(64) - bits
+    words <<= bits
+    words |= carry
+
+
+def format_floats(values) -> np.ndarray:
+    """format_float of every value, as ASCII bytes of dtype S24.
+
+    Values with 1e-4 <= |x| < 1e17 are exactly those that "%.17g" writes in
+    fixed notation, with a decimal exponent X in [-4, 16].  Their 17 digits
+    are round(|x| * 10^(16 - X)), from plain float64 arithmetic (_round17),
+    and are laid out from a table of 4-digit groups: X + 1 digits before the
+    point, or a "0." lead with -X - 1 zeros, trailing zeros dropped.  Zero
+    gives "0".  Every other value (|x| < 1e-4, |x| >= 1e17, inf and nan) is
+    handed to format_float one at a time.
+    """
+    tables = _format_tables()
+    x = np.asarray(values, dtype=np.float64).ravel()
+    mag = np.abs(x)
+    fast = ~(mag < 1e-4) & (mag < 1e17)  # false for nan
+    y = np.where(fast, mag, 1.0)
+    del mag
+    # floor(log10 y), or one off at a power of ten, which _round17 tells
+    e = (np.log10(y) + 5.0).astype(np.int64)
+    e -= 5
+    np.minimum(e, 16, out=e)
+    d, *wrong = _round17(y, e, tables)
+    for step, redo in zip((1, -1), map(np.flatnonzero, wrong)):
+        if redo.size:
+            e[redo] += step
+            d[redo] = _round17(y[redo], e[redo], tables)[0]
+    del y, wrong
+    # the 17 digits as groups of 4, 4, 4, 4 and 1, each half a word, and how
+    # many of them are left once trailing zeros go
+    words = np.zeros((3, x.size), _WORDS)
+    halves = words.view("<u4").reshape(3, x.size, 2)
+    significant = np.zeros_like(d)
+    for row, (scale, base) in enumerate(((10**13, 0), (10**9, 0), (10**5, 0), (10, 0), (1, 10000))):
+        group = d // scale
+        d -= group * scale
+        group += base
+        halves[row // 2, :, row % 2] = np.take(tables["quads"], group)
+        np.maximum(significant, np.take(tables["sig"], group) + 4 * row, out=significant)
+    del d, group
+    # the X + 1 integer digits keep their zeros; trailing fraction zeros go
+    whole = np.maximum(e + 1, 0)
+    words &= np.take(tables["digits"], np.maximum(significant, whole), axis=1)
+    # shift the digits past the sign and lead, then the fraction one byte
+    # further, and lay the sign, lead and point over them
+    layout = e + 4
+    layout *= 4
+    layout += np.where(x < 0, 2, 0)
+    layout += np.minimum(np.maximum(significant - whole, 0), 1)  # a fraction is left
+    del e, whole, significant
+    _shift_bytes(words, np.take(tables["shift"], layout))
+    low = np.take(tables["low"], layout, axis=1)
+    low &= words
+    words ^= low
+    _shift_bytes(words, np.uint64(8))
+    words |= low
+    del low
+    words |= np.take(tables["const"], layout, axis=1)
+    fields = np.empty((x.size, 3), _WORDS)
+    fields[...] = words.T
+    fields = fields.view(_FIELD).ravel()
+    fields[x == 0.0] = b"0"
+    rest = np.flatnonzero(~fast & (x != 0.0))
+    fields[rest] = [format_float(v) for v in x[rest].tolist()]
+    return fields.reshape(np.shape(values))

@@ -117,18 +117,23 @@ def _joined_artifacts(samples, gauge):
     strings = {name: [dyn.format_float(v) for v in c.tolist()] for name, c in columns.items()}
     tau = strings.pop("tau")
     return {
-        "trajectory.csv": ",".join(columns) + "\n" + dyn.csv_text([tau, *strings.values()]),
+        "trajectory.csv": "".join(",".join(row) + "\n"
+                                  for row in [list(columns), *zip(tau, *strings.values())]),
         "trajectory.json": json.dumps({name: c.tolist() for name, c in columns.items()},
                                       indent=2),
         "plot_data.dat": _plot_text(tau, strings),
     }
 
 
+_BLOCK = cli_mod._BLOCK_ROWS
+
+
 @pytest.mark.parametrize(("samples", "gauge"),
                          [(n, (1.0, 1.0, 1.0, 1.0)) for n in (2, 127, 128, 129, 257, 5001)]
-                         + [(301, (2.0, 0.5, 3.0, 1.0))])
+                         + [(301, (2.0, 0.5, 3.0, 1.0))]
+                         + [(n, (1.0, 1.0, 1.0, 1.0)) for n in (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 1)])
 def test_streamed_artifacts_equal_the_joined_texts(tmp_path, samples, gauge):
-    # block edges at 128 rows: one short block, exactly one, one plus a row, two plus a row
+    # at every block edge: one short block, exactly one, one plus a row, two plus a row
     want = _joined_artifacts(samples, gauge)
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
@@ -158,19 +163,28 @@ def test_simulate_peak_memory_below_its_output(tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_simulate_formats_each_value_once(tmp_path, monkeypatch, fmt):
-    # 11 written series of 101 samples: tau, 4 states, 2 currents, 2 powers, 2 energies
-    calls = []
-    real = dyn.format_float
+    # 11 written series of 101 samples: tau, 4 states, 2 currents, 2 powers, 2 energies.
+    # format_floats writes zeros and the values of %.17g's fixed notation
+    # itself and hands each other value to format_float, once
+    handed, fallback = [], []
+    real_floats, real_float = dyn.format_floats, dyn.format_float
 
-    def counting(x):
-        calls.append(x)
-        return real(x)
+    def counting_floats(values):
+        handed.extend(np.ravel(values).tolist())
+        return real_floats(values)
 
-    monkeypatch.setattr(dyn, "format_float", counting)
-    monkeypatch.setattr(cli_mod, "_fmt", counting)
+    def counting_float(x):
+        fallback.append(x)
+        return real_float(x)
+
+    monkeypatch.setattr(dyn, "format_floats", counting_floats)
+    monkeypatch.setattr(dyn, "format_float", counting_float)
     assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", "--samples", "101",
                "--format", fmt) == EXIT_OK
-    assert len(calls) == 11 * 101
+    converted = [v for v in handed if v == 0.0 or 1e-4 <= abs(v) < 1e17]
+    assert len(converted) + len(fallback) == len(handed) == 11 * 101
+    assert fallback == [v for v in handed if v not in converted]
+    assert fallback  # 9 values below 1e-4 take the fallback
 
 
 def test_simulate_determinism(tmp_path):

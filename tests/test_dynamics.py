@@ -1,6 +1,7 @@
 """Closed-form evolution against the RK4 oracle, adjoint/diagonal systems, serialization."""
 
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from pfcircuit import dynamics as dyn
 from pfcircuit import linalg
 from pfcircuit.dynamics import (
     adjoint_circuit_map,
-    csv_text,
     display_series,
     format_float,
+    format_floats,
     trajectory_columns,
 )
 from pfcircuit.errors import GridEmpty, ZeroSigma
@@ -363,7 +364,7 @@ def test_quartic_residual_needs_modes(reference_generator):
 def _trajectory_csv(traj):
     columns = trajectory_columns(traj)
     cells = [map(format_float, c.tolist()) for c in columns.values()]
-    return ",".join(columns) + "\n" + csv_text(cells)
+    return "".join(",".join(row) + "\n" for row in [list(columns), *zip(*cells)])
 
 
 def test_csv_golden_first_row(reference_trajectory):
@@ -396,3 +397,68 @@ def test_format_float_negative_zero():
     assert format_float(-1.5e-16) == "-1.5e-16"
     # 17 significant digits round-trip exactly
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
+
+
+def _assert_formats_like_format_float(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = format_floats(values).tolist()
+    want = [format_float(v).encode() for v in values.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not wrong, (len(wrong), wrong[:5])
+
+
+def _ties(rng, per_exponent):
+    """Doubles whose exact decimal value is a tie at 17 significant digits.
+
+    I + odd/2^(e+1), with I an integer of 17 - e digits below 2^(52 - e), is
+    exact in binary and has e + 1 fraction digits, the last of them 5.
+    """
+    ties = []
+    for e in range(1, 13):
+        whole = rng.integers(10 ** (16 - e), min(10 ** (17 - e), 2 ** (52 - e)), per_exponent)
+        odd = 2 * rng.integers(0, 2**e, per_exponent) + 1
+        ties.append(whole + odd / 2.0 ** (e + 1))
+    return np.concatenate(ties)
+
+
+def _around_powers_of_ten(ulps=5):
+    values = []
+    for power in range(-10, 20):
+        up = down = 10.0**power
+        values.append(up)
+        for _ in range(ulps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            values += [up, down]
+    return np.array(values)
+
+
+def test_format_floats_matches_format_float():
+    # 1.3 million values, against the scalar definition
+    rng = np.random.default_rng(20261018)
+    ties = _ties(rng, 20_000)
+    sample = [Decimal(v).as_tuple() for v in ties[::997].tolist()]
+    assert all(len(t.digits) == 18 and t.digits[-1] == 5 for t in sample)
+    tiny = np.nextafter(0.0, 1.0)
+    cases = {
+        "bit patterns": rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64),
+        "log-uniform": np.exp(rng.uniform(np.log(1e-8), np.log(1e18), 400_000))
+        * rng.choice([-1.0, 1.0], 400_000),
+        "ties": np.concatenate([ties, -ties]),
+        "powers of ten": np.concatenate([_around_powers_of_ten(), -_around_powers_of_ten()]),
+        "special": np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, np.inf, -np.inf,
+                             np.nan, 1e-4, -1e-4, 1e17, -1e17, 99999999999999984.0, 0.5]),
+        "fast domain only": np.exp(rng.uniform(np.log(1e-4), np.log(1e17), 100_000)),
+        "fallback only": np.concatenate([rng.uniform(-1e-4, 1e-4, 10_000),
+                                         np.exp(rng.uniform(np.log(1e17), np.log(1e300), 10_000))]),
+    }
+    assert sum(map(len, cases.values())) > 1_000_000
+    for values in cases.values():
+        _assert_formats_like_format_float(values)
+
+
+def test_format_floats_keeps_the_shape():
+    values = np.array([[0.25, -3.0, 1e-5], [1e20, -0.0, 12345.678]])
+    fields = format_floats(values)
+    assert fields.shape == values.shape and fields.dtype == np.dtype("S24")
+    assert fields.tolist() == [[b"0.25", b"-3", b"1.0000000000000001e-05"],
+                               [b"1e+20", b"0", b"12345.678"]]
