@@ -588,12 +588,40 @@ _PINNED_SHA256 = {
     ("physical", "h0"): {
         "h0.csv": "dc95524497db1718c412e856b8848404bce636306d97fe07a3a00f64c29d4f2d",
         "stdout": "afc0603bca20ac9d6cd909b4d68dd896c021f70ead0d4e2119151144a09d9590"},
+    ("reference", "validate"): {
+        "regime.json": "e28f8648863c6ef12933e553d550536fa566acce8d1c8eeb6172f50b7f7c744f",
+        "stdout": "6da3ce903f88823f73afa8cc044dc12eef95cc9f9b9a7765b1e99d85d82e9f16"},
+    ("gauge", "validate"): {
+        "regime.json": "e28f8648863c6ef12933e553d550536fa566acce8d1c8eeb6172f50b7f7c744f",
+        "stdout": "6da3ce903f88823f73afa8cc044dc12eef95cc9f9b9a7765b1e99d85d82e9f16"},
+    ("physical", "validate"): {
+        "regime.json": "6f33b818c118049231571009e123123055d39395215daf92478609a4d660ba0e",
+        "stdout": "a0e6fefcb4762105dac5c0992746774053fe1bdfa4be24710845190b8755dbc9"},
+    ("reference", "spectrum"): {
+        "spectrum.json": "ff0f000612077fffdfe020850fb4695949516319acc0f5b040b0ec5ebd883737",
+        "stdout": "1162e3c38abd819f1190631ab859c96a9891cab809607f43dc9c05f734911c3d"},
+    ("gauge", "spectrum"): {
+        "spectrum.json": "ff0f000612077fffdfe020850fb4695949516319acc0f5b040b0ec5ebd883737",
+        "stdout": "1162e3c38abd819f1190631ab859c96a9891cab809607f43dc9c05f734911c3d"},
+    ("physical", "spectrum"): {
+        "spectrum.json": "2805ee1be94ac7e3c33a5a7fa2d9a8115cc11f3b290504f551579195fe3422f1",
+        "stdout": "353022ba724790ca2aeb4d41bb86c015eed0e95096523962253843ebc61a4877"},
+    ("grid", "sweep"): {
+        "sweep.csv": "c792c313f583e38647acdfb933bc831ee287b2e52cc64da74a1f1d4fe21306e9",
+        "stdout": "1bd320b9b0a24ed570175db996f361624f044dfe615296a7ca1f0019f9b725b6"},
+    ("large-gamma", "sweep"): {
+        "sweep.csv": "ffbdaa4a855a9a3a2e9c06000a5edce79c98e2a373ac57598ac640f1525e17fa",
+        "stdout": "994f197b2f72fe3138302a0b3fe06dcee5531527886189c4b065185c63284f53"},
 }
 
 _PINNED_POINTS = {
     "reference": ["--mu", "0.5", "--gamma", "3"],
     "gauge": ["--mu", "0.5", "--gamma", "3", "--gauge", "2,0.5,3,1"],
     "physical": ["--mode", "physical", "--L", "2", "--C", "0.5", "--R", "0.2", "--M", "0.7"],
+    # sweep grids: 16 points that are not circuits (|mu| >= 1 or gamma <= 0)
+    # and mu = 0 exactly; 25 accepted points whose spectrum is refused
+    "grid": ["--mu-range=-1.2:1.2:5", "--gamma-range=-2:6:5"],
+    "large-gamma": ["--mu-range", "0.05:0.95:10", "--gamma-range", "1:20000:10"],
 }
 
 #: argv of a pinned command whose key is not the command's own name
