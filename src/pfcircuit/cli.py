@@ -69,6 +69,8 @@ EXIT_REGIME = 3
 #: refusals that put a point outside the regime the model handles: exit 3 for
 #: a single point, blank asymptotic columns for a sweep point
 _REGIME_REFUSALS = (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate)
+#: parameters that are not a circuit: exit 2, or a sweep row of False conditions
+_NOT_A_CIRCUIT = (NonPositiveParameter, CouplingOutOfRange)
 
 
 class ConfigError(ValueError):
@@ -195,7 +197,7 @@ def _model(cfg: RunConfig) -> Model:
             params = normalized(cfg.mu, cfg.gamma, i1=cfg.i1)
         else:
             params = CircuitParams(L=cfg.L, C=cfg.C, R=cfg.R, M=cfg.M, i1=cfg.i1)
-    except (NonPositiveParameter, CouplingOutOfRange) as exc:
+    except _NOT_A_CIRCUIT as exc:
         raise ConfigError(str(exc)) from exc
     return Model(params, Gauge(*cfg.gauge))
 
@@ -256,25 +258,36 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 _BLOCK_ROWS = 256
 
 
-def _rows_text(fields: np.ndarray) -> str:
-    """CSV rows of a (rows, columns) block of ``dyn.format_floats`` fields."""
+def _fields(columns: list[np.ndarray]) -> np.ndarray:
+    """(rows, columns) ``dyn.format_floats`` fields of equal-length series."""
+    fields = np.empty((len(columns[0]), len(columns)), "S24")
+    for lo in range(0, len(fields), _BLOCK_ROWS):
+        block = np.stack([c[lo:lo + _BLOCK_ROWS] for c in columns], axis=1)
+        fields[lo:lo + _BLOCK_ROWS] = dyn.format_floats(block)
+    return fields
+
+
+def _write_rows(handle, fields: np.ndarray) -> None:
+    """Write (rows, columns) fields as CSV rows, one piece per block of rows.
+
+    Each field gets its separator (a comma, or a line end after the last
+    column) as a 25th byte; the NUL padding is then dropped by one mask.
+    """
     rows, cols = fields.shape
-    template = (",".join(["%s"] * cols) + "\n").encode() * rows
-    return (template % tuple(fields.ravel().tolist())).decode("ascii")
-
-
-def _format_blocks(columns: list[np.ndarray]):
-    """The fields of each block of rows, each value formatted once."""
-    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        yield dyn.format_floats(np.stack([c[lo:lo + _BLOCK_ROWS] for c in columns], axis=1))
+    for lo in range(0, rows, _BLOCK_ROWS):
+        block = fields[lo:lo + _BLOCK_ROWS]
+        cells = np.empty((len(block), cols, 25), np.uint8)
+        cells[..., :24] = block[..., None].view(np.uint8)
+        cells[..., 24] = ord(",")
+        cells[:, -1, 24] = ord("\n")
+        _write(handle, cells[cells != 0].tobytes().decode("ascii"))
 
 
 def _save_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
     """Write equal-length float series as a CSV file, one column each."""
     with _open(path) as handle:
         _write(handle, header + "\n")
-        for fields in _format_blocks(columns):
-            _write(handle, _rows_text(fields))
+        _write_rows(handle, _fields(columns))
 
 
 def _write_json_columns(handle, columns: dict[str, np.ndarray]) -> None:
@@ -302,26 +315,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
                                          obs.energy(traj, model.params))
     SeriesOverflow.check(cfg.tau_max, *columns.values())
     out = Path(cfg.output_dir)
-    # plot_data.dat is series-major, so each block's fields are kept until
-    # every block is formatted, as one small contiguous copy per series: the
-    # allocator fits those into free heap better than whole blocks
-    kept = [[] for _ in columns]
+    fields = _fields(list(columns.values()))
     with _open(out / f"trajectory.{cfg.format}") as handle:
         if cfg.format == "csv":
             _write(handle, ",".join(columns) + "\n")
+            _write_rows(handle, fields)
         else:
             _write_json_columns(handle, columns)
-        for fields in _format_blocks(list(columns.values())):
-            for series, column in zip(kept, fields.T):
-                series.append(column.copy())
-            if cfg.format == "csv":
-                _write(handle, _rows_text(fields))
     with _open(out / "plot_data.dat") as handle:
         sep = ""  # a blank line between series blocks, none after the last
-        for name, series in zip(list(columns)[1:], kept[1:]):
+        for k, name in enumerate(list(columns)[1:], start=1):
             _write(handle, f"{sep}# series {name}\ntau,{name}\n")
-            for tau, values in zip(kept[0], series):
-                _write(handle, _rows_text(np.stack((tau, values), axis=1)))
+            _write_rows(handle, fields[:, 0:k + 1:k])  # columns 0 and k, as a view
             sep = "\n"
     print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")
     return EXIT_OK
@@ -400,52 +405,43 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
+#: the regime conditions, which a point that is not a circuit fails
+_CONDITIONS = ("condition_rho_positive", "condition_gamma_sq_gt_2alpha", "condition_mu_sq_lt_1",
+               "coupling_nonzero", "accepted")
+#: sweep.csv's columns: the point, then fields of validate's RegimeReport,
+#: then fields of classify_asymptotics' GainLossReport
+_SWEEP_COLUMNS = ("mu", "gamma", "rho", *_CONDITIONS, "l4", "power_window_ok", "energy_lower",
+                  "energy_upper", "energy_window_ok", "p1_diverges_to", "p2_diverges_to")
+
+
+def _sweep_row(mu: float, gamma: float) -> str:
+    """The sweep.csv row of one grid point; a cell no report gives is blank."""
+    cells = {"mu": mu, "gamma": gamma}
+    try:
+        model = Model(normalized(mu, gamma))
+    except _NOT_A_CIRCUIT:
+        cells.update(dict.fromkeys(_CONDITIONS, False))
+    else:
+        regime = validate(model.derived)
+        cells.update(regime.to_dict())
+        try:
+            if regime.accepted:
+                cells.update(obs.classify_asymptotics(model.spec, model.derived,
+                                                      model.params).to_dict())
+        except _REGIME_REFUSALS:
+            pass  # a refused spectrum leaves the asymptotic cells blank
+    values = (cells.get(name, "") for name in _SWEEP_COLUMNS)
+    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.mu_range is None or cfg.gamma_range is None:
         raise ConfigError("sweep requires --mu-range and --gamma-range")
-    mu_lo, mu_hi, mu_n = cfg.mu_range
-    ga_lo, ga_hi, ga_n = cfg.gamma_range
-    mus = np.linspace(mu_lo, mu_hi, mu_n)
-    gammas = np.linspace(ga_lo, ga_hi, ga_n)
-    header = ("mu,gamma,rho,condition_rho_positive,condition_gamma_sq_gt_2alpha,"
-              "condition_mu_sq_lt_1,coupling_nonzero,accepted,l4,power_window_ok,"
-              "energy_lower,energy_upper,energy_window_ok,p1_diverges_to,p2_diverges_to")
-    lines = [header]
-    for mu in mus:
-        for gamma in gammas:
-            row = [_fmt(float(mu)), _fmt(float(gamma))]
-            try:
-                model = Model(normalized(float(mu), float(gamma)))
-            except (NonPositiveParameter, CouplingOutOfRange):
-                lines.append(",".join(row + ["", "False", "False", "False", "False",
-                                             "False", "", "", "", "", "", "", ""]))
-                continue
-            regime = validate(model.derived)
-            row += [
-                _fmt(regime.rho),
-                str(regime.condition_rho_positive),
-                str(regime.condition_gamma_sq_gt_2alpha),
-                str(regime.condition_mu_sq_lt_1),
-                str(regime.coupling_nonzero),
-                str(regime.accepted),
-            ]
-            try:
-                gl = (obs.classify_asymptotics(model.spec, model.derived, model.params)
-                      if regime.accepted else None)
-            except _REGIME_REFUSALS:
-                gl = None
-            if gl is not None:
-                row += [
-                    _fmt(gl.l4), str(gl.power_window_ok),
-                    "imaginary" if gl.energy_lower is None else _fmt(gl.energy_lower),
-                    _fmt(gl.energy_upper), str(gl.energy_window_ok),
-                    gl.p1_diverges_to, gl.p2_diverges_to,
-                ]
-            else:
-                row += [""] * 7
-            lines.append(",".join(row))
-    _save(Path(cfg.output_dir) / "sweep.csv", "\n".join(lines) + "\n")
-    print(f"swept {mu_n}x{ga_n} grid")
+    gammas = np.linspace(*cfg.gamma_range).tolist()
+    rows = [_sweep_row(mu, gamma) for mu in np.linspace(*cfg.mu_range).tolist()
+            for gamma in gammas]
+    _save(Path(cfg.output_dir) / "sweep.csv", "\n".join([",".join(_SWEEP_COLUMNS), *rows]) + "\n")
+    print(f"swept {cfg.mu_range[2]}x{cfg.gamma_range[2]} grid")
     return EXIT_OK
 
 

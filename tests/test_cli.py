@@ -3,7 +3,9 @@
 import hashlib
 import importlib
 import inspect
+import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -142,6 +144,38 @@ def test_streamed_artifacts_equal_the_joined_texts(tmp_path, samples, gauge):
                      "--format", fmt, "--output", str(out)]) == EXIT_OK
         for name in (f"trajectory.{fmt}", "plot_data.dat"):
             assert (out / name).read_text() == want[name], name
+
+
+#: fields of every width from 1 to 24 bytes: powers of ten, 17-digit values
+#: in fixed and exponent notation, inf, nan, and a 24-byte field with no NUL
+_WIDTH_VALUES = [0.0, math.inf, -math.inf, math.nan, 1e-4, 99999999999999984.0,
+                 -1.2345678901234567e-100,
+                 *(s * 10.0**k for k in range(17) for s in (1, -1)),
+                 *(s * 1.2345678901234567 * 10.0**k for k in range(-8, 20) for s in (1, -1))]
+
+
+def test_row_writer_widths_cover_every_field_width():
+    assert {len(dyn.format_float(v)) for v in _WIDTH_VALUES} == set(range(1, 25))
+
+
+def _rows_written(fields):
+    handle = io.StringIO()
+    cli_mod._write_rows(handle, fields)
+    return handle.getvalue()
+
+
+@pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_row_writer_joins_format_float(rows):
+    # each row takes the values from a different offset, so every field width
+    # meets every column and the row's end
+    pool = np.array(_WIDTH_VALUES)
+    values = pool[(np.arange(rows)[:, None] + 7 * np.arange(5)) % pool.size]
+    fields = dyn.format_floats(values)
+    expected = ["".join(",".join(map(dyn.format_float, row)) + "\n" for row in rows_of)
+                for rows_of in (values.tolist(), values[:, [0, 3]].tolist())]
+    assert _rows_written(fields) == expected[0]
+    # two columns of a wider array, selected as a view as plot_data.dat's sections are
+    assert _rows_written(fields[:, 0:4:3]) == expected[1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
