@@ -11,7 +11,9 @@ h0          emit the trivial diagonal-system trajectories
 heisenberg  emit the number-operator norm series and the growth-bound report
 sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
-Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors,
+Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors
+(among them parameters that are not a circuit, such as gamma above
+params.GAMMA_MAX; a sweep writes such a point's conditions as False),
 3 regime rejection where the command requires acceptance, or a numerical
 refusal at an accepted point: a singular matrix, a non-positive-definite
 metric or a vanishing printed coefficient denominator in verify, a
@@ -45,6 +47,7 @@ from . import observables as obs
 from .dynamics import format_float as _fmt
 from .errors import (
     CouplingOutOfRange,
+    DampingOutOfRange,
     GaugeDegenerate,
     NearDegenerate,
     NonPositiveParameter,
@@ -69,8 +72,8 @@ EXIT_REGIME = 3
 #: refusals that put a point outside the regime the model handles: exit 3 for
 #: a single point, blank asymptotic columns for a sweep point
 _REGIME_REFUSALS = (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate)
-#: parameters that are not a circuit: exit 2, or a sweep row of False conditions
-_NOT_A_CIRCUIT = (NonPositiveParameter, CouplingOutOfRange)
+#: parameters that make no circuit point: exit 2, or a sweep row of False conditions
+_NOT_A_CIRCUIT = (NonPositiveParameter, CouplingOutOfRange, DampingOutOfRange)
 
 
 class ConfigError(ValueError):
@@ -112,6 +115,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value[2] < 1:
                 raise ConfigError(f"{name} steps must be >= 1, got {value[2]}")
+            if value is not None and not all(map(math.isfinite, value[:2])):
+                raise ConfigError(f"{name} ends must be finite, got {value[0]}:{value[1]}")
         if self.mode == "normalized":
             if any(v is not None for v in (self.L, self.C, self.R, self.M)):
                 raise ConfigError("normalized mode does not accept L/C/R/M")

@@ -11,6 +11,10 @@ class CouplingOutOfRange(ValueError):
     """|M| >= L, so the coupling ratio mu has magnitude >= 1."""
 
 
+class DampingOutOfRange(ValueError):
+    """gamma = sqrt(L/C)/R is so large that gamma^4 leaves the double range."""
+
+
 class SingularMatrix(ValueError):
     """Matrix failed the scaled regularity test before inversion."""
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import CouplingOutOfRange, NonPositiveParameter
+from .errors import CouplingOutOfRange, DampingOutOfRange, NonPositiveParameter
 
 __all__ = [
     "CircuitParams",
@@ -45,13 +45,17 @@ __all__ = [
 #: |rho| below this width raises the near-degeneracy warning flag
 NEAR_DEGENERATE_BAND = 1e-9
 
+#: the largest gamma whose gamma**4, the leading term of rho, is a double
+GAMMA_MAX = 1.1579208923731618e77
+
 
 @dataclass(frozen=True)
 class CircuitParams:
     """Raw circuit parameters in SI units.
 
-    Invariants (enforced at construction): L, C, R strictly positive and
-    |M| < L so that the coupling ratio satisfies mu^2 < 1.
+    Invariants (enforced at construction): L, C, R strictly positive,
+    |M| < L so that the coupling ratio satisfies mu^2 < 1, and
+    gamma = sqrt(L/C)/R at most GAMMA_MAX so that validate's rho is a double.
     """
 
     L: float
@@ -80,6 +84,12 @@ class CircuitParams:
             )
         if not math.isfinite(self.i1):
             raise NonPositiveParameter(f"i1 must be finite, got {self.i1}")
+        gamma = math.sqrt(self.L / self.C) / self.R  # as derive computes it
+        if not gamma <= GAMMA_MAX:
+            raise DampingOutOfRange(
+                f"gamma = sqrt(L/C)/R must be <= {GAMMA_MAX:.17g} for gamma^4 to be "
+                f"a double, got {gamma:.17g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,8 +165,9 @@ class RegimeReport:
 def validate(derived: DerivedParams) -> RegimeReport:
     """Evaluate the regime conditions with exact floating-point sign tests.
 
-    Never raises: every outcome, including nonfinite intermediate values for
-    pathological inputs, is reported as a set of booleans.
+    Never raises for the derived parameters of a CircuitParams, whose gamma is
+    at most GAMMA_MAX: every outcome, including nonfinite intermediate values
+    for pathological inputs, is reported as a set of booleans.
     """
     mu, gamma, alpha = derived.mu, derived.gamma, derived.alpha
     rho = gamma**4 + 4.0 * alpha**2 * mu**2 - 4.0 * alpha * gamma**2

@@ -711,6 +711,36 @@ def test_sweep_keeps_refused_points(tmp_path):
         assert row["rho"] != "" and all(row[name] == "" for name in header[8:])
 
 
+_GAMMA_1E80 = {"normalized": ["--mu", "0.5", "--gamma", "1e80"],
+               "physical": ["--mode", "physical", "--L", "1", "--C", "1", "--R", "1e-80",
+                            "--M", "0.5"]}
+
+
+@pytest.mark.parametrize("point", list(_GAMMA_1E80))
+@pytest.mark.parametrize("command", [name for name in cli_mod._COMMANDS if name != "sweep"])
+def test_gamma_beyond_the_double_range_refused_by_name(tmp_path, capsys, command, point):
+    # gamma^4 in validate's rho raised OverflowError, a traceback with exit 1
+    out = tmp_path / "out"
+    assert main([command, *_GAMMA_1E80[point], "--output", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "configuration error: gamma = sqrt(L/C)/R must be <= 1.1579208923731618e+77")
+    assert not out.exists()
+
+
+def test_gamma_at_1e77_keeps_its_refusal(tmp_path, capsys):
+    assert run(tmp_path, "spectrum", "--mu", "0.5", "--gamma", "1e77") == EXIT_REGIME
+    assert capsys.readouterr().err.startswith("regime rejected: ")
+
+
+def test_sweep_writes_a_gamma_beyond_the_double_range_as_no_circuit(tmp_path):
+    assert run(tmp_path, "sweep", "--mu-range", "0.5:0.5:1",
+               "--gamma-range", "1:1e80:3") == EXIT_OK
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("0.5,1,-2.5555555555555554,False,False,True,True,False,")
+    assert lines[2:] == [f"0.5,{gamma},,False,False,False,False,False,,,,,,,"
+                         for gamma in ("5e+79", "1e+80")]
+
+
 def test_sweep_requires_ranges(tmp_path):
     assert run(tmp_path, "sweep", "--mu", "0.5", "--gamma", "3") == EXIT_CONFIG
 
@@ -753,6 +783,15 @@ def test_config_errors(tmp_path, capsys):
     for flags in (["--gauge", "a,1,1,1"], ["--tau-max", "inf"]):
         assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", *flags) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: ")
+    # so are non-finite range ends, before linspace writes nan or inf cells
+    for mu_range, gamma_range in (("nan:1:2", "1:inf:2"), ("0.1:0.9:3", "1:inf:2")):
+        out = tmp_path / "ranges"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--mu-range", mu_range, "--gamma-range", gamma_range,
+                         "--output", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
     for entry in ({"samples": "many"}, {"tau_max": None}, {"gauge": ["x", 1, 1, 1]}):
         config = tmp_path / "entry.json"
         config.write_text(json.dumps({"mu": 0.5, "gamma": 3.0, **entry}))

@@ -1,5 +1,6 @@
 """Parameter derivation and regime validation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from conftest import sample_accepted
 from pfcircuit import CircuitParams, DerivedParams, derive, normalized, validate
-from pfcircuit.errors import CouplingOutOfRange, NonPositiveParameter
+from pfcircuit.errors import CouplingOutOfRange, DampingOutOfRange, NonPositiveParameter
+from pfcircuit.params import GAMMA_MAX
 
 
 def test_derive_reference_values():
@@ -51,6 +53,16 @@ def test_nonpositive_parameters_rejected(kwargs):
 def test_coupling_out_of_range(m):
     with pytest.raises(CouplingOutOfRange):
         CircuitParams(L=1.0, C=1.0, R=1.0, M=m)
+
+
+def test_gamma_whose_fourth_power_overflows_refused():
+    # gamma = sqrt(L/C)/R = 1e80: gamma**4 in validate's rho raised OverflowError
+    with pytest.raises(DampingOutOfRange):
+        CircuitParams(L=1.0, C=1.0, R=1e-80, M=0.5)
+    with pytest.raises(DampingOutOfRange):
+        normalized(0.5, math.nextafter(GAMMA_MAX, math.inf))
+    # the largest gamma left validates, with a finite rho
+    assert math.isfinite(validate(derive(normalized(0.5, GAMMA_MAX))).rho)
 
 
 def test_validate_reference_rho():
