@@ -288,11 +288,11 @@ def _write_rows(handle, fields: np.ndarray) -> None:
         _write(handle, cells[cells != 0].tobytes().decode("ascii"))
 
 
-def _save_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
-    """Write equal-length float series as a CSV file, one column each."""
+def _save_csv(path: Path, header: str, fields: np.ndarray) -> None:
+    """Write a header line and the rows of (rows, columns) fields as a CSV file."""
     with _open(path) as handle:
         _write(handle, header + "\n")
-        _write_rows(handle, _fields(columns))
+        _write_rows(handle, fields)
 
 
 def _write_json_columns(handle, columns: dict[str, np.ndarray]) -> None:
@@ -321,11 +321,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     SeriesOverflow.check(cfg.tau_max, *columns.values())
     out = Path(cfg.output_dir)
     fields = _fields(list(columns.values()))
-    with _open(out / f"trajectory.{cfg.format}") as handle:
-        if cfg.format == "csv":
-            _write(handle, ",".join(columns) + "\n")
-            _write_rows(handle, fields)
-        else:
+    if cfg.format == "csv":
+        _save_csv(out / "trajectory.csv", ",".join(columns), fields)
+    else:
+        with _open(out / "trajectory.json") as handle:
             _write_json_columns(handle, columns)
     with _open(out / "plot_data.dat") as handle:
         sep = ""  # a blank line between series blocks, none after the last
@@ -346,7 +345,7 @@ def cmd_adjoint(cfg: RunConfig) -> int:
         report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived)
     SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
     out = Path(cfg.output_dir)
-    _save_csv(out / "adjoint.csv", "tau,x1,x2,x3,x4", [tau, *xtraj.states.T])
+    _save_csv(out / "adjoint.csv", "tau,x1,x2,x3,x4", _fields([tau, *xtraj.states.T]))
     payload = {
         "identification": "strict (x -> I1, I2, -V1, -V2)" if report.strict
         else "extended (voltage components scaled by C*omega0)",
@@ -366,7 +365,7 @@ def cmd_h0(cfg: RunConfig) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         traj = dyn.evolve_h0(spec, np.ones(4), tau)
     SeriesOverflow.check(cfg.tau_max, traj.states)
-    _save_csv(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4", [tau, *traj.states.T])
+    _save_csv(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4", _fields([tau, *traj.states.T]))
     print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")
     return EXIT_OK
 
@@ -378,7 +377,7 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     bound = heis.growth_bound_report(evo, model.spec)
     out = Path(cfg.output_dir)
     _save_csv(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2",
-              [tau, *evo.generic.norms, *bound.ratios.T])
+              _fields([tau, *evo.generic.norms, *bound.ratios.T]))
     two_path, printed = evo.max_relative_deviation, evo.printed_order_max_relative_deviation
     payload = {**bound.to_dict(),
                "two_path_deviation_N1": two_path[0], "two_path_deviation_N2": two_path[1],
@@ -435,8 +434,8 @@ def _sweep_row(mu: float, gamma: float) -> str:
                                                       model.params).to_dict())
         except _REGIME_REFUSALS:
             pass  # a refused spectrum leaves the asymptotic cells blank
-    values = (cells.get(name, "") for name in _SWEEP_COLUMNS)
-    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values)
+    return ",".join([_fmt(v) if isinstance(v, float) else str(v)
+                     for v in [cells.get(name, "") for name in _SWEEP_COLUMNS]])
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

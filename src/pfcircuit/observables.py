@@ -15,7 +15,7 @@ normalized units, to inequalities between l4, gamma, and sqrt(1 +- gamma^2).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +148,7 @@ class GainLossReport:
 
     def to_dict(self) -> dict:
         lower = "imaginary" if self.energy_lower is None else self.energy_lower
-        return {**asdict(self), "energy_lower": lower}
+        return {**vars(self), "energy_lower": lower}
 
 
 def _tail_sign(series: np.ndarray) -> str:
