@@ -126,38 +126,45 @@ def metric_map_check(pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray) -> n
 
 
 def expand(pair: BasisPair, v: np.ndarray) -> np.ndarray:
-    """Expansion weights of v over the phi family, by biorthogonal projection."""
-    v = linalg.as_vector(v)
-    return pair.psi.T @ v
+    """Expansion weights of v over the phi family, by biorthogonal projection.
+
+    An (m, 4) stack of vectors, one per row, gives their weights as rows.
+    """
+    v = linalg.as_vector(v, stack=True)
+    return (pair.psi.T @ v.T).T
 
 
 def reconstruct(pair: BasisPair, weights: np.ndarray) -> np.ndarray:
-    """Sum of weighted phi vectors."""
-    return pair.phi @ np.asarray(weights, dtype=float)
+    """Sum of weighted phi vectors; an (m, 4) stack of weights gives one vector per row."""
+    return (pair.phi @ np.asarray(weights, dtype=float).T).T
 
 
 def frame_bounds(
-    pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray, n_samples: int = 200, seed: int = 0
+    pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray, n_samples: int = 200, seed: int = 0,
+    eigenvalues: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict:
     """Numerical frame-bound evidence for the phi family.
 
     For normalised probe vectors f (rows of :func:`linalg.probes` scaled to
     unit length), sum_kn |<phi_kn, f>|^2 equals <f, S_phi f> and must lie
     within the extreme eigenvalues of S_phi, i.e. [1/||S_psi||, ||S_phi||],
-    with S_psi = S_phi^-1 given as in :func:`metric_map_check`.  Returns the
-    measured extremes together with the bounds.
+    with S_psi = S_phi^-1 given as in :func:`metric_map_check`.  For these
+    symmetric matrices ||S|| = max |eigenvalue|; ``eigenvalues`` holds those
+    of S_phi and S_psi when the caller has decomposed them already, and
+    otherwise they are taken here.  Returns the measured extremes together
+    with the bounds.
     """
-    S_phi = linalg.as_square(S_phi, 4)
-    S_psi = linalg.as_square(S_psi, 4)
-    upper = linalg.spectral_norm(S_phi)
-    lower = 1.0 / linalg.spectral_norm(S_psi)
+    if eigenvalues is None:
+        eigenvalues = tuple(linalg.jacobi_eigh(linalg.as_square(s, 4))[0] for s in (S_phi, S_psi))
+    upper, inverse_lower = (float(np.max(np.abs(w))) for w in eigenvalues)
+    lower = 1.0 / inverse_lower
     f = linalg.probes(seed, (n_samples, 4))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     values = np.sum((f @ pair.phi) ** 2, axis=1)
     lowest, highest = float(np.min(values)), float(np.max(values))
     return {
-        "lower_bound": float(lower),
-        "upper_bound": float(upper),
+        "lower_bound": lower,
+        "upper_bound": upper,
         "min_observed": lowest,
         "max_observed": highest,
         "within_bounds": bool(lowest >= lower - 1e-9 and highest <= upper + 1e-9),

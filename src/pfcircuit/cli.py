@@ -52,6 +52,7 @@ from .errors import (
     NearDegenerate,
     NonPositiveParameter,
     NotSPD,
+    RateOutOfRange,
     ReconstructionFailure,
     RegimeRejected,
     SeriesOverflow,
@@ -60,7 +61,7 @@ from .errors import (
     ZeroSigma,
 )
 from .model import Model
-from .params import CircuitParams, normalized, validate
+from .params import CircuitParams, normalized
 from .pfalgebra import Gauge
 from .verify import SLOPE_TAIL, run_verification_suite, slope_tail
 
@@ -73,7 +74,8 @@ EXIT_REGIME = 3
 #: a single point, blank asymptotic columns for a sweep point
 _REGIME_REFUSALS = (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate)
 #: parameters that make no circuit point: exit 2, or a sweep row of False conditions
-_NOT_A_CIRCUIT = (NonPositiveParameter, CouplingOutOfRange, DampingOutOfRange)
+_NOT_A_CIRCUIT = (NonPositiveParameter, CouplingOutOfRange, DampingOutOfRange,
+                  RateOutOfRange)
 
 
 class ConfigError(ValueError):
@@ -245,7 +247,7 @@ def _json_text(payload) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(cfg: RunConfig) -> int:
-    report = validate(_model(cfg).derived)
+    report = _model(cfg).regime
     _save(Path(cfg.output_dir) / "regime.json", _json_text(report.to_dict()))
     print(f"accepted: {report.accepted} (rho={report.rho:.12g})")
     return EXIT_OK if report.accepted else EXIT_REGIME
@@ -426,7 +428,7 @@ def _sweep_row(mu: float, gamma: float) -> str:
     except _NOT_A_CIRCUIT:
         cells.update(dict.fromkeys(_CONDITIONS, False))
     else:
-        regime = validate(model.derived)
+        regime = model.regime
         cells.update(regime.to_dict())
         try:
             if regime.accepted:

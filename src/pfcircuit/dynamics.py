@@ -52,6 +52,8 @@ RK4_DEFAULT_STEP = 1e-3
 #: relative error the RK4 oracle aims for at the end of its grid: a tenth of
 #: the 1e-6 that verify's closed_vs_rk4 check allows
 RK4_TARGET_ERROR = 1e-7
+#: intervals per prefix-scan chunk of evolve_rk4
+RK4_SCAN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,30 @@ def evolve_closed(
     return Trajectory(**vars(modal), I1=i1, I2=i2)
 
 
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """(I + later)(I + earlier) - I, for increments or stacks of them.
+
+    Propagators stay in increment form because forming I + (small) would
+    round away the low bits of every step.
+    """
+    out = later @ earlier
+    out += later
+    out += earlier
+    return out
+
+
+def _power(inc: np.ndarray, n: int) -> np.ndarray:
+    """(I + inc)^n - I for n >= 1, by binary powering in increment form."""
+    result = None
+    while True:
+        if n & 1:
+            result = inc if result is None else _compose(result, inc)
+        n >>= 1
+        if not n:
+            return result
+        inc = _compose(inc, inc)
+
+
 def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTrajectory:
     """Classical fourth-order Runge-Kutta oracle for Psi' = L Psi.
 
@@ -250,8 +276,17 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     factor (1.5)^4 in error, still below 1e-6, where ceil would turn
     0.005/1e-3 = 5.000000000000001 into six steps.  On a linear system one RK4
     step of size h is exactly y <- P(h) y with the Taylor polynomial
-    P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so each interval applies
-    P(h)^substeps, built once per distinct span.
+    P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so an interval applies
+    P(h)^substeps - I, built once per distinct span by binary powering.
+
+    The intervals' propagators then compose as an inclusive prefix scan
+    (Hillis and Steele, CACM 29, 1986): after the passes with offsets 1, 2,
+    4, ..., entry k holds the product of every interval up to k, and
+    states = y0 + D @ y0.  The scan runs on RK4_SCAN_CHUNK intervals at a
+    time, each chunk starting from the state the previous one ended at, so
+    its (chunk, 4, 4) stack bounds the memory, and the Python passes number
+    the chunks times log2(RK4_SCAN_CHUNK) plus the distinct spans times
+    log2(substeps), whatever the number of samples.
     """
     tau = _check_grid(tau_grid)
     m = linalg.as_square(liouvillian, 4)
@@ -259,22 +294,29 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     h = RK4_DEFAULT_STEP
     if tau_end * r > 0.0:
         h = min(h, (120.0 * RK4_TARGET_ERROR / (tau_end * r)) ** 0.25 / r)
+    spans = np.diff(tau)
+    # the distinct spans, ascending, and each interval's index among them
+    distinct = np.sort(spans)
+    keep = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+    distinct = distinct[keep]
+    eye = np.eye(4)
+    increments = np.empty((distinct.size, 4, 4))
+    for inc, span in zip(increments, distinct.tolist()):
+        n_sub = max(1, round(span / h))
+        hm = (span / n_sub) * m
+        inc[...] = _power(hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0), n_sub)
+    interval = np.searchsorted(distinct, spans)
     states = np.empty((tau.size, 4))
     states[0] = y = linalg.as_vector(psi0)
-    eye = np.eye(4)
-    # span -> P(h)^substeps - I, kept as an increment because forming
-    # I + (small) would round away the low bits of every step
-    increments = {}
-    for idx, span in enumerate(np.diff(tau).tolist(), start=1):
-        if span not in increments:
-            n_sub = max(1, round(span / h))
-            hm = (span / n_sub) * m
-            step = inc = hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
-            for _ in range(n_sub - 1):
-                inc = inc + step + inc @ step  # (I + inc) P(h) - I
-            increments[span] = inc
-        y = y + increments[span] @ y
-        states[idx] = y
+    for start in range(0, spans.size, RK4_SCAN_CHUNK):
+        scan = increments[interval[start:start + RK4_SCAN_CHUNK]]
+        offset = 1
+        while offset < len(scan):
+            scan[offset:] = _compose(scan[offset:], scan[:-offset])
+            offset *= 2
+        states[start + 1:start + 1 + len(scan)] = y + scan @ y
+        y = states[start + len(scan)]
     return StateTrajectory(tau=tau, states=states)
 
 

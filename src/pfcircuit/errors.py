@@ -15,6 +15,10 @@ class DampingOutOfRange(ValueError):
     """gamma = sqrt(L/C)/R is so large that gamma^4 leaves the double range."""
 
 
+class RateOutOfRange(ValueError):
+    """omega0 = 1/sqrt(LC) or omega_p = 1/(RC) is zero or not a finite double."""
+
+
 class SingularMatrix(ValueError):
     """Matrix failed the scaled regularity test before inversion."""
 

@@ -186,25 +186,27 @@ def product_formula_residual(pf: PFSystem, tau: float) -> float:
     return float(np.linalg.norm(e - prod, "fro") / max(np.linalg.norm(e, "fro"), 1e-300))
 
 
-def expectation_consistency_residual(
-    X0: np.ndarray, state0: np.ndarray, pf: PFSystem, tau: float
-) -> float:
+def expectation_consistency_residual(X0: np.ndarray, state0: np.ndarray, pf: PFSystem, tau):
     """Relative gap between <state(tau), X0 state(tau)> and <state0, X(tau) state0>.
 
     state(tau) = e^{L tau} state0 with the generator reconstructed from the
     operator system; equality is the defining property of this Heisenberg
-    picture.
+    picture.  A (k, 4, 4) stack of X0, a (k, 4) stack of states and k values
+    of tau give the k residuals as an array, through one propagator stack;
+    one observable, one state and a scalar tau give a float.
     """
-    X0 = linalg.as_square(X0, 4)
-    state0 = linalg.as_vector(state0)
+    X0 = linalg.as_square(X0, 4, stack=True)
+    state0 = linalg.as_vector(state0, stack=True)[..., :, None]
+    tau = np.asarray(tau, dtype=float)
     l3 = pf.spectrum.l3
     e_shift = shifted_propagator(pf, tau)
-    propagator = np.exp(l3 * tau) * e_shift
+    propagator = np.exp(l3 * tau)[..., None, None] * e_shift
     state_t = propagator @ state0
-    lhs = float(state_t @ (X0 @ state_t))
-    x_t = np.exp(2.0 * l3 * tau) * (e_shift.T @ X0 @ e_shift)
-    rhs = float(state0 @ (x_t @ state0))
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    lhs = (state_t.swapaxes(-1, -2) @ (X0 @ state_t))[..., 0, 0]
+    x_t = np.exp(2.0 * l3 * tau)[..., None, None] * (e_shift.swapaxes(-1, -2) @ X0 @ e_shift)
+    rhs = (state0.swapaxes(-1, -2) @ (x_t @ state0))[..., 0, 0]
+    residual = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    return residual if residual.ndim else float(residual)
 
 
 def effective_hamiltonian_route_residual(
@@ -219,8 +221,10 @@ def effective_hamiltonian_route_residual(
     m = linalg.as_square(liouvillian, 4)
     X0 = linalg.as_square(X0, 4)
     h = 1j * m
-    left = linalg.expm(1j * h.conj().T, tau) @ X0.astype(complex) @ linalg.expm(-1j * h, tau)
-    right = linalg.expm(m.T, tau) @ X0 @ linalg.expm(m, tau)
+    # one Taylor series over the four exponentials: two of each route
+    e_left, e_right, e_adj, e = linalg.expm(np.stack([1j * h.conj().T, -1j * h, m.T, m]), tau)
+    left = e_left @ X0 @ e_right
+    right = e_adj @ X0 @ e
     return float(
         np.linalg.norm(left - right, "fro") / max(np.linalg.norm(right, "fro"), 1e-300)
     )

@@ -59,10 +59,13 @@ def as_square(a, dim: int | None = None, stack: bool = False) -> np.ndarray:
     return m
 
 
-def as_vector(v, dim: int = 4) -> np.ndarray:
-    """Validate and return a length-`dim` vector with finite entries."""
+def as_vector(v, dim: int = 4, stack: bool = False) -> np.ndarray:
+    """Validate and return a length-`dim` vector with finite entries.
+
+    With ``stack``, an (m, dim) stack of vectors, one per row, is accepted as well.
+    """
     w = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
-    if w.shape != (dim,):
+    if w.ndim not in ((1, 2) if stack else (1,)) or w.shape[-1] != dim:
         raise ValueError(f"expected a length-{dim} vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("vector entries must be finite")
@@ -83,25 +86,28 @@ def inverse(a) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def expm(a, tau: float = 1.0) -> np.ndarray:
+def expm(a, tau=1.0) -> np.ndarray:
     """e^{A tau} by scaling and squaring with TAYLOR_TERMS Taylor terms.
 
-    A tau is scaled by 2^-s until ||A tau / 2^s||_1 < 0.5, then squared s times.
+    Each member A tau is scaled by 2^-s until ||A tau / 2^s||_1 < 0.5, then
+    squared s times, with its own s.  ``a`` may be an (m, n, n) stack and
+    ``tau`` an array; they broadcast like A[..., :, :] * tau[..., None, None],
+    so a length-k tau gives a (k, n, n) stack of exponentials in one series.
+    A scalar tau and one matrix give one matrix through the same code.
     """
-    b = as_square(a) * tau
-    norm1 = np.linalg.norm(b, 1)
-    squarings = 0
-    if norm1 >= 0.5:
-        squarings = int(math.ceil(math.log2(norm1 / 0.5)))
-        b = b / (2.0 ** squarings)
-    n = b.shape[0]
-    result = np.eye(n, dtype=b.dtype)
-    term = np.eye(n, dtype=b.dtype)
+    b = as_square(a, stack=True) * np.asarray(tau, dtype=float)[..., None, None]
+    norm1 = np.max(np.sum(np.abs(b), axis=-2), axis=-1)
+    with np.errstate(divide="ignore"):  # log2(0) = -inf, and 0 squarings
+        squarings = np.maximum(np.ceil(np.log2(norm1 / 0.5)), 0.0)
+    b = b / (2.0 ** squarings)[..., None, None]
+    result = term = np.broadcast_to(np.eye(b.shape[-1], dtype=b.dtype), b.shape)
     for k in range(1, TAYLOR_TERMS + 1):
         term = term @ b / k
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for s in range(1, int(np.max(squarings, initial=0.0)) + 1):
+        # only the members with s or more squarings: the others could overflow
+        more = squarings >= s
+        result[more] = result[more] @ result[more]
     return result
 
 
@@ -237,13 +243,14 @@ def _rotate(av: np.ndarray, p: int, q: int) -> None:
         np.add(sx, cy, out=y)
 
 
-def sqrtm_spd(a) -> np.ndarray:
+def sqrtm_spd(a, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Symmetric square root of a symmetric positive-definite matrix.
 
-    Raises :class:`NotSPD` when the smallest Jacobi eigenvalue is not positive.
+    ``eigh`` is the matrix's :func:`jacobi_eigh` decomposition when the caller
+    has taken it already; otherwise it is taken here.  Raises :class:`NotSPD`
+    when the smallest Jacobi eigenvalue is not positive.
     """
-    m = as_square(a)
-    w, v = jacobi_eigh(m)
+    w, v = jacobi_eigh(as_square(a)) if eigh is None else eigh
     if w[0] <= 0.0:
         raise NotSPD("matrix is not positive definite", float(w[0]))
     root = v @ np.diag(np.sqrt(w)) @ v.T

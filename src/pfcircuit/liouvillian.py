@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NearDegenerate, RegimeRejected
-from .params import DerivedParams, validate
+from .params import DerivedParams, RegimeReport, validate
 
 __all__ = [
     "Spectrum",
@@ -79,14 +79,17 @@ def build_liouvillian(derived: DerivedParams) -> np.ndarray:
     ])
 
 
-def spectrum(derived: DerivedParams) -> Spectrum:
+def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spectrum:
     """Closed-form spectrum in the accepted regime.
 
-    Raises :class:`RegimeRejected` outside the strict regime and
+    ``report`` is :func:`params.validate`'s report of ``derived`` when the
+    caller holds it already; otherwise validation runs here.  Raises
+    :class:`RegimeRejected` outside the strict regime and
     :class:`NearDegenerate` when eigenvalue pairs come closer than
     DEGENERACY_RTOL * l4 (the intertwiner would be ill-conditioned).
     """
-    report = validate(derived)
+    if report is None:
+        report = validate(derived)
     if not report.spectrally_valid:
         raise RegimeRejected(
             f"spectral regime rejected for mu={derived.mu}, gamma={derived.gamma}: "

@@ -33,8 +33,13 @@ class Model:
         return params_mod.derive(self.params)
 
     @cached_property
+    def regime(self) -> params_mod.RegimeReport:
+        """The point's one :func:`params.validate` report, which ``spec`` reads too."""
+        return params_mod.validate(self.derived)
+
+    @cached_property
     def spec(self) -> liouvillian.Spectrum:
-        return liouvillian.spectrum(self.derived)
+        return liouvillian.spectrum(self.derived, self.regime)
 
     @cached_property
     def generator(self) -> np.ndarray:

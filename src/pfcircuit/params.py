@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CouplingOutOfRange, DampingOutOfRange, NonPositiveParameter
+from .errors import (CouplingOutOfRange, DampingOutOfRange, NonPositiveParameter,
+                     RateOutOfRange)
 
 __all__ = [
     "CircuitParams",
@@ -54,8 +55,10 @@ class CircuitParams:
     """Raw circuit parameters in SI units.
 
     Invariants (enforced at construction): L, C, R strictly positive,
-    |M| < L so that the coupling ratio satisfies mu^2 < 1, and
-    gamma = sqrt(L/C)/R at most GAMMA_MAX so that validate's rho is a double.
+    |M| < L so that the coupling ratio satisfies mu^2 < 1,
+    gamma = sqrt(L/C)/R at most GAMMA_MAX so that validate's rho is a double,
+    and omega0 = 1/sqrt(LC) and omega_p = 1/(RC) finite and nonzero, which
+    fails where L*C or R*C underflows or overflows.
     """
 
     L: float
@@ -90,6 +93,15 @@ class CircuitParams:
                 f"gamma = sqrt(L/C)/R must be <= {GAMMA_MAX:.17g} for gamma^4 to be "
                 f"a double, got {gamma:.17g}"
             )
+        # the divisors of omega0 and omega_p as derive takes them: zero where
+        # the product underflows, and a rate of 0 or inf at the other end
+        for name, divisor in (("omega0 = 1/sqrt(L*C)", math.sqrt(self.L * self.C)),
+                              ("omega_p = 1/(R*C)", self.R * self.C)):
+            if not (divisor > 0.0 and 0.0 < 1.0 / divisor < math.inf):
+                raise RateOutOfRange(
+                    f"{name} must be a finite nonzero double, got L={self.L!r}, "
+                    f"C={self.C!r}, R={self.R!r}"
+                )
 
 
 @dataclass(frozen=True)

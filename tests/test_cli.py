@@ -359,11 +359,12 @@ def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
                "--samples", "201") == EXIT_OK
     # inverses: T in each build_bases only; S_psi = S_phi^-1 is read from the model.
-    # Jacobi: the verifier's two metric roots, four metric and n-hat spectra, two
-    # frame-bound norms, and one stacked call for the N1 and N2 norm stacks together
+    # Jacobi: one decomposition each of S_phi and S_psi, which the positivity,
+    # norm-bound, metric-root and frame-bound checks all read, the two n-hat
+    # spectra, and one stacked call for the N1 and N2 norm stacks together
     assert counts == {"pfalgebra.build_T": 2, "linalg.inverse": 2, "basis.build_bases": 2,
                       "pfalgebra.build_pf": 1, "params.validate": 2,
-                      "linalg.jacobi_eigh": 9}
+                      "linalg.jacobi_eigh": 5}
 
 
 def test_heisenberg_evolves_both_operators_in_one_pass(tmp_path, monkeypatch):
@@ -380,6 +381,14 @@ def test_heisenberg_checks_the_regime_once(tmp_path, monkeypatch):
     counts = _count_calls(monkeypatch, ["params.validate"])
     assert run(tmp_path, "heisenberg", "--mu", "0.5", "--gamma", "3") == EXIT_OK
     assert counts == {"params.validate": 1}
+
+
+def test_sweep_checks_the_regime_once_per_point(tmp_path, monkeypatch):
+    # 25 accepted points; spectrum reads the Model's report instead of validating again
+    counts = _count_calls(monkeypatch, ["params.validate", "liouvillian.spectrum"])
+    assert run(tmp_path, "sweep", "--mu-range", "0.05:0.95:5",
+               "--gamma-range", "1:20:5") == EXIT_OK
+    assert counts == {"params.validate": 25, "liouvillian.spectrum": 20}
 
 
 @pytest.mark.parametrize(("command", "tau_max"),
@@ -558,7 +567,7 @@ _PINNED_SHA256 = {
             "ef6efe1921c4a05cac75c095c9309bf01cc61c67b572054b843a4f10a42e0051",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("reference", "verify"): {
-        "verify_report.json": "e644ba0a587347067dc723310aafca7182487e390ae0663ade7ae5cbcdfcc9d0",
+        "verify_report.json": "764d58ba6850c8d582ce780d6834c67271ee1728bf5506f71a4cbf06a68afd18",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("gauge", "heisenberg"): {
         "heisenberg.csv": "ef3865f927ab58da441c252ce31614a0d87e13d4ac6543bd3a4378041b525f1f",
@@ -566,7 +575,7 @@ _PINNED_SHA256 = {
             "68f5eee533a6c3b740bb0b9787ce9900a3571bac11017b54cc093d7b26f7625f",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("gauge", "verify"): {
-        "verify_report.json": "71a55e230ec205854927ab53b9949f20ddb83b7755c8fe37e160a11e65e254e1",
+        "verify_report.json": "564ad2c973de776597fc2c5fe5de8be1e903ebd090e2b0cb114de4b8e35b7727",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("physical", "heisenberg"): {
         "heisenberg.csv": "541f697da018352bc243af157777ced9b5b3d9ff500beb44c7b2ae1fd3fb650a",
@@ -574,7 +583,7 @@ _PINNED_SHA256 = {
             "5ac5d32c22cc4eeb449f3e6896a27f93ab09ecf6cd0fc0b4d5e01e44cd58b750",
         "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
     ("physical", "verify"): {
-        "verify_report.json": "ae67c444521ffa180b92244ea1dc58210fb1aca899f617e81b695b1ea7d7c2ea",
+        "verify_report.json": "5b656ac8f8f4c3e095d270b3022556a2a85469dbe01aa9c0ed1f319dae72ce97",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("reference", "adjoint"): {
         "adjoint.csv": "9ec912ec06372aaf69012c0e4348b4b2fe0a62838fbda06da0f42b0f39f73bac",
@@ -723,6 +732,24 @@ def test_gamma_beyond_the_double_range_refused_by_name(tmp_path, capsys, command
     assert main([command, *_GAMMA_1E80[point], "--output", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
         "configuration error: gamma = sqrt(L/C)/R must be <= 1.1579208923731618e+77")
+    assert not out.exists()
+
+
+#: L*C underflows to 0 (omega0 = 1/sqrt(LC) divided by zero) or overflows (omega0 = 0)
+_RATE_OUT_OF_RANGE = {"underflow": ["--mode", "physical", "--L", "1e-200", "--C", "1e-200",
+                                    "--R", "1", "--M", "0.5e-200"],
+                      "overflow": ["--mode", "physical", "--L", "1e200", "--C", "1e200",
+                                   "--R", "1", "--M", "0.5e200"]}
+
+
+@pytest.mark.parametrize("point", list(_RATE_OUT_OF_RANGE))
+@pytest.mark.parametrize("command", [name for name in cli_mod._COMMANDS if name != "sweep"])
+def test_rate_out_of_range_refused_by_name(tmp_path, capsys, command, point):
+    # validate raised ZeroDivisionError in params.derive, simulate in initial_state
+    out = tmp_path / "out"
+    assert main([command, *_RATE_OUT_OF_RANGE[point], "--output", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "configuration error: omega0 = 1/sqrt(L*C) must be a finite nonzero double")
     assert not out.exists()
 
 

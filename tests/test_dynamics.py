@@ -233,8 +233,13 @@ def _stage_rk4(m, y, tau):
     return np.array(states)
 
 
-@pytest.mark.parametrize("grid", [TAU, np.array([0.0, 0.013, 0.05, 0.0501, 0.4, 0.75, 2.0, 5.0])],
-                         ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("grid", [
+    TAU, np.array([0.0, 0.013, 0.05, 0.0501, 0.4, 0.75, 2.0, 5.0]),
+    np.linspace(0.0, 5.0, 2), np.linspace(0.0, 5.0, 3),
+    # one scan chunk of intervals, one more, and two chunks and one
+    *(np.linspace(0.0, 1.0, n + 1) for n in (dyn.RK4_SCAN_CHUNK, dyn.RK4_SCAN_CHUNK + 1,
+                                             2 * dyn.RK4_SCAN_CHUNK + 1)),
+], ids=["uniform", "nonuniform", "2-samples", "3-samples", "chunk", "chunk+1", "2chunk+1"])
 def test_rk4_propagator_equals_stage_form(reference_generator, grid):
     psi0 = initial_state(1.0)
     expected = _stage_rk4(reference_generator, psi0, grid)

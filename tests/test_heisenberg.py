@@ -59,6 +59,18 @@ def test_expectation_consistency(reference_pf):
         assert residual < 1e-8
 
 
+def test_expectation_consistency_stack_matches_the_rows(reference_pf):
+    rng = np.random.default_rng(82)
+    x0, states, taus = rng.standard_normal((20, 4, 4)), rng.standard_normal((20, 4)), \
+        rng.uniform(0.0, 3.0, 20)
+    stacked = expectation_consistency_residual(x0, states, reference_pf, taus)
+    rows = [expectation_consistency_residual(x, s, reference_pf, float(t))
+            for x, s, t in zip(x0, states, taus)]
+    assert stacked.shape == (20,) and all(isinstance(r, float) for r in rows)
+    np.testing.assert_array_equal(stacked, rows)
+    assert np.max(stacked) < 1e-8
+
+
 def test_number_two_path_agreement(number_evolutions):
     for deviation in number_evolutions.max_relative_deviation:
         assert deviation < 1e-8

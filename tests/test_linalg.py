@@ -42,6 +42,26 @@ def test_expm_zero_matrix():
     np.testing.assert_array_equal(linalg.expm(np.zeros((4, 4)), 3.7), np.eye(4))
 
 
+def test_expm_tau_stack_matches_the_scalar_call(reference_generator):
+    # squaring counts 0 (tau = 0 and 0.05), 2, 3, 5 and 7 in one call
+    taus = np.array([0.0, 0.05, 0.3, 0.7, 3.0, 11.0])
+    stack = linalg.expm(reference_generator, taus)
+    assert stack.shape == (taus.size, 4, 4)
+    np.testing.assert_array_equal(stack[0], np.eye(4))
+    for tau, member in zip(taus, stack):
+        single = linalg.expm(reference_generator, tau)
+        assert np.all(np.abs(member - single) <= 4.0 * np.spacing(np.abs(single)))
+
+
+def test_expm_matrix_stack_matches_the_single_calls(reference_generator):
+    # complex and real members in one stack, as effective_hamiltonian_route_residual takes them
+    mats = [reference_generator, reference_generator.T, 1j * reference_generator, np.zeros((4, 4))]
+    stack = linalg.expm(np.stack(mats), 0.9)
+    for m, member in zip(mats, stack):
+        single = linalg.expm(np.asarray(m, dtype=complex), 0.9)
+        assert np.all(np.abs(member - single) <= 4.0 * np.spacing(np.abs(single)))
+
+
 def test_expm_diagonal():
     lams = np.array([0.0, -1.5, 0.3, 2.0])
     result = linalg.expm(np.diag(lams), 1.0)

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import sample_accepted
 from pfcircuit import CircuitParams, DerivedParams, derive, normalized, validate
-from pfcircuit.errors import CouplingOutOfRange, DampingOutOfRange, NonPositiveParameter
+from pfcircuit.errors import (CouplingOutOfRange, DampingOutOfRange, NonPositiveParameter,
+                              RateOutOfRange)
 from pfcircuit.params import GAMMA_MAX
 
 
@@ -63,6 +64,24 @@ def test_gamma_whose_fourth_power_overflows_refused():
         normalized(0.5, math.nextafter(GAMMA_MAX, math.inf))
     # the largest gamma left validates, with a finite rho
     assert math.isfinite(validate(derive(normalized(0.5, GAMMA_MAX))).rho)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(L=1e-200, C=1e-200, R=1.0, M=0.5e-200),  # L*C underflows: omega0 divides by zero
+    dict(L=1e200, C=1e200, R=1.0, M=0.5e200),  # L*C overflows: omega0 = 0
+    dict(L=1e-100, C=1e200, R=1e200, M=0.0),  # R*C overflows: omega_p = 0
+])
+def test_rates_out_of_the_double_range_refused(kwargs):
+    with pytest.raises(RateOutOfRange):
+        CircuitParams(**kwargs)
+
+
+def test_rates_near_the_range_ends_derive_finite():
+    # a subnormal L*C and products near the largest double are still accepted
+    for params in (CircuitParams(L=1e-160, C=1e-160, R=1.0, M=0.0),
+                   CircuitParams(L=1e150, C=1e150, R=1e150, M=0.0)):
+        d = derive(params)
+        assert 0.0 < d.omega0 < math.inf and 0.0 < d.omega_p < math.inf
 
 
 def test_validate_reference_rho():
