@@ -284,9 +284,10 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     4, ..., entry k holds the product of every interval up to k, and
     states = y0 + D @ y0.  The scan runs on RK4_SCAN_CHUNK intervals at a
     time, each chunk starting from the state the previous one ended at, so
-    its (chunk, 4, 4) stack bounds the memory, and the Python passes number
-    the chunks times log2(RK4_SCAN_CHUNK) plus the distinct spans times
-    log2(substeps), whatever the number of samples.
+    its (chunk, 4, 4) stack bounds the memory.  Python passes: per chunk,
+    log2(RK4_SCAN_CHUNK) scan steps and one per distinct span in it, and per
+    distinct span of the grid, log2(substeps) powering steps; none is per
+    sample.
     """
     tau = _check_grid(tau_grid)
     m = linalg.as_square(liouvillian, 4)
@@ -295,28 +296,26 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     if tau_end * r > 0.0:
         h = min(h, (120.0 * RK4_TARGET_ERROR / (tau_end * r)) ** 0.25 / r)
     spans = np.diff(tau)
-    # the distinct spans, ascending, and each interval's index among them
-    distinct = np.sort(spans)
-    keep = np.ones(distinct.size, dtype=bool)
-    np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
-    distinct = distinct[keep]
     eye = np.eye(4)
-    increments = np.empty((distinct.size, 4, 4))
-    for inc, span in zip(increments, distinct.tolist()):
-        n_sub = max(1, round(span / h))
-        hm = (span / n_sub) * m
-        inc[...] = _power(hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0), n_sub)
-    interval = np.searchsorted(distinct, spans)
+    increments = {}  # span -> P(h)^substeps - I
     states = np.empty((tau.size, 4))
     states[0] = y = linalg.as_vector(psi0)
     for start in range(0, spans.size, RK4_SCAN_CHUNK):
-        scan = increments[interval[start:start + RK4_SCAN_CHUNK]]
+        chunk = spans[start:start + RK4_SCAN_CHUNK]
+        scan = np.empty((chunk.size, 4, 4))
+        for span in set(chunk.tolist()):
+            if span not in increments:
+                n_sub = max(1, round(span / h))
+                hm = (span / n_sub) * m
+                step = hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
+                increments[span] = _power(step, n_sub)
+            scan[chunk == span] = increments[span]
         offset = 1
-        while offset < len(scan):
+        while offset < chunk.size:
             scan[offset:] = _compose(scan[offset:], scan[:-offset])
             offset *= 2
-        states[start + 1:start + 1 + len(scan)] = y + scan @ y
-        y = states[start + len(scan)]
+        states[start + 1:start + 1 + chunk.size] = y + scan @ y
+        y = states[start + chunk.size]
     return StateTrajectory(tau=tau, states=states)
 
 
