@@ -177,13 +177,19 @@ def growth_bound_report(evo: NumberEvolution, spec: Spectrum) -> GrowthBoundRepo
     )
 
 
-def product_formula_residual(pf: PFSystem, tau: float) -> float:
-    """Relative deviation of e^{Lt tau} from its two-factor expansion product."""
+def product_formula_residual(pf: PFSystem, tau):
+    """Relative deviation of e^{Lt tau} from its two-factor expansion product.
+
+    A tau array gives one residual per value, through one propagator stack.
+    """
+    tau = np.asarray(tau, dtype=float)
     e = shifted_propagator(pf, tau)
     prod = _expansion_factor(pf.N1, pf.spectrum.lambda1, tau) @ _expansion_factor(
         pf.N2, pf.spectrum.lambda2, tau
     )
-    return float(np.linalg.norm(e - prod, "fro") / max(np.linalg.norm(e, "fro"), 1e-300))
+    residual = np.linalg.norm(e - prod, axis=(-2, -1)) / np.maximum(
+        np.linalg.norm(e, axis=(-2, -1)), 1e-300)
+    return residual if residual.ndim else float(residual)
 
 
 def expectation_consistency_residual(X0: np.ndarray, state0: np.ndarray, pf: PFSystem, tau):
@@ -216,12 +222,13 @@ def effective_hamiltonian_route_residual(
 
     Computes e^{i H^+ tau} X0 e^{-i H tau} with the complex Taylor exponential
     and compares against e^{L^+ tau} X0 e^{L tau}; agreement pins down the
-    sign/convention once and for all.
+    sign/convention once and for all.  The four exponentials come from one
+    stacked series, so a wrong sign or a missing conjugate shows as an O(1)
+    gap, not as rounding.
     """
     m = linalg.as_square(liouvillian, 4)
     X0 = linalg.as_square(X0, 4)
     h = 1j * m
-    # one Taylor series over the four exponentials: two of each route
     e_left, e_right, e_adj, e = linalg.expm(np.stack([1j * h.conj().T, -1j * h, m.T, m]), tau)
     left = e_left @ X0 @ e_right
     right = e_adj @ X0 @ e

@@ -8,9 +8,10 @@ eigensolver is a cyclic Jacobi sweep so that square roots and spectral norms do
 not depend on the same LAPACK path the tests compare against.  The Jacobi
 eigensolver and the spectral norm also take an (m, n, n) stack, which they
 solve in one pass with the stack on the last axis; each member gets bit for bit
-what the single-matrix route gives it.  Probe vectors for the numerical checks
-come from :func:`probes`, which reads the stdlib generator, so no command
-loads ``numpy.random``.
+what the single-matrix route gives it.  The exponential takes a stack of
+matrices and of times through the same series as one matrix.  Probe vectors
+for the numerical checks come from :func:`probes`, which reads the stdlib
+generator, so no command loads ``numpy.random``.
 """
 
 from __future__ import annotations

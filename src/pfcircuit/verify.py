@@ -144,12 +144,13 @@ def run_verification_suite(
         report.add(f"heisenberg/number_two_path_N{j}", deviation, 1e-8)
     for j, deviation in enumerate(evo.printed_order_max_relative_deviation, 1):
         report.add(f"heisenberg/reported_printed_order_deviation_N{j}", deviation, None)
-    prod_res = max(heis.product_formula_residual(pf, t) for t in (0.5, 1.3, 2.7))
-    report.add("heisenberg/product_formula", prod_res, 1e-9)
+    report.add("heisenberg/product_formula",
+               float(np.max(heis.product_formula_residual(pf, np.array([0.5, 1.3, 2.7])))), 1e-9)
     # each row: the observable X (16 values), the state (4) and u for t in [0, TAU_END)
     rows = linalg.probes(seed + 1, (20, 21))
+    times = (rows[:, 20] + 1.0) * heis.TAU_END / 2.0
     expectation = heis.expectation_consistency_residual(
-        rows[:, :16].reshape(20, 4, 4), rows[:, 16:20], pf, (rows[:, 20] + 1.0) * heis.TAU_END / 2.0)
+        rows[:, :16].reshape(20, 4, 4), rows[:, 16:20], pf, times)
     report.add("heisenberg/expectation_consistency_max", float(np.max(expectation)), 1e-8)
     bound = heis.growth_bound_report(evo, spec)
     finite = np.isfinite(bound.bound_constant_1) and np.isfinite(bound.bound_constant_2)

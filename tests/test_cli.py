@@ -384,7 +384,7 @@ def test_heisenberg_checks_the_regime_once(tmp_path, monkeypatch):
 
 
 def test_sweep_checks_the_regime_once_per_point(tmp_path, monkeypatch):
-    # 25 accepted points; spectrum reads the Model's report instead of validating again
+    # 25 circuits, 20 of them accepted: one validate per point, which spectrum reads
     counts = _count_calls(monkeypatch, ["params.validate", "liouvillian.spectrum"])
     assert run(tmp_path, "sweep", "--mu-range", "0.05:0.95:5",
                "--gamma-range", "1:20:5") == EXIT_OK
@@ -567,7 +567,7 @@ _PINNED_SHA256 = {
             "ef6efe1921c4a05cac75c095c9309bf01cc61c67b572054b843a4f10a42e0051",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("reference", "verify"): {
-        "verify_report.json": "764d58ba6850c8d582ce780d6834c67271ee1728bf5506f71a4cbf06a68afd18",
+        "verify_report.json": "e8a9b6d363ec4eb7dd497a3c932e1d3d981750fb629d87090853120d8dc6156b",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("gauge", "heisenberg"): {
         "heisenberg.csv": "ef3865f927ab58da441c252ce31614a0d87e13d4ac6543bd3a4378041b525f1f",
