@@ -155,7 +155,7 @@ def frame_bounds(
     with the bounds.
     """
     if eigenvalues is None:
-        eigenvalues = tuple(linalg.jacobi_eigh(linalg.as_square(s, 4))[0] for s in (S_phi, S_psi))
+        eigenvalues = linalg.jacobi_eigh(linalg.as_square(np.stack([S_phi, S_psi]), 4, stack=True))[0]
     upper, inverse_lower = (float(np.max(np.abs(w))) for w in eigenvalues)
     lower = 1.0 / inverse_lower
     f = linalg.probes(seed, (n_samples, 4))

@@ -6,10 +6,9 @@ cross-check oracle; the propagator itself is taken through the intertwiner as
 T diag(e^{lambda tau}) T^{-1} in :mod:`pfcircuit.heisenberg`.  The symmetric
 eigensolver is a cyclic Jacobi sweep so that square roots and spectral norms do
 not depend on the same LAPACK path the tests compare against.  The Jacobi
-eigensolver and the spectral norm also take an (m, n, n) stack, which they
-solve in one pass with the stack on the last axis; each member gets bit for bit
-what the single-matrix route gives it.  The exponential takes a stack of
-matrices and of times through the same series as one matrix.  Probe vectors
+eigensolver, the spectral norm and the exponential each run one matrix and an
+(m, n, n) stack through one body; the exponential also takes a stack of
+times.  Probe vectors
 for the numerical checks come from :func:`probes`, which reads the stdlib
 generator, so no command loads ``numpy.random``.
 """
@@ -43,6 +42,8 @@ TAYLOR_TERMS = 18
 #: scaled off-diagonal Frobenius target for the cyclic Jacobi sweeps
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 50
+#: turns s into the (s, -s) of a rotation's two output rows
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def as_square(a, dim: int | None = None, stack: bool = False) -> np.ndarray:
@@ -130,51 +131,20 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
     sym_err = np.max(np.abs(m - m_t), axis=(-2, -1))
     if np.any(sym_err > 1e-10 * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
         raise ValueError(f"matrix is not symmetric (max asymmetry {np.max(sym_err):.3e})")
-    w = (m + m_t) / 2.0
-    if w.ndim == 3:
-        return _jacobi_eigh_stack(w, tol, max_sweeps)
-    n = w.shape[0]
-    with np.errstate(over="ignore"):
-        frobenius = np.linalg.norm(w, "fro")
-    if not math.isfinite(frobenius):
-        frobenius = _scaled_frobenius(w.reshape(1, n * n))[0]
-    threshold = tol * max(1.0, frobenius)
-    w, v = w.tolist(), np.eye(n).tolist()  # float lists: cheaper than numpy at n <= 4
-    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for _ in range(max_sweeps):
-        # off-diagonal norm taken entrywise; the sum-of-squares difference
-        # cancels catastrophically for ill-conditioned input
-        off = math.sqrt(sum(w[i][j] * w[i][j] for i, j in off_diagonal))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (w[q][q] - w[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                w[p], w[q] = ([c * x - s * y for x, y in zip(w[p], w[q])],
-                              [s * x + c * y for x, y in zip(w[p], w[q])])
-                for row in (*w, *v):
-                    x, y = row[p], row[q]
-                    row[p], row[q] = c * x - s * y, s * x + c * y
-    eigenvalues = np.array([w[i][i] for i in range(n)])
-    order = np.argsort(eigenvalues)
-    return eigenvalues[order], np.array(v)[:, order]
+    w, v = _jacobi_eigh_stack(((m + m_t) / 2.0).reshape(-1, *m.shape[-2:]), tol, max_sweeps)
+    return (w, v) if m.ndim == 3 else (w[0], v[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as silent as float arithmetic on lists
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan propagate, as in float arithmetic
 def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
     """The Jacobi sweeps of :func:`jacobi_eigh` on every member of a symmetric (m, n, n) stack.
 
-    The members run together with the stack on the last axis, through the same
-    pivot order, formulas and stopping rule as the list route, so each gets the
-    same bits.  A member leaves the live set once its off-diagonal norm passes
-    the test, and a rotation touches only the live members with a nonzero
-    pivot: rotating the others by c = 1, s = 0 could flip the sign of a zero.
+    The members run together with the stack on the last axis, each through the
+    same cyclic pivot order and stopping rule, so a member's bits do not depend
+    on the rest of the stack.  A member leaves the live set once its
+    off-diagonal norm passes the test, and a rotation touches only the live
+    members with a nonzero pivot: rotating the others by c = 1, s = 0 could
+    flip the sign of a zero.
     """
     m, n, _ = w.shape
     flat = w.reshape(m, n * n)
@@ -187,7 +157,7 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
     # A stacked over V, member index last: a rotation's row update touches the
     # first n rows, and its column update both A and V at once
     av = np.concatenate([w, np.broadcast_to(np.eye(n), w.shape)], axis=1).transpose(1, 2, 0).copy()
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major, as the list route sums
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major, the order the squares are summed in
     eigenvalues, vectors = np.empty((m, n)), np.empty((m, n, n))
     live = np.arange(m)
 
@@ -196,9 +166,12 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
         vectors[live[members]] = av[n:, :, members].transpose(2, 0, 1)
 
     for _ in range(max_sweeps):
+        # off-diagonal norm taken entrywise, as ||A||_F^2 - sum a_ii^2 cancels
+        # catastrophically for ill-conditioned input; the squares are added one
+        # by one in a fixed order, as this test decides the number of sweeps and
+        # so every bit of the result
         off = av[rows, cols]
         squares = off * off
-        # builtin sum, as the list route adds its squares
         done = np.sqrt(list(map(sum, squares.T.tolist()))) < threshold[live]
         if done.any():
             retire(done)
@@ -238,10 +211,13 @@ def _rotate(av: np.ndarray, p: int, q: int) -> None:
     t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
     c = 1.0 / np.sqrt(t * t + 1.0)
     s = t * c
-    for x, y in ((av[p], av[q]), (av[:, p], av[:, q])):  # rows of A, then columns of A and V
-        cx, sy, sx, cy = c * x, s * y, s * x, c * y
-        np.subtract(cx, sy, out=x)
-        np.add(sx, cy, out=y)
+    # rows p and q of A, then columns p and q of A and V, each pair as one
+    # strided view: (x, y) <- (c x - s y, c y - (-s) x), which has the bits of
+    # (c x - s y, s x + c y)
+    signed_s = _SIGNS * s
+    rows, cols = av[p:q + 1:q - p], av[:, p:q + 1:q - p]
+    np.subtract(c * rows, signed_s[:, None] * rows[::-1], out=rows)
+    np.subtract(c * cols, signed_s * cols[:, ::-1], out=cols)
 
 
 def sqrtm_spd(a, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -261,24 +237,22 @@ def sqrtm_spd(a, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarra
 def spectral_norm(a):
     """Largest singular value, via Jacobi eigenvalues of A^T A.
 
-    An (m, n, n) stack gives an array of m norms from one stacked Jacobi run;
-    a stack that is not finite, or whose A^T A leaves the double range, is
-    refused with :class:`SeriesOverflow`.
+    One matrix gives a float and an (m, n, n) stack an array of m norms, from
+    one Jacobi run.  Input that is not finite, or whose A^T A leaves the double
+    range, is refused with :class:`SeriesOverflow`.
     """
     if np.iscomplexobj(a):
         raise ValueError("spectral_norm expects a real matrix")
     m = np.asarray(a, dtype=float)
-    if m.ndim == 3:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ata = np.swapaxes(m, 1, 2) @ m
-        if not (np.isfinite(m).all() and np.isfinite(ata).all()):
-            raise SeriesOverflow(
-                "spectral-norm overflow: a stack member or its A^T A is not finite")
-        w, _ = jacobi_eigh(ata)
-        return np.sqrt(np.maximum(w[:, -1], 0.0))
-    m = as_square(m)
-    w, _ = jacobi_eigh(m.T @ m)
-    return float(math.sqrt(max(w[-1], 0.0)))
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ata = np.swapaxes(m, -1, -2) @ m
+    if not (np.isfinite(m).all() and np.isfinite(ata).all()):
+        raise SeriesOverflow(
+            "spectral-norm overflow: a stack member or its A^T A is not finite")
+    norms = np.sqrt(np.maximum(jacobi_eigh(ata)[0][..., -1], 0.0))
+    return norms if m.ndim == 3 else float(norms)
 
 
 def probes(seed: int, shape: tuple[int, ...]) -> np.ndarray:

@@ -359,12 +359,12 @@ def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
                "--samples", "201") == EXIT_OK
     # inverses: T in each build_bases only; S_psi = S_phi^-1 is read from the model.
-    # Jacobi: one decomposition each of S_phi and S_psi, which the positivity,
-    # norm-bound, metric-root and frame-bound checks all read, the two n-hat
-    # spectra, and one stacked call for the N1 and N2 norm stacks together
+    # Jacobi: three stacked calls, one each for S_phi and S_psi (which the
+    # positivity, norm-bound, metric-root and frame-bound checks all read), for
+    # the two n-hat spectra, and for the N1 and N2 norm stacks
     assert counts == {"pfalgebra.build_T": 2, "linalg.inverse": 2, "basis.build_bases": 2,
                       "pfalgebra.build_pf": 1, "params.validate": 2,
-                      "linalg.jacobi_eigh": 5}
+                      "linalg.jacobi_eigh": 3}
 
 
 def test_heisenberg_evolves_both_operators_in_one_pass(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """The dense kernel: inverses, exponentials, Jacobi roots and norms."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,11 +188,49 @@ def test_jacobi_zero_off_diagonal_pair():
     _assert_eigh(a, *linalg.jacobi_eigh(a))
 
 
+def _list_route(a, tol=linalg.JACOBI_TOL, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+    """Cyclic Jacobi on one symmetric matrix held in float lists, one scalar at a time.
+
+    The reference the stacked solver must match bit for bit: the same pivot
+    order, formulas and stopping rule, written out for a single matrix.
+    """
+    w = (a + a.T) / 2.0
+    n = w.shape[0]
+    with np.errstate(over="ignore"):
+        frobenius = np.linalg.norm(w, "fro")
+    if not math.isfinite(frobenius):
+        frobenius = linalg._scaled_frobenius(w.reshape(1, n * n))[0]
+    threshold = tol * max(1.0, frobenius)
+    w, v = w.tolist(), np.eye(n).tolist()
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for _ in range(max_sweeps):
+        off = math.sqrt(sum(w[i][j] * w[i][j] for i, j in off_diagonal))
+        if off < threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = w[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (w[q][q] - w[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                w[p], w[q] = ([c * x - s * y for x, y in zip(w[p], w[q])],
+                              [s * x + c * y for x, y in zip(w[p], w[q])])
+                for row in (*w, *v):
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+    eigenvalues = np.array([w[i][i] for i in range(n)])
+    order = np.argsort(eigenvalues)
+    return eigenvalues[order], np.array(v)[:, order]
+
+
 def _assert_stack_matches_list_route(stack, **kwargs):
     w, v = linalg.jacobi_eigh(stack, **kwargs)
     assert w.shape == stack.shape[:2] and v.shape == stack.shape
     for k, member in enumerate(stack):
-        w_k, v_k = linalg.jacobi_eigh(member, **kwargs)
+        w_k, v_k = _list_route(member, **kwargs)
         # equal bits, the signs of zeros included
         assert w[k].tobytes() == w_k.tobytes() and v[k].tobytes() == v_k.tobytes()
 
@@ -230,6 +270,19 @@ def test_jacobi_stack_on_the_verify_norm_stacks(reference_pf, j):
     assert len({_sweeps_taken(a) for a in ata}) > 1
 
 
+def test_jacobi_matrix_is_a_stack_of_one():
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal((4, 4))
+    base[0, 2] = base[1, 3] = 0.0
+    for a in (base + base.T, np.diag([3.0, -1.0, 2.0, 0.5]), np.zeros((3, 3))):
+        w, v = linalg.jacobi_eigh(a)
+        w_stack, v_stack = linalg.jacobi_eigh(a[None])
+        assert w.shape == a.shape[:1] and v.shape == a.shape
+        assert w.tobytes() == w_stack[0].tobytes() and v.tobytes() == v_stack[0].tobytes()
+    norm = linalg.spectral_norm(base)
+    assert type(norm) is float and norm.hex() == float(linalg.spectral_norm(base[None])[0]).hex()
+
+
 def test_jacobi_rotates_when_the_frobenius_norm_overflows():
     # ||A||_F^2 leaves the double range while the off-diagonal squares do not;
     # an unscaled threshold would be inf and stop the sweeps before a rotation
@@ -253,6 +306,20 @@ def test_spectral_norm_stack_refuses_overflow():
     for stack in (finite, bad):
         with pytest.raises(SeriesOverflow, match="overflow"):
             linalg.spectral_norm(stack)
+
+
+@pytest.mark.parametrize("a, error, match", [
+    (np.full((4, 4), 1e200), SeriesOverflow, "overflow"),  # A^T A overflows
+    (np.diag([1.0, np.inf, 1.0, 1.0]), SeriesOverflow, "overflow"),
+    (np.diag([1.0, np.nan, 1.0, 1.0]), SeriesOverflow, "overflow"),
+    (1j * np.eye(4), ValueError, "real matrix"),
+    (np.ones(4), ValueError, "square matrix"),
+    (np.ones((3, 4)), ValueError, "square matrix"),
+])
+def test_spectral_norm_refuses_a_single_matrix(a, error, match):
+    assert issubclass(SeriesOverflow, ValueError)
+    with pytest.raises(error, match=match):
+        linalg.spectral_norm(a)
 
 
 def test_probes_repeat_for_one_seed():
