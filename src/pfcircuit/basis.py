@@ -49,14 +49,10 @@ class BasisPair:
         return self.psi[:, KN_ORDER.index((k, n))]
 
     def to_dict(self) -> dict:
-        out = {"phi": [], "psi": []}
-        for j, (k, n) in enumerate(KN_ORDER):
-            label = float(self.labels[j])
-            out["phi"].append({"k": k, "n": n, "eigenvalue": label,
-                               "vector": [float(x) for x in self.phi[:, j]]})
-            out["psi"].append({"k": k, "n": n, "eigenvalue": label,
-                               "vector": [float(x) for x in self.psi[:, j]]})
-        return out
+        return {name: [{"k": k, "n": n, "eigenvalue": float(self.labels[j]),
+                        "vector": [float(x) for x in family[:, j]]}
+                       for j, (k, n) in enumerate(KN_ORDER)]
+                for name, family in (("phi", self.phi), ("psi", self.psi))}
 
 
 def build_bases(T: np.ndarray, spec: Spectrum) -> BasisPair:
@@ -86,6 +82,11 @@ def resolution_residuals(pair: BasisPair) -> tuple[float, float]:
     return float(r1), float(r2)
 
 
+def _column_residuals(op: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:
+    """||op x_j - y_j|| / ||z_j|| for each column j of the 4x4 arrays x, y and z."""
+    return [np.linalg.norm(op @ x[:, j] - y[:, j]) / np.linalg.norm(z[:, j]) for j in range(4)]
+
+
 def eigen_check(pair: BasisPair, liouvillian: np.ndarray) -> np.ndarray:
     """Relative eigen-residuals, phi family against L then psi family against L^+.
 
@@ -93,16 +94,8 @@ def eigen_check(pair: BasisPair, liouvillian: np.ndarray) -> np.ndarray:
     ||L^+ psi - mu psi||/||psi||.
     """
     liouvillian = linalg.as_square(liouvillian, 4)
-    out = []
-    for j in range(4):
-        mu_j = pair.labels[j]
-        phi = pair.phi[:, j]
-        out.append(np.linalg.norm(liouvillian @ phi - mu_j * phi) / np.linalg.norm(phi))
-    for j in range(4):
-        mu_j = pair.labels[j]
-        psi = pair.psi[:, j]
-        out.append(np.linalg.norm(liouvillian.T @ psi - mu_j * psi) / np.linalg.norm(psi))
-    return np.array(out)
+    return np.array([*_column_residuals(liouvillian, pair.phi, pair.labels * pair.phi, pair.phi),
+                     *_column_residuals(liouvillian.T, pair.psi, pair.labels * pair.psi, pair.psi)])
 
 
 def metric_map_check(pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray) -> np.ndarray:
@@ -115,14 +108,8 @@ def metric_map_check(pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray) -> n
     """
     S_phi = linalg.as_square(S_phi, 4)
     S_psi = linalg.as_square(S_psi, 4)
-    out = []
-    for j in range(4):
-        phi, psi = pair.phi[:, j], pair.psi[:, j]
-        out.append(np.linalg.norm(S_phi @ psi - phi) / np.linalg.norm(phi))
-    for j in range(4):
-        phi, psi = pair.phi[:, j], pair.psi[:, j]
-        out.append(np.linalg.norm(S_psi @ phi - psi) / np.linalg.norm(psi))
-    return np.array(out)
+    return np.array([*_column_residuals(S_phi, pair.psi, pair.phi, pair.phi),
+                     *_column_residuals(S_psi, pair.phi, pair.psi, pair.psi)])
 
 
 def expand(pair: BasisPair, v: np.ndarray) -> np.ndarray:

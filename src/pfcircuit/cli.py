@@ -11,19 +11,20 @@ h0          emit the trivial diagonal-system trajectories
 heisenberg  emit the number-operator norm series and the growth-bound report
 sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
-Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors
-(among them parameters that are not a circuit, such as gamma above
-params.GAMMA_MAX; a sweep writes such a point's conditions as False),
-3 regime rejection where the command requires acceptance, or a numerical
-refusal at an accepted point: a singular matrix, a non-positive-definite
-metric or a vanishing printed coefficient denominator in verify, a
-generator that the operator system fails to reconstruct
-(ReconstructionFailure), or a
-simulate/adjoint/h0/heisenberg/verify series that overflows (inf/nan) on the
-tau grid, which is refused before any file is written.  A sweep point
-that validate accepts but whose spectrum is refused keeps its regime columns
-and leaves the asymptotic ones blank; the sweep goes on.  verify's RK4
-oracle picks its own step from the generator (see dynamics.evolve_rk4).
+Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors and
+points that are not a circuit, 3 refusals.  Each refusal in pfcircuit.errors
+subclasses one category, which main maps to the exit code:
+NotACircuit exits 2 (gamma above params.GAMMA_MAX, say; a sweep writes such a
+point's conditions as False); RegimeRefusal exits 3 where the command
+requires acceptance (a sweep point that validate accepts but whose spectrum is
+refused keeps its regime columns and leaves the asymptotic ones blank);
+NumericalRefusal exits 3 at an accepted point: a singular matrix, a
+non-positive-definite metric, a vanishing printed coefficient denominator, a
+generator that the operator system fails to reconstruct, a log-slope fit of
+verify that fails in floating point on its tail window (SlopeFitFailure), or
+a series that overflows (inf/nan) on the tau grid, which is refused before any
+file is written.  verify's RK4 oracle picks its own step from the generator
+(see dynamics.evolve_rk4).
 All outputs are deterministic: fixed float formatting, fixed key and row
 ordering.
 """
@@ -45,21 +46,7 @@ from . import dynamics as dyn
 from . import heisenberg as heis
 from . import observables as obs
 from .dynamics import format_float as _fmt
-from .errors import (
-    CouplingOutOfRange,
-    DampingOutOfRange,
-    GaugeDegenerate,
-    NearDegenerate,
-    NonPositiveParameter,
-    NotSPD,
-    RateOutOfRange,
-    ReconstructionFailure,
-    RegimeRejected,
-    SeriesOverflow,
-    SingularMatrix,
-    ZeroCoupling,
-    ZeroSigma,
-)
+from .errors import NotACircuit, NumericalRefusal, RegimeRefusal, SeriesOverflow
 from .model import Model
 from .params import CircuitParams, normalized
 from .pfalgebra import Gauge
@@ -69,13 +56,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
-
-#: refusals that put a point outside the regime the model handles: exit 3 for
-#: a single point, blank asymptotic columns for a sweep point
-_REGIME_REFUSALS = (RegimeRejected, NearDegenerate, ZeroCoupling, GaugeDegenerate)
-#: parameters that make no circuit point: exit 2, or a sweep row of False conditions
-_NOT_A_CIRCUIT = (NonPositiveParameter, CouplingOutOfRange, DampingOutOfRange,
-                  RateOutOfRange)
 
 
 class ConfigError(ValueError):
@@ -199,13 +179,10 @@ def _model(cfg: RunConfig) -> Model:
     """The run's parameter point, which every command but sweep reads."""
     if cfg.mode == "normalized" and (cfg.mu is None or cfg.gamma is None):
         raise ConfigError("normalized mode requires mu and gamma")
-    try:
-        if cfg.mode == "normalized":
-            params = normalized(cfg.mu, cfg.gamma, i1=cfg.i1)
-        else:
-            params = CircuitParams(L=cfg.L, C=cfg.C, R=cfg.R, M=cfg.M, i1=cfg.i1)
-    except _NOT_A_CIRCUIT as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.mode == "normalized":
+        params = normalized(cfg.mu, cfg.gamma, i1=cfg.i1)
+    else:
+        params = CircuitParams(L=cfg.L, C=cfg.C, R=cfg.R, M=cfg.M, i1=cfg.i1)
     return Model(params, Gauge(*cfg.gauge))
 
 
@@ -425,7 +402,7 @@ def _sweep_row(mu: float, gamma: float) -> str:
     cells = {"mu": mu, "gamma": gamma}
     try:
         model = Model(normalized(mu, gamma))
-    except _NOT_A_CIRCUIT:
+    except NotACircuit:
         cells.update(dict.fromkeys(_CONDITIONS, False))
     else:
         regime = model.regime
@@ -434,7 +411,7 @@ def _sweep_row(mu: float, gamma: float) -> str:
             if regime.accepted:
                 cells.update(obs.classify_asymptotics(model.spec, model.derived,
                                                       model.params).to_dict())
-        except _REGIME_REFUSALS:
+        except RegimeRefusal:
             pass  # a refused spectrum leaves the asymptotic cells blank
     return ",".join([_fmt(v) if isinstance(v, float) else str(v)
                      for v in [cells.get(name, "") for name in _SWEEP_COLUMNS]])
@@ -492,13 +469,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, NotACircuit) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _REGIME_REFUSALS as exc:
+    except RegimeRefusal as exc:
         print(f"regime rejected: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (SingularMatrix, NotSPD, SeriesOverflow, ZeroSigma, ReconstructionFailure) as exc:
+    except NumericalRefusal as exc:
         print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
 

@@ -54,6 +54,9 @@ RK4_DEFAULT_STEP = 1e-3
 RK4_TARGET_ERROR = 1e-7
 #: intervals per prefix-scan chunk of evolve_rk4
 RK4_SCAN_CHUNK = 1024
+#: the sign of the resistance term of each sub-circuit, gain then loss: the
+#: twins' formulas run over one stacked axis of length 2 with it
+GAIN_LOSS_SIGN = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -212,11 +215,10 @@ def _modal(start: np.ndarray, rates: np.ndarray, weights: np.ndarray,
     return StateTrajectory(tau=tau, states=states, mode_rates=rates, mode_weights=weights)
 
 
-def _currents(states: np.ndarray, params: CircuitParams, derived: DerivedParams):
-    scale = params.C * derived.omega0
-    i1 = states[:, 0] / params.R - scale * states[:, 2]
-    i2 = -states[:, 1] / params.R - scale * states[:, 3]
-    return i1, i2
+def _currents(states: np.ndarray, params: CircuitParams, derived: DerivedParams) -> np.ndarray:
+    """(I1, I2) as a (2, n) stack: I_j = +-V_j/R - C*omega0*dV_j/dtau."""
+    return (GAIN_LOSS_SIGN * states[:, :2].T / params.R
+            - params.C * derived.omega0 * states[:, 2:].T)
 
 
 def evolve_closed(
@@ -373,21 +375,17 @@ def _circuit_relation_residuals(
     x: np.ndarray, dx: np.ndarray, v_scale: float,
     params: CircuitParams, derived: DerivedParams,
 ) -> np.ndarray:
+    # columns (I1, I2) and (V1, V2); the mutual inductance couples each
+    # voltage to the other circuit's current, the swapped column
     w0 = derived.omega0
-    i1v, i2v = x[:, 0], x[:, 1]
-    v1, v2 = -x[:, 2] / v_scale, -x[:, 3] / v_scale
-    di1, di2 = dx[:, 0], dx[:, 1]
-    dv1, dv2 = -dx[:, 2] / v_scale, -dx[:, 3] / v_scale
+    i, di = x[:, :2], dx[:, :2]
+    v, dv = -x[:, 2:] / v_scale, -dx[:, 2:] / v_scale
     r = np.empty((x.shape[0], 4))
-    r[:, 0] = v1 - params.L * w0 * di1 - params.M * w0 * di2
-    r[:, 1] = v2 - params.L * w0 * di2 - params.M * w0 * di1
-    r[:, 2] = i1v - (v1 / params.R - params.C * w0 * dv1)
-    r[:, 3] = i2v - (-v2 / params.R - params.C * w0 * dv2)
+    r[:, :2] = v - params.L * w0 * di - params.M * w0 * di[:, ::-1]
+    r[:, 2:] = i - (GAIN_LOSS_SIGN.T * v / params.R - params.C * w0 * dv)
     scales = np.empty_like(r)
-    scales[:, 0] = np.abs(v1) + params.L * w0 * np.abs(di1) + abs(params.M) * w0 * np.abs(di2)
-    scales[:, 1] = np.abs(v2) + params.L * w0 * np.abs(di2) + abs(params.M) * w0 * np.abs(di1)
-    scales[:, 2] = np.abs(i1v) + np.abs(v1) / params.R + params.C * w0 * np.abs(dv1)
-    scales[:, 3] = np.abs(i2v) + np.abs(v2) / params.R + params.C * w0 * np.abs(dv2)
+    scales[:, :2] = np.abs(v) + params.L * w0 * np.abs(di) + abs(params.M) * w0 * np.abs(di[:, ::-1])
+    scales[:, 2:] = np.abs(i) + np.abs(v) / params.R + params.C * w0 * np.abs(dv)
     floor = max(1e-12 * float(np.max(scales)), 1e-300)
     return np.abs(r) / np.maximum(scales, floor)
 
@@ -443,13 +441,8 @@ def quartic_residual(traj: StateTrajectory, derived: DerivedParams) -> np.ndarra
     quartic = rates**4 + c2 * rates**2 + c0
     magnitude = rates**4 + abs(c2) * rates**2 + abs(c0)
     exps = np.exp(np.outer(rates, traj.tau))  # (mode, sample)
-    out = np.empty((traj.tau.size, 2))
-    for col in range(2):
-        w = traj.mode_weights[:, col]
-        residual = np.abs((w * quartic) @ exps)
-        scale = (np.abs(w) * magnitude) @ exps
-        out[:, col] = residual / np.maximum(scale, 1e-300)
-    return out
+    return np.stack([np.abs((w * quartic) @ exps) / np.maximum((np.abs(w) * magnitude) @ exps, 1e-300)
+                     for w in traj.mode_weights[:, :2].T], axis=1)
 
 
 def display_series(
@@ -465,26 +458,19 @@ def display_series(
 
     Reconstructs the series from the coefficients and the intertwiner's deltas
     and column scales ``t`` alone (no matrix products), with the current
-    weights (1/R -+ C*omega0*l) attached mode by mode.  Must agree with the
+    weights +-1/R - C*omega0*l attached mode by mode.  Must agree with the
     state-layout extraction when fed the projection coefficients.
     """
     tau = _check_grid(tau_grid)
     c = coeffs.vector
     rates = spec.eigenvalues
-    cw = params.C * derived.omega0
-    r_inv = 1.0 / params.R
     exps = np.exp(np.outer(rates, tau))
-    v1 = (c * deltas * t) @ exps
-    v2 = (c * t) @ exps
-    i1_weights = c * deltas * t * np.array([
-        r_inv + cw * spec.l4, r_inv + cw * spec.l2,
-        r_inv - cw * spec.l2, r_inv - cw * spec.l4,
-    ])
-    i2_weights = c * t * np.array([
-        -r_inv + cw * spec.l4, -r_inv + cw * spec.l2,
-        -r_inv - cw * spec.l2, -r_inv - cw * spec.l4,
-    ])
-    return {"V1": v1, "V2": v2, "I1": i1_weights @ exps, "I2": i2_weights @ exps}
+    weights = np.stack([c * deltas * t, c * t])  # V1, V2 per mode
+    # the spectrum sets l1 = -l2 and l3 = -l4 by exact negation, so -C*omega0*l
+    # over (l3, l1, l2, l4) is the display's +C*omega0*l4, ..., -C*omega0*l4
+    currents = weights * (GAIN_LOSS_SIGN / params.R - params.C * derived.omega0 * rates)
+    # one product per row: a (2, 4) @ (4, n) product may sum in another order
+    return dict(zip(("V1", "V2", "I1", "I2"), [w @ exps for w in (*weights, *currents)]))
 
 
 def trajectory_columns(traj: Trajectory, power=None, energy=None) -> dict[str, np.ndarray]:

@@ -1,25 +1,41 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refusal subclasses one of three categories, and the command line maps
+the category, not the concrete class, to an exit code.
+"""
 
 import numpy as np
 
 
-class NonPositiveParameter(ValueError):
+class NotACircuit(ValueError):
+    """Parameters that make no circuit point: exit 2, or a sweep row of False conditions."""
+
+
+class RegimeRefusal(ValueError):
+    """A point outside the regime the model handles: exit 3, or blank asymptotic sweep cells."""
+
+
+class NumericalRefusal(ValueError):
+    """An accepted point at which a computation is refused by name: exit 3."""
+
+
+class NonPositiveParameter(NotACircuit):
     """A physical parameter that must be strictly positive is not."""
 
 
-class CouplingOutOfRange(ValueError):
+class CouplingOutOfRange(NotACircuit):
     """|M| >= L, so the coupling ratio mu has magnitude >= 1."""
 
 
-class DampingOutOfRange(ValueError):
+class DampingOutOfRange(NotACircuit):
     """gamma = sqrt(L/C)/R is so large that gamma^4 leaves the double range."""
 
 
-class RateOutOfRange(ValueError):
+class RateOutOfRange(NotACircuit):
     """omega0 = 1/sqrt(LC) or omega_p = 1/(RC) is zero or not a finite double."""
 
 
-class SingularMatrix(ValueError):
+class SingularMatrix(NumericalRefusal):
     """Matrix failed the scaled regularity test before inversion."""
 
     def __init__(self, message: str, determinant: float):
@@ -27,7 +43,7 @@ class SingularMatrix(ValueError):
         self.determinant = determinant
 
 
-class NotSPD(ValueError):
+class NotSPD(NumericalRefusal):
     """Matrix is not symmetric positive definite."""
 
     def __init__(self, message: str, eigenvalue: float):
@@ -35,7 +51,7 @@ class NotSPD(ValueError):
         self.eigenvalue = eigenvalue
 
 
-class SeriesOverflow(ValueError):
+class SeriesOverflow(NumericalRefusal):
     """A computed series left the double range (inf/nan) on the requested time grid."""
 
     @classmethod
@@ -45,28 +61,32 @@ class SeriesOverflow(ValueError):
             raise cls(f"series overflow to inf/nan on tau in [0, {tau_max}]")
 
 
-class ReconstructionFailure(ValueError):
+class ReconstructionFailure(NumericalRefusal):
     """lambda1 N1 + lambda2 N2 + l3 I misses the assembled generator by more than 1e-9."""
 
 
-class RegimeRejected(ValueError):
+class SlopeFitFailure(NumericalRefusal):
+    """A log-slope fit of verify failed in floating point on its tail window."""
+
+
+class ZeroSigma(NumericalRefusal):
+    """The printed coefficient denominator sigma evaluates to zero."""
+
+
+class RegimeRejected(RegimeRefusal):
     """Parameters fall outside the real-spectrum regime."""
 
 
-class NearDegenerate(ValueError):
+class NearDegenerate(RegimeRefusal):
     """Eigenvalues too close together; the intertwiner would be ill-conditioned."""
 
 
-class ZeroCoupling(ValueError):
+class ZeroCoupling(RegimeRefusal):
     """mu = 0: the intertwiner construction divides by 2*alpha*mu."""
 
 
-class GaugeDegenerate(ValueError):
+class GaugeDegenerate(RegimeRefusal):
     """A free column scale of the intertwiner is zero."""
-
-
-class ZeroSigma(ValueError):
-    """The printed coefficient denominator sigma evaluates to zero."""
 
 
 class GridEmpty(ValueError):

@@ -81,8 +81,9 @@ def inverse(a) -> np.ndarray:
     """
     m = as_square(a)
     n = m.shape[0]
-    det = np.linalg.det(m)
-    scale = np.linalg.norm(m, "fro") ** n
+    with np.errstate(over="ignore"):  # an overflow reads as inf and is refused below
+        det = np.linalg.det(m)
+        scale = np.linalg.norm(m, "fro") ** n
     if abs(det) <= SINGULARITY_RTOL * max(scale, 1e-300):
         raise SingularMatrix("matrix is numerically singular", float(abs(det)))
     return np.linalg.inv(m)

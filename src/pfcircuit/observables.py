@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Coefficients, Trajectory
+from .dynamics import GAIN_LOSS_SIGN, Coefficients, Trajectory
 from .errors import ZeroCoupling
 from .liouvillian import Spectrum
 from .params import CircuitParams, DerivedParams
@@ -38,6 +38,11 @@ MEASUREMENT_WINDOW = 0.1
 
 #: dominant-mode population threshold for sign measurements
 C11_THRESHOLD = 1e-12
+
+
+def _both_circuits(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V_j, dV_j/dtau and I_j of the gain (row 0) and loss (row 1) circuits, each (2, n)."""
+    return traj.states[:, :2].T, traj.states[:, 2:].T, np.stack([traj.I1, traj.I2])
 
 
 @dataclass(frozen=True)
@@ -59,28 +64,16 @@ def power(traj: Trajectory, params: CircuitParams, derived: DerivedParams) -> Po
     exposed for the consistency check.
     """
     cw = params.C * derived.omega0
-    p1 = traj.V1 * traj.I1
-    p2 = traj.V2 * traj.I2
-    p1_id = traj.V1**2 / params.R - cw * traj.V1p * traj.V1
-    p2_id = -traj.V2**2 / params.R - cw * traj.V2p * traj.V2
-    scale = np.maximum.reduce([
-        np.abs(p1), np.abs(p1_id),
-        np.abs(traj.V1) * (np.abs(traj.V1) / params.R + cw * np.abs(traj.V1p)),
-    ])
-    dev1 = np.abs(p1 - p1_id) / np.maximum(scale, 1e-300)
-    scale2 = np.maximum.reduce([
-        np.abs(p2), np.abs(p2_id),
-        np.abs(traj.V2) * (np.abs(traj.V2) / params.R + cw * np.abs(traj.V2p)),
-    ])
-    dev2 = np.abs(p2 - p2_id) / np.maximum(scale2, 1e-300)
-    zero_mask1 = (p1 == 0.0) & (p1_id == 0.0)
-    zero_mask2 = (p2 == 0.0) & (p2_id == 0.0)
-    dev1[zero_mask1] = 0.0
-    dev2[zero_mask2] = 0.0
-    return PowerSeries(
-        p1=p1, p2=p2, p1_identity=p1_id, p2_identity=p2_id,
-        max_relative_deviation=float(max(np.max(dev1), np.max(dev2))),
-    )
+    v, vp, i = _both_circuits(traj)
+    p = v * i
+    p_id = GAIN_LOSS_SIGN * v**2 / params.R - cw * vp * v
+    abs_v = np.abs(v)
+    scale = np.maximum(np.maximum(np.abs(p), np.abs(p_id)),
+                       abs_v * (abs_v / params.R + cw * np.abs(vp)))
+    dev = np.abs(p - p_id) / np.maximum(scale, 1e-300)
+    dev[(p == 0.0) & (p_id == 0.0)] = 0.0
+    return PowerSeries(p1=p[0], p2=p[1], p1_identity=p_id[0], p2_identity=p_id[1],
+                       max_relative_deviation=float(np.max(dev)))
 
 
 @dataclass(frozen=True)
@@ -104,21 +97,15 @@ def energy(traj: Trajectory, params: CircuitParams) -> EnergySeries:
     L, C, R = params.L, params.C, params.R
     omega0_sq = 1.0 / (L * C)
     omega_p_sq = 1.0 / (R * C) ** 2
-    e1 = 0.5 * C * traj.V1**2 + 0.5 * L * traj.I1**2
-    e2 = 0.5 * C * traj.V2**2 + 0.5 * L * traj.I2**2
+    v, vp, i = _both_circuits(traj)
+    v_sq = v**2
+    e = 0.5 * C * v_sq + 0.5 * L * i**2
     # t-derivatives: Vdot = omega0 * dV/dtau
-    vdot1 = np.sqrt(omega0_sq) * traj.V1p
-    vdot2 = np.sqrt(omega0_sq) * traj.V2p
-    e1_rw = 0.5 * L * C * C * (traj.V1**2 * (omega0_sq + omega_p_sq) - vdot1**2)
-    e2_rw = 0.5 * L * C * C * (traj.V2**2 * (omega0_sq - omega_p_sq) - vdot2**2)
-    scale = np.maximum(np.maximum(np.abs(e1), np.abs(e1_rw)), 1e-300)
-    dev = np.abs(e1 - e1_rw) / scale
-    scale2 = np.maximum(np.maximum(np.abs(e2), np.abs(e2_rw)), 1e-300)
-    dev2 = np.abs(e2 - e2_rw) / scale2
-    return EnergySeries(
-        e1=e1, e2=e2, e1_rewrite=e1_rw, e2_rewrite=e2_rw,
-        rewrite_max_relative_deviation=float(max(np.max(dev), np.max(dev2))),
-    )
+    vdot = np.sqrt(omega0_sq) * vp
+    e_rw = 0.5 * L * C * C * (v_sq * (omega0_sq + GAIN_LOSS_SIGN * omega_p_sq) - vdot**2)
+    dev = np.abs(e - e_rw) / np.maximum(np.maximum(np.abs(e), np.abs(e_rw)), 1e-300)
+    return EnergySeries(e1=e[0], e2=e[1], e1_rewrite=e_rw[0], e2_rewrite=e_rw[1],
+                        rewrite_max_relative_deviation=float(np.max(dev)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from . import heisenberg as heis
 from . import linalg
 from . import observables as obs
 from . import pfalgebra
-from .errors import SeriesOverflow
+from .errors import SeriesOverflow, SlopeFitFailure
 from .model import Model
 
 #: the log-slope checks fit the grid's tail tau >= SLOPE_TAIL * tau_max
@@ -129,8 +129,15 @@ def run_verification_suite(
                    0.0 if gl.measurement_consistent else 1.0, 0.0)
     tail = slope_tail(tau)
     if abs(coeffs.c11) > obs.C11_THRESHOLD:
-        slope_p1 = np.polyfit(tau[tail], np.log(np.abs(pw.p1[tail])), 1)[0]
-        slope_e1 = np.polyfit(tau[tail], np.log(np.maximum(en.e1[tail], 1e-300)), 1)[0]
+        try:
+            # a tail of tiny taus underflows in polyfit's column scaling
+            with np.errstate(divide="raise", invalid="raise"):
+                slope_p1 = np.polyfit(tau[tail], np.log(np.abs(pw.p1[tail])), 1)[0]
+                slope_e1 = np.polyfit(tau[tail], np.log(np.maximum(en.e1[tail], 1e-300)), 1)[0]
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise SlopeFitFailure(
+                f"log-slope fit on the tail tau in [{tau[tail][0]:.6g}, {tau[-1]:.6g}] "
+                f"failed: {exc}") from None
         report.add("observables/power_log_slope_error",
                    abs(slope_p1 - 2.0 * spec.l4), 1e-2)
         report.add("observables/energy_log_slope_error",

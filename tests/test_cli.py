@@ -23,7 +23,10 @@ from pfcircuit import (Gauge, Model, derive, energy, normalized, number_evolutio
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
 from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
-from pfcircuit.errors import NearDegenerate, NotSPD, SingularMatrix, ZeroSigma
+from pfcircuit import errors
+from pfcircuit.errors import (NearDegenerate, NotACircuit, NotSPD, NumericalRefusal,
+                              RegimeRefusal, SingularMatrix, ZeroSigma)
+from pfcircuit.verify import run_verification_suite
 
 
 def run(tmp_path, *args):
@@ -316,6 +319,67 @@ def test_numerical_refusal_exit(tmp_path, monkeypatch, capsys, error):
     assert type(error).__name__ in capsys.readouterr().err
 
 
+#: each refusal category, with the exit code and stderr prefix main gives it
+_CATEGORIES = {NotACircuit: (EXIT_CONFIG, "configuration error: "),
+               RegimeRefusal: (EXIT_REGIME, "regime rejected: "),
+               NumericalRefusal: (EXIT_REGIME, "numerical refusal: ")}
+
+
+def test_every_refusal_in_exactly_one_category():
+    refusals = [cls for cls in vars(errors).values() if isinstance(cls, type)
+                and issubclass(cls, ValueError) and cls not in _CATEGORIES]
+    assert errors.SlopeFitFailure in refusals and errors.GridEmpty in refusals
+    for cls in refusals:
+        expected = 0 if cls is errors.GridEmpty else 1
+        assert sum(issubclass(cls, category) for category in _CATEGORIES) == expected, cls
+
+
+@pytest.mark.parametrize("category", list(_CATEGORIES), ids=lambda c: c.__name__)
+def test_main_maps_each_refusal_category(tmp_path, monkeypatch, capsys, category):
+    # a new member of the category, which cli names nowhere
+    injected = type("InjectedRefusal", (category,), {})
+
+    def refusing_command(cfg):
+        raise injected("the injected message")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "validate", refusing_command)
+    code, prefix = _CATEGORIES[category]
+    assert run(tmp_path, "validate", "--mu", "0.5", "--gamma", "3") == code
+    name = "InjectedRefusal: " if category is NumericalRefusal else ""
+    assert capsys.readouterr().err == f"{prefix}{name}the injected message\n"
+
+
+@pytest.mark.parametrize(("tau_max", "code"),
+                         [("1e-300", EXIT_REGIME), ("1e-200", EXIT_REGIME),
+                          ("1e-150", EXIT_CHECK_FAILED)])
+def test_verify_refuses_a_slope_fit_that_fails_in_floating_point(tmp_path, capsys, tau_max, code):
+    # below about tau_max 1e-154 the squared tail taus underflow in polyfit's
+    # column scaling: a divide-by-zero warning, then LinAlgError from the SVD
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--mu", "0.5", "--gamma", "3", "--tau-max", tau_max,
+                     "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_REGIME:
+        assert err.startswith("numerical refusal: SlopeFitFailure: log-slope fit on the tail "
+                              f"tau in [{0.8 * float(tau_max):.6g}, {float(tau_max):.6g}] failed")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "adjoint", "heisenberg", "verify"])
+@pytest.mark.parametrize("point", [["--mu", "1e-300", "--gamma", "3"],
+                                   ["--mu", "0.5", "--gamma", "3", "--gauge", "1e300,1,1,1"]],
+                         ids=["mu-1e-300", "gauge-1e300"])
+def test_singular_matrix_refused_without_a_warning(tmp_path, capsys, command, point):
+    # det(T) and ||T||_F^4 overflow here; the overflow reads as inf and is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, command, *point) == EXIT_REGIME
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refusal: SingularMatrix: matrix is numerically singular (det=")
+
+
 def test_verify_small_capacitance_physical_point(tmp_path):
     # mu = 0.5, gamma = 3 in physical units: sigma = C * 449 is far below 1e-12
     # here, yet the printed denominator is not zero
@@ -556,6 +620,34 @@ def test_heisenberg_artifacts(tmp_path):
     assert payload["two_path_deviation_N1"] < 1e-8
     assert payload["printed_order_deviation_N1"] > 1e-2
     assert np.isfinite(payload["bound_constant_1"])
+
+
+#: sha256 over every verify outcome on a slice of the regime grid (rows mu[0]
+#: and mu[11], every fourth gamma), with the CLI's defaults i1 = 1, tau_max 5
+#: and 1,001 samples, in the unit and the column-equilibrated gauge: a
+#: report's JSON text, or "Class: message" for a refusal; recorded before the
+#: gain/loss twins were stacked into one axis
+_GRID_SLICE_SHA256 = "d6856a9f00915991b275fc378df16799ec5c913cddbbba05a34908ee521548a2"
+
+
+def test_verify_outcomes_pinned_on_a_grid_slice():
+    tau = np.linspace(0.0, 5.0, 1001)
+    digest, outcomes = hashlib.sha256(), set()
+    for mu in _GRID_MU[[0, 11]].tolist():
+        for gamma in _GRID_GAMMA[::4].tolist():
+            model = Model(normalized(mu, gamma, i1=1.0))
+            if not validate(model.derived).accepted:
+                continue
+            for gauge in ([1.0] * 4, (1.0 / np.linalg.norm(model.T, axis=0)).tolist()):
+                try:
+                    report = run_verification_suite(Model(model.params, Gauge(*gauge)), tau)
+                    text, outcome = json.dumps(report.to_dict(), indent=2), "report"
+                except ValueError as exc:
+                    text, outcome = f"{type(exc).__name__}: {exc}", type(exc).__name__
+                outcomes.add(outcome)
+                digest.update(f"{mu!r} {gamma!r} {gauge!r}\n{text}\n".encode())
+    assert outcomes == {"report", "SingularMatrix", "SeriesOverflow", "ReconstructionFailure"}
+    assert digest.hexdigest() == _GRID_SLICE_SHA256
 
 
 #: sha256 of each artifact and of stdout, written with ``--output .``; recorded
