@@ -217,8 +217,10 @@ def _modal(start: np.ndarray, rates: np.ndarray, weights: np.ndarray,
 
 def _currents(states: np.ndarray, params: CircuitParams, derived: DerivedParams) -> np.ndarray:
     """(I1, I2) as a (2, n) stack: I_j = +-V_j/R - C*omega0*dV_j/dtau."""
-    return (GAIN_LOSS_SIGN * states[:, :2].T / params.R
-            - params.C * derived.omega0 * states[:, 2:].T)
+    currents = GAIN_LOSS_SIGN * states[:, :2].T
+    currents /= params.R
+    currents -= params.C * derived.omega0 * states[:, 2:].T
+    return currents
 
 
 def evolve_closed(

@@ -40,9 +40,20 @@ MEASUREMENT_WINDOW = 0.1
 C11_THRESHOLD = 1e-12
 
 
-def _both_circuits(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V_j, dV_j/dtau and I_j of the gain (row 0) and loss (row 1) circuits, each (2, n)."""
-    return traj.states[:, :2].T, traj.states[:, 2:].T, np.stack([traj.I1, traj.I2])
+def _both_circuits(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """V_j and dV_j/dtau of the gain (row 0) and loss (row 1) circuits, each (2, n)."""
+    return traj.states[:, :2].T, traj.states[:, 2:].T
+
+
+def _relative_deviation(a: np.ndarray, b: np.ndarray, *scales: np.ndarray) -> np.ndarray:
+    """|a - b| / max(|a|, |b|, *scales, 1e-300), built in place so that few
+    temporaries of the (2, n) stacks are alive at once."""
+    scale = np.abs(a)
+    for floor in (np.abs(b), *scales, 1e-300):
+        np.maximum(scale, floor, out=scale)
+    dev = np.abs(a - b)
+    dev /= scale
+    return dev
 
 
 @dataclass(frozen=True)
@@ -64,13 +75,10 @@ def power(traj: Trajectory, params: CircuitParams, derived: DerivedParams) -> Po
     exposed for the consistency check.
     """
     cw = params.C * derived.omega0
-    v, vp, i = _both_circuits(traj)
-    p = v * i
+    v, vp = _both_circuits(traj)
+    p = v * np.stack([traj.I1, traj.I2])
     p_id = GAIN_LOSS_SIGN * v**2 / params.R - cw * vp * v
-    abs_v = np.abs(v)
-    scale = np.maximum(np.maximum(np.abs(p), np.abs(p_id)),
-                       abs_v * (abs_v / params.R + cw * np.abs(vp)))
-    dev = np.abs(p - p_id) / np.maximum(scale, 1e-300)
+    dev = _relative_deviation(p, p_id, np.abs(v) * (np.abs(v) / params.R + cw * np.abs(vp)))
     dev[(p == 0.0) & (p_id == 0.0)] = 0.0
     return PowerSeries(p1=p[0], p2=p[1], p1_identity=p_id[0], p2_identity=p_id[1],
                        max_relative_deviation=float(np.max(dev)))
@@ -97,13 +105,12 @@ def energy(traj: Trajectory, params: CircuitParams) -> EnergySeries:
     L, C, R = params.L, params.C, params.R
     omega0_sq = 1.0 / (L * C)
     omega_p_sq = 1.0 / (R * C) ** 2
-    v, vp, i = _both_circuits(traj)
-    v_sq = v**2
-    e = 0.5 * C * v_sq + 0.5 * L * i**2
+    v, vp = _both_circuits(traj)
+    e = 0.5 * C * v**2 + 0.5 * L * np.stack([traj.I1, traj.I2]) ** 2
     # t-derivatives: Vdot = omega0 * dV/dtau
-    vdot = np.sqrt(omega0_sq) * vp
-    e_rw = 0.5 * L * C * C * (v_sq * (omega0_sq + GAIN_LOSS_SIGN * omega_p_sq) - vdot**2)
-    dev = np.abs(e - e_rw) / np.maximum(np.maximum(np.abs(e), np.abs(e_rw)), 1e-300)
+    e_rw = 0.5 * L * C * C * (v**2 * (omega0_sq + GAIN_LOSS_SIGN * omega_p_sq)
+                              - (np.sqrt(omega0_sq) * vp) ** 2)
+    dev = _relative_deviation(e, e_rw)
     return EnergySeries(e1=e[0], e2=e[1], e1_rewrite=e_rw[0], e2_rewrite=e_rw[1],
                         rewrite_max_relative_deviation=float(np.max(dev)))
 
