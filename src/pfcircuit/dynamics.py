@@ -54,8 +54,8 @@ RK4_DEFAULT_STEP = 1e-3
 RK4_TARGET_ERROR = 1e-7
 #: intervals per prefix-scan chunk of evolve_rk4
 RK4_SCAN_CHUNK = 1024
-#: the sign of the resistance term of each sub-circuit, gain then loss: the
-#: twins' formulas run over one stacked axis of length 2 with it
+#: the sign of the resistance term of each sub-circuit, gain then loss, as a
+#: column that broadcasts over the (2, n) stacks of the twins' formulas
 GAIN_LOSS_SIGN = np.array([[1.0], [-1.0]])
 
 

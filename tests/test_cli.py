@@ -22,8 +22,8 @@ from pfcircuit import (Gauge, Model, derive, energy, normalized, number_evolutio
                        spectrum, validate)
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
-from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
 from pfcircuit import errors
+from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
 from pfcircuit.errors import (NearDegenerate, NotACircuit, NotSPD, NumericalRefusal,
                               RegimeRefusal, SingularMatrix, ZeroSigma)
 from pfcircuit.verify import run_verification_suite
@@ -625,8 +625,8 @@ def test_heisenberg_artifacts(tmp_path):
 #: sha256 over every verify outcome on a slice of the regime grid (rows mu[0]
 #: and mu[11], every fourth gamma), with the CLI's defaults i1 = 1, tau_max 5
 #: and 1,001 samples, in the unit and the column-equilibrated gauge: a
-#: report's JSON text, or "Class: message" for a refusal; recorded before the
-#: gain/loss twins were stacked into one axis
+#: report's JSON text, or "Class: message" for a refusal; recorded with numpy
+#: 2.4.6 before the gain/loss twins were stacked into one axis
 _GRID_SLICE_SHA256 = "d6856a9f00915991b275fc378df16799ec5c913cddbbba05a34908ee521548a2"
 
 
