@@ -40,10 +40,10 @@ print(f"N1: the printed reordering (sliding the opposite adjoint factor through"
       f" N1) is off by {printed1:.3f}")
 print(f"N2: generic vs ordered {dev2:.3e}, printed reordering off by {printed2:.3f}")
 
+# the growth report holds each quantity as an (N1, N2) pair
 bound = growth_bound_report(evo, model.spec)
-print(f"\n||N1(0)|| = {bound.norm_n1_initial:.6f}, "
-      f"||N2(0)|| = {bound.norm_n2_initial:.6f} (the norm-one premise "
-      f"holds: {bound.premise_norm_one_1}, {bound.premise_norm_one_2})")
+(norm1, norm2), (const1, const2) = bound.norm_initial, bound.bound_constant
+print(f"\n||N1(0)|| = {norm1:.6f}, ||N2(0)|| = {norm2:.6f} (the norm-one premise "
+      f"holds: {bound.premise_norm_one[0]}, {bound.premise_norm_one[1]})")
 print(f"growth ratios ||N_j(tau)|| e^(2 l3 tau) stay below "
-      f"{bound.bound_constant_1:.4f} * ||N1(0)|| and "
-      f"{bound.bound_constant_2:.4f} * ||N2(0)|| on tau in [0, 3]")
+      f"{const1:.4f} * ||N1(0)|| and {const2:.4f} * ||N2(0)|| on tau in [0, 3]")

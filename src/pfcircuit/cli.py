@@ -73,7 +73,7 @@ class RunConfig:
     C: float | None = None
     R: float | None = None
     M: float | None = None
-    i1: float = 1.0
+    i1: float = CircuitParams.i1
     gauge: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     tau_max: float = 5.0
     samples: int = 1001
@@ -362,7 +362,7 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
                "two_path_deviation_N1": two_path[0], "two_path_deviation_N2": two_path[1],
                "printed_order_deviation_N1": printed[0], "printed_order_deviation_N2": printed[1]}
     _save(out / "heisenberg_report.json", _json_text(payload))
-    print(f"growth constants: {bound.bound_constant_1:.6g}, {bound.bound_constant_2:.6g}")
+    print("growth constants:", ", ".join(f"{c:.6g}" for c in bound.bound_constant))
     return EXIT_OK
 
 

@@ -141,13 +141,9 @@ def coefficients_paper(
         (l2 * (d21 - d24) + l4 * (d21 + d24 - 2.0 * d22) * i1) / (sigma * t[2]),
         (l4 * (d22 - d23) + l2 * (d22 + d23 - 2.0 * d21) * i1) / (sigma * t[3]),
     ])
-    projection = coeffs.vector
-    deviation = np.abs(printed - projection) / np.maximum(
-        np.maximum(np.abs(printed), np.abs(projection)), 1e-300
-    )
     return PaperCoefficientComparison(
-        sigma=float(sigma), printed=printed, projection=projection,
-        relative_deviation=deviation,
+        sigma=float(sigma), printed=printed, projection=coeffs.vector,
+        relative_deviation=linalg.relative_gap(printed, coeffs.vector),
     )
 
 
@@ -178,8 +174,16 @@ class StateTrajectory:
 class Trajectory(StateTrajectory):
     """State samples plus the circuit currents extracted from them."""
 
-    I1: np.ndarray
-    I2: np.ndarray
+    currents: np.ndarray
+    """(I1, I2) as a (2, n) stack, gain circuit first."""
+
+    @property
+    def I1(self) -> np.ndarray:
+        return self.currents[0]
+
+    @property
+    def I2(self) -> np.ndarray:
+        return self.currents[1]
 
     @property
     def V1(self) -> np.ndarray:
@@ -241,8 +245,7 @@ def evolve_closed(
     weights = (pair.phi * coeffs.vector[None, :]).T  # (mode, component)
     start = weights.sum(axis=0) if psi0 is None else linalg.as_vector(psi0)
     modal = _modal(start, spec.eigenvalues, weights, tau_grid)
-    i1, i2 = _currents(modal.states, params, derived)
-    return Trajectory(**vars(modal), I1=i1, I2=i2)
+    return Trajectory(**vars(modal), currents=_currents(modal.states, params, derived))
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:

@@ -78,9 +78,15 @@ def evolve_observable(X0: np.ndarray, pf: PFSystem, tau_grid) -> ObservableTraje
     return ObservableTrajectory(tau=tau, X=out, norms=norms)
 
 
-def _expansion_factor(n_op: np.ndarray, rate: float, tau) -> np.ndarray:
-    """I + (e^{rate tau} - 1) N, stacked along the leading axis for a tau array."""
-    return np.eye(4) + np.multiply.outer(np.exp(rate * tau) - 1.0, n_op)
+def _expansion_factors(pf: PFSystem, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E_j = I + (e^{lambda_j tau} - 1) N_j for both modes on a 1-d tau grid.
+
+    Returns the growths e^{lambda_j tau} - 1, shape (2, n, 1, 1), and the
+    factors, shape (2, n, 4, 4), in mode order.
+    """
+    rates = np.array([pf.spectrum.lambda1, pf.spectrum.lambda2])
+    grow = (np.exp(np.multiply.outer(rates, tau)) - 1.0)[..., None, None]
+    return grow, np.eye(4) + grow * pf.N[:, None]
 
 
 @dataclass(frozen=True)
@@ -108,15 +114,13 @@ def number_evolution(pf: PFSystem, tau_grid) -> NumberEvolution:
     the same stack reversed.
     """
     spec = pf.spectrum
-    n_ops = np.stack([pf.N1, pf.N2])
-    rates = np.array([spec.lambda1, spec.lambda2])
-    generic = evolve_observable(n_ops, pf, tau_grid)
+    generic = evolve_observable(pf.N, pf, tau_grid)
     tau = generic.tau
+    rates = np.array([spec.lambda1, spec.lambda2])
     prefactor = np.exp(np.multiply.outer(2.0 * spec.l3 + rates, tau))[..., None, None]
-    grow = (np.exp(np.multiply.outer(rates, tau)) - 1.0)[..., None, None]
-    factor = np.eye(4) + grow * n_ops[:, None]
+    grow, factor = _expansion_factors(pf, tau)
     factor_adj = factor.swapaxes(-1, -2)
-    n_own, n_other = n_ops[:, None], n_ops[::-1, None]
+    n_own, n_other = pf.N[:, None], pf.N[::-1, None]
     n_other_adj = n_other.swapaxes(-1, -2)
     closed = prefactor * (factor_adj[::-1] @ factor_adj @ n_own @ factor[::-1])
     printed = prefactor * (factor_adj @ n_own @ (
@@ -133,46 +137,36 @@ def number_evolution(pf: PFSystem, tau_grid) -> NumberEvolution:
 class GrowthBoundReport:
     """Measured growth of the evolved number operators against e^{-2 l3 tau}.
 
-    ``bound_constant_j`` is the grid supremum of ||N_j(tau)|| e^{2 l3 tau}
-    normalized by ||N_j(0)||; finiteness is the substantive claim.  The
-    premise flags record whether ||N_j(0)|| = 1, which holds for orthogonal
-    projections but generally fails here, so it is reported rather than
-    assumed.
+    Each pair holds (N1, N2).  ``bound_constant`` is the grid supremum of
+    ||N_j(tau)|| e^{2 l3 tau} normalized by ||N_j(0)||; finiteness is the
+    substantive claim.  The premise flags record whether ||N_j(0)|| = 1,
+    which holds for orthogonal projections but generally fails here, so it
+    is reported rather than assumed.
     """
 
-    norm_n1_initial: float
-    norm_n2_initial: float
-    bound_constant_1: float
-    bound_constant_2: float
-    premise_norm_one_1: bool
-    premise_norm_one_2: bool
+    norm_initial: tuple[float, float]
+    bound_constant: tuple[float, float]
+    premise_norm_one: tuple[bool, bool]
     ratios: np.ndarray
     """Shape (n, 2): ||N_j(tau)|| e^{2 l3 tau} per sample."""
 
     def to_dict(self) -> dict:
-        return {
-            "norm_N1_initial": self.norm_n1_initial,
-            "norm_N2_initial": self.norm_n2_initial,
-            "bound_constant_1": self.bound_constant_1,
-            "bound_constant_2": self.bound_constant_2,
-            "premise_norm_one_1": self.premise_norm_one_1,
-            "premise_norm_one_2": self.premise_norm_one_2,
-        }
+        return {key.format(j): value
+                for key, pair in (("norm_N{}_initial", self.norm_initial),
+                                  ("bound_constant_{}", self.bound_constant),
+                                  ("premise_norm_one_{}", self.premise_norm_one))
+                for j, value in enumerate(pair, 1)}
 
 
 def growth_bound_report(evo: NumberEvolution, spec: Spectrum) -> GrowthBoundReport:
     """Compute the scaled norm ratios r_j(tau) = ||N_j(tau)|| e^{2 l3 tau}."""
     norms = evo.generic.norms
     ratios = (norms * np.exp(2.0 * spec.l3 * evo.generic.tau)).T
-    n1_0, n2_0 = norms[:, 0].tolist()
-    c1, c2 = (np.max(ratios, axis=0) / norms[:, 0]).tolist()
+    initial = tuple(norms[:, 0].tolist())
     return GrowthBoundReport(
-        norm_n1_initial=n1_0,
-        norm_n2_initial=n2_0,
-        bound_constant_1=c1,
-        bound_constant_2=c2,
-        premise_norm_one_1=abs(n1_0 - 1.0) <= 1e-9,
-        premise_norm_one_2=abs(n2_0 - 1.0) <= 1e-9,
+        norm_initial=initial,
+        bound_constant=tuple((np.max(ratios, axis=0) / norms[:, 0]).tolist()),
+        premise_norm_one=tuple(abs(n - 1.0) <= 1e-9 for n in initial),
         ratios=ratios,
     )
 
@@ -184,9 +178,8 @@ def product_formula_residual(pf: PFSystem, tau):
     """
     tau = np.asarray(tau, dtype=float)
     e = shifted_propagator(pf, tau)
-    prod = _expansion_factor(pf.N1, pf.spectrum.lambda1, tau) @ _expansion_factor(
-        pf.N2, pf.spectrum.lambda2, tau
-    )
+    _, (first, second) = _expansion_factors(pf, tau.reshape(-1))
+    prod = (first @ second).reshape(e.shape)
     residual = np.linalg.norm(e - prod, axis=(-2, -1)) / np.maximum(
         np.linalg.norm(e, axis=(-2, -1)), 1e-300)
     return residual if residual.ndim else float(residual)
@@ -211,7 +204,7 @@ def expectation_consistency_residual(X0: np.ndarray, state0: np.ndarray, pf: PFS
     lhs = (state_t.swapaxes(-1, -2) @ (X0 @ state_t))[..., 0, 0]
     x_t = np.exp(2.0 * l3 * tau)[..., None, None] * (e_shift.swapaxes(-1, -2) @ X0 @ e_shift)
     rhs = (state0.swapaxes(-1, -2) @ (x_t @ state0))[..., 0, 0]
-    residual = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    residual = linalg.relative_gap(lhs, rhs)
     return residual if residual.ndim else float(residual)
 
 

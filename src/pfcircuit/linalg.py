@@ -30,6 +30,7 @@ __all__ = [
     "jacobi_eigh",
     "sqrtm_spd",
     "spectral_norm",
+    "relative_gap",
     "probes",
 ]
 
@@ -254,6 +255,18 @@ def spectral_norm(a):
             "spectral-norm overflow: a stack member or its A^T A is not finite")
     norms = np.sqrt(np.maximum(jacobi_eigh(ata)[0][..., -1], 0.0))
     return norms if m.ndim == 3 else float(norms)
+
+
+def relative_gap(a, b, *scales):
+    """|a - b| / max(|a|, |b|, *scales, 1e-300), elementwise; 0-d operands give
+    a numpy scalar.  The denominator is built in place, so that few
+    temporaries of large stacks are alive at once."""
+    scale = np.abs(a, out=np.empty(np.shape(a)))
+    for floor in (np.abs(b), *scales, 1e-300):
+        np.maximum(scale, floor, out=scale)
+    gap = np.abs(a - b)
+    gap /= scale
+    return gap
 
 
 def probes(seed: int, shape: tuple[int, ...]) -> np.ndarray:

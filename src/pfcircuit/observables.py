@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .dynamics import GAIN_LOSS_SIGN, Coefficients, Trajectory
 from .errors import ZeroCoupling
 from .liouvillian import Spectrum
@@ -45,17 +46,6 @@ def _both_circuits(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return traj.states[:, :2].T, traj.states[:, 2:].T
 
 
-def _relative_deviation(a: np.ndarray, b: np.ndarray, *scales: np.ndarray) -> np.ndarray:
-    """|a - b| / max(|a|, |b|, *scales, 1e-300), built in place so that few
-    temporaries of the (2, n) stacks are alive at once."""
-    scale = np.abs(a)
-    for floor in (np.abs(b), *scales, 1e-300):
-        np.maximum(scale, floor, out=scale)
-    dev = np.abs(a - b)
-    dev /= scale
-    return dev
-
-
 @dataclass(frozen=True)
 class PowerSeries:
     """Both computation paths for the sub-circuit powers."""
@@ -76,9 +66,9 @@ def power(traj: Trajectory, params: CircuitParams, derived: DerivedParams) -> Po
     """
     cw = params.C * derived.omega0
     v, vp = _both_circuits(traj)
-    p = v * np.stack([traj.I1, traj.I2])
+    p = v * traj.currents
     p_id = GAIN_LOSS_SIGN * v**2 / params.R - cw * vp * v
-    dev = _relative_deviation(p, p_id, np.abs(v) * (np.abs(v) / params.R + cw * np.abs(vp)))
+    dev = linalg.relative_gap(p, p_id, np.abs(v) * (np.abs(v) / params.R + cw * np.abs(vp)))
     dev[(p == 0.0) & (p_id == 0.0)] = 0.0
     return PowerSeries(p1=p[0], p2=p[1], p1_identity=p_id[0], p2_identity=p_id[1],
                        max_relative_deviation=float(np.max(dev)))
@@ -106,11 +96,11 @@ def energy(traj: Trajectory, params: CircuitParams) -> EnergySeries:
     omega0_sq = 1.0 / (L * C)
     omega_p_sq = 1.0 / (R * C) ** 2
     v, vp = _both_circuits(traj)
-    e = 0.5 * C * v**2 + 0.5 * L * np.stack([traj.I1, traj.I2]) ** 2
+    e = 0.5 * C * v**2 + 0.5 * L * traj.currents**2
     # t-derivatives: Vdot = omega0 * dV/dtau
     e_rw = 0.5 * L * C * C * (v**2 * (omega0_sq + GAIN_LOSS_SIGN * omega_p_sq)
                               - (np.sqrt(omega0_sq) * vp) ** 2)
-    dev = _relative_deviation(e, e_rw)
+    dev = linalg.relative_gap(e, e_rw)
     return EnergySeries(e1=e[0], e2=e[1], e1_rewrite=e_rw[0], e2_rewrite=e_rw[1],
                         rewrite_max_relative_deviation=float(np.max(dev)))
 

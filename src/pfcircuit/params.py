@@ -73,7 +73,7 @@ class CircuitParams:
     M: float
     """Mutual inductance between the two sub-circuits (henry, |M| < L)."""
 
-    i1: float = 0.0
+    i1: float = 1.0
     """Initial current in the first sub-circuit (ampere)."""
 
     def __post_init__(self) -> None:
@@ -134,7 +134,7 @@ def derive(params: CircuitParams) -> DerivedParams:
     return DerivedParams(mu=mu, gamma=gamma, alpha=alpha, omega0=omega0, omega_p=omega_p)
 
 
-def normalized(mu: float, gamma: float, i1: float = 0.0) -> CircuitParams:
+def normalized(mu: float, gamma: float, i1: float = CircuitParams.i1) -> CircuitParams:
     """The normalized configuration L = C = 1, R = 1/gamma, M = mu.
 
     In these units omega0 = 1 and tau coincides with t, which is the

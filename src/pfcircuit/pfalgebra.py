@@ -128,12 +128,10 @@ class PFSystem:
 
     T: np.ndarray
     T_inv: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
+    a: np.ndarray
+    """(a1, a2) as a (2, 4, 4) stack; b and N are stacked in the same mode order."""
+    b: np.ndarray
+    N: np.ndarray
     S_phi: np.ndarray
     S_psi: np.ndarray
     H0: np.ndarray
@@ -155,29 +153,21 @@ def build_pf(
     """Construct every operator of the system from the intertwiner's two families.
 
     T is the phi family and T^-1 the transposed psi family, so no inverse is
-    taken here.  When the independently assembled generator matrix is
-    supplied, the reconstruction identity lambda1 N1 + lambda2 N2 + l3 I = L
-    is verified and a failure raises :class:`ReconstructionFailure`.
+    taken here.  Both modes go through one stacked product per operator.
+    When the independently assembled generator matrix is supplied, the
+    reconstruction identity lambda1 N1 + lambda2 N2 + l3 I = L is verified
+    and a failure raises :class:`ReconstructionFailure`.
     """
     T, T_inv = pair.phi, pair.psi.T
-    A1, A2 = fermion_generators()
-    a1 = T @ A1 @ T_inv
-    a2 = T @ A2 @ T_inv
-    b1 = T @ A1.T @ T_inv
-    b2 = T @ A2.T @ T_inv
-    N1 = b1 @ a1
-    N2 = b2 @ a2
-    S_phi = T @ T.T
-    S_psi = T_inv.T @ T_inv
+    A = np.stack(fermion_generators())
+    a = T @ A @ T_inv
+    b = T @ A.swapaxes(-1, -2) @ T_inv
     system = PFSystem(
-        T=T, T_inv=T_inv,
-        a1=a1, a2=a2, b1=b1, b2=b2, N1=N1, N2=N2,
-        S_phi=S_phi, S_psi=S_psi, H0=build_h0(spec), spectrum=spec,
+        T=T, T_inv=T_inv, a=a, b=b, N=b @ a,
+        S_phi=T @ T.T, S_psi=T_inv.T @ T_inv, H0=build_h0(spec), spectrum=spec,
     )
     if liouvillian is not None:
-        recon = spec.lambda1 * N1 + spec.lambda2 * N2 + spec.l3 * np.eye(4)
-        scale = np.linalg.norm(liouvillian, "fro")
-        residual = np.linalg.norm(recon - liouvillian, "fro") / max(scale, 1e-300)
+        residual = _reconstruction_residual(system, liouvillian)
         if residual > 1e-9:
             raise ReconstructionFailure(
                 f"generator reconstruction residual {residual:.3e} exceeds 1e-9; "
@@ -235,6 +225,30 @@ def _anti(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y + y @ x
 
 
+def _reconstruction_residual(system: PFSystem, liouvillian: np.ndarray) -> float:
+    """||lambda1 N1 + lambda2 N2 + l3 I - L||_F / ||L||_F, the residual by which
+    the operator system misses the independently assembled generator."""
+    spec = system.spectrum
+    recon = spec.lambda1 * system.N[0] + spec.lambda2 * system.N[1] + spec.l3 * np.eye(4)
+    return _rel(recon - liouvillian, np.linalg.norm(liouvillian, "fro"))
+
+
+#: the cross-pair anticommutators {x, y} of a_j or its adjoint with b_k or its
+#: adjoint, k the other mode: (name, j, x is a_j^+, y is b_k^+).  Similarity
+#: keeps the first four at zero; the mixed-dagger four vanish only for
+#: orthogonal T, so they are reported, not asserted.
+_CROSS_PAIRS = (
+    ("cross_anticommutator_a1_b2", 0, False, False),
+    ("cross_anticommutator_a2_b1", 1, False, False),
+    ("cross_anticommutator_a1adj_b2adj", 0, True, True),
+    ("cross_anticommutator_a2adj_b1adj", 1, True, True),
+    ("reported_mixed_dagger_a1_b2adj", 0, False, True),
+    ("reported_mixed_dagger_a1adj_b2", 0, True, False),
+    ("reported_mixed_dagger_a2_b1adj", 1, False, True),
+    ("reported_mixed_dagger_a2adj_b1", 1, True, False),
+)
+
+
 def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
     """Run every algebraic identity of the operator system, one named check each.
 
@@ -248,49 +262,31 @@ def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
     report = VerificationReport()
     eye = np.eye(4)
     s = system
-    spec = s.spectrum
-    pairs = {"1": (s.a1, s.b1), "2": (s.a2, s.b2)}
+    # one Frobenius norm per member: a norm over axis=(-2, -1) sums in another order
+    na, nb, nn = ([np.linalg.norm(x, "fro") for x in stack] for stack in (s.a, s.b, s.N))
 
-    for j, (aj, bj) in pairs.items():
-        na = np.linalg.norm(aj, "fro")
-        nb = np.linalg.norm(bj, "fro")
-        report.add(f"a{j}_squared_zero", _rel(aj @ aj, na * na), 1e-10)
-        report.add(f"b{j}_squared_zero", _rel(bj @ bj, nb * nb), 1e-10)
+    for j, (aj, bj, naj, nbj) in enumerate(zip(s.a, s.b, na, nb), 1):
+        report.add(f"a{j}_squared_zero", _rel(aj @ aj, naj * naj), 1e-10)
+        report.add(f"b{j}_squared_zero", _rel(bj @ bj, nbj * nbj), 1e-10)
         report.add(f"anticommutator_a{j}_b{j}_is_identity",
                    _rel(_anti(aj, bj) - eye, 1.0), 1e-10)
 
-    # cross-pair independence: the similarity-invariant combinations
-    cross_scale = {
-        ("1", "2"): np.linalg.norm(s.a1, "fro") * np.linalg.norm(s.b2, "fro"),
-        ("2", "1"): np.linalg.norm(s.a2, "fro") * np.linalg.norm(s.b1, "fro"),
-    }
-    report.add("cross_anticommutator_a1_b2", _rel(_anti(s.a1, s.b2), cross_scale[("1", "2")]), 1e-10)
-    report.add("cross_anticommutator_a2_b1", _rel(_anti(s.a2, s.b1), cross_scale[("2", "1")]), 1e-10)
-    report.add("cross_anticommutator_a1adj_b2adj",
-               _rel(_anti(s.a1.T, s.b2.T), cross_scale[("1", "2")]), 1e-10)
-    report.add("cross_anticommutator_a2adj_b1adj",
-               _rel(_anti(s.a2.T, s.b1.T), cross_scale[("2", "1")]), 1e-10)
-    # mixed-dagger combinations vanish only for orthogonal T: reported, not asserted
-    report.add("reported_mixed_dagger_a1_b2adj", _rel(_anti(s.a1, s.b2.T), cross_scale[("1", "2")]), None)
-    report.add("reported_mixed_dagger_a1adj_b2", _rel(_anti(s.a1.T, s.b2), cross_scale[("1", "2")]), None)
-    report.add("reported_mixed_dagger_a2_b1adj", _rel(_anti(s.a2, s.b1.T), cross_scale[("2", "1")]), None)
-    report.add("reported_mixed_dagger_a2adj_b1", _rel(_anti(s.a2.T, s.b1), cross_scale[("2", "1")]), None)
+    for name, j, x_adj, y_adj in _CROSS_PAIRS:
+        x = s.a[j].T if x_adj else s.a[j]
+        y = s.b[1 - j].T if y_adj else s.b[1 - j]
+        report.add(name, _rel(_anti(x, y), na[j] * nb[1 - j]), 1e-10 if x_adj == y_adj else None)
 
-    for j, nj in (("1", s.N1), ("2", s.N2)):
-        nn = np.linalg.norm(nj, "fro")
-        report.add(f"N{j}_idempotent", _rel(nj @ nj - nj, nn), 1e-10)
-    report.add("commutator_N1_N2",
-               _rel(s.N1 @ s.N2 - s.N2 @ s.N1,
-                    np.linalg.norm(s.N1, "fro") * np.linalg.norm(s.N2, "fro")), 1e-10)
+    for j, (nj, nnj) in enumerate(zip(s.N, nn), 1):
+        report.add(f"N{j}_idempotent", _rel(nj @ nj - nj, nnj), 1e-10)
+    n1, n2 = s.N
+    report.add("commutator_N1_N2", _rel(n1 @ n2 - n2 @ n1, nn[0] * nn[1]), 1e-10)
 
     # ladder eigenvalue relations on the eigenvector columns of T
-    occupations_1 = np.array([0.0, 1.0, 0.0, 1.0])
-    occupations_2 = np.array([0.0, 0.0, 1.0, 1.0])
-    res1 = np.linalg.norm(s.N1 @ s.T - s.T * occupations_1, "fro")
-    res2 = np.linalg.norm(s.N2 @ s.T - s.T * occupations_2, "fro")
+    occupations = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
     t_scale = np.linalg.norm(s.T, "fro")
-    report.add("N1_eigenvector_columns", res1 / t_scale, 1e-10)
-    report.add("N2_eigenvector_columns", res2 / t_scale, 1e-10)
+    for j, (nj, occupied) in enumerate(zip(s.N, occupations), 1):
+        report.add(f"N{j}_eigenvector_columns",
+                   np.linalg.norm(nj @ s.T - s.T * occupied, "fro") / t_scale, 1e-10)
 
     # metric operators
     phi_columns = s.T
@@ -307,18 +303,17 @@ def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
     report.add("metric_phi_norm_bound", max(0.0, norm_bound_gap / sphi_scale), 0.0)
 
     # intertwining of each number operator with its adjoint through the metrics
-    for j, nj in (("1", s.N1), ("2", s.N2)):
-        scale_psi = np.linalg.norm(s.S_psi, "fro") * np.linalg.norm(nj, "fro")
-        scale_phi = np.linalg.norm(s.S_phi, "fro") * np.linalg.norm(nj, "fro")
+    spsi_scale = np.linalg.norm(s.S_psi, "fro")
+    for j, (nj, nnj) in enumerate(zip(s.N, nn), 1):
         report.add(f"intertwining_Spsi_N{j}",
-                   _rel(s.S_psi @ nj - nj.T @ s.S_psi, scale_psi), 1e-9)
+                   _rel(s.S_psi @ nj - nj.T @ s.S_psi, spsi_scale * nnj), 1e-9)
         report.add(f"intertwining_Sphi_N{j}adj",
-                   _rel(s.S_phi @ nj.T - nj @ s.S_phi, scale_phi), 1e-9)
+                   _rel(s.S_phi @ nj.T - nj @ s.S_phi, sphi_scale * nnj), 1e-9)
 
     # similarity-transported number operators are symmetric with spectrum {0, 1}
     sqrt_S_psi = linalg.sqrtm_spd(s.S_psi, eigh_psi)
     sqrt_S_phi = linalg.sqrtm_spd(s.S_phi, eigh_phi)  # equals S_psi^{-1/2}
-    n_hats = np.stack([sqrt_S_psi @ nj @ sqrt_S_phi for nj in (s.N1, s.N2)])
+    n_hats = sqrt_S_psi @ s.N @ sqrt_S_phi
     spectra, _ = linalg.jacobi_eigh((n_hats + np.swapaxes(n_hats, 1, 2)) / 2.0)
     for j, nh, w in zip("12", n_hats, spectra):
         report.add(f"n_hat{j}_symmetric", _rel(nh - nh.T, np.linalg.norm(nh, "fro")), 1e-9)
@@ -327,9 +322,8 @@ def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
 
     liouvillian = linalg.as_square(liouvillian, 4)
     l_scale = np.linalg.norm(liouvillian, "fro")
-    recon = spec.lambda1 * s.N1 + spec.lambda2 * s.N2 + spec.l3 * eye
-    report.add("generator_reconstruction", _rel(recon - liouvillian, l_scale), 1e-9)
-    shifted = liouvillian - spec.l3 * eye
+    report.add("generator_reconstruction", _reconstruction_residual(s, liouvillian), 1e-9)
+    shifted = liouvillian - s.spectrum.l3 * eye
     report.add("intertwining_generator_H0",
                _rel(shifted @ s.T - s.T @ s.H0,
                     np.linalg.norm(shifted, "fro") * t_scale), 1e-9)

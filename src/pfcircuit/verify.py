@@ -160,12 +160,12 @@ def run_verification_suite(
         rows[:, :16].reshape(20, 4, 4), rows[:, 16:20], pf, times)
     report.add("heisenberg/expectation_consistency_max", float(np.max(expectation)), 1e-8)
     bound = heis.growth_bound_report(evo, spec)
-    finite = np.isfinite(bound.bound_constant_1) and np.isfinite(bound.bound_constant_2)
+    finite = np.all(np.isfinite(bound.bound_constant))
     report.add("heisenberg/growth_ratio_finite", 0.0 if finite else float("inf"), 0.0)
-    report.add("heisenberg/reported_growth_constant_N1", bound.bound_constant_1, None)
-    report.add("heisenberg/reported_growth_constant_N2", bound.bound_constant_2, None)
-    report.add("heisenberg/reported_norm_N1_initial", bound.norm_n1_initial, None)
-    report.add("heisenberg/reported_norm_N2_initial", bound.norm_n2_initial, None)
+    for j, constant in enumerate(bound.bound_constant, 1):
+        report.add(f"heisenberg/reported_growth_constant_N{j}", constant, None)
+    for j, norm in enumerate(bound.norm_initial, 1):
+        report.add(f"heisenberg/reported_norm_N{j}_initial", norm, None)
     report.add("heisenberg/effective_hamiltonian_route",
                heis.effective_hamiltonian_route_residual(gen, np.diag([1.0, 2.0, -1.0, 0.5]), 0.9),
                1e-9)

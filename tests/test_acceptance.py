@@ -202,8 +202,8 @@ def test_criterion_6_heisenberg():
         for t in (0.4, 1.1, 2.6):
             assert product_formula_residual(pf, t) < 1e-9
         bound = growth_bound_report(evo, model.spec)
-        assert np.isfinite(bound.bound_constant_1)
-        assert np.isfinite(bound.bound_constant_2)
+        assert np.isfinite(bound.bound_constant[0])
+        assert np.isfinite(bound.bound_constant[1])
 
 
 def test_criterion_7_reported_channels():
@@ -215,7 +215,7 @@ def test_criterion_7_reported_channels():
         assert np.all(np.isfinite(comparison.relative_deviation))
         en = energy(model.evolve(TAU), params)
         assert np.isfinite(en.rewrite_max_relative_deviation)
-        norm_n1 = linalg.spectral_norm(model.pf.N1)
+        norm_n1 = linalg.spectral_norm(model.pf.N[0])
         assert np.isfinite(norm_n1)
         # the channels are recorded in the verification report without a verdict
         # and therefore cannot gate its outcome

@@ -40,12 +40,12 @@ def test_gram_and_resolutions(reference_pair):
 def test_ladder_construction_matches_columns(reference_pair, reference_pf):
     phi00 = reference_pair.phi_vec(0, 0)
     # vacuum annihilated by both lowering operators
-    assert np.linalg.norm(reference_pf.a1 @ phi00) < 1e-10 * np.linalg.norm(phi00)
-    assert np.linalg.norm(reference_pf.a2 @ phi00) < 1e-10 * np.linalg.norm(phi00)
+    assert np.linalg.norm(reference_pf.a[0] @ phi00) < 1e-10 * np.linalg.norm(phi00)
+    assert np.linalg.norm(reference_pf.a[1] @ phi00) < 1e-10 * np.linalg.norm(phi00)
     for raised, column in (
-        (reference_pf.b1 @ phi00, reference_pair.phi_vec(1, 0)),
-        (reference_pf.b2 @ phi00, reference_pair.phi_vec(0, 1)),
-        (reference_pf.b1 @ reference_pf.b2 @ phi00, reference_pair.phi_vec(1, 1)),
+        (reference_pf.b[0] @ phi00, reference_pair.phi_vec(1, 0)),
+        (reference_pf.b[1] @ phi00, reference_pair.phi_vec(0, 1)),
+        (reference_pf.b[0] @ reference_pf.b[1] @ phi00, reference_pair.phi_vec(1, 1)),
     ):
         assert np.linalg.norm(raised - column) < 1e-10 * np.linalg.norm(column)
 

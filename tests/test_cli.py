@@ -622,6 +622,17 @@ def test_heisenberg_artifacts(tmp_path):
     assert np.isfinite(payload["bound_constant_1"])
 
 
+def test_in_process_model_defaults_to_the_cli_initial_current():
+    # normalized(mu, gamma), CircuitParams and the CLI share one i1 default, so
+    # an in-process verify checks the excited trajectory and fits its slopes
+    assert normalized(0.5, 3.0).i1 == cli_mod.RunConfig().i1 == 1.0
+    assert cli_mod._model(cli_mod.RunConfig(mu=0.5, gamma=3.0)).params == normalized(0.5, 3.0)
+    report = run_verification_suite(Model(normalized(0.5, 3.0)), np.linspace(0.0, 5.0, 1001))
+    for name in ("observables/power_tail_signs_match_prediction",
+                 "observables/power_log_slope_error", "observables/energy_log_slope_error"):
+        assert report.checks[name].passed, name
+
+
 #: sha256 over every verify outcome on a slice of the regime grid (rows mu[0]
 #: and mu[11], every fourth gamma), with the CLI's defaults i1 = 1, tau_max 5
 #: and 1,001 samples, in the unit and the column-equilibrated gauge: a

@@ -86,7 +86,7 @@ def test_number_printed_order_deviates(number_evolutions):
 def test_number_initial_sample(number_evolutions, reference_pf):
     evo = number_evolutions
     for generic, closed, n_op in zip(evo.generic.X, evo.closed,
-                                     (reference_pf.N1, reference_pf.N2)):
+                                     reference_pf.N):
         assert np.max(np.abs(generic[0] - n_op)) < 1e-12
         assert np.max(np.abs(closed[0] - n_op)) < 1e-12
 
@@ -94,7 +94,7 @@ def test_number_initial_sample(number_evolutions, reference_pf):
 def test_scalar_expansion_identity(reference_pf):
     # e^{a N} = I + (e^a - 1) N for idempotent N, summed as a Taylor oracle
     a = 0.37
-    n_op = reference_pf.N1
+    n_op = reference_pf.N[0]
     series = np.eye(4)
     term = np.eye(4)
     for k in range(1, 30):
@@ -140,14 +140,14 @@ def test_number_evolution_norms_only_generic(reference_pf, monkeypatch):
 
 def test_growth_bound(number_evolutions, reference_spectrum):
     report = growth_bound_report(number_evolutions, reference_spectrum)
-    assert np.isfinite(report.bound_constant_1)
-    assert np.isfinite(report.bound_constant_2)
-    assert np.all(report.ratios <= max(report.bound_constant_1 * report.norm_n1_initial,
-                                       report.bound_constant_2 * report.norm_n2_initial)
+    assert np.isfinite(report.bound_constant[0])
+    assert np.isfinite(report.bound_constant[1])
+    assert np.all(report.ratios <= max(report.bound_constant[0] * report.norm_initial[0],
+                                       report.bound_constant[1] * report.norm_initial[1])
                   + 1e-12)
     # the norm-one premise fails for non-orthogonal idempotents; reported
-    assert report.norm_n1_initial > 1.0
-    assert not report.premise_norm_one_1
+    assert report.norm_initial[0] > 1.0
+    assert not report.premise_norm_one[0]
 
 
 def test_growth_premise_holds_in_orthogonal_limit(reference_spectrum):
@@ -186,7 +186,7 @@ def _single_operator_route(j, pf, tau):
     maximum relative deviations from the generic path.
     """
     spec = pf.spectrum
-    n_own, n_other = (pf.N1, pf.N2) if j == 1 else (pf.N2, pf.N1)
+    n_own, n_other = (pf.N[0], pf.N[1]) if j == 1 else (pf.N[1], pf.N[0])
     lam_own, lam_other = (spec.lambda1, spec.lambda2) if j == 1 else (spec.lambda2, spec.lambda1)
     generic = evolve_observable(n_own, pf, tau)
 

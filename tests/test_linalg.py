@@ -135,7 +135,7 @@ def test_spectral_norm_matches_svd():
 
 def test_spectral_norm_number_operator(reference_pf):
     # non-orthogonal idempotents have norm >= 1
-    assert linalg.spectral_norm(reference_pf.N1) >= 1.0
+    assert linalg.spectral_norm(reference_pf.N[0]) >= 1.0
 
 
 def test_jacobi_matches_library():
@@ -259,7 +259,7 @@ def test_jacobi_stack_is_bitwise_the_list_route(n):
 @pytest.mark.parametrize("j", [1, 2])
 def test_jacobi_stack_on_the_verify_norm_stacks(reference_pf, j):
     from pfcircuit.heisenberg import evolve_observable
-    n_op = reference_pf.N1 if j == 1 else reference_pf.N2
+    n_op = reference_pf.N[j - 1]
     X = evolve_observable(n_op, reference_pf, np.linspace(0.0, 3.0, 31)).X
     ata = np.swapaxes(X, 1, 2) @ X
     for k, x in enumerate(X):

@@ -18,7 +18,7 @@ from pfcircuit import (
     pf_verify,
     spectrum,
 )
-from pfcircuit.errors import GaugeDegenerate, ZeroCoupling
+from pfcircuit.errors import GaugeDegenerate, ReconstructionFailure, ZeroCoupling
 from pfcircuit.pfalgebra import (
     VerificationReport,
     build_h0,
@@ -108,11 +108,12 @@ def test_degenerate_gauge_rejected():
 
 def test_build_pf_core_identities(reference_pf, reference_generator, reference_spectrum):
     pf = reference_pf
-    for nj in (pf.N1, pf.N2):
+    n1, n2 = pf.N
+    for nj in (n1, n2):
         assert np.linalg.norm(nj @ nj - nj) < 1e-10 * np.linalg.norm(nj)
-    assert np.linalg.norm(pf.N1 @ pf.N2 - pf.N2 @ pf.N1) < 1e-10 * (
-        np.linalg.norm(pf.N1) * np.linalg.norm(pf.N2))
-    recon = (reference_spectrum.lambda1 * pf.N1 + reference_spectrum.lambda2 * pf.N2
+    assert np.linalg.norm(n1 @ n2 - n2 @ n1) < 1e-10 * (
+        np.linalg.norm(n1) * np.linalg.norm(n2))
+    recon = (reference_spectrum.lambda1 * n1 + reference_spectrum.lambda2 * n2
              + reference_spectrum.l3 * np.eye(4))
     assert np.linalg.norm(recon - reference_generator) < 1e-9 * np.linalg.norm(
         reference_generator)
@@ -129,7 +130,7 @@ def test_metric_operators(reference_pf, reference_T):
 def _n_hats(pf):
     """n_hat_j = S_psi^{1/2} N_j S_phi^{1/2}, with the roots taken by scipy, not by Jacobi."""
     root_psi, root_phi = sqrtm(pf.S_psi), sqrtm(pf.S_phi)
-    return {"n_hat1": root_psi @ pf.N1 @ root_phi, "n_hat2": root_psi @ pf.N2 @ root_phi}
+    return {"n_hat1": root_psi @ pf.N[0] @ root_phi, "n_hat2": root_psi @ pf.N[1] @ root_phi}
 
 
 def test_n_hat_symmetric_with_binary_spectrum(reference_pf):
@@ -173,14 +174,30 @@ def test_pf_verify_localizes_injected_fault(
     assert report.checks["anticommutator_a1_b1_is_identity"].passed
 
 
+def test_build_pf_refusal_reads_the_verifier_reconstruction_residual(
+        reference_T, reference_spectrum, reference_generator):
+    # build_pf's ReconstructionFailure and pf_verify's generator_reconstruction
+    # come from one computation, so a corrupted T reads the same residual in
+    # both; the fault is large enough (residual 0.16) that the message's four
+    # digits tell apart a residual scaled by ||recon|| instead of ||L||
+    corrupted = reference_T.copy()
+    corrupted[0, 0] += 0.5
+    pair = build_bases(corrupted, reference_spectrum)
+    residual = pf_verify(build_pf(pair, reference_spectrum),
+                         liouvillian=reference_generator).checks["generator_reconstruction"].residual
+    assert residual > 1e-9
+    with pytest.raises(ReconstructionFailure) as refusal:
+        build_pf(pair, reference_spectrum, liouvillian=reference_generator)
+    assert f"residual {residual:.3e} exceeds 1e-9" in str(refusal.value)
+
+
 def test_operator_spectra_gauge_invariant(reference_model):
     systems = [Model(reference_model.params, gauge).pf
                for gauge in (Gauge(), Gauge(2.0, 0.5, 3.0, 1.0))]
     first, second = systems
     # the number operators are exactly gauge-invariant (column scales commute
     # with the occupation diagonals), so the matrices themselves must agree
-    for attr in ("N1", "N2"):
-        a, b = getattr(first, attr), getattr(second, attr)
+    for a, b in zip(first.N, second.N):
         assert np.linalg.norm(a - b) < 1e-9 * np.linalg.norm(a)
     # the symmetrized number operators change but stay isospectral
     n_hats = [_n_hats(system) for system in systems]
@@ -191,9 +208,9 @@ def test_operator_spectra_gauge_invariant(reference_model):
     # ladder operators are nilpotent in every gauge (eigenvalues of a nilpotent
     # matrix are numerically ill-conditioned, hence the loose tolerance)
     for system in systems:
-        for attr in ("a1", "a2", "b1", "b2"):
-            eigs = np.linalg.eigvals(getattr(system, attr))
-            assert np.max(np.abs(eigs)) < 1e-4 * np.linalg.norm(getattr(system, attr))
+        for op in (*system.a, *system.b):
+            eigs = np.linalg.eigvals(op)
+            assert np.max(np.abs(eigs)) < 1e-4 * np.linalg.norm(op)
 
 
 def test_mixed_dagger_channels_are_nonzero(reference_pf, reference_generator):
