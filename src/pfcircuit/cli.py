@@ -192,27 +192,28 @@ def _tau_grid(cfg: RunConfig) -> np.ndarray:
 
 @contextmanager
 def _open(path: Path):
-    """Open an artifact for text with "\n" line ends, making its directory first.
+    """Open an artifact for binary writing, making its directory first.
 
     Every command writes its files through here.  `wrote PATH` is printed once
     the file is closed, and not at all if writing it fails.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "wb") as handle:
         yield handle
     print(f"wrote {path}")
 
 
-def _write(handle, text: str) -> None:
-    """Append ``text`` to an open artifact; every written character passes here,
-    which is what the benchmark's ``cli.bytes_written`` counts."""
+def _write(handle, text: bytes) -> None:
+    """Append the ASCII bytes ``text`` (bytes, or a memoryview of a uint8 array)
+    to an open artifact; every written byte passes here, which is what the
+    benchmark's ``cli.bytes_written`` counts."""
     handle.write(text)
 
 
 def _save(path: Path, text: str) -> None:
     """Write a small artifact whole."""
     with _open(path) as handle:
-        _write(handle, text)
+        _write(handle, text.encode())
 
 
 def _json_text(payload) -> str:
@@ -237,40 +238,49 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-#: rows per dyn.format_floats call and per written piece of CSV text: larger
-#: blocks make fewer numpy calls, smaller ones smaller temporaries
-_BLOCK_ROWS = 256
+#: cells (values) per dyn.format_floats call and per written piece of CSV
+#: text, in whole rows: larger blocks make fewer numpy calls, smaller ones
+#: smaller temporaries
+_BLOCK_CELLS = 2816
 
 
 def _fields(columns: list[np.ndarray]) -> np.ndarray:
     """(rows, columns) ``dyn.format_floats`` fields of equal-length series."""
     fields = np.empty((len(columns[0]), len(columns)), "S24")
-    for lo in range(0, len(fields), _BLOCK_ROWS):
-        block = np.stack([c[lo:lo + _BLOCK_ROWS] for c in columns], axis=1)
-        fields[lo:lo + _BLOCK_ROWS] = dyn.format_floats(block)
+    step = max(1, _BLOCK_CELLS // len(columns))
+    for lo in range(0, len(fields), step):
+        block = np.stack([c[lo:lo + step] for c in columns], axis=1)
+        fields[lo:lo + step] = dyn.format_floats(block)
     return fields
+
+
+#: a written cell: a field and the separator that follows it
+_CELL = np.dtype([("field", "S24"), ("sep", "S1")])
 
 
 def _write_rows(handle, fields: np.ndarray) -> None:
     """Write (rows, columns) fields as CSV rows, one piece per block of rows.
 
-    Each field gets its separator (a comma, or a line end after the last
-    column) as a 25th byte; the NUL padding is then dropped by one mask.
+    Each field is copied into a cell whose 25th byte is its separator (a
+    comma, or a line end after the last column); the NUL padding is then
+    dropped by one mask.
     """
     rows, cols = fields.shape
-    for lo in range(0, rows, _BLOCK_ROWS):
-        block = fields[lo:lo + _BLOCK_ROWS]
-        cells = np.empty((len(block), cols, 25), np.uint8)
-        cells[..., :24] = block[..., None].view(np.uint8)
-        cells[..., 24] = ord(",")
-        cells[:, -1, 24] = ord("\n")
-        _write(handle, cells[cells != 0].tobytes().decode("ascii"))
+    step = max(1, _BLOCK_CELLS // cols)
+    cells = np.empty((min(step, rows), cols), _CELL)
+    cells["sep"] = b","
+    cells["sep"][:, -1] = b"\n"
+    for lo in range(0, rows, step):
+        piece = cells[:min(step, rows - lo)]
+        piece["field"] = fields[lo:lo + step]
+        text = piece.view(np.uint8)
+        _write(handle, text[text != 0].data)
 
 
 def _save_csv(path: Path, header: str, fields: np.ndarray) -> None:
     """Write a header line and the rows of (rows, columns) fields as a CSV file."""
     with _open(path) as handle:
-        _write(handle, header + "\n")
+        _write(handle, f"{header}\n".encode())
         _write_rows(handle, fields)
 
 
@@ -282,11 +292,11 @@ def _write_json_columns(handle, columns: dict[str, np.ndarray]) -> None:
     """
     sep = "{\n"
     for name, series in columns.items():
-        _write(handle, f'{sep}  "{name}": [\n    ')
-        _write(handle, ",\n    ".join(map(float.__repr__, series.tolist())))
-        _write(handle, "\n  ]")
+        _write(handle, f'{sep}  "{name}": [\n    '.encode())
+        _write(handle, ",\n    ".join(map(float.__repr__, series.tolist())).encode())
+        _write(handle, b"\n  ]")
         sep = ",\n"
-    _write(handle, "\n}")
+    _write(handle, b"\n}")
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -308,7 +318,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     with _open(out / "plot_data.dat") as handle:
         sep = ""  # a blank line between series blocks, none after the last
         for k, name in enumerate(list(columns)[1:], start=1):
-            _write(handle, f"{sep}# series {name}\ntau,{name}\n")
+            _write(handle, f"{sep}# series {name}\ntau,{name}\n".encode())
             _write_rows(handle, fields[:, 0:k + 1:k])  # columns 0 and k, as a view
             sep = "\n"
     print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")

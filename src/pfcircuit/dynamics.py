@@ -16,6 +16,7 @@ this reproduces the plain I = V/R - C*dV/dt relations verbatim.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -509,6 +510,22 @@ _FIELD = np.dtype("S24")
 # i // 8, so moving text by whole bytes is a shift.
 _WORDS = np.dtype("<u8")
 
+#: the decimal exponents of the tables' rows: floor(log10 |x|) of every
+#: finite nonzero double lies in [-324, 308], and _round17 may step one past
+_E_LOW, _E_HIGH = -325, 309
+#: Veltkamp's splitting constant 2^27 + 1 for float64
+_SPLIT = 134217729.0
+#: 1.5 * 2^52: x + _RINT - _RINT rounds x to an integer, half to even
+_RINT = 6755399441055744.0
+#: how far from the nearest integer _round17's product may lie before its
+#: rounding is in doubt, where that product is not exact (its error is below
+#: 4e-15); 0.5 where it is exact
+_MIDPOINT_EDGE = 0.5 - 2.0**-46
+#: the 17 digits as groups of 4, 4, 4, 4 and 1: each group's divisor and
+#: the place of its first digit
+_GROUP_SCALE = np.array([[10**13], [10**9], [10**5], [10], [1]])
+_GROUP_PLACE = np.array([[0], [4], [8], [12], [16]], np.int8)
+
 
 def _words(fields: list[bytes]) -> np.ndarray:
     """(3, n) words of n 24-byte fields."""
@@ -522,8 +539,8 @@ def _byte_masks(ends) -> np.ndarray:
 
 @functools.cache
 def _format_tables() -> dict[str, np.ndarray]:
-    """format_floats' lookup tables, built on its first call from Python bytes,
-    so that building them runs little numpy code."""
+    """format_floats' lookup tables, built on its first call from Python ints
+    and bytes, so that building them runs little numpy code."""
     # quads: the four digits of 0..9999, then a last digit "d" at 10000 + d;
     # sig: how many of those digits are left once trailing zeros go, -99 for none
     quad = [b"%04d" % q for q in range(10000)]
@@ -543,114 +560,168 @@ def _format_tables() -> dict[str, np.ndarray]:
                 const.append((text + b"\0" * (cut - len(text)) + b".").ljust(24, b"\0")[:24])
                 shift.append(8 * len(text))
                 ends.append(cut)
-    powers = [float(10**s) for s in range(22)]  # 10^(16 - e) for e >= -5, all exact
+    # one row per decimal exponent e: 10^(16 - e) = scale * (p1 + p2), with
+    # scale = 2^t keeping y * scale and p1 normal, p1 the double nearest
+    # 10^(16 - e) / 2^t (exact for 0 <= 16 - e <= 22, where p2 is 0) and p2
+    # the double nearest the rest, from exact int / int quotients; then the
+    # layout X of e's digits: e itself in fixed notation, else 0 followed by
+    # the suffix "e-XX" or "e+XXX"
+    scale, p1, p1_hi, p2, edge, layout, whole, suffix = ([] for _ in range(8))
+    for e in range(_E_LOW, _E_HIGH + 1):
+        k = 16 - e
+        t = max(-900, min(900, round(k * math.log2(10))))
+        num, den = 10 ** max(k, 0) * 2 ** max(-t, 0), 10 ** max(-k, 0) * 2 ** max(t, 0)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)
+        scale.append(2.0**t)
+        p1.append(hi)
+        p1_hi.append(_SPLIT * hi - (_SPLIT * hi - hi))
+        p2.append(lo)
+        edge.append(_MIDPOINT_EDGE if lo else 0.5)
+        fixed = -4 <= e <= 16
+        layout.append(4 * (e + 4) if fixed else 16)
+        whole.append(max(e + 1, 0) if fixed else 1)
+        suffix.append(b"" if fixed else b"e%+03d" % e)
     return {
-        "quads": quads, "sig": np.array(sig), "const": _words(const),
-        "shift": np.array(shift, np.uint64), "low": _byte_masks(ends),
-        "digits": _byte_masks(range(18)), "pow": np.array(powers),
-        "pow_hi": np.array([_SPLIT * p - (_SPLIT * p - p) for p in powers]),
+        "quads": quads, "sig": np.array(sig, np.int8), "digits": _byte_masks(range(18)),
+        "const": _words(const), "shift": np.array(shift, np.uint64), "low": _byte_masks(ends),
+        "scale": np.array(scale), "p1": np.array([p1, p1_hi]), "p2": np.array(p2),
+        "edge": np.array(edge), "layout": np.array(layout), "whole": np.array(whole, np.int8),
+        "expo": np.array([bool(s) for s in suffix]),
+        "suffix": np.frombuffer(b"".join(s.ljust(5, b"\0") for s in suffix),
+                                np.uint8).reshape(-1, 5),
     }
 
 
-#: Veltkamp's splitting constant 2^27 + 1 for float64
-_SPLIT = 134217729.0
-#: 1.5 * 2^52: x + _RINT - _RINT rounds x to an integer, half to even
-_RINT = 6755399441055744.0
+def _round17(y: np.ndarray, row: np.ndarray, tables) -> tuple[np.ndarray, ...]:
+    """round(y * 10^(16 - e)) half to even, with e = _E_LOW + row, the
+    product's distance from it, and the indices where e is one too small (the
+    digits reach 1e17) and one too large (the product is below 1e16); y is
+    overwritten.
 
-
-def _below(hi: np.ndarray, lo: np.ndarray, bound: float) -> np.ndarray:
-    """hi + lo < bound exactly, for |lo| at most half an ulp of hi and an
-    integer bound that hi can equal."""
-    return (hi < bound) | ((hi == bound) & (lo < 0.0))
-
-
-def _round17(y: np.ndarray, e: np.ndarray, tables) -> tuple[np.ndarray, ...]:
-    """round(y * 10^(16 - e)) half to even, and where e is one too small or too large.
-
-    Dekker's product gives hi + lo = y * 10^(16 - e) exactly (numpy applies
-    every multiply on its own, never fused).  Where that lies in [1e16, 1e17),
-    hi >= 2^53 is an even integer, so hi + rint(lo) rounds the exact product;
-    adding and taking away 1.5 * 2^52 is rint for |lo| < 2^51.  e is one
-    too large where the exact product is below 1e16, and one too small where
-    the rounded digits reach 1e17 (hi is a multiple of 16 there).
+    With 10^(16 - e) = scale * (p1 + p2) from the tables, y * scale is exact,
+    and Dekker's product gives hi + lo = y * scale * p1 exactly (numpy applies
+    every multiply on its own, never fused).  The tail y * scale * p2, added
+    to lo, leaves an error below 4e-15 where p2 is not 0, and none where it
+    is.  Where the product lies in [1e16, 1e17), hi >= 2^53 is an even
+    integer, so hi + rint(lo) rounds it; adding and taking away 1.5 * 2^52
+    is rint for |lo| < 2^51.
     """
-    b, b_hi = np.take(tables["pow"], 16 - e), np.take(tables["pow_hi"], 16 - e)
-    hi = y * b
+    take = functools.partial(np.take, indices=row, axis=-1)
+    y *= take(tables["scale"])
+    p1, p1_hi = take(tables["p1"])
+    hi = y * p1
+    p1 -= p1_hi  # its low part
     y_hi = _SPLIT * y
     y_hi -= y_hi - y
-    y_lo = y - y_hi
-    b -= b_hi
-    lo = y_hi * b_hi - hi
-    lo += y_hi * b
-    lo += y_lo * b_hi
-    lo += y_lo * b
-    below = _below(hi, lo, 1e16)
-    lo += _RINT
-    lo -= _RINT
-    above = ~_below(hi, lo, 1e17)
+    y -= y_hi  # its low part
+    lo = y_hi * p1_hi
+    lo -= hi
+    for a, b in ((y_hi, p1), (y, p1_hi), (y, p1)):
+        lo += a * b
+    del p1, p1_hi
+    y += y_hi  # y * scale again, exactly
+    del y_hi
+    y *= take(tables["p2"])
+    lo += y
+    rounded = lo + _RINT
+    rounded -= _RINT
     d = hi.astype(np.int64)
-    d += lo.astype(np.int64)
-    return d, above, below
+    d += rounded.astype(np.int64)
+    # |rounded| < 32, so only a product within 32 of 1e16 or 1e17 can be off
+    lo -= rounded
+    near = np.flatnonzero(np.abs(hi - 5.5e16) >= 4.5e16 - 32.0)
+    if not near.size:
+        return d, lo, near, near
+    up = (hi[near] - 1e17) + rounded[near] >= 0.0
+    down = (hi[near] - 1e16) + (lo[near] + rounded[near]) < 0.0
+    return d, lo, near[up], near[down]
 
 
 def _shift_bytes(words: np.ndarray, bits) -> None:
     """Move (3, n) fields ``bits`` (a multiple of 8, below 64) towards their end, in place."""
-    carry = np.zeros_like(words)
-    carry[1:] = words[:-1]
-    carry >>= np.uint64(64) - bits
+    carry = words[:2] >> (np.uint64(64) - bits)
     words <<= bits
-    words |= carry
+    words[1:] |= carry
 
 
 def format_floats(values) -> np.ndarray:
     """format_float of every value, as ASCII bytes of dtype S24.
 
-    Values with 1e-4 <= |x| < 1e17 are exactly those that "%.17g" writes in
-    fixed notation, with a decimal exponent X in [-4, 16].  Their 17 digits
-    are round(|x| * 10^(16 - X)), from plain float64 arithmetic (_round17),
-    and are laid out from a table of 4-digit groups: X + 1 digits before the
-    point, or a "0." lead with -X - 1 zeros, trailing zeros dropped.  Zero
-    gives "0".  Every other value (|x| < 1e-4, |x| >= 1e17, inf and nan) is
-    handed to format_float one at a time.
+    "%.17g" writes 17 significant digits, round(|x| * 10^(16 - X)) for the
+    decimal exponent X of x (_round17).  For X in [-4, 16] it writes them in
+    fixed notation: X + 1 digits before the point, or a "0." lead with -X - 1
+    zeros.  Otherwise it writes one digit before the point and the exponent
+    after the digits, "e-XX" or "e+XXX".  The digits come from a table of
+    4-digit groups, trailing zeros dropped.  Zero gives "0".  Only inf, nan
+    and a value whose digits _round17 cannot settle go to format_float one at
+    a time.  The last happens only where 10^(16 - X) is not a double: at the
+    exact ties |x| = m * 2^-24 (m odd, 3 to 15), 2^-25 and 3 * 2^-25, and at
+    a few doubles in 10^14 otherwise.
     """
     tables = _format_tables()
     x = np.asarray(values, dtype=np.float64).ravel()
-    mag = np.abs(x)
-    fast = ~(mag < 1e-4) & (mag < 1e17)  # false for nan
-    y = np.where(fast, mag, 1.0)
-    del mag
-    # floor(log10 y), or one off at a power of ten, which _round17 tells
-    e = (np.log10(y) + 5.0).astype(np.int64)
-    e -= 5
-    np.minimum(e, 16, out=e)
-    d, *wrong = _round17(y, e, tables)
-    for step, redo in zip((1, -1), map(np.flatnonzero, wrong)):
-        if redo.size:
-            e[redo] += step
-            d[redo] = _round17(y[redo], e[redo], tables)[0]
-    del y, wrong
-    # the 17 digits as groups of 4, 4, 4, 4 and 1, each half a word, and how
-    # many of them are left once trailing zeros go
-    words = np.zeros((3, x.size), _WORDS)
+    y = np.abs(x)
+    # zero, inf and nan are formatted as 2, and written over at the end
+    special = np.flatnonzero((y == 0.0) | ~np.isfinite(y))
+    y[special] = 2.0
+    # floor(log10 y) - _E_LOW, or one off at a power of ten
+    row = np.log10(y)
+    row -= _E_LOW
+    row = row.astype(np.intp)
+    d, frac, up, down = _round17(y, row, tables)
+    del y
+    if up.size or down.size:
+        # one more try at the right exponent; digits of 1e17 after a step
+        # down come from a product just below 1e16, which rounds to 1e16
+        row[up] += 1
+        row[down] -= 1
+        redo = np.concatenate([up, down])
+        d[redo], frac[redo], top, _ = _round17(np.abs(x[redo]), row[redo], tables)
+        top = redo[top]
+        d[top] = 10**16
+        row[top] += 1
+    expo = np.flatnonzero(np.take(tables["expo"], row))
+    unsure = expo[np.abs(frac[expo]) > np.take(tables["edge"], row[expo])] if expo.size else expo
+    del frac
+    # the groups' digits, each half a word, and how many digits are left once
+    # trailing zeros go
+    groups = d // _GROUP_SCALE
+    del d
+    groups[4] -= groups[3] * 10  # each quotient less ten thousand (ten) times the one before
+    groups[1:4] -= groups[:3] * 10**4
+    groups[4] += 10000
+    significant = np.take(tables["sig"], groups)
+    significant += _GROUP_PLACE
+    significant = significant.max(axis=0)
+    quads = np.take(tables["quads"], groups)
+    del groups
+    words = np.empty((3, x.size), _WORDS)
     halves = words.view("<u4").reshape(3, x.size, 2)
-    significant = np.zeros_like(d)
-    for row, (scale, base) in enumerate(((10**13, 0), (10**9, 0), (10**5, 0), (10, 0), (1, 10000))):
-        group = d // scale
-        d -= group * scale
-        group += base
-        halves[row // 2, :, row % 2] = np.take(tables["quads"], group)
-        np.maximum(significant, np.take(tables["sig"], group) + 4 * row, out=significant)
-    del d, group
-    # the X + 1 integer digits keep their zeros; trailing fraction zeros go
-    whole = np.maximum(e + 1, 0)
-    words &= np.take(tables["digits"], np.maximum(significant, whole), axis=1)
+    halves[:2, :, 0] = quads[0:4:2]
+    halves[:2, :, 1] = quads[1:4:2]
+    halves[2, :, 0] = quads[4]
+    halves[2, :, 1] = 0
+    del quads, halves
+    # the X + 1 integer digits keep their zeros; trailing fraction zeros go,
+    # and an exponent follows the digits that are left
+    whole = np.take(tables["whole"], row)
+    keep = np.maximum(significant, whole)
+    words &= np.take(tables["digits"], keep, axis=1)
+    if expo.size:
+        text = np.ascontiguousarray(words[:, expo].T)
+        text.view(np.uint8)[np.arange(expo.size)[:, None], keep[expo, None] + np.arange(5)] = (
+            np.take(tables["suffix"], row[expo], axis=0))
+        words[:, expo] = text.T
     # shift the digits past the sign and lead, then the fraction one byte
     # further, and lay the sign, lead and point over them
-    layout = e + 4
-    layout *= 4
-    layout += np.where(x < 0, 2, 0)
-    layout += np.minimum(np.maximum(significant - whole, 0), 1)  # a fraction is left
-    del e, whole, significant
+    layout = np.take(tables["layout"], row)
+    layout += significant > whole  # a fraction is left
+    negative = x < 0
+    layout += negative  # twice: a minus sign is 2 layouts further
+    layout += negative
+    del row, whole, keep, significant, negative
     _shift_bytes(words, np.take(tables["shift"], layout))
     low = np.take(tables["low"], layout, axis=1)
     low &= words
@@ -661,8 +732,10 @@ def format_floats(values) -> np.ndarray:
     words |= np.take(tables["const"], layout, axis=1)
     fields = np.empty((x.size, 3), _WORDS)
     fields[...] = words.T
+    del words
     fields = fields.view(_FIELD).ravel()
-    fields[x == 0.0] = b"0"
-    rest = np.flatnonzero(~fast & (x != 0.0))
-    fields[rest] = [format_float(v) for v in x[rest].tolist()]
+    if special.size or unsure.size:
+        fields[special] = b"0"
+        rest = np.concatenate([special[x[special] != 0.0], unsure])
+        fields[rest] = [format_float(v) for v in x[rest].tolist()]
     return fields.reshape(np.shape(values))

@@ -132,15 +132,22 @@ def _joined_artifacts(samples, gauge):
     }
 
 
-_BLOCK = cli_mod._BLOCK_ROWS
+#: rows per formatted block and written piece of the 11-column trajectory,
+#: the 5-column adjoint, h0 and heisenberg tables and the 2-column plot sections
+_EDGE11, _EDGE5, _EDGE2 = (cli_mod._BLOCK_CELLS // cols for cols in (11, 5, 2))
+#: one short piece, exactly one and one plus a row, for each table width
+_EDGE_ROWS = [edge + d for edge in (_EDGE11, _EDGE5, _EDGE2) for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize(("samples", "gauge"),
                          [(n, (1.0, 1.0, 1.0, 1.0)) for n in (2, 127, 128, 129, 257, 5001)]
                          + [(301, (2.0, 0.5, 3.0, 1.0))]
-                         + [(n, (1.0, 1.0, 1.0, 1.0)) for n in (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 1)])
+                         + [(n, (1.0, 1.0, 1.0, 1.0))
+                            for n in (_EDGE11 - 1, _EDGE11, 2 * _EDGE11 + 1, *_EDGE_ROWS[3:])])
 def test_streamed_artifacts_equal_the_joined_texts(tmp_path, samples, gauge):
-    # at every block edge: one short block, exactly one, one plus a row, two plus a row
+    # at every piece edge of an 11-, 5- or 2-column table: one short piece,
+    # exactly one, one plus a row (257 for 11 columns is among the sizes
+    # above), two plus a row
     want = _joined_artifacts(samples, gauge)
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
@@ -160,12 +167,12 @@ _WIDTH_VALUES = [0.0, math.inf, -math.inf, math.nan, 1e-4, 99999999999999984.0,
 
 
 def _rows_written(fields):
-    handle = io.StringIO()
+    handle = io.BytesIO()
     cli_mod._write_rows(handle, fields)
-    return handle.getvalue()
+    return handle.getvalue().decode("ascii")
 
 
-@pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("rows", _EDGE_ROWS)
 def test_row_writer_joins_format_float(rows):
     # each row takes the values from a different offset, so every field width
     # meets every column and the row's end
@@ -200,8 +207,8 @@ def test_simulate_peak_memory_below_its_output(tmp_path, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_simulate_formats_each_value_once(tmp_path, monkeypatch, fmt):
     # 11 written series of 101 samples: tau, 4 states, 2 currents, 2 powers, 2 energies.
-    # format_floats writes zeros and the values of %.17g's fixed notation
-    # itself and hands each other value to format_float, once
+    # format_floats writes each value once, and every finite one itself, in
+    # %.17g's fixed and exponent notation alike
     handed, fallback = [], []
     real_floats, real_float = dyn.format_floats, dyn.format_float
 
@@ -217,10 +224,9 @@ def test_simulate_formats_each_value_once(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(dyn, "format_float", counting_float)
     assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", "--samples", "101",
                "--format", fmt) == EXIT_OK
-    converted = [v for v in handed if v == 0.0 or 1e-4 <= abs(v) < 1e17]
-    assert len(converted) + len(fallback) == len(handed) == 11 * 101
-    assert fallback == [v for v in handed if v not in converted]
-    assert fallback  # 9 values below 1e-4 take the fallback
+    assert len(handed) == 11 * 101
+    assert not [v for v in fallback if math.isfinite(v)]
+    assert [v for v in handed if 0.0 < abs(v) < 1e-4]  # 9 values in exponent notation
 
 
 def test_simulate_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """Closed-form evolution against the RK4 oracle, adjoint/diagonal systems, serialization."""
 
 import json
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -427,9 +428,11 @@ def _ties(rng, per_exponent):
 
 
 def _around_powers_of_ten(ulps=5):
-    values = []
-    for power in range(-10, 20):
-        up = down = 10.0**power
+    # every decade of the doubles, subnormal ones included, and the ends of the
+    # normal and subnormal range
+    values = [np.nextafter(0.0, 1.0), 2.2250738585072014e-308]
+    for power in range(-323, 309):
+        up = down = float(f"1e{power}")
         values.append(up)
         for _ in range(ulps):
             up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
@@ -452,13 +455,39 @@ def test_format_floats_matches_format_float():
         "powers of ten": np.concatenate([_around_powers_of_ten(), -_around_powers_of_ten()]),
         "special": np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, np.inf, -np.inf,
                              np.nan, 1e-4, -1e-4, 1e17, -1e17, 99999999999999984.0, 0.5]),
-        "fast domain only": np.exp(rng.uniform(np.log(1e-4), np.log(1e17), 100_000)),
-        "fallback only": np.concatenate([rng.uniform(-1e-4, 1e-4, 10_000),
-                                         np.exp(rng.uniform(np.log(1e17), np.log(1e300), 10_000))]),
+        "fixed notation only": np.exp(rng.uniform(np.log(1e-4), np.log(1e17), 100_000)),
+        "exponent notation only": np.concatenate([
+            rng.uniform(-1e-4, 1e-4, 10_000),
+            np.exp(rng.uniform(np.log(1e17), np.log(1e300), 10_000))]),
+        "exponent-notation ties": np.concatenate([_EXPONENT_TIES, -_EXPONENT_TIES]),
     }
     assert sum(map(len, cases.values())) > 1_000_000
     for values in cases.values():
         _assert_formats_like_format_float(values)
+
+
+#: the doubles in exponent notation whose exact value is a tie at 17
+#: significant digits: m * 2^-24 * 10^23 or m * 2^-25 * 10^24 is half an odd
+#: integer in [1e16, 1e17) only for these m
+_EXPONENT_TIES = np.array([m * 2.0**-24 for m in range(3, 16, 2)] + [2.0**-25, 3 * 2.0**-25])
+
+
+def test_format_floats_hands_only_inf_nan_and_ties_to_format_float(monkeypatch):
+    handed = []
+    real = dyn.format_float
+
+    def counting(x):
+        handed.append(x)
+        return real(x)
+
+    monkeypatch.setattr(dyn, "format_float", counting)
+    rng = np.random.default_rng(20261019)
+    values = np.concatenate([rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+                             _around_powers_of_ten(), _EXPONENT_TIES, [np.inf, 0.0, -0.0]])
+    format_floats(values)
+    finite = [v for v in handed if math.isfinite(v)]
+    assert sorted(finite) == sorted(_EXPONENT_TIES.tolist())
+    assert len(handed) == len(finite) + np.count_nonzero(~np.isfinite(values))
 
 
 def test_format_floats_keeps_the_shape():
