@@ -48,6 +48,6 @@ print(f"power of sub-circuit 1 diverges to {gl.p1_diverges_to}inf "
       f"(measured tail sign {gl.measured_p1_sign})")
 print(f"power of sub-circuit 2 diverges to {gl.p2_diverges_to}inf "
       f"(measured tail sign {gl.measured_p2_sign})")
-print(f"energies stay nonnegative: E1 min {np.min(en.e1):.3e}, "
-      f"E2 min {np.min(en.e2):.3e}")
+e1_min, e2_min = np.min(en.e, axis=1)
+print(f"energies stay nonnegative: E1 min {e1_min:.3e}, E2 min {e2_min:.3e}")
 print(f"l4 sits inside the damping window (-gamma, gamma): {gl.power_window_ok}")

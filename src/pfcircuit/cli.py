@@ -366,7 +366,7 @@ def cmd_heisenberg(cfg: RunConfig) -> int:
     bound = heis.growth_bound_report(evo, model.spec)
     out = Path(cfg.output_dir)
     _save_csv(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2",
-              _fields([tau, *evo.generic.norms, *bound.ratios.T]))
+              _fields([tau, *evo.generic.norms, *bound.ratios]))
     two_path, printed = evo.max_relative_deviation, evo.printed_order_max_relative_deviation
     payload = {**bound.to_dict(),
                "two_path_deviation_N1": two_path[0], "two_path_deviation_N2": two_path[1],

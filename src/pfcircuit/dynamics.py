@@ -179,28 +179,14 @@ class Trajectory(StateTrajectory):
     """(I1, I2) as a (2, n) stack, gain circuit first."""
 
     @property
-    def I1(self) -> np.ndarray:
-        return self.currents[0]
+    def voltages(self) -> np.ndarray:
+        """(V1, V2) as a (2, n) view of the states."""
+        return self.states[:, :2].T
 
     @property
-    def I2(self) -> np.ndarray:
-        return self.currents[1]
-
-    @property
-    def V1(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def V2(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def V1p(self) -> np.ndarray:
-        return self.states[:, 2]
-
-    @property
-    def V2p(self) -> np.ndarray:
-        return self.states[:, 3]
+    def dvoltages(self) -> np.ndarray:
+        """(dV1/dtau, dV2/dtau) as a (2, n) view of the states."""
+        return self.states[:, 2:].T
 
 
 def _check_grid(tau_grid) -> np.ndarray:
@@ -367,10 +353,10 @@ class AdjointCircuitReport:
     not consistent with the circuit relations unless L = C = 1.
     """
 
-    I1: np.ndarray
-    I2: np.ndarray
-    V1: np.ndarray
-    V2: np.ndarray
+    currents: np.ndarray
+    """(I1, I2) as a (2, n) view of the adjoint states."""
+    voltages: np.ndarray
+    """(V1, V2) as a (2, n) stack."""
     residuals: np.ndarray
     max_residual: float
     strict: bool
@@ -416,8 +402,7 @@ def adjoint_circuit_map(
         literal = _circuit_relation_residuals(x, dx, params.L, params, derived)
         paper_literal = float(np.max(literal))
     return AdjointCircuitReport(
-        I1=x[:, 0].copy(), I2=x[:, 1].copy(),
-        V1=-x[:, 2] / v_scale, V2=-x[:, 3] / v_scale,
+        currents=x[:, :2].T, voltages=-x[:, 2:].T / v_scale,
         residuals=residuals,
         max_residual=float(np.max(residuals)),
         strict=strict,
@@ -436,7 +421,7 @@ def quartic_residual(traj: StateTrajectory, derived: DerivedParams) -> np.ndarra
 
     Evaluates v'''' + (2 alpha - gamma^2) v'' + alpha^2 (1 - mu^2) v on both
     voltage components using the analytic modal derivatives, scaled by the
-    largest single term contributing at each sample.  Shape (n, 2).
+    largest single term contributing at each sample.  Shape (2, n).
     """
     if traj.mode_rates is None or traj.mode_weights is None:
         raise ValueError("quartic residual needs a closed-form (modal) trajectory")
@@ -448,7 +433,7 @@ def quartic_residual(traj: StateTrajectory, derived: DerivedParams) -> np.ndarra
     magnitude = rates**4 + abs(c2) * rates**2 + abs(c0)
     exps = np.exp(np.outer(rates, traj.tau))  # (mode, sample)
     return np.stack([np.abs((w * quartic) @ exps) / np.maximum((np.abs(w) * magnitude) @ exps, 1e-300)
-                     for w in traj.mode_weights[:, :2].T], axis=1)
+                     for w in traj.mode_weights[:, :2].T])
 
 
 def display_series(
@@ -459,8 +444,8 @@ def display_series(
     deltas: np.ndarray,
     t: np.ndarray,
     tau_grid,
-) -> dict[str, np.ndarray]:
-    """The explicit four-term displays for V_j and I_j, as an alternative path.
+) -> np.ndarray:
+    """The explicit four-term displays, rows (V1, V2, I1, I2), as an alternative path.
 
     Reconstructs the series from the coefficients and the intertwiner's deltas
     and column scales ``t`` alone (no matrix products), with the current
@@ -476,23 +461,18 @@ def display_series(
     # over (l3, l1, l2, l4) is the display's +C*omega0*l4, ..., -C*omega0*l4
     currents = weights * (GAIN_LOSS_SIGN / params.R - params.C * derived.omega0 * rates)
     # one product per row: a (2, 4) @ (4, n) product may sum in another order
-    return dict(zip(("V1", "V2", "I1", "I2"), [w @ exps for w in (*weights, *currents)]))
+    return np.stack([w @ exps for w in (*weights, *currents)])
 
 
-def trajectory_columns(traj: Trajectory, power=None, energy=None) -> dict[str, np.ndarray]:
-    """The written series by name, in artifact column order: tau, states, currents, P, E."""
-    columns = {
-        "tau": traj.tau,
-        "V1": traj.V1, "V2": traj.V2, "V1p": traj.V1p, "V2p": traj.V2p,
-        "I1": traj.I1, "I2": traj.I2,
-    }
-    if power is not None:
-        columns["P1"] = power.p1
-        columns["P2"] = power.p2
-    if energy is not None:
-        columns["E1"] = energy.e1
-        columns["E2"] = energy.e2
-    return columns
+def trajectory_columns(traj: Trajectory, power, energy) -> dict[str, np.ndarray]:
+    """The written series by name, in artifact column order: tau, states, currents, P, E.
+
+    ``power`` and ``energy`` are the trajectory's observables.PowerSeries and
+    EnergySeries; every value is a view of a stack, not a copy.
+    """
+    return dict(zip(("tau", "V1", "V2", "V1p", "V2p", "I1", "I2", "P1", "P2", "E1", "E2"),
+                    [traj.tau, *traj.voltages, *traj.dvoltages, *traj.currents,
+                     *power.p, *energy.e]))
 
 
 def format_float(x: float) -> str:

@@ -148,7 +148,7 @@ class GrowthBoundReport:
     bound_constant: tuple[float, float]
     premise_norm_one: tuple[bool, bool]
     ratios: np.ndarray
-    """Shape (n, 2): ||N_j(tau)|| e^{2 l3 tau} per sample."""
+    """Shape (2, n): ||N_j(tau)|| e^{2 l3 tau} per sample."""
 
     def to_dict(self) -> dict:
         return {key.format(j): value
@@ -161,11 +161,11 @@ class GrowthBoundReport:
 def growth_bound_report(evo: NumberEvolution, spec: Spectrum) -> GrowthBoundReport:
     """Compute the scaled norm ratios r_j(tau) = ||N_j(tau)|| e^{2 l3 tau}."""
     norms = evo.generic.norms
-    ratios = (norms * np.exp(2.0 * spec.l3 * evo.generic.tau)).T
+    ratios = norms * np.exp(2.0 * spec.l3 * evo.generic.tau)
     initial = tuple(norms[:, 0].tolist())
     return GrowthBoundReport(
         norm_initial=initial,
-        bound_constant=tuple((np.max(ratios, axis=0) / norms[:, 0]).tolist()),
+        bound_constant=tuple((np.max(ratios, axis=1) / norms[:, 0]).tolist()),
         premise_norm_one=tuple(abs(n - 1.0) <= 1e-9 for n in initial),
         ratios=ratios,
     )

@@ -41,19 +41,12 @@ MEASUREMENT_WINDOW = 0.1
 C11_THRESHOLD = 1e-12
 
 
-def _both_circuits(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """V_j and dV_j/dtau of the gain (row 0) and loss (row 1) circuits, each (2, n)."""
-    return traj.states[:, :2].T, traj.states[:, 2:].T
-
-
 @dataclass(frozen=True)
 class PowerSeries:
-    """Both computation paths for the sub-circuit powers."""
+    """Both computation paths for the sub-circuit powers, each a (2, n) stack."""
 
-    p1: np.ndarray
-    p2: np.ndarray
-    p1_identity: np.ndarray
-    p2_identity: np.ndarray
+    p: np.ndarray
+    identity: np.ndarray
     max_relative_deviation: float
 
 
@@ -65,23 +58,20 @@ def power(traj: Trajectory, params: CircuitParams, derived: DerivedParams) -> Po
     exposed for the consistency check.
     """
     cw = params.C * derived.omega0
-    v, vp = _both_circuits(traj)
+    v, vp = traj.voltages, traj.dvoltages
     p = v * traj.currents
     p_id = GAIN_LOSS_SIGN * v**2 / params.R - cw * vp * v
     dev = linalg.relative_gap(p, p_id, np.abs(v) * (np.abs(v) / params.R + cw * np.abs(vp)))
     dev[(p == 0.0) & (p_id == 0.0)] = 0.0
-    return PowerSeries(p1=p[0], p2=p[1], p1_identity=p_id[0], p2_identity=p_id[1],
-                       max_relative_deviation=float(np.max(dev)))
+    return PowerSeries(p=p, identity=p_id, max_relative_deviation=float(np.max(dev)))
 
 
 @dataclass(frozen=True)
 class EnergySeries:
-    """Definitional energies plus the rewritten forms as a comparison channel."""
+    """Definitional energies plus the rewritten forms as a comparison channel, each (2, n)."""
 
-    e1: np.ndarray
-    e2: np.ndarray
-    e1_rewrite: np.ndarray
-    e2_rewrite: np.ndarray
+    e: np.ndarray
+    rewrite: np.ndarray
     rewrite_max_relative_deviation: float
 
 
@@ -95,14 +85,13 @@ def energy(traj: Trajectory, params: CircuitParams) -> EnergySeries:
     L, C, R = params.L, params.C, params.R
     omega0_sq = 1.0 / (L * C)
     omega_p_sq = 1.0 / (R * C) ** 2
-    v, vp = _both_circuits(traj)
+    v, vp = traj.voltages, traj.dvoltages
     e = 0.5 * C * v**2 + 0.5 * L * traj.currents**2
     # t-derivatives: Vdot = omega0 * dV/dtau
     e_rw = 0.5 * L * C * C * (v**2 * (omega0_sq + GAIN_LOSS_SIGN * omega_p_sq)
                               - (np.sqrt(omega0_sq) * vp) ** 2)
     dev = linalg.relative_gap(e, e_rw)
-    return EnergySeries(e1=e[0], e2=e[1], e1_rewrite=e_rw[0], e2_rewrite=e_rw[1],
-                        rewrite_max_relative_deviation=float(np.max(dev)))
+    return EnergySeries(e=e, rewrite=e_rw, rewrite_max_relative_deviation=float(np.max(dev)))
 
 
 @dataclass(frozen=True)
@@ -135,9 +124,10 @@ class GainLossReport:
         return {**vars(self), "energy_lower": lower}
 
 
-def _tail_sign(series: np.ndarray) -> str:
-    n_tail = max(1, int(round(MEASUREMENT_WINDOW * series.size)))
-    return "+" if float(np.mean(series[-n_tail:])) >= 0.0 else "-"
+def _tail_signs(series: np.ndarray) -> list[str]:
+    """The sign of each row's mean over its last MEASUREMENT_WINDOW of samples."""
+    n_tail = max(1, int(round(MEASUREMENT_WINDOW * series.shape[1])))
+    return ["+" if m >= 0.0 else "-" for m in np.mean(series[:, -n_tail:], axis=1).tolist()]
 
 
 def classify_asymptotics(
@@ -168,26 +158,24 @@ def classify_asymptotics(
     energy_ok = (lower_sq - rate_l4**2 < 0.0) and (
         derived.omega0**2 + derived.omega_p**2 - rate_l4**2 > 0.0
     )
-    p1_sign = "+" if gain_factor > 0.0 else "-"
-    p2_sign = "+" if loss_factor > 0.0 else "-"
-    measured_p1 = measured_p2 = None
+    predicted = ["+" if gain_factor > 0.0 else "-", "+" if loss_factor > 0.0 else "-"]
+    measured = [None, None]
     consistent = None
     if power_series is not None:
-        measured_p1 = _tail_sign(power_series.p1)
-        measured_p2 = _tail_sign(power_series.p2)
+        measured = _tail_signs(power_series.p)
         if coeffs is not None and abs(coeffs.c11) > C11_THRESHOLD:
-            consistent = (measured_p1 == p1_sign) and (measured_p2 == p2_sign)
+            consistent = measured == predicted
     return GainLossReport(
         l4=spec.l4,
         power_window_ok=bool(power_ok),
         energy_lower=energy_lower,
         energy_upper=upper,
         energy_window_ok=bool(energy_ok),
-        p1_diverges_to=p1_sign,
-        p2_diverges_to=p2_sign,
+        p1_diverges_to=predicted[0],
+        p2_diverges_to=predicted[1],
         e1_diverges_to="+",
         e2_diverges_to="+",
-        measured_p1_sign=measured_p1,
-        measured_p2_sign=measured_p2,
+        measured_p1_sign=measured[0],
+        measured_p2_sign=measured[1],
         measurement_consistent=consistent,
     )

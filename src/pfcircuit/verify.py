@@ -62,7 +62,7 @@ def run_verification_suite(
         row_scale = np.maximum(1.0, np.linalg.norm(closed.states, axis=1))
         pw = obs.power(closed, params, derived)
         en = obs.energy(closed, params)
-    SeriesOverflow.check(tau[-1], closed.states, row_scale, pw.p1, pw.p2, en.e1, en.e2,
+    SeriesOverflow.check(tau[-1], closed.states, row_scale, pw.p, en.e,
                          pw.max_relative_deviation, en.rewrite_max_relative_deviation)
     report.add(
         "dynamics/initial_state_reconstruction",
@@ -106,11 +106,8 @@ def run_verification_suite(
     report.add("dynamics/semigroup", semigroup, 1e-9)
 
     display = dyn.display_series(coeffs, spec, derived, params, model.deltas, model.scales, tau)
-    disp_dev = 0.0
-    for name, series in (("V1", closed.V1), ("V2", closed.V2),
-                         ("I1", closed.I1), ("I2", closed.I2)):
-        scale = np.maximum(np.abs(series), 1.0)
-        disp_dev = max(disp_dev, float(np.max(np.abs(display[name] - series) / scale)))
+    paths = np.concatenate([closed.voltages, closed.currents])
+    disp_dev = float(np.max(np.abs(display - paths) / np.maximum(np.abs(paths), 1.0)))
     report.add("dynamics/display_extraction_agreement", disp_dev, 1e-9)
 
     comparison = dyn.coefficients_paper(coeffs, spec, model.deltas, model.scales,
@@ -122,7 +119,7 @@ def run_verification_suite(
     # --- observables ---
     report.add("observables/power_two_path_max", pw.max_relative_deviation, 1e-10)
     report.add("observables/energy_nonnegative",
-               max(0.0, -float(min(np.min(en.e1), np.min(en.e2)))), 1e-12)
+               max(0.0, -float(np.min(en.e))), 1e-12)
     gl = obs.classify_asymptotics(spec, derived, params, power_series=pw, coeffs=coeffs)
     if gl.measurement_consistent is not None:
         report.add("observables/power_tail_signs_match_prediction",
@@ -132,16 +129,16 @@ def run_verification_suite(
         try:
             # a tail of tiny taus underflows in polyfit's column scaling
             with np.errstate(divide="raise", invalid="raise"):
-                slope_p1 = np.polyfit(tau[tail], np.log(np.abs(pw.p1[tail])), 1)[0]
-                slope_e1 = np.polyfit(tau[tail], np.log(np.maximum(en.e1[tail], 1e-300)), 1)[0]
+                slope_p = np.polyfit(tau[tail], np.log(np.abs(pw.p[0][tail])), 1)[0]
+                slope_e = np.polyfit(tau[tail], np.log(np.maximum(en.e[0][tail], 1e-300)), 1)[0]
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             raise SlopeFitFailure(
                 f"log-slope fit on the tail tau in [{tau[tail][0]:.6g}, {tau[-1]:.6g}] "
                 f"failed: {exc}") from None
         report.add("observables/power_log_slope_error",
-                   abs(slope_p1 - 2.0 * spec.l4), 1e-2)
+                   abs(slope_p - 2.0 * spec.l4), 1e-2)
         report.add("observables/energy_log_slope_error",
-                   abs(slope_e1 - 2.0 * spec.l4), 1e-2)
+                   abs(slope_e - 2.0 * spec.l4), 1e-2)
     report.add("observables/reported_energy_rewrite_deviation",
                en.rewrite_max_relative_deviation, None)
 

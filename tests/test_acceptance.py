@@ -162,12 +162,12 @@ def test_criterion_5_observables():
         params, derived, spec = model.params, model.derived, model.spec
         traj = model.evolve(TAU)
         series = power(traj, params, derived)
-        assert series.p1[0] == 0.0 and series.p2[0] == 0.0
+        assert series.p[0][0] == 0.0 and series.p[1][0] == 0.0
         tail = TAU >= 4.0
-        assert np.all(series.p1[tail] > 0.0)
-        assert np.all(series.p2[tail] < 0.0)
+        assert np.all(series.p[0][tail] > 0.0)
+        assert np.all(series.p[1][tail] < 0.0)
         assert spec.l4 < derived.gamma  # inside the power window
-        for p in (series.p1, series.p2):
+        for p in series.p:
             slope = np.polyfit(TAU[tail], np.log(np.abs(p[tail])), 1)[0]
             assert abs(slope - 2.0 * spec.l4) < 1e-2
         report = classify_asymptotics(spec, derived, params,
@@ -182,7 +182,7 @@ def test_criterion_5_observables():
             (derived.omega0**2 - derived.omega_p**2 - rate**2 < 0.0)
             and (derived.omega0**2 + derived.omega_p**2 - rate**2 > 0.0))
         en = energy(traj, params)
-        assert np.min(en.e1) >= -1e-12 and np.min(en.e2) >= -1e-12
+        assert np.min(en.e[0]) >= -1e-12 and np.min(en.e[1]) >= -1e-12
 
 
 def test_criterion_6_heisenberg():

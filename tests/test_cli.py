@@ -85,7 +85,7 @@ def test_simulate_json_format(tmp_path):
                              "P1", "P2", "E1", "E2"]
     assert len(payload["tau"]) == 5
     traj = Model(normalized(0.5, 3.0, i1=1.0)).evolve(np.linspace(0.0, 5.0, 5))
-    np.testing.assert_array_equal(payload["V1p"], traj.V1p)
+    np.testing.assert_array_equal(payload["V1p"], traj.dvoltages[0])
 
 
 def _plot_text(tau, series):

@@ -35,6 +35,7 @@ from pfcircuit.dynamics import (
     trajectory_columns,
 )
 from pfcircuit.errors import GridEmpty, ZeroSigma
+from pfcircuit.observables import energy, power
 
 TAU = np.linspace(0.0, 5.0, 1001)
 
@@ -120,8 +121,8 @@ def test_paper_sigma_guard(monkeypatch, reference_model):
 
 def test_closed_form_initial_sample(reference_trajectory):
     np.testing.assert_array_equal(reference_trajectory.states[0], initial_state(1.0))
-    assert reference_trajectory.I1[0] == 1.0
-    assert reference_trajectory.I2[0] == 0.0
+    assert reference_trajectory.currents[0][0] == 1.0
+    assert reference_trajectory.currents[1][0] == 0.0
 
 
 def test_closed_form_vs_rk4(reference_trajectory, reference_generator):
@@ -146,14 +147,13 @@ def test_trajectory_gauge_invariance(reference_spectrum, reference_derived,
 def test_trajectory_current_relations(reference_trajectory, reference_params,
                                       reference_derived):
     cw = reference_params.C * reference_derived.omega0
-    expected_i1 = (reference_trajectory.V1 / reference_params.R
-                   - cw * reference_trajectory.V1p)
-    expected_i2 = (-reference_trajectory.V2 / reference_params.R
-                   - cw * reference_trajectory.V2p)
+    v, vp = reference_trajectory.voltages, reference_trajectory.dvoltages
+    expected_i1 = v[0] / reference_params.R - cw * vp[0]
+    expected_i2 = -v[1] / reference_params.R - cw * vp[1]
     scale = np.maximum(1.0, np.abs(expected_i1))
-    assert np.max(np.abs(reference_trajectory.I1 - expected_i1) / scale) < 1e-10
+    assert np.max(np.abs(reference_trajectory.currents[0] - expected_i1) / scale) < 1e-10
     scale = np.maximum(1.0, np.abs(expected_i2))
-    assert np.max(np.abs(reference_trajectory.I2 - expected_i2) / scale) < 1e-10
+    assert np.max(np.abs(reference_trajectory.currents[1] - expected_i2) / scale) < 1e-10
 
 
 def test_closed_form_semigroup(reference_coefficients, reference_pair,
@@ -179,12 +179,11 @@ def test_asymptotic_slope(reference_trajectory, reference_spectrum):
 def test_display_extraction_agrees(reference_model, reference_trajectory):
     m = reference_model
     series = display_series(m.coeffs, m.spec, m.derived, m.params, m.deltas, m.scales, TAU)
-    for name, expected in (("V1", reference_trajectory.V1),
-                           ("V2", reference_trajectory.V2),
-                           ("I1", reference_trajectory.I1),
-                           ("I2", reference_trajectory.I2)):
+    assert series.shape == (4, TAU.size)  # rows V1, V2, I1, I2
+    for row, expected in zip(series, (*reference_trajectory.voltages,
+                                      *reference_trajectory.currents)):
         scale = np.maximum(1.0, np.abs(expected))
-        assert np.max(np.abs(series[name] - expected) / scale) < 1e-9
+        assert np.max(np.abs(row - expected) / scale) < 1e-9
 
 
 def test_rk4_zero_generator():
@@ -303,8 +302,8 @@ def test_adjoint_identification_strict(reference_pair, reference_spectrum,
     report = adjoint_circuit_map(xtraj, reference_params, reference_derived)
     assert report.strict
     assert report.max_residual < 1e-8
-    np.testing.assert_array_equal(report.I1, xtraj.states[:, 0])
-    np.testing.assert_array_equal(report.V1, -xtraj.states[:, 2])
+    np.testing.assert_array_equal(report.currents, xtraj.states[:, :2].T)
+    np.testing.assert_array_equal(report.voltages, -xtraj.states[:, 2:].T)
 
 
 def test_adjoint_identification_strict_rejects_physical_units(
@@ -324,6 +323,10 @@ def test_adjoint_identification_strict_rejects_physical_units(
     assert report.max_residual < 1e-8
     # the printed -L*V relabeling does not; its failure is reported
     assert report.paper_literal_map_max_residual > 1e-3
+    # the relabeled stacks: currents as read, voltages rescaled by C*omega0
+    np.testing.assert_array_equal(report.currents, xtraj.states[:, :2].T)
+    np.testing.assert_array_equal(report.voltages,
+                                  -xtraj.states[:, 2:].T / (params.C * derived.omega0))
 
 
 def test_h0_trivial_solution(reference_spectrum):
@@ -347,7 +350,7 @@ def test_h0_matches_matrix_exponential(reference_spectrum, reference_pf):
 
 def test_quartic_residual(reference_trajectory, reference_derived):
     residuals = quartic_residual(reference_trajectory, reference_derived)
-    assert residuals.shape == (TAU.size, 2)
+    assert residuals.shape == (2, TAU.size)
     assert np.max(residuals) < 1e-8
 
 
@@ -367,34 +370,57 @@ def test_quartic_residual_needs_modes(reference_generator):
         quartic_residual(traj, derive(normalized(0.5, 3.0)))
 
 
-def _trajectory_csv(traj):
-    columns = trajectory_columns(traj)
+#: simulate's trajectory header: tau, then each pair gain circuit first
+HEADER = "tau,V1,V2,V1p,V2p,I1,I2,P1,P2,E1,E2"
+
+
+@pytest.fixture(scope="module")
+def reference_columns(reference_trajectory, reference_params, reference_derived):
+    traj = reference_trajectory
+    return trajectory_columns(traj, power(traj, reference_params, reference_derived),
+                              energy(traj, reference_params))
+
+
+def _trajectory_csv(columns):
     cells = [map(format_float, c.tolist()) for c in columns.values()]
     return "".join(",".join(row) + "\n" for row in [list(columns), *zip(*cells)])
 
 
-def test_csv_golden_first_row(reference_trajectory):
-    lines = _trajectory_csv(reference_trajectory).splitlines()
-    assert lines[0] == "tau,V1,V2,V1p,V2p,I1,I2"
-    assert lines[1] == "0,0,0,-1,0,1,0"
+def test_csv_golden_first_row(reference_columns):
+    lines = _trajectory_csv(reference_columns).splitlines()
+    assert lines[0] == HEADER
+    assert lines[1] == "0,0,0,-1,0,1,0,0,0,0.5,0"
     assert len(lines) == TAU.size + 1
 
 
-def test_csv_float_round_trip(reference_trajectory):
-    row = _trajectory_csv(reference_trajectory).splitlines()[500].split(",")  # data row 499
+def test_csv_float_round_trip(reference_trajectory, reference_columns):
+    row = _trajectory_csv(reference_columns).splitlines()[500].split(",")  # data row 499
     assert float(row[0]) == reference_trajectory.tau[499]
-    assert float(row[1]) == reference_trajectory.V1[499]
-    assert float(row[5]) == reference_trajectory.I1[499]
+    assert float(row[1]) == reference_trajectory.voltages[0][499]
+    assert float(row[5]) == reference_trajectory.currents[0][499]
 
 
-def test_json_mirror(reference_trajectory):
+def test_json_mirror(reference_trajectory, reference_columns):
     # simulate's json format dumps the column dict; its values format to the CSV's strings
-    columns = trajectory_columns(reference_trajectory)
-    payload = json.loads(json.dumps({name: c.tolist() for name, c in columns.items()}))
-    assert list(payload) == ["tau", "V1", "V2", "V1p", "V2p", "I1", "I2"]
-    np.testing.assert_array_equal(payload["V1p"], reference_trajectory.V1p)
-    rows = _trajectory_csv(reference_trajectory).splitlines()[1:]
+    payload = json.loads(json.dumps({name: c.tolist() for name, c in reference_columns.items()}))
+    assert list(payload) == HEADER.split(",")
+    np.testing.assert_array_equal(payload["V1p"], reference_trajectory.dvoltages[0])
+    rows = _trajectory_csv(reference_columns).splitlines()[1:]
     assert [",".join(map(format_float, r)) for r in zip(*payload.values())] == rows
+
+
+def test_trajectory_columns_are_views(reference_trajectory, reference_params,
+                                      reference_derived):
+    # the written series are rows of the stacks they come from: a copy of the
+    # 11 columns would hold a second trajectory in memory
+    traj = reference_trajectory
+    pw, en = power(traj, reference_params, reference_derived), energy(traj, reference_params)
+    columns = trajectory_columns(traj, pw, en)
+    assert list(columns) == HEADER.split(",")
+    assert columns["tau"] is traj.tau
+    bases = [traj.states] * 4 + [traj.currents] * 2 + [pw.p] * 2 + [en.e] * 2
+    for (name, column), base in zip(list(columns.items())[1:], bases, strict=True):
+        assert np.shares_memory(column, base), name
 
 
 def test_format_float_negative_zero():

@@ -176,7 +176,7 @@ def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):
     written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     np.testing.assert_allclose(written[:, 1], norms[0], rtol=1e-15)
     np.testing.assert_allclose(written[:, 2], norms[1], rtol=1e-15)
-    np.testing.assert_allclose(written[:, 3:], ratios, rtol=1e-15)
+    np.testing.assert_allclose(written[:, 3:], ratios.T, rtol=1e-15)
 
 
 def _single_operator_route(j, pf, tau):

@@ -39,8 +39,8 @@ def energy_series(traj, reference_params):
 
 
 def test_power_at_start_is_zero(power_series):
-    assert power_series.p1[0] == 0.0
-    assert power_series.p2[0] == 0.0
+    assert power_series.p[0][0] == 0.0
+    assert power_series.p[1][0] == 0.0
 
 
 def test_power_two_paths_agree(power_series):
@@ -49,31 +49,31 @@ def test_power_two_paths_agree(power_series):
 
 def test_power_asymptotic_signs(power_series, traj):
     tail = traj.tau >= 4.0
-    assert np.all(power_series.p1[tail] > 0.0)
-    assert np.all(power_series.p2[tail] < 0.0)
+    assert np.all(power_series.p[0][tail] > 0.0)
+    assert np.all(power_series.p[1][tail] < 0.0)
 
 
 def test_power_log_slope(power_series, traj, reference_spectrum):
     tail = traj.tau >= 4.0
-    for series in (power_series.p1, power_series.p2):
+    for series in power_series.p:
         slope = np.polyfit(traj.tau[tail], np.log(np.abs(series[tail])), 1)[0]
         assert abs(slope - 2.0 * reference_spectrum.l4) < 1e-2
 
 
 def test_energy_initial_values(energy_series, reference_params):
-    assert energy_series.e1[0] == pytest.approx(
+    assert energy_series.e[0][0] == pytest.approx(
         0.5 * reference_params.L * reference_params.i1**2, rel=1e-12)
-    assert energy_series.e2[0] == 0.0
+    assert energy_series.e[1][0] == 0.0
 
 
 def test_energy_nonnegative(energy_series):
-    assert np.min(energy_series.e1) >= -1e-12
-    assert np.min(energy_series.e2) >= -1e-12
+    assert np.min(energy_series.e[0]) >= -1e-12
+    assert np.min(energy_series.e[1]) >= -1e-12
 
 
 def test_energy_growth_slope(energy_series, traj, reference_spectrum):
     tail = traj.tau >= 4.0
-    slope = np.polyfit(traj.tau[tail], np.log(energy_series.e1[tail]), 1)[0]
+    slope = np.polyfit(traj.tau[tail], np.log(energy_series.e[0][tail]), 1)[0]
     assert abs(slope - 2.0 * reference_spectrum.l4) < 1e-2
 
 
@@ -81,7 +81,7 @@ def test_energy_rewrite_deviation_reported(energy_series):
     # the rewritten closed forms drop the cross term; the deviation is real
     # and must be surfaced, not asserted away
     assert energy_series.rewrite_max_relative_deviation > 0.1
-    assert np.all(np.isfinite(energy_series.e1_rewrite))
+    assert np.all(np.isfinite(energy_series.rewrite[0]))
 
 
 def test_classification_reference(reference_spectrum, reference_derived,
@@ -143,8 +143,8 @@ def test_asymptotic_prefactors(power_series, traj, reference_spectrum,
     pref1 = (c11 * deltas[3]) ** 2 * (1.0 / reference_params.R - cw * l4)
     pref2 = c11**2 * (-1.0 / reference_params.R - cw * l4)
     idx = -1  # tau = 5, where the dominant mode ratio is ~e^{-8}
-    scaled1 = power_series.p1[idx] * np.exp(-2.0 * l4 * traj.tau[idx])
-    scaled2 = power_series.p2[idx] * np.exp(-2.0 * l4 * traj.tau[idx])
+    scaled1 = power_series.p[0][idx] * np.exp(-2.0 * l4 * traj.tau[idx])
+    scaled2 = power_series.p[1][idx] * np.exp(-2.0 * l4 * traj.tau[idx])
     assert scaled1 == pytest.approx(pref1, rel=2e-3)
     assert scaled2 == pytest.approx(pref2, rel=2e-3)
 
