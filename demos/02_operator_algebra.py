@@ -24,7 +24,9 @@ print("reference pair is nilpotent:", np.all(a1 @ a1 == 0), np.all(a2 @ a2 == 0)
 
 T, deltas = build_T(spec, derived, Gauge())
 print("intertwiner column parameters delta_2j:", np.array2string(deltas, precision=6))
-print(f"det(T) = {np.linalg.det(T):.6f} "
+# T's second row holds its unit-norm column scales t, so det(T) = prod(t) * det
+# of the unscaled columns (delta, 1, l*delta, l)
+print(f"det(T) / prod(T[1]) = {np.linalg.det(T) / np.prod(T[1]):.6f} "
       f"(closed form -4*rho*l4*l2/(alpha*mu)^2 = "
       f"{-4 * spec.rho * spec.l4 * spec.l2 / (derived.alpha * derived.mu) ** 2:.6f})")
 

@@ -66,11 +66,18 @@ class Coefficients:
 
     vector: np.ndarray
     """Weights in column order (0,0), (1,0), (0,1), (1,1)."""
+    t24: float = 1.0
+    """T[1, 3], the scale of the (1,1) column that the weights expand over."""
 
     @property
     def c11(self) -> float:
         """Weight of the dominant (growing) mode, the (1,1) column."""
         return float(self.vector[3])
+
+    @property
+    def dominant_weight(self) -> float:
+        """c11 * t24, the dominant mode's amplitude in V2, which no gauge changes."""
+        return self.c11 * self.t24
 
 
 def initial_state(i1: float, capacitance: float = 1.0, omega0: float = 1.0) -> np.ndarray:
@@ -84,7 +91,7 @@ def initial_state(i1: float, capacitance: float = 1.0, omega0: float = 1.0) -> n
 
 def coefficients(psi0: np.ndarray, pair: BasisPair) -> Coefficients:
     """Biorthogonal projection of the initial state; the authoritative path."""
-    return Coefficients(expand(pair, psi0))
+    return Coefficients(expand(pair, psi0), float(pair.phi[1, 3]))
 
 
 def _paper_sigma(deltas: np.ndarray, l2: float, l4: float) -> float:
@@ -128,10 +135,12 @@ def coefficients_paper(
     numerators attach i1 to only part of each term and the sigma display has
     suspect bracketing, so the deviation is returned for inspection, never
     asserted.  Raises :class:`ZeroSigma` if the dimensionless bracket of the
-    printed denominator vanishes.
+    printed denominator vanishes or is not finite (its products of deltas
+    overflow at small coupling).
     """
-    bracket = _paper_sigma(deltas, spec.l2, spec.l4)
-    if abs(bracket) < 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = _paper_sigma(deltas, spec.l2, spec.l4)
+    if not 1e-12 <= abs(bracket) < np.inf:
         raise ZeroSigma(f"printed denominator sigma = C * {bracket}")
     sigma = capacitance * bracket
     d21, d22, d23, d24 = deltas
@@ -456,7 +465,7 @@ def display_series(
     c = coeffs.vector
     rates = spec.eigenvalues
     exps = np.exp(np.outer(rates, tau))
-    weights = np.stack([c * deltas * t, c * t])  # V1, V2 per mode
+    weights = np.stack([c * (deltas * t), c * t])  # V1, V2 per mode; delta * t is finite
     # the spectrum sets l1 = -l2 and l3 = -l4 by exact negation, so -C*omega0*l
     # over (l3, l1, l2, l4) is the display's +C*omega0*l4, ..., -C*omega0*l4
     currents = weights * (GAIN_LOSS_SIGN / params.R - params.C * derived.omega0 * rates)

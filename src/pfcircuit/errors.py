@@ -70,7 +70,7 @@ class SlopeFitFailure(NumericalRefusal):
 
 
 class ZeroSigma(NumericalRefusal):
-    """The printed coefficient denominator sigma evaluates to zero."""
+    """The printed coefficient denominator sigma evaluates to zero or to no finite double."""
 
 
 class RegimeRejected(RegimeRefusal):
@@ -82,7 +82,7 @@ class NearDegenerate(RegimeRefusal):
 
 
 class ZeroCoupling(RegimeRefusal):
-    """mu = 0: the intertwiner construction divides by 2*alpha*mu."""
+    """mu = 0, or so small that the intertwiner's deltas, divided by alpha*mu, overflow."""
 
 
 class GaugeDegenerate(RegimeRefusal):

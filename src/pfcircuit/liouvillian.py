@@ -80,13 +80,16 @@ def build_liouvillian(derived: DerivedParams) -> np.ndarray:
 
 
 def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spectrum:
-    """Closed-form spectrum in the accepted regime.
+    """Closed-form spectrum in the accepted regime, with no cancelling subtraction.
 
-    ``report`` is :func:`params.validate`'s report of ``derived`` when the
-    caller holds it already; otherwise validation runs here.  Raises
-    :class:`RegimeRejected` outside the strict regime and
-    :class:`NearDegenerate` when eigenvalue pairs come closer than
-    DEGENERACY_RTOL * l4 (the intertwiner would be ill-conditioned).
+    l4^2 = (gamma^2 - 2 alpha + sqrt(rho))/2 adds positive terms, and l2 comes
+    from l2 * l4 = sqrt(alpha): l2^2 and l4^2 are the roots of the quartic in
+    l^2, whose constant term is alpha^2 (1 - mu^2) = alpha.  ``report`` is
+    :func:`params.validate`'s report of ``derived`` when the caller holds it
+    already; otherwise validation runs here.  Raises :class:`RegimeRejected`
+    outside the strict regime and :class:`NearDegenerate` when eigenvalue pairs
+    come closer than DEGENERACY_RTOL * l4 (the intertwiner would be
+    ill-conditioned).
     """
     if report is None:
         report = validate(derived)
@@ -95,22 +98,10 @@ def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spec
             f"spectral regime rejected for mu={derived.mu}, gamma={derived.gamma}: "
             f"rho={report.rho}"
         )
-    rho = report.rho
-    sqrt_rho = math.sqrt(rho)
-    base = derived.gamma**2 - 2.0 * derived.alpha
-    inner = base - sqrt_rho
-    if inner <= 0.0:
-        # mathematically positive in-regime; a nonpositive float means the
-        # subtraction cancelled catastrophically
-        raise NearDegenerate(
-            f"gamma^2 - 2*alpha - sqrt(rho) = {inner} lost all precision"
-        )
-    l1 = -math.sqrt(inner / 2.0)
-    l2 = -l1
-    l3 = -math.sqrt((base + sqrt_rho) / 2.0)
-    l4 = -l3
-    values = sorted([l1, l2, l3, l4])
-    min_gap = min(b - a for a, b in zip(values, values[1:]))
+    l4 = math.sqrt((derived.gamma**2 - 2.0 * derived.alpha + math.sqrt(report.rho)) / 2.0)
+    l2 = math.sqrt(derived.alpha) / l4
+    l1, l3 = -l2, -l4
+    min_gap = min(2.0 * l2, l4 - l2)  # l2 - l1 and l4 - l2 = l1 - l3, exactly
     if min_gap < DEGENERACY_RTOL * l4:
         raise NearDegenerate(
             f"minimum eigenvalue gap {min_gap:.3e} below {DEGENERACY_RTOL:g}*l4"
@@ -118,7 +109,7 @@ def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spec
     return Spectrum(
         l1=l1, l2=l2, l3=l3, l4=l4,
         lambda0=0.0, lambda1=l1 - l3, lambda2=l2 - l3, lambda3=l4 - l3,
-        rho=rho,
+        rho=report.rho,
     )
 
 

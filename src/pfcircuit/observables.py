@@ -37,7 +37,7 @@ __all__ = [
 #: fraction of trailing samples used to measure divergence signs
 MEASUREMENT_WINDOW = 0.1
 
-#: dominant-mode population threshold for sign measurements
+#: threshold on the dominant mode's gauge-free weight c11 * t24 for sign measurements
 C11_THRESHOLD = 1e-12
 
 
@@ -142,7 +142,7 @@ def classify_asymptotics(
     The dominant-mode power prefactors are (c11 t24 delta24)^2 (1/R - C w0 l4)
     and (c11 t24)^2 (-1/R - C w0 l4), so predicted signs follow those factors.
     With a power series supplied, the measured tail signs must match whenever
-    the dominant mode is populated (|c11| above threshold); the comparison is
+    the dominant mode is populated (|c11 t24| above threshold); the comparison is
     recorded in the report.
     """
     if derived.mu == 0.0:
@@ -163,7 +163,7 @@ def classify_asymptotics(
     consistent = None
     if power_series is not None:
         measured = _tail_signs(power_series.p)
-        if coeffs is not None and abs(coeffs.c11) > C11_THRESHOLD:
+        if coeffs is not None and abs(coeffs.dominant_weight) > C11_THRESHOLD:
             consistent = measured == predicted
     return GainLossReport(
         l4=spec.l4,

@@ -188,11 +188,11 @@ def validate(derived: DerivedParams) -> RegimeReport:
     cond_mu = mu * mu < 1.0
     coupling = mu != 0.0
     accepted = cond_rho and cond_gamma and cond_mu and coupling
-    # l1, l2 real and nonzero needs rho < (gamma^2 - 2 alpha)^2.  That is
-    # algebraically equivalent to alpha^2 (1 - mu^2) > 0, always true when
-    # mu^2 < 1, but at extreme parameters the two float values can collide;
-    # the collision means l1 and l2 have cancelled to the working precision,
-    # which is exactly the near-degenerate situation.
+    # l1, l2 real and nonzero needs rho < (gamma^2 - 2 alpha)^2, whose gap is
+    # 4 alpha, so it always holds when mu^2 < 1.  The two floats collide only
+    # where 4 alpha is below the rounding of gamma^4, so l2/l4 = sqrt(alpha)/l4^2
+    # is below about 1e-8: spectrum's l2 stays accurate there, but the pair
+    # l1, l2 is near-degenerate next to l4.
     separation_lost = accepted and not (rho < (gamma * gamma - 2.0 * alpha) ** 2)
     return RegimeReport(
         rho=rho,

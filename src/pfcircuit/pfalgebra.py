@@ -50,11 +50,13 @@ GAUGE_MIN = 1e-12
 
 @dataclass(frozen=True)
 class Gauge:
-    """Free nonzero column scales of the intertwiner.
+    """Free nonzero column scales of the intertwiner, relative to unit-norm columns.
 
     The eigenvector equations fix each column of T only up to scale; physical
-    trajectories are invariant under this choice.  Unit scales are the default
-    because they make det(T) reproducible.
+    trajectories are invariant under this choice.  The default keeps every
+    column at unit norm, which is within sqrt(4) of the diagonal scaling that
+    minimizes the 2-norm condition number of T (van der Sluis, Numer. Math. 14,
+    1969).
     """
 
     t21: float = 1.0
@@ -65,7 +67,8 @@ class Gauge:
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
             if abs(value) <= GAUGE_MIN:
-                raise GaugeDegenerate(f"gauge scale {name} must be nonzero, got {value}")
+                raise GaugeDegenerate(f"gauge scale {name} must exceed {GAUGE_MIN:g} in "
+                                      f"magnitude, relative to the unit-norm column; got {value}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t21, self.t22, self.t23, self.t24])
@@ -93,32 +96,27 @@ def build_T(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the intertwiner and its column parameters.
 
-    Column j of T is an eigenvector of the circuit generator with eigenvalue
-    (l3, l1, l2, l4)[j].  Each delta is the first-component scale forced by the
-    eigenvector equations; all four divide by 2*alpha*mu, so zero coupling is
-    rejected.
+    Column j of T is the generator's eigenvector t (delta, 1, l delta, l) for
+    l = (l3, l1, l2, l4)[j], at unit norm times the gauge.  Q = diag(P2, -P2), P2
+    swapping the sub-circuits, gives Q L Q^-1 = -L and maps the column of l onto
+    that of -l with delta -> 1/delta (Schindler et al., PRA 84, 040101(R), 2011),
+    so delta21 = 1/delta24, delta22 = 1/delta23, and delta23 and delta24 add
+    positive terms.  A coupling at which they overflow, zero included, is rejected.
 
     Returns ``(T, deltas)`` with deltas = (delta21, delta22, delta23, delta24).
     """
-    if derived.mu == 0.0:
-        raise ZeroCoupling("the intertwiner is undefined at mu = 0")
-    g = derived.gamma
-    sqrt_rho = np.sqrt(spec.rho)
-    denom = 2.0 * derived.alpha * derived.mu
-    deltas = np.array([
-        (g * g + sqrt_rho - 2.0 * g * spec.l4) / denom,
-        (g * g - sqrt_rho - 2.0 * g * spec.l2) / denom,
-        (g * g - sqrt_rho + 2.0 * g * spec.l2) / denom,
-        (g * g + sqrt_rho + 2.0 * g * spec.l4) / denom,
-    ])
-    t = gauge.as_array()
+    a, g = derived.alpha, derived.gamma
+    with np.errstate(divide="ignore", over="ignore"):
+        d23, d24 = (np.float64(l * l + a + g * l) / (a * derived.mu) for l in (spec.l2, spec.l4))
+    if not np.isfinite(d24):
+        raise ZeroCoupling(f"the intertwiner is undefined at mu = {derived.mu!r}: delta24 = {d24}")
+    deltas = np.array([1.0 / d24, 1.0 / d23, d23, d24])
     ls = spec.eigenvalues
-    matrix = np.vstack([
-        deltas * t,
-        t,
-        ls * deltas * t,
-        ls * t,
-    ])
+    # the unit column is (1, l)/|(1, l)| (x) (delta, 1)/|(delta, 1)|, so no
+    # intermediate value overflows where delta is finite
+    outer = np.stack([np.ones(4), ls]) / np.hypot(1.0, ls)
+    inner = np.stack([deltas, np.ones(4)]) / np.hypot(1.0, deltas)
+    matrix = (outer[:, None] * inner).reshape(4, 4) * gauge.as_array()
     return matrix, deltas
 
 

@@ -125,7 +125,7 @@ def run_verification_suite(
         report.add("observables/power_tail_signs_match_prediction",
                    0.0 if gl.measurement_consistent else 1.0, 0.0)
     tail = slope_tail(tau)
-    if abs(coeffs.c11) > obs.C11_THRESHOLD:
+    if abs(coeffs.dominant_weight) > obs.C11_THRESHOLD:
         try:
             # a tail of tiny taus underflows in polyfit's column scaling
             with np.errstate(divide="raise", invalid="raise"):

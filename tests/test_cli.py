@@ -22,7 +22,7 @@ from pfcircuit import (Gauge, Model, derive, energy, normalized, number_evolutio
                        spectrum, validate)
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
-from pfcircuit import errors
+from pfcircuit import errors, pfalgebra
 from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
 from pfcircuit.errors import (NearDegenerate, NotACircuit, NotSPD, NumericalRefusal,
                               RegimeRefusal, SingularMatrix, ZeroSigma)
@@ -374,9 +374,8 @@ def test_verify_refuses_a_slope_fit_that_fails_in_floating_point(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["simulate", "adjoint", "heisenberg", "verify"])
-@pytest.mark.parametrize("point", [["--mu", "1e-300", "--gamma", "3"],
-                                   ["--mu", "0.5", "--gamma", "3", "--gauge", "1e300,1,1,1"]],
-                         ids=["mu-1e-300", "gauge-1e300"])
+@pytest.mark.parametrize("point", [["--mu", "0.5", "--gamma", "3", "--gauge", "1e300,1,1,1"]],
+                         ids=["gauge-1e300"])
 def test_singular_matrix_refused_without_a_warning(tmp_path, capsys, command, point):
     # det(T) and ||T||_F^4 overflow here; the overflow reads as inf and is refused
     with warnings.catch_warnings():
@@ -384,6 +383,41 @@ def test_singular_matrix_refused_without_a_warning(tmp_path, capsys, command, po
         assert run(tmp_path, command, *point) == EXIT_REGIME
     err = capsys.readouterr().err
     assert err.startswith("numerical refusal: SingularMatrix: matrix is numerically singular (det=")
+
+
+def _refuse_nonfinite_constant(name):
+    raise AssertionError(f"nonfinite JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "adjoint", "heisenberg", "verify"])
+@pytest.mark.parametrize("mu", ["1e-4", "1e-16", "1e-150", "1e-160", "1e-300", "1e-307",
+                                "5e-324"], ids=lambda mu: f"mu-{mu}")
+def test_small_coupling_passes_or_is_refused_by_name(tmp_path, capsys, command, mu):
+    # delta24 ~ 15.7/mu at gamma 3: it overflows below mu ~ 8.7e-308, and the
+    # printed sigma's products of deltas (verify only) below mu ~ 1e-154
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--mu", mu, "--gamma", "3", "--samples", "101",
+                     "--output", str(out)])
+    err = capsys.readouterr().err
+    if mu == "5e-324":
+        refusal = "regime rejected: the intertwiner is undefined at mu = 5e-324"
+    elif command == "verify" and float(mu) < 1e-154:
+        refusal = "numerical refusal: ZeroSigma: printed denominator sigma = C * "
+    else:
+        refusal = None
+    if refusal is not None:
+        assert code == EXIT_REGIME and err.startswith(refusal), err
+        assert not out.exists()
+        return
+    assert code == EXIT_OK, err
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_refuse_nonfinite_constant)
+        else:
+            assert "inf" not in text and "nan" not in text, path.name
 
 
 def test_verify_small_capacitance_physical_point(tmp_path):
@@ -496,15 +530,22 @@ def test_heisenberg_norm_overflow_refused(tmp_path, capsys, command, mu):
 
 
 @pytest.mark.parametrize("command", ["verify", "heisenberg"])
-def test_reconstruction_failure_refused_by_name(tmp_path, capsys, command):
-    # the gauge is 1/||T[:, j]||; lambda1 N1 + lambda2 N2 + l3 I then misses the
-    # generator by 1.3e-9, from cancellation in the closed forms at large gamma
+def test_reconstruction_failure_refused_by_name(tmp_path, capsys, monkeypatch, command):
+    # a fault injected into T: lambda1 N1 + lambda2 N2 + l3 I then misses the
+    # generator by far more than 1e-9
+    build_T = pfalgebra.build_T
+
+    def faulty_build_T(*args, **kwargs):
+        T, deltas = build_T(*args, **kwargs)
+        corrupted = T.copy()
+        corrupted[0, 0] += 1e-3
+        return corrupted, deltas
+
+    monkeypatch.setattr(pfalgebra, "build_T", faulty_build_T)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, "--mu", "0.1", "--gamma", "180",
-                     "--gauge", "0.00555564,0.998731,0.0500604,8.66039e-09",
-                     "--output", str(out)])
+        code = main([command, "--mu", "0.1", "--gamma", "180", "--output", str(out)])
     assert code == EXIT_REGIME
     err = capsys.readouterr().err
     assert err.startswith("numerical refusal: ReconstructionFailure: "
@@ -513,8 +554,8 @@ def test_reconstruction_failure_refused_by_name(tmp_path, capsys, command):
 
 
 #: the 25 x 25 regime grid of the ROADMAP, and 8 accepted points on it at large
-#: gamma: in the column-equilibrated gauge mu = +-0.0817 and +-0.1633 give
-#: reconstruction residuals above 1e-9, mu = +-0.245 (gamma 200) 5e-11
+#: gamma, where closed forms that subtract lose the most: mu = +-0.0817 and
+#: +-0.1633 gave reconstruction residuals above 1e-9, mu = +-0.245 (gamma 200) 5e-11
 _GRID_MU, _GRID_GAMMA = np.linspace(-0.98, 0.98, 25), np.geomspace(1.2, 200.0, 25)
 _RECONSTRUCTION_POINTS = [(float(_GRID_MU[12 + sign * k]), float(_GRID_GAMMA[i]))
                           for sign in (-1, 1) for k, i in ((1, 23), (1, 24), (2, 24), (3, 24))]
@@ -522,7 +563,7 @@ _RECONSTRUCTION_POINTS = [(float(_GRID_MU[12 + sign * k]), float(_GRID_GAMMA[i])
 
 def test_regime_grid_ends_without_a_traceback(tmp_path, capsys):
     # every accepted point ends in a pass, failed checks or a named refusal, in
-    # the unit gauge and with T's columns scaled to unit norm; failed checks
+    # the default gauge and in a deliberately bad relative one; failed checks
     # (exit 1) are still allowed, from the slope and conditioning checks
     coarse = [(float(mu), float(gamma)) for mu in np.linspace(-0.98, 0.98, 6)
               for gamma in np.geomspace(1.2, 200.0, 5)]  # an even mu count skips 0
@@ -531,8 +572,7 @@ def test_regime_grid_ends_without_a_traceback(tmp_path, capsys):
         model = Model(normalized(mu, gamma))
         if not validate(model.derived).accepted:
             continue
-        equilibrated = (1.0 / np.linalg.norm(model.T, axis=0)).tolist()
-        for gauge in ([1.0] * 4, equilibrated):
+        for gauge in ([1e3, 1e-3, 1.0, 1.0], [1.0] * 4):
             for command in ("verify", "heisenberg"):
                 args = [command, "--mu", repr(mu), "--gamma", repr(gamma), "--samples", "11",
                         "--gauge", ",".join(map(repr, gauge)), "--output", str(tmp_path)]
@@ -549,28 +589,26 @@ def test_regime_grid_ends_without_a_traceback(tmp_path, capsys):
 
 
 def test_gauge_check_relative_to_the_run_gauge(tmp_path):
-    # in the column-equilibrated gauge, the fixed second gauge (2, 0.5, 3, 1) made
-    # T singular here; scaled relative to the run's gauge it stays regular
+    # verify's second gauge is the run's times (2, 0.5, 3, 1); as fixed absolute
+    # column scales, (2, 0.5, 3, 1) made T singular here
     mu, gamma = -0.245, 23.72792075861588
-    gauge = 1.0 / np.linalg.norm(Model(normalized(mu, gamma)).T, axis=0)
-    assert run(tmp_path, "verify", "--mu", repr(mu), "--gamma", repr(gamma), "--samples", "11",
-               "--gauge", ",".join(map(repr, gauge.tolist()))) == EXIT_OK
+    assert run(tmp_path, "verify", "--mu", repr(mu), "--gamma", repr(gamma),
+               "--samples", "11") == EXIT_OK
 
 
 def test_rk4_oracle_refines_its_step_at_large_l4(tmp_path):
     # l4 = 44.95: a fixed step of 1e-3 misses by 7.4e-6, so the oracle must
     # refine its step to stay near its 1e-7 target
     mu, gamma = 0.245, 44.977
-    gauge = 1.0 / np.linalg.norm(Model(normalized(mu, gamma)).T, axis=0)
-    assert run(tmp_path, "verify", "--mu", repr(mu), "--gamma", repr(gamma),
-               "--gauge", ",".join(map(repr, gauge.tolist()))) == EXIT_OK
+    assert run(tmp_path, "verify", "--mu", repr(mu), "--gamma", repr(gamma)) == EXIT_OK
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["dynamics/closed_vs_rk4_max_rel"]["residual"] <= 2e-7
 
 
 def test_physical_point_with_ill_conditioned_metric_verifies(tmp_path):
-    # kappa(T) ~ 5e3: S_phi = T T^+ fails the inversion test, its inverse S_psi
-    # taken from T^-1 does not need one
+    # unscaled columns give kappa(T) ~ 5e3 here, and S_phi = T T^+ then fails
+    # the inversion test that S_psi, taken from T^-1, does not need; with
+    # unit-norm columns kappa(T) is 1.6 and every check passes with margin
     assert run(tmp_path, "verify", "--mode", "physical", "--L", "2", "--C", "0.5",
                "--R", "0.2", "--M", "0.7") == EXIT_OK
 
@@ -641,10 +679,10 @@ def test_in_process_model_defaults_to_the_cli_initial_current():
 
 #: sha256 over every verify outcome on a slice of the regime grid (rows mu[0]
 #: and mu[11], every fourth gamma), with the CLI's defaults i1 = 1, tau_max 5
-#: and 1,001 samples, in the unit and the column-equilibrated gauge: a
-#: report's JSON text, or "Class: message" for a refusal; recorded with numpy
-#: 2.4.6 before the gain/loss twins were stacked into one axis
-_GRID_SLICE_SHA256 = "d6856a9f00915991b275fc378df16799ec5c913cddbbba05a34908ee521548a2"
+#: and 1,001 samples, in the default gauge, verify's second gauge and a
+#: deliberately bad one: a report's JSON text, or "Class: message" for a
+#: refusal; recorded with numpy 2.4.6
+_GRID_SLICE_SHA256 = "9fb19ed0cea7402bae72940d058d6af12acb103d06ab20e9421acfcf06cb033c"
 
 
 def test_verify_outcomes_pinned_on_a_grid_slice():
@@ -655,7 +693,7 @@ def test_verify_outcomes_pinned_on_a_grid_slice():
             model = Model(normalized(mu, gamma, i1=1.0))
             if not validate(model.derived).accepted:
                 continue
-            for gauge in ([1.0] * 4, (1.0 / np.linalg.norm(model.T, axis=0)).tolist()):
+            for gauge in ([1.0] * 4, [2.0, 0.5, 3.0, 1.0], [1e3, 1e-3, 1.0, 1.0]):
                 try:
                     report = run_verification_suite(Model(model.params, Gauge(*gauge)), tau)
                     text, outcome = json.dumps(report.to_dict(), indent=2), "report"
@@ -663,82 +701,92 @@ def test_verify_outcomes_pinned_on_a_grid_slice():
                     text, outcome = f"{type(exc).__name__}: {exc}", type(exc).__name__
                 outcomes.add(outcome)
                 digest.update(f"{mu!r} {gamma!r} {gauge!r}\n{text}\n".encode())
-    assert outcomes == {"report", "SingularMatrix", "SeriesOverflow", "ReconstructionFailure"}
+    assert outcomes == {"report", "SingularMatrix", "SeriesOverflow"}
     assert digest.hexdigest() == _GRID_SLICE_SHA256
+
+
+def test_verify_key_set_is_the_same_in_two_relative_gauges():
+    # the dominant-mode threshold reads c11 * t24, which no gauge changes; c11
+    # alone falls below it here once every column is scaled by 1e13
+    tau = np.linspace(0.0, 5.0, 1001)
+    keys = [list(run_verification_suite(Model(normalized(0.5, 3.0), Gauge(*[scale] * 4)),
+                                        tau).checks) for scale in (1.0, 1e13)]
+    assert "observables/power_log_slope_error" in keys[0]
+    assert keys[0] == keys[1]
 
 
 #: sha256 of each artifact and of stdout, written with ``--output .``; recorded
 #: with numpy 2.4.6, so an intended byte change (or another numpy) updates them
 _PINNED_SHA256 = {
     ("reference", "heisenberg"): {
-        "heisenberg.csv": "1317039f69dda14a321e7e47bce69553d1e298158d5194ad8b16430376f7184b",
+        "heisenberg.csv": "f5c233b6433a2a4602c3159e60827b4f3d154f87f8f61121422a97efa15ec50f",
         "heisenberg_report.json":
-            "ef6efe1921c4a05cac75c095c9309bf01cc61c67b572054b843a4f10a42e0051",
+            "20140e312d5f2f55cdc42b4530d3bf8ece994680a8ff90fce3db3ab94c7ca5db",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("reference", "verify"): {
-        "verify_report.json": "e8a9b6d363ec4eb7dd497a3c932e1d3d981750fb629d87090853120d8dc6156b",
+        "verify_report.json": "433895b5406343449db2f6b35b80a6477f86fd170823e28e0a2256ea8a2c887e",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("gauge", "heisenberg"): {
-        "heisenberg.csv": "ef3865f927ab58da441c252ce31614a0d87e13d4ac6543bd3a4378041b525f1f",
+        "heisenberg.csv": "05743d8772f2043ec9d5ab9be3415fc4ec67e001ab617552bf68919179786112",
         "heisenberg_report.json":
-            "68f5eee533a6c3b740bb0b9787ce9900a3571bac11017b54cc093d7b26f7625f",
+            "92b28a8fb872a5efb9ca5f23b0e7652613f4b16e868dcb2b3e3164825cbd431b",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("gauge", "verify"): {
-        "verify_report.json": "564ad2c973de776597fc2c5fe5de8be1e903ebd090e2b0cb114de4b8e35b7727",
+        "verify_report.json": "d4754c54d29d81999cce98d537ef4e05b0af75738ceeaabc7b36f7db8e6a6c6d",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("physical", "heisenberg"): {
-        "heisenberg.csv": "541f697da018352bc243af157777ced9b5b3d9ff500beb44c7b2ae1fd3fb650a",
+        "heisenberg.csv": "e1412857a583f2d919dd359e2735bb9cbba01bd4912d81d2d18759bc64f4b870",
         "heisenberg_report.json":
-            "5ac5d32c22cc4eeb449f3e6896a27f93ab09ecf6cd0fc0b4d5e01e44cd58b750",
+            "0c5f3f9ef84a1d9b1ebfb4bcac934ec20d98853447ad855fcf2676e5240255c1",
         "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
     ("physical", "verify"): {
-        "verify_report.json": "5b656ac8f8f4c3e095d270b3022556a2a85469dbe01aa9c0ed1f319dae72ce97",
+        "verify_report.json": "6de3cd4ba6b9927f70e59a5a5cfc17c4084d4c9cd56be459b956f87e41265b6b",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("reference", "adjoint"): {
-        "adjoint.csv": "9ec912ec06372aaf69012c0e4348b4b2fe0a62838fbda06da0f42b0f39f73bac",
-        "adjoint_report.json": "f72145cf432cbf2c4b3f9c07ebc19aad1d8faa5171a2ba5b020662c4226ef8e5",
-        "stdout": "2047b24b4e23e2a6f9bff6ca4200865311af1c55fa2615280540d40c3c3438a4"},
+        "adjoint.csv": "5184f249dfee6c38558c5f3480814537085ba52505c5eeed59d8cb1bdd84b51b",
+        "adjoint_report.json": "2de5ccabcbce8b7c23c5434b32299d4c63dcfb92f1f5021fbb2931fcea450a3c",
+        "stdout": "796448e520b3185b625463c9b29ab14b6d51dd5a903a682a0a7cd5872f274470"},
     ("gauge", "adjoint"): {
-        "adjoint.csv": "d3c695022ca0e30230221013477a3778bc194b30afe1e33bd2f8bf166bbccbdf",
-        "adjoint_report.json": "b1d181448a74a83efcd98f3bc416f69b3bac6f2d2b3b9fa03c338759513e9bc1",
-        "stdout": "0a985bfc000a8937fa40cc9da481c7d4ea9f3aff488473547d9f5404831bd2a8"},
+        "adjoint.csv": "65b746a71cce9bbd60120c255476bccdca3c5017a2c10a7eb93ca5c2707d1ef5",
+        "adjoint_report.json": "680de1397080f52963bc73288aa83e233f28e61da5ccbeec1e50cf5f33cd9ad5",
+        "stdout": "d062c02b855ece5c7bdc81d2c4c3dde14b55b9085fc6da309c44015476fe4ed1"},
     ("physical", "adjoint"): {
-        "adjoint.csv": "aa3fbea166a1363f684434a0994f52f9b880635804baadd23eaf5da909c00a57",
-        "adjoint_report.json": "77555ad02df0fa9493d274b19918283b1708e5a30166f23add402f24aa2cddf3",
-        "stdout": "6aa5c57f0078fc8aafe8560699f03e1822eaa8b6f5e17e94530bb6a2a9103586"},
+        "adjoint.csv": "f219189ce177a81530cc58261e092fed3e3b1821b95ad5b8a0abd9cd058c9a99",
+        "adjoint_report.json": "674b57b4281b137b7d330b7b930ec99583c4184c191f523c083fa9c8a9c446e8",
+        "stdout": "7ade252979ff0270e6f539f1f5a178aa168273823c0782a44b5196f5fade5144"},
     ("reference", "simulate"): {
-        "trajectory.csv": "de449ef45beccecefb03ce373e0b8c1a147b3d1cd70fffdef7af3821095da1ef",
-        "plot_data.dat": "50a85ca7c9cc725d0efa767d30d8857c6780e1e5494f7a08b3c53006800361fa",
+        "trajectory.csv": "0c4fcfcef9f2274653a24495a480dbfebe1a2f48b29c14b3d77e68e2bec278f6",
+        "plot_data.dat": "7308ec83914efa18a6d6ba3d879f158bb84334af0247904464d83cb96a20e754",
         "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
     ("gauge", "simulate"): {
-        "trajectory.csv": "47dc6099c7eb0fc1f9e1e296f58ec0463decd1b5b5abfcc2e5a112848882acc5",
-        "plot_data.dat": "feeb0bd46fe8c390201d84c948ea090f04e386423bd1fde0f85bd56e656ba670",
+        "trajectory.csv": "75bfd2910ce7784af2f5574b39b3112403890627bb505766b73206f243dea44d",
+        "plot_data.dat": "3696dbd6fb7e3d9e65cbdd276ce96a5998b10aa4b0cdacc57438e53c91193f46",
         "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
     ("physical", "simulate"): {
-        "trajectory.csv": "e7c77bc8fad362a5dad920a92068397aa1dae501069ec7c34c76e6e889b03c28",
-        "plot_data.dat": "654f78bf3cdd1fcfdffd91f3b9dddbfdebc6391323fec6f07ed26108943fea15",
+        "trajectory.csv": "4e4a12e9b33bea48e1bde60e9113631795f30832e54be1d6ad8abbceb2167c46",
+        "plot_data.dat": "fbe24a2ddf6e149bcd07d1b72e97fb30915acf3a27212879911c4ddb47d0d838",
         "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
     ("reference", "simulate-json"): {
-        "trajectory.json": "7bcbd456e76280dd3a447ba21e6f6b5b89b21bb90c1dbea87d34165fbf9ed1e0",
-        "plot_data.dat": "50a85ca7c9cc725d0efa767d30d8857c6780e1e5494f7a08b3c53006800361fa",
+        "trajectory.json": "10d21eed52833157990305ac7251faa7c0b0b46c0df83e5255f4e450901db99c",
+        "plot_data.dat": "7308ec83914efa18a6d6ba3d879f158bb84334af0247904464d83cb96a20e754",
         "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
     ("gauge", "simulate-json"): {
-        "trajectory.json": "62868758fffcb4c6eadd660760f0c02a1490fb2d9b201981b5cb7505b77fc443",
-        "plot_data.dat": "feeb0bd46fe8c390201d84c948ea090f04e386423bd1fde0f85bd56e656ba670",
+        "trajectory.json": "89959d52a6efc3661af31c13fdbf9b5f552b2946c5d6e14029f9c00ac2316a0c",
+        "plot_data.dat": "3696dbd6fb7e3d9e65cbdd276ce96a5998b10aa4b0cdacc57438e53c91193f46",
         "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
     ("physical", "simulate-json"): {
-        "trajectory.json": "ba4984a6f3d2dadc6d92ca899fb75e62be92baa957a2a6cdd7194b15c5b2a153",
-        "plot_data.dat": "654f78bf3cdd1fcfdffd91f3b9dddbfdebc6391323fec6f07ed26108943fea15",
+        "trajectory.json": "a57cfff4e223fee225071894b2665c824a471d373b2e2632a347830488ca1af9",
+        "plot_data.dat": "fbe24a2ddf6e149bcd07d1b72e97fb30915acf3a27212879911c4ddb47d0d838",
         "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
     ("reference", "h0"): {
-        "h0.csv": "1cc50e32e5fbbcc2788e084036e6dbd499343898e0483138fe8d70685d6c0004",
-        "stdout": "fad924da5b4efb3e4114225968a70d2d847f0aeb10c8493a693c97f1debcacaa"},
+        "h0.csv": "08ccc3f59b538e568ca524b441b3382ff8ec05bff1630d4c5f4686ca9f14fdf0",
+        "stdout": "e560a5e990287eee078461b06adb6d82b2c1453a55544bf2a06a70203fe96c27"},
     ("gauge", "h0"): {
-        "h0.csv": "1cc50e32e5fbbcc2788e084036e6dbd499343898e0483138fe8d70685d6c0004",
-        "stdout": "fad924da5b4efb3e4114225968a70d2d847f0aeb10c8493a693c97f1debcacaa"},
+        "h0.csv": "08ccc3f59b538e568ca524b441b3382ff8ec05bff1630d4c5f4686ca9f14fdf0",
+        "stdout": "e560a5e990287eee078461b06adb6d82b2c1453a55544bf2a06a70203fe96c27"},
     ("physical", "h0"): {
-        "h0.csv": "dc95524497db1718c412e856b8848404bce636306d97fe07a3a00f64c29d4f2d",
-        "stdout": "afc0603bca20ac9d6cd909b4d68dd896c021f70ead0d4e2119151144a09d9590"},
+        "h0.csv": "84b6a4187b96f8dd7572b7c564353611b7a346a0aa4e9b061309fbcea90c8574",
+        "stdout": "060c37fea71aa74be680948d2c479d2c39be3f04e4cb90544d5b42650e4b2c50"},
     ("reference", "validate"): {
         "regime.json": "e28f8648863c6ef12933e553d550536fa566acce8d1c8eeb6172f50b7f7c744f",
         "stdout": "6da3ce903f88823f73afa8cc044dc12eef95cc9f9b9a7765b1e99d85d82e9f16"},
@@ -749,19 +797,19 @@ _PINNED_SHA256 = {
         "regime.json": "6f33b818c118049231571009e123123055d39395215daf92478609a4d660ba0e",
         "stdout": "a0e6fefcb4762105dac5c0992746774053fe1bdfa4be24710845190b8755dbc9"},
     ("reference", "spectrum"): {
-        "spectrum.json": "ff0f000612077fffdfe020850fb4695949516319acc0f5b040b0ec5ebd883737",
+        "spectrum.json": "ce0b07dfb11ab081d31c70af1fc0b4078c1d776062bfda64008a701a49ea32a3",
         "stdout": "1162e3c38abd819f1190631ab859c96a9891cab809607f43dc9c05f734911c3d"},
     ("gauge", "spectrum"): {
-        "spectrum.json": "ff0f000612077fffdfe020850fb4695949516319acc0f5b040b0ec5ebd883737",
+        "spectrum.json": "ce0b07dfb11ab081d31c70af1fc0b4078c1d776062bfda64008a701a49ea32a3",
         "stdout": "1162e3c38abd819f1190631ab859c96a9891cab809607f43dc9c05f734911c3d"},
     ("physical", "spectrum"): {
-        "spectrum.json": "2805ee1be94ac7e3c33a5a7fa2d9a8115cc11f3b290504f551579195fe3422f1",
+        "spectrum.json": "72e39da5c1c1af86adea2c9defb88120269e891550238b78381f921db542d5de",
         "stdout": "353022ba724790ca2aeb4d41bb86c015eed0e95096523962253843ebc61a4877"},
     ("grid", "sweep"): {
         "sweep.csv": "c792c313f583e38647acdfb933bc831ee287b2e52cc64da74a1f1d4fe21306e9",
         "stdout": "1bd320b9b0a24ed570175db996f361624f044dfe615296a7ca1f0019f9b725b6"},
     ("large-gamma", "sweep"): {
-        "sweep.csv": "ffbdaa4a855a9a3a2e9c06000a5edce79c98e2a373ac57598ac640f1525e17fa",
+        "sweep.csv": "2df26d8d0cdede0a6e06fe20c6afd04df873735501f9205638a2cc34be241c9f",
         "stdout": "994f197b2f72fe3138302a0b3fe06dcee5531527886189c4b065185c63284f53"},
 }
 
@@ -770,7 +818,7 @@ _PINNED_POINTS = {
     "gauge": ["--mu", "0.5", "--gamma", "3", "--gauge", "2,0.5,3,1"],
     "physical": ["--mode", "physical", "--L", "2", "--C", "0.5", "--R", "0.2", "--M", "0.7"],
     # sweep grids: 16 points that are not circuits (|mu| >= 1 or gamma <= 0)
-    # and mu = 0 exactly; 25 accepted points whose spectrum is refused
+    # and mu = 0 exactly; 23 accepted points whose spectrum is refused
     "grid": ["--mu-range=-1.2:1.2:5", "--gamma-range=-2:6:5"],
     "large-gamma": ["--mu-range", "0.05:0.95:10", "--gamma-range", "1:20000:10"],
 }
@@ -812,8 +860,8 @@ def test_sweep_matches_direct_evaluation(tmp_path):
 
 
 def test_sweep_keeps_refused_points(tmp_path):
-    # above gamma ~ 1.4e4 the spectrum is refused as near-degenerate (or l1
-    # cancels); those points keep validate's columns and leave the rest blank
+    # above gamma ~ 1.5e4 (at mu = 0.5) the spectrum is refused as near-degenerate;
+    # those points keep validate's columns and leave the rest blank
     assert run(tmp_path, "sweep", "--mu-range", "0.05:0.95:10",
                "--gamma-range", "1:20000:10") == EXIT_OK
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -821,7 +869,7 @@ def test_sweep_keeps_refused_points(tmp_path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     refused = [row for row in rows if row["accepted"] == "True" and row["l4"] == ""]
-    assert len(refused) == 25
+    assert len(refused) == 23
     for row in refused:
         with pytest.raises(NearDegenerate):
             spectrum(derive(normalized(float(row["mu"]), float(row["gamma"]))))

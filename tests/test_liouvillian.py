@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import sample_accepted
-from pfcircuit import Model, build_liouvillian, derive, normalized, spectrum, validate
+from pfcircuit import Model, build_liouvillian, build_T, derive, normalized, spectrum, validate
+from pfcircuit import liouvillian
 from pfcircuit.errors import NearDegenerate, RegimeRejected
 from pfcircuit.liouvillian import characteristic_residual
 
@@ -117,7 +118,8 @@ def test_determinant_and_trace(reference_derived, reference_generator, reference
 
 
 def test_near_degenerate_guard():
-    # at extreme gamma the l1/l2 pair cancels to working precision
+    # at extreme gamma the gap 2*l2 falls below DEGENERACY_RTOL * l4 (from
+    # gamma ~ 1.5e4 at mu = 0.5)
     with pytest.raises(NearDegenerate):
         spectrum(derive(normalized(0.5, 2.0e4)))
     # and the validator flags the same collision
@@ -129,3 +131,59 @@ def test_spectrum_serialization(reference_spectrum):
     assert list(data) == ["l1", "l2", "l3", "l4",
                           "lambda0", "lambda1", "lambda2", "lambda3", "rho"]
     assert data["rho"] == pytest.approx(313.0 / 9.0, rel=1e-12)
+
+
+def _paper_closed_forms(mpmath, mu, gamma, alpha):
+    """l1..l4 and delta21..delta24 by the paper's subtracting forms, in mpmath."""
+    rho = gamma**4 + 4 * alpha**2 * mu**2 - 4 * alpha * gamma**2
+    s = mpmath.sqrt(rho)
+    l2 = mpmath.sqrt((gamma**2 - 2 * alpha - s) / 2)
+    l4 = mpmath.sqrt((gamma**2 - 2 * alpha + s) / 2)
+    den = 2 * alpha * mu
+    return [-l2, l2, -l4, l4,
+            (gamma**2 + s - 2 * gamma * l4) / den, (gamma**2 - s - 2 * gamma * l2) / den,
+            (gamma**2 - s + 2 * gamma * l2) / den, (gamma**2 + s + 2 * gamma * l4) / den]
+
+
+#: gamma in [1.2, 200] with |mu| in [0.05, 0.98], and the large gammas at which
+#: closed forms that subtract lose l2 (by 48% at 1.4e4)
+_ORACLE_POINTS = [(mu, float(gamma)) for mu in (-0.98, -0.3, -0.05, 0.05, 0.1633, 0.6, 0.98)
+                  for gamma in np.geomspace(1.2, 200.0, 9)] + [
+    (0.1, 180.0), (0.5, 3.0), (0.5, 1e3), (0.5, 3e3), (0.5, 1.4e4), (0.5, 1.6e4)]
+
+
+def test_closed_forms_against_mpmath(monkeypatch):
+    # Higham (2002), sec. 1.7: the relative error of a backward-stable value is
+    # about u times its condition number, here with respect to mu, gamma and
+    # alpha (alpha is rounded before any closed form reads it); kappa is a
+    # forward difference at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    u, h = 2.0**-53, mpmath.mpf("1e-20")
+    # the closed forms are checked past the degeneracy refusal too: gamma 1.6e4
+    # lies beyond it at mu = 0.5
+    with pytest.raises(NearDegenerate):
+        spectrum(derive(normalized(0.5, 1.6e4)))
+    monkeypatch.setattr(liouvillian, "DEGENERACY_RTOL", 0.0)
+    checked = 0
+    for mu, gamma in _ORACLE_POINTS:
+        derived = derive(normalized(mu, gamma))
+        if not validate(derived).accepted:
+            continue
+        spec = spectrum(derived)
+        _, deltas = build_T(spec, derived)
+        inputs = [mpmath.mpf(derived.mu), mpmath.mpf(derived.gamma)]
+        inputs.append(1 / (1 - inputs[0] ** 2))
+        exact = _paper_closed_forms(mpmath, *inputs)
+        kappa = [0] * 8
+        for i in range(3):
+            moved = list(inputs)
+            moved[i] *= 1 + h
+            kappa = [k + abs((b - a) / (h * a))
+                     for k, a, b in zip(kappa, exact, _paper_closed_forms(mpmath, *moved))]
+        got = [spec.l1, spec.l2, spec.l3, spec.l4, *deltas.tolist()]
+        for name, x, e, k in zip(("l1", "l2", "l3", "l4", "d21", "d22", "d23", "d24"),
+                                 got, exact, kappa):
+            assert abs((x - e) / e) <= 8 * u * k, (mu, gamma, name)
+        checked += 1
+    assert checked == 57

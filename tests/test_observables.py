@@ -134,14 +134,13 @@ def test_asymptotic_prefactors(power_series, traj, reference_spectrum,
                                reference_derived, reference_params,
                                reference_coefficients):
     # dominant-mode prefactors: P1 -> (c11 t24 d24)^2 (1/R - C w0 l4) e^{2 l4 tau},
-    # P2 -> (c11 t24)^2 (-1/R - C w0 l4) e^{2 l4 tau} with unit gauge
-    from pfcircuit.pfalgebra import Gauge
-    _, deltas = build_T(reference_spectrum, reference_derived, Gauge())
-    c11 = reference_coefficients.c11
+    # P2 -> (c11 t24)^2 (-1/R - C w0 l4) e^{2 l4 tau}, with t24 = T[1, 3]
+    T, deltas = build_T(reference_spectrum, reference_derived)
+    c11_t24 = reference_coefficients.c11 * T[1, 3]
     cw = reference_params.C * reference_derived.omega0
     l4 = reference_spectrum.l4
-    pref1 = (c11 * deltas[3]) ** 2 * (1.0 / reference_params.R - cw * l4)
-    pref2 = c11**2 * (-1.0 / reference_params.R - cw * l4)
+    pref1 = (c11_t24 * deltas[3]) ** 2 * (1.0 / reference_params.R - cw * l4)
+    pref2 = c11_t24**2 * (-1.0 / reference_params.R - cw * l4)
     idx = -1  # tau = 5, where the dominant mode ratio is ~e^{-8}
     scaled1 = power_series.p[0][idx] * np.exp(-2.0 * l4 * traj.tau[idx])
     scaled2 = power_series.p[1][idx] * np.exp(-2.0 * l4 * traj.tau[idx])

@@ -17,6 +17,7 @@ from pfcircuit import (
     normalized,
     pf_verify,
     spectrum,
+    validate,
 )
 from pfcircuit.errors import GaugeDegenerate, ReconstructionFailure, ZeroCoupling
 from pfcircuit.pfalgebra import (
@@ -72,11 +73,34 @@ def test_intertwiner_columns_are_eigenvectors(
 def test_intertwiner_determinant_closed_form(reference_spectrum, reference_derived):
     for gauge in (Gauge(), Gauge(2.0, 0.5, 3.0, 1.0)):
         T, _ = build_T(reference_spectrum, reference_derived, gauge)
+        # the closed form of the columns (delta, 1, l*delta, l), times their scales T[1]
         expected = (-4.0 * reference_spectrum.rho * reference_spectrum.l4
                     * reference_spectrum.l2
                     / (reference_derived.alpha**2 * reference_derived.mu**2)
-                    * np.prod(gauge.as_array()))
+                    * np.prod(T[1]))
         assert np.linalg.det(T) == pytest.approx(expected, rel=1e-9)
+
+
+def test_pt_pairing_maps_each_column_onto_its_partner():
+    # Q = diag(P2, -P2) swaps the sub-circuits and reverses the velocities, so
+    # Q L Q^-1 = -L (Q^-1 = Q), and Q carries the unit column of l, t (delta, 1,
+    # l delta, l), onto sign(mu) times that of -l, whose delta is 1/delta
+    p2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    q = np.block([[p2, np.zeros((2, 2))], [np.zeros((2, 2)), -p2]])
+    large_gamma = [(sign * mu, gamma) for sign in (-1.0, 1.0)
+                   for mu, gamma in ((0.0817, 161.6), (0.0817, 200.0), (0.1633, 200.0),
+                                     (0.245, 200.0))]
+    checked = 0
+    for mu, gamma in [(float(mu), float(gamma)) for mu in np.linspace(-0.98, 0.98, 6)
+                      for gamma in np.geomspace(1.2, 200.0, 5)] + large_gamma:
+        model = Model(normalized(mu, gamma))
+        if not validate(model.derived).accepted:
+            continue
+        np.testing.assert_array_equal(q @ model.generator @ q, -model.generator)
+        np.testing.assert_allclose(q @ model.T, np.sign(mu) * model.T[:, ::-1],
+                                   rtol=0.0, atol=4 * np.finfo(float).eps)
+        checked += 1
+    assert checked == 30
 
 
 def test_intertwiner_gauge_column_scaling(reference_spectrum, reference_derived):
