@@ -19,12 +19,13 @@ point's conditions as False); RegimeRefusal exits 3 where the command
 requires acceptance (a sweep point that validate accepts but whose spectrum is
 refused keeps its regime columns and leaves the asymptotic ones blank);
 NumericalRefusal exits 3 at an accepted point: a singular matrix, a
-non-positive-definite metric, a vanishing printed coefficient denominator, a
-generator that the operator system fails to reconstruct, a log-slope fit of
-verify that fails in floating point on its tail window (SlopeFitFailure), or
-a series that overflows (inf/nan) on the tau grid, which is refused before any
-file is written.  verify's RK4 oracle picks its own step from the generator
-(see dynamics.evolve_rk4).
+non-positive-definite metric, a generator that the operator system fails to
+reconstruct, a log-slope fit of verify that fails in floating point on its
+tail window (SlopeFitFailure), or a series that overflows (inf/nan) on the
+tau grid, which is refused before any file is written.  verify writes a
+reported-only channel that gives no number as null instead of refusing.
+verify's RK4 oracle picks its own step from the generator (see
+dynamics.evolve_rk4).
 All outputs are deterministic: fixed float formatting, fixed key and row
 ordering.
 """
@@ -216,8 +217,33 @@ def _save(path: Path, text: str) -> None:
         _write(handle, text.encode())
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+#: json's C encoder, which the indented json.dumps does not use, set to write a
+#: list one item per line: an encoded scalar escapes every control character,
+#: so the only line ends are the separators
+_encode_lines = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` for a dict of scalars or of dicts of scalars.
+
+    Every command's JSON report is such a dict, with str keys.  The keys and
+    scalars are encoded by one C-encoder call, and the indented layout around
+    them is laid out here as a format template.
+    """
+    tokens, lines = [], []
+    for key, value in payload.items():
+        tokens.append(key)
+        if isinstance(value, dict):
+            tokens.extend(itertools.chain.from_iterable(value.items()))
+            inner = ",\n".join(["    {}: {}"] * len(value))
+            lines.append("  {}: {{\n" + inner + "\n  }}" if value else "  {}: {{}}")
+        else:
+            tokens.append(value)
+            lines.append("  {}: {}")
+    if not tokens:
+        return "{}\n"
+    encoded = _encode_lines(tokens)[1:-1].split("\n")
+    return ("{{\n" + ",\n".join(lines) + "\n}}\n").format(*encoded)
 
 
 # ---------------------------------------------------------------------------

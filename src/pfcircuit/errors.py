@@ -69,10 +69,6 @@ class SlopeFitFailure(NumericalRefusal):
     """A log-slope fit of verify failed in floating point on its tail window."""
 
 
-class ZeroSigma(NumericalRefusal):
-    """The printed coefficient denominator sigma evaluates to zero or to no finite double."""
-
-
 class RegimeRejected(RegimeRefusal):
     """Parameters fall outside the real-spectrum regime."""
 

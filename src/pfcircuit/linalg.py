@@ -4,17 +4,21 @@ Everything operates on plain numpy arrays in double precision.  The matrix
 exponential is a scaling-and-squaring truncated Taylor series that serves as a
 cross-check oracle; the propagator itself is taken through the intertwiner as
 T diag(e^{lambda tau}) T^{-1} in :mod:`pfcircuit.heisenberg`.  The symmetric
-eigensolver is a cyclic Jacobi sweep so that square roots and spectral norms do
-not depend on the same LAPACK path the tests compare against.  The Jacobi
+eigensolver is Jacobi's method, so that square roots and spectral norms do not
+depend on the same LAPACK path the tests compare against.  Each sweep runs
+round-robin rounds of rotations in disjoint planes (three rounds of two for a
+4x4), each round one batched update of the rows and one of the columns over
+the whole stack, and the sweeps stop once the off-diagonal norm is at most
+JACOBI_TOL times ||A||_F, a threshold relative to the matrix.  The Jacobi
 eigensolver, the spectral norm and the exponential each run one matrix and an
 (m, n, n) stack through one body; the exponential also takes a stack of
-times.  Probe vectors
-for the numerical checks come from :func:`probes`, which reads the stdlib
-generator, so no command loads ``numpy.random``.
+times.  Probe vectors for the numerical checks come from :func:`probes`, which
+reads the stdlib generator, so no command loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -40,11 +44,11 @@ SINGULARITY_RTOL = 1e-12
 #: Taylor terms retained by the scaling-and-squaring series of :func:`expm`
 TAYLOR_TERMS = 18
 
-#: scaled off-diagonal Frobenius target for the cyclic Jacobi sweeps
+#: off-diagonal Frobenius target of the Jacobi sweeps, relative to ||A||_F
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 50
-#: turns s into the (s, -s) of a rotation's two output rows
-_SIGNS = np.array([[1.0], [-1.0]])
+#: turns a round's (k, m) sines s into the (s, -s) of each rotation's two output rows
+_SIGNS = np.array([[[1.0]], [[-1.0]]])
 
 
 def as_square(a, dim: int | None = None, stack: bool = False) -> np.ndarray:
@@ -116,15 +120,17 @@ def expm(a, tau=1.0) -> np.ndarray:
 
 
 def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a real symmetric matrix by Jacobi rotations in round-robin rounds.
 
     Returns ``(w, V)`` with ascending eigenvalues and orthonormal columns; an
     (m, n, n) stack gives (m, n) eigenvalues and (m, n, n) vectors.
-    Sweeps stop once the off-diagonal Frobenius norm falls below
-    ``tol * max(1, ||A||_F)`` or after ``max_sweeps`` sweeps; ||A||_F is taken
-    scaled by the largest entry when its square overflows.  Each rotation
-    R in the (p, q) plane updates only rows p and q of A (R^T A), then
-    columns p and q (A R), and columns p and q of V (V R).
+    Sweeps stop once the off-diagonal Frobenius norm is at most
+    ``tol * ||A||_F`` or after ``max_sweeps`` sweeps; ||A||_F is taken
+    scaled by the largest entry when its square overflows.  Each sweep runs
+    the rounds of :func:`_rounds`, which rotate disjoint (p, q) planes: a
+    round takes every angle from the matrix as the round found it, then
+    updates the rows p and q of A (R^T A), then the columns p and q of A and
+    V (A R, V R).
     """
     m = as_square(a, stack=True)
     if np.iscomplexobj(m):
@@ -137,16 +143,41 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
     return (w, v) if m.ndim == 3 else (w[0], v[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and nan propagate, as in float arithmetic
+@functools.cache
+def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One Jacobi sweep over n indices as round-robin rounds of disjoint (p, q) pairs, p < q.
+
+    The circle method (Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 1985):
+    index 0 stays put and meets the head of a ring of the other indices,
+    which turns one place per round, while the rest of the ring pairs from
+    its ends inwards; an odd n adds a bye index, whose pairs are dropped.
+    For n = 4 the rounds are {(0,1), (2,3)}, {(0,2), (1,3)} and
+    {(0,3), (1,2)}.  Each round is given as the (2, k) index array [p; q] of
+    its k pairs, and as the (3, k) flat indices i * n + j of its
+    (a_pq, a_pp, a_qq).
+    """
+    size = n + n % 2
+    rounds = []
+    for r in range(1, size):
+        ring = [*range(r, size), *range(1, r)]
+        pairs = [(0, ring[0]), *((ring[i], ring[-i]) for i in range(1, size // 2))]
+        p, q = np.array(sorted(sorted(pair) for pair in pairs if max(pair) < n), dtype=np.intp).T
+        rounds.append((np.stack([p, q]), np.stack([p * n + q, p * n + p, q * n + q])))
+    return tuple(rounds)
+
+
+# inf and nan propagate, as in float arithmetic; a zero pivot's angle divides
+# by zero, and its rotation is discarded
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
     """The Jacobi sweeps of :func:`jacobi_eigh` on every member of a symmetric (m, n, n) stack.
 
     The members run together with the stack on the last axis, each through the
-    same cyclic pivot order and stopping rule, so a member's bits do not depend
-    on the rest of the stack.  A member leaves the live set once its
-    off-diagonal norm passes the test, and a rotation touches only the live
-    members with a nonzero pivot: rotating the others by c = 1, s = 0 could
-    flip the sign of a zero.
+    same rounds and stopping rule, so a member's bits do not depend on the
+    rest of the stack.  A member leaves the live set once its off-diagonal
+    norm passes the test.  A member whose pivot a_pq is exactly zero keeps its
+    rows and columns p and q unchanged in that round: rotating it by c = 1,
+    s = 0 could flip the sign of a zero, or make inf * 0 a nan.
     """
     m, n, _ = w.shape
     flat = w.reshape(m, n * n)
@@ -155,11 +186,15 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
     overflowed = ~np.isfinite(frobenius)
     if overflowed.any():
         frobenius[overflowed] = _scaled_frobenius(flat[overflowed])
-    threshold = tol * np.maximum(1.0, frobenius)
-    # A stacked over V, member index last: a rotation's row update touches the
+    threshold = tol * frobenius
+    # A stacked over V, member index last: a round's row update touches the
     # first n rows, and its column update both A and V at once
-    av = np.concatenate([w, np.broadcast_to(np.eye(n), w.shape)], axis=1).transpose(1, 2, 0).copy()
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))  # row-major, the order the squares are summed in
+    av = np.empty((2 * n, n, m))
+    av[:n] = w.transpose(1, 2, 0)
+    av[n:] = np.eye(n)[:, :, None]
+    # the flat indices i * n + j of the off-diagonal entries, row-major: the
+    # order their squares are summed in
+    off_diagonal = np.flatnonzero(~np.eye(n, dtype=bool))
     eigenvalues, vectors = np.empty((m, n)), np.empty((m, n, n))
     live = np.arange(m)
 
@@ -171,28 +206,43 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
         # off-diagonal norm taken entrywise, as ||A||_F^2 - sum a_ii^2 cancels
         # catastrophically for ill-conditioned input; the squares are added one
         # by one in a fixed order, as this test decides the number of sweeps and
-        # so every bit of the result
-        off = av[rows, cols]
-        squares = off * off
-        done = np.sqrt(list(map(sum, squares.T.tolist()))) < threshold[live]
+        # so every bit of the result.  cumsum adds strictly left to right, where
+        # np.sum may split a single member's squares into pairwise partial sums
+        off = av[:n].reshape(n * n, live.size).take(off_diagonal, axis=0)
+        done = np.sqrt(np.cumsum(off * off, axis=0)[-1]) <= threshold[live]
         if done.any():
             retire(done)
             av, live = av[:, :, ~done], live[~done]
-        if live.size == 0:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                pivot = av[p, q] != 0.0
-                if pivot.all():
-                    _rotate(av, p, q)
-                elif pivot.any():
-                    sub = av[:, :, pivot]
-                    _rotate(sub, p, q)
-                    av[:, :, pivot] = sub
-    retire(slice(None))  # members still live after max_sweeps
+            if live.size == 0:
+                break
+        entries = av.reshape(2 * n * n, live.size)  # a view whose row i * n + j holds a_ij
+        for pairs, pivots in _rounds(n):
+            a_pq, a_pp, a_qq = entries.take(pivots, axis=0)
+            theta = (a_qq - a_pp) / (2.0 * a_pq)
+            # the root of t^2 + 2 theta t - 1 of smaller magnitude, tan of the angle
+            t = 1.0 / (theta + np.copysign(np.sqrt(theta * theta + 1.0), theta))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            # (x, y) <- (c x - s y, c y - (-s) x), which has the bits of
+            # (c x - s y, s x + c y), for rows p and q of A, then for columns
+            # p and q of A and V
+            signed_s = _SIGNS * (t * c)
+            held = None if a_pq.all() else a_pq == 0.0
+            x = av.take(pairs, axis=0)
+            rotated = c[:, None] * x - signed_s[:, :, None] * x[::-1]
+            if held is not None:
+                np.copyto(rotated, x, where=held[:, None])
+            av[pairs] = rotated
+            x = av.take(pairs, axis=1)
+            rotated = c * x - signed_s * x[:, ::-1]
+            if held is not None:
+                np.copyto(rotated, x, where=held)
+            av[:, pairs] = rotated
+    else:
+        retire(slice(None))  # members still live after max_sweeps
     order = np.argsort(eigenvalues, axis=-1)
-    return (np.take_along_axis(eigenvalues, order, axis=-1),
-            np.take_along_axis(vectors, order[:, None, :], axis=-1))
+    members = np.arange(m)[:, None]  # column j of a member's V is its vector order[j]
+    return (eigenvalues[members, order],
+            vectors[members[:, None], np.arange(n)[:, None], order[:, None]])
 
 
 def _scaled_frobenius(flat: np.ndarray) -> np.ndarray:
@@ -204,22 +254,6 @@ def _scaled_frobenius(flat: np.ndarray) -> np.ndarray:
     s = np.max(np.abs(flat), axis=1)
     scaled = flat / s[:, None]
     return s * np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
-
-
-def _rotate(av: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation in the (p, q) plane of each member of ``av`` (A over V, members last)."""
-    apq = av[p, q]
-    theta = (av[q, q] - av[p, p]) / (2.0 * apq)
-    t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    # rows p and q of A, then columns p and q of A and V, each pair as one
-    # strided view: (x, y) <- (c x - s y, c y - (-s) x), which has the bits of
-    # (c x - s y, s x + c y)
-    signed_s = _SIGNS * s
-    rows, cols = av[p:q + 1:q - p], av[:, p:q + 1:q - p]
-    np.subtract(c * rows, signed_s[:, None] * rows[::-1], out=rows)
-    np.subtract(c * cols, signed_s * cols[:, ::-1], out=cols)
 
 
 def sqrtm_spd(a, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:

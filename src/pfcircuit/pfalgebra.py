@@ -179,10 +179,11 @@ class Check:
     """One named identity check.
 
     Asserted checks carry a tolerance and a pass flag; reported-only channels
-    carry ``tolerance=None, passed=None`` and never gate anything.
+    carry ``tolerance=None, passed=None`` and never gate anything; their
+    residual is None where the channel gives no number.
     """
 
-    residual: float
+    residual: float | None
     tolerance: float | None
     passed: bool | None
 
@@ -196,9 +197,11 @@ class VerificationReport:
 
     checks: dict[str, Check] = field(default_factory=dict)
 
-    def add(self, name: str, residual: float, tolerance: float | None) -> None:
+    def add(self, name: str, residual: float | None, tolerance: float | None) -> None:
+        """Record a check; a reported-only channel (no tolerance) may carry no residual."""
         passed = None if tolerance is None else bool(residual <= tolerance)
-        self.checks[name] = Check(residual=float(residual), tolerance=tolerance, passed=passed)
+        self.checks[name] = Check(residual=None if residual is None else float(residual),
+                                  tolerance=tolerance, passed=passed)
 
     def merge(self, other: "VerificationReport", prefix: str = "") -> None:
         for name, check in other.checks.items():

@@ -112,9 +112,10 @@ def run_verification_suite(
 
     comparison = dyn.coefficients_paper(coeffs, spec, model.deltas, model.scales,
                                         params.i1, params.C)
-    report.add("dynamics/reported_paper_coefficient_deviation",
-               comparison.max_relative_deviation, None)
-    report.add("dynamics/reported_paper_sigma", comparison.sigma, None)
+    printed = (None, None) if comparison is None else (comparison.max_relative_deviation,
+                                                       comparison.sigma)
+    report.add("dynamics/reported_paper_coefficient_deviation", printed[0], None)
+    report.add("dynamics/reported_paper_sigma", printed[1], None)
 
     # --- observables ---
     report.add("observables/power_two_path_max", pw.max_relative_deviation, 1e-10)

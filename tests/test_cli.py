@@ -25,7 +25,7 @@ from pfcircuit import dynamics as dyn
 from pfcircuit import errors, pfalgebra
 from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
 from pfcircuit.errors import (NearDegenerate, NotACircuit, NotSPD, NumericalRefusal,
-                              RegimeRefusal, SingularMatrix, ZeroSigma)
+                              RegimeRefusal, SingularMatrix, SlopeFitFailure)
 from pfcircuit.verify import run_verification_suite
 
 
@@ -312,8 +312,8 @@ def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [SingularMatrix("matrix is numerically singular", 0.0),
                                    NotSPD("matrix is not positive definite", -1.0),
-                                   ZeroSigma("printed denominator sigma = C * 0.0")],
-                         ids=["SingularMatrix", "NotSPD", "ZeroSigma"])
+                                   SlopeFitFailure("log-slope fit on the tail failed")],
+                         ids=["SingularMatrix", "NotSPD", "SlopeFitFailure"])
 def test_numerical_refusal_exit(tmp_path, monkeypatch, capsys, error):
     import pfcircuit.cli as cli_mod
 
@@ -390,11 +390,12 @@ def _refuse_nonfinite_constant(name):
 
 
 @pytest.mark.parametrize("command", ["simulate", "adjoint", "heisenberg", "verify"])
-@pytest.mark.parametrize("mu", ["1e-4", "1e-16", "1e-150", "1e-160", "1e-300", "1e-307",
-                                "5e-324"], ids=lambda mu: f"mu-{mu}")
+@pytest.mark.parametrize("mu", ["1e-4", "1e-16", "1e-150", "1e-155", "1e-160", "1e-300",
+                                "1e-307", "5e-324"], ids=lambda mu: f"mu-{mu}")
 def test_small_coupling_passes_or_is_refused_by_name(tmp_path, capsys, command, mu):
     # delta24 ~ 15.7/mu at gamma 3: it overflows below mu ~ 8.7e-308, and the
-    # printed sigma's products of deltas (verify only) below mu ~ 1e-154
+    # printed sigma's products of deltas (verify only) below mu ~ 1e-154,
+    # where its two reported-only channels read null
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -402,22 +403,34 @@ def test_small_coupling_passes_or_is_refused_by_name(tmp_path, capsys, command, 
                      "--output", str(out)])
     err = capsys.readouterr().err
     if mu == "5e-324":
-        refusal = "regime rejected: the intertwiner is undefined at mu = 5e-324"
-    elif command == "verify" and float(mu) < 1e-154:
-        refusal = "numerical refusal: ZeroSigma: printed denominator sigma = C * "
-    else:
-        refusal = None
-    if refusal is not None:
-        assert code == EXIT_REGIME and err.startswith(refusal), err
+        assert code == EXIT_REGIME, err
+        assert err.startswith("regime rejected: the intertwiner is undefined at mu = 5e-324")
         assert not out.exists()
         return
     assert code == EXIT_OK, err
+    if command == "verify":
+        payload = json.loads((out / "verify_report.json").read_text())
+        printed = [payload[f"dynamics/reported_paper_{name}"]["residual"]
+                   for name in ("coefficient_deviation", "sigma")]
+        assert (printed == [None, None]) == (float(mu) < 1e-154), printed
     for path in out.iterdir():
         text = path.read_text()
         if path.suffix == ".json":
             json.loads(text, parse_constant=_refuse_nonfinite_constant)
         else:
             assert "inf" not in text and "nan" not in text, path.name
+
+
+def test_verify_writes_null_where_the_printed_sigma_gives_no_number(tmp_path, monkeypatch):
+    # the channels are reported-only: the asserted suite alone decides the exit
+    monkeypatch.setattr(dyn, "_paper_sigma", lambda *args: math.inf)
+    assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3") == EXIT_OK
+    payload = json.loads((tmp_path / "verify_report.json").read_text())
+    pinned = Path(__file__).parents[1] / "bench" / "verify_keys.json"
+    assert list(payload) == json.loads(pinned.read_text())
+    for name in ("coefficient_deviation", "sigma"):
+        assert payload[f"dynamics/reported_paper_{name}"] == {
+            "residual": None, "tolerance": None, "pass": None}
 
 
 def test_verify_small_capacitance_physical_point(tmp_path):
@@ -682,7 +695,7 @@ def test_in_process_model_defaults_to_the_cli_initial_current():
 #: and 1,001 samples, in the default gauge, verify's second gauge and a
 #: deliberately bad one: a report's JSON text, or "Class: message" for a
 #: refusal; recorded with numpy 2.4.6
-_GRID_SLICE_SHA256 = "9fb19ed0cea7402bae72940d058d6af12acb103d06ab20e9421acfcf06cb033c"
+_GRID_SLICE_SHA256 = "4552b1fb98a6401c069f70fed7d64ce01e5278d2ac313cbd96782e846160857f"
 
 
 def test_verify_outcomes_pinned_on_a_grid_slice():
@@ -715,32 +728,42 @@ def test_verify_key_set_is_the_same_in_two_relative_gauges():
     assert keys[0] == keys[1]
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_n_hat_checks_pass_under_a_uniform_gauge(scale):
+    # S_psi's norm scales like 1/scale^2; an absolute Jacobi threshold stopped
+    # its rotations early, and the n-hat residuals read up to 6.3e-4
+    tau = np.linspace(0.0, 5.0, 1001)
+    report = run_verification_suite(Model(normalized(0.5, 3.0), Gauge(*[scale] * 4)), tau)
+    n_hat = {name: check for name, check in report.checks.items() if "/n_hat" in name}
+    assert len(n_hat) == 4 and all(check.passed for check in n_hat.values()), n_hat
+
+
 #: sha256 of each artifact and of stdout, written with ``--output .``; recorded
 #: with numpy 2.4.6, so an intended byte change (or another numpy) updates them
 _PINNED_SHA256 = {
     ("reference", "heisenberg"): {
-        "heisenberg.csv": "f5c233b6433a2a4602c3159e60827b4f3d154f87f8f61121422a97efa15ec50f",
+        "heisenberg.csv": "6ecfb3fd8067a3b798881519fd4c0c3d0d1af204292b2256969fbd7644b36fca",
         "heisenberg_report.json":
-            "20140e312d5f2f55cdc42b4530d3bf8ece994680a8ff90fce3db3ab94c7ca5db",
+            "fcee824eaa8f248ea0316c6c88b02672ee55d37bf673c91c8918c3d1ff69f2ca",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("reference", "verify"): {
-        "verify_report.json": "433895b5406343449db2f6b35b80a6477f86fd170823e28e0a2256ea8a2c887e",
+        "verify_report.json": "9c56b7f1d3b6b2fe1d4dc45db45473d063505d1f9ed8e17c0d34052698cff95a",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("gauge", "heisenberg"): {
-        "heisenberg.csv": "05743d8772f2043ec9d5ab9be3415fc4ec67e001ab617552bf68919179786112",
+        "heisenberg.csv": "eff32836400b9b2454a545a515bda39aa45554b982047e54e4b020a98b325b86",
         "heisenberg_report.json":
-            "92b28a8fb872a5efb9ca5f23b0e7652613f4b16e868dcb2b3e3164825cbd431b",
+            "0f0346b76c5905ea26642bb4a710838a6d972d0be7a22178ffffcfd341284cb6",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("gauge", "verify"): {
-        "verify_report.json": "d4754c54d29d81999cce98d537ef4e05b0af75738ceeaabc7b36f7db8e6a6c6d",
+        "verify_report.json": "940b1462a0108b8cd4380e68d4d1b77c36dd8dfc0a0ec6d13b0886c2ed9d944b",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("physical", "heisenberg"): {
-        "heisenberg.csv": "e1412857a583f2d919dd359e2735bb9cbba01bd4912d81d2d18759bc64f4b870",
+        "heisenberg.csv": "f51e1e51e9e83d2cfb83cc121197163ac682428ff2c69f6ba9b72dc276b30c5e",
         "heisenberg_report.json":
-            "0c5f3f9ef84a1d9b1ebfb4bcac934ec20d98853447ad855fcf2676e5240255c1",
+            "3bda8b6e51b035c59065e01e2201d9da0ab9b02f9d5db8889990337c54809f30",
         "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
     ("physical", "verify"): {
-        "verify_report.json": "6de3cd4ba6b9927f70e59a5a5cfc17c4084d4c9cd56be459b956f87e41265b6b",
+        "verify_report.json": "e9d12022acff9b9ea9a6ccc7d03ac4600a06901c41033a1d6ce1304f2538072d",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("reference", "adjoint"): {
         "adjoint.csv": "5184f249dfee6c38558c5f3480814537085ba52505c5eeed59d8cb1bdd84b51b",
@@ -1056,3 +1079,24 @@ def test_range_flags_only_on_sweep(capsys):
         main(["simulate", "--mu", "0.5", "--gamma", "3", "--mu-range", "0:1:2"])
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments: --mu-range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["reference", "gauge", "physical"])
+def test_json_writer_matches_json_dumps(tmp_path, monkeypatch, point):
+    payloads = []
+
+    def recording(payload):
+        payloads.append(payload)
+        return writer(payload)
+
+    writer = cli_mod._json_text
+    monkeypatch.setattr(cli_mod, "_json_text", recording)
+    for command in ("validate", "spectrum", "adjoint", "heisenberg", "verify"):
+        assert main([command, *_PINNED_POINTS[point], "--output", str(tmp_path)]) == EXIT_OK
+    assert len(payloads) == 5
+    synthetic = {"plain": 1.5, "inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+                 "none": None, "true": True, "false": False, "int": -7, "big": 10**30,
+                 "zero": -0.0, "tiny": 5e-324, 'q"uote\\ é☃\n\t': "a,\n\"{}\"",
+                 "empty": {}, "nested": {"r": 2.5e-300, "t": None, "p": True, "{}\n": "}},\n"}}
+    for payload in [*payloads, synthetic, {}, {"only": {}}]:
+        assert writer(payload) == json.dumps(payload, indent=2) + "\n"

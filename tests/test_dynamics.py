@@ -34,7 +34,7 @@ from pfcircuit.dynamics import (
     format_floats,
     trajectory_columns,
 )
-from pfcircuit.errors import GridEmpty, ZeroSigma
+from pfcircuit.errors import GridEmpty
 from pfcircuit.observables import energy, power
 
 TAU = np.linspace(0.0, 5.0, 1001)
@@ -114,9 +114,12 @@ def test_paper_coefficient_projection_physical_units():
 
 
 def test_paper_sigma_guard(monkeypatch, reference_model):
-    monkeypatch.setattr(dyn, "_paper_sigma", lambda *args: 0.0)
-    with pytest.raises(ZeroSigma):
-        _paper(reference_model)
+    # a bracket below 1e-12 or not finite gives no printed coefficients
+    for bracket in (0.0, 9e-13, -9e-13, np.inf, -np.inf, np.nan):
+        monkeypatch.setattr(dyn, "_paper_sigma", lambda *args: bracket)
+        assert _paper(reference_model) is None
+    monkeypatch.setattr(dyn, "_paper_sigma", lambda *args: 1e-12)
+    assert _paper(reference_model).sigma == 1e-12
 
 
 def test_closed_form_initial_sample(reference_trajectory):

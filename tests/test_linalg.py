@@ -188,11 +188,57 @@ def test_jacobi_zero_off_diagonal_pair():
     _assert_eigh(a, *linalg.jacobi_eigh(a))
 
 
-def _list_route(a, tol=linalg.JACOBI_TOL, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi on one symmetric matrix held in float lists, one scalar at a time.
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_jacobi_rounds_are_disjoint_and_cover_each_pair_once(n):
+    rounds = linalg._rounds(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = []
+    for pairs, pivots in rounds:
+        p, q = pairs
+        assert np.all(p < q) and len(set(pairs.ravel().tolist())) == pairs.size
+        # the flat indices of (a_pq, a_pp, a_qq) in a row-major n x n matrix
+        assert pivots.tolist() == [(p * n + q).tolist(), (p * n + p).tolist(),
+                                   (q * n + q).tolist()]
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    if n == 4:
+        assert [pairs.T.tolist() for pairs, _ in rounds] == [
+            [[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
 
-    The reference the stacked solver must match bit for bit: the same pivot
-    order, formulas and stopping rule, written out for a single matrix.
+
+def test_jacobi_stop_rule_is_relative_to_the_norm():
+    # scaling A by a power of two scales every rotation's inputs exactly and
+    # leaves its angle alone, so the sweeps and V keep their bits; an absolute
+    # floor on the threshold would stop a small A's sweeps early
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((3, 4, 4))
+    stack = base + np.swapaxes(base, 1, 2)
+    w, v = linalg.jacobi_eigh(stack)
+    for k in (-300, -40, 40, 300):
+        w_k, v_k = linalg.jacobi_eigh(np.ldexp(stack, k))
+        assert w_k.tobytes() == np.ldexp(w, k).tobytes() and v_k.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("members", [1, 62])
+def test_jacobi_stopping_sum_adds_left_to_right(members):
+    # the stopping test sums each member's off-diagonal squares down axis 0
+    # with cumsum; for a lone member np.sum adds these 12 squares pairwise,
+    # and its last bit differs
+    rng = np.random.default_rng(6)
+    squares = (rng.standard_normal((12, members))
+               * np.exp(rng.uniform(-3.0, 3.0, (12, members)))) ** 2
+    sequential = squares[0].copy()
+    for row in squares[1:]:
+        sequential = sequential + row
+    assert np.cumsum(squares, axis=0)[-1].tobytes() == sequential.tobytes()
+
+
+def _list_route(a, tol=linalg.JACOBI_TOL, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+    """Round-robin Jacobi on one symmetric matrix held in float lists, one scalar at a time.
+
+    The reference the stacked solver must match bit for bit: the same rounds,
+    formulas and stopping rule, written out for a single matrix.  A round takes
+    all its angles first, then rotates the rows of each pair, then the columns.
     """
     w = (a + a.T) / 2.0
     n = w.shape[0]
@@ -200,24 +246,30 @@ def _list_route(a, tol=linalg.JACOBI_TOL, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
         frobenius = np.linalg.norm(w, "fro")
     if not math.isfinite(frobenius):
         frobenius = linalg._scaled_frobenius(w.reshape(1, n * n))[0]
-    threshold = tol * max(1.0, frobenius)
+    threshold = tol * frobenius
     w, v = w.tolist(), np.eye(n).tolist()
     off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rounds = [pairs.T.tolist() for pairs, _ in linalg._rounds(n)]
     for _ in range(max_sweeps):
-        off = math.sqrt(sum(w[i][j] * w[i][j] for i, j in off_diagonal))
-        if off < threshold:
+        total = 0.0  # added one by one: sum() compensates floats from Python 3.12 on
+        for i, j in off_diagonal:
+            total += w[i][j] * w[i][j]
+        if math.sqrt(total) <= threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
+        for pairs in rounds:
+            angles = []
+            for p, q in pairs:
                 apq = w[p][q]
                 if apq == 0.0:
                     continue
                 theta = (w[q][q] - w[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
+                angles.append((p, q, c, t * c))
+            for p, q, c, s in angles:
                 w[p], w[q] = ([c * x - s * y for x, y in zip(w[p], w[q])],
                               [s * x + c * y for x, y in zip(w[p], w[q])])
+            for p, q, c, s in angles:
                 for row in (*w, *v):
                     x, y = row[p], row[q]
                     row[p], row[q] = c * x - s * y, s * x + c * y
