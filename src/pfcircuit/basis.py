@@ -7,6 +7,8 @@ in the fixed order (0,0), (1,0), (0,1), (1,1), which pairs them with the
 eigenvalues l3, l1, l2, l4.  The two families are biorthonormal and each
 resolves the identity; no extra normalization layer is applied because the
 construction already gives <psi_kn, phi_lm> = delta exactly.
+T is inverted here only, after kappa = kappa_2(T) is taken; at u*kappa^2 >= 1 (u = 2^-53),
+where S_phi = T T^+ is singular in double, it is refused (:class:`IllConditioned`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .errors import IllConditioned
 from .liouvillian import Spectrum
 
 __all__ = [
@@ -31,16 +34,19 @@ __all__ = [
 
 #: column order of the occupation labels
 KN_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
+#: u, the unit roundoff of a double
+UNIT_ROUNDOFF = 2.0**-53
 
 
 class BasisPair:
     """The two families as 4x4 arrays whose column j carries label KN_ORDER[j]."""
 
-    def __init__(self, phi: np.ndarray, psi: np.ndarray, labels: np.ndarray):
+    def __init__(self, phi: np.ndarray, psi: np.ndarray, labels: np.ndarray, kappa: float):
         self.phi = phi
         self.psi = psi
         #: eigenvalue k*lambda1 + n*lambda2 + l3 per column
         self.labels = labels
+        self.kappa = kappa  # kappa_2(T), the phi family's 2-norm condition number
 
     def phi_vec(self, k: int, n: int) -> np.ndarray:
         return self.phi[:, KN_ORDER.index((k, n))]
@@ -63,9 +69,12 @@ def build_bases(T: np.ndarray, spec: Spectrum) -> BasisPair:
     k*lambda1 + n*lambda2 + l3.
     """
     T = linalg.as_square(T, 4)
-    t_inv = linalg.inverse(T)
+    kappa = float(np.linalg.cond(T))  # inf for a singular T
+    if not kappa < UNIT_ROUNDOFF**-0.5:
+        raise IllConditioned(f"S_phi = T T^+ is singular in double: u*kappa(T)^2 >= 1 "
+                             f"(kappa(T)={kappa:.6e})")
     labels = np.array([k * spec.lambda1 + n * spec.lambda2 + spec.l3 for k, n in KN_ORDER])
-    return BasisPair(phi=T.copy(), psi=t_inv.T.copy(), labels=labels)
+    return BasisPair(phi=T.copy(), psi=np.linalg.inv(T).T.copy(), labels=labels, kappa=kappa)
 
 
 def gram_residual(pair: BasisPair) -> float:

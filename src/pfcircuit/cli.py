@@ -16,14 +16,13 @@ points that are not a circuit, 3 refusals.  Each refusal in pfcircuit.errors
 subclasses one category, which main maps to the exit code:
 NotACircuit exits 2 (gamma above params.GAMMA_MAX, say; a sweep writes such a
 point's conditions as False); RegimeRefusal exits 3 where the command
-requires acceptance (a sweep point that validate accepts but whose spectrum is
-refused keeps its regime columns and leaves the asymptotic ones blank);
-NumericalRefusal exits 3 at an accepted point: a singular matrix, a
-non-positive-definite metric, a generator that the operator system fails to
-reconstruct, a log-slope fit of verify that fails in floating point on its
-tail window (SlopeFitFailure), or a series that overflows (inf/nan) on the
-tau grid, which is refused before any file is written.  verify writes a
-reported-only channel that gives no number as null instead of refusing.
+requires acceptance (a sweep fills every row that validate accepts);
+NumericalRefusal exits 3 at an accepted point, before any file is written:
+an intertwiner too ill-conditioned for the metric or for a failed kappa^2
+check (IllConditioned), a non-positive-definite metric, a generator that the
+operator system fails to reconstruct, a log-slope fit of verify that fails in
+floating point (SlopeFitFailure), or a series that overflows on the tau grid.
+verify writes a reported-only channel that gives no number as null.
 verify's RK4 oracle picks its own step from the generator (see
 dynamics.evolve_rk4).
 All outputs are deterministic: fixed float formatting, fixed key and row
@@ -33,6 +32,7 @@ ordering.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -51,7 +51,8 @@ from .errors import NotACircuit, NumericalRefusal, RegimeRefusal, SeriesOverflow
 from .model import Model
 from .params import CircuitParams, normalized
 from .pfalgebra import Gauge
-from .verify import SLOPE_TAIL, run_verification_suite, slope_tail
+from .verify import (ADJOINT_METRIC_TOL, SLOPE_TAIL, refuse_ill_conditioned,
+                     run_verification_suite, slope_tail)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -359,6 +360,8 @@ def cmd_adjoint(cfg: RunConfig) -> int:
                                                      model.pair, model.spec)
         report = dyn.adjoint_circuit_map(xtraj, model.params, model.derived)
     SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
+    refuse_ill_conditioned("dynamics/adjoint_metric_route", metric_res, ADJOINT_METRIC_TOL,
+                           model.pair.kappa)
     out = Path(cfg.output_dir)
     _save_csv(out / "adjoint.csv", "tau,x1,x2,x3,x4", _fields([tau, *xtraj.states.T]))
     payload = {
@@ -443,12 +446,9 @@ def _sweep_row(mu: float, gamma: float) -> str:
     else:
         regime = model.regime
         cells.update(regime.to_dict())
-        try:
-            if regime.accepted:
-                cells.update(obs.classify_asymptotics(model.spec, model.derived,
-                                                      model.params).to_dict())
-        except RegimeRefusal:
-            pass  # a refused spectrum leaves the asymptotic cells blank
+        if regime.accepted:
+            cells.update(obs.classify_asymptotics(model.spec, model.derived,
+                                                  model.params).to_dict())
     return ",".join([_fmt(v) if isinstance(v, float) else str(v)
                      for v in [cells.get(name, "") for name in _SWEEP_COLUMNS]])
 
@@ -476,9 +476,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
-    # the flags are declared once, on two help-less parents that every
-    # subcommand (and sweep) copies, instead of once per subcommand
+    # cached, as building costs far more than a parse and leaves reference cycles;
+    # the flags are declared once, on help-less parents that every subcommand copies
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override it")
     shared.add_argument("--mode", choices=["normalized", "physical"])

@@ -35,12 +35,8 @@ class RateOutOfRange(NotACircuit):
     """omega0 = 1/sqrt(LC) or omega_p = 1/(RC) is zero or not a finite double."""
 
 
-class SingularMatrix(NumericalRefusal):
-    """Matrix failed the scaled regularity test before inversion."""
-
-    def __init__(self, message: str, determinant: float):
-        super().__init__(f"{message} (det={determinant:.6e})")
-        self.determinant = determinant
+class IllConditioned(NumericalRefusal):
+    """kappa(T) in the run's gauge is too large for the metric or for a kappa^2 check."""
 
 
 class NotSPD(NumericalRefusal):
@@ -73,16 +69,12 @@ class RegimeRejected(RegimeRefusal):
     """Parameters fall outside the real-spectrum regime."""
 
 
-class NearDegenerate(RegimeRefusal):
-    """Eigenvalues too close together; the intertwiner would be ill-conditioned."""
-
-
 class ZeroCoupling(RegimeRefusal):
     """mu = 0, or so small that the intertwiner's deltas, divided by alpha*mu, overflow."""
 
 
 class GaugeDegenerate(RegimeRefusal):
-    """A free column scale of the intertwiner is zero."""
+    """A free column scale of the intertwiner is zero, or so large that ||T||_F^4 overflows."""
 
 
 class GridEmpty(ValueError):

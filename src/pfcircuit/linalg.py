@@ -24,12 +24,11 @@ import random
 
 import numpy as np
 
-from .errors import NotSPD, SeriesOverflow, SingularMatrix
+from .errors import NotSPD, SeriesOverflow
 
 __all__ = [
     "as_square",
     "as_vector",
-    "inverse",
     "expm",
     "jacobi_eigh",
     "sqrtm_spd",
@@ -37,9 +36,6 @@ __all__ = [
     "relative_gap",
     "probes",
 ]
-
-#: relative determinant threshold for the regularity test in :func:`inverse`
-SINGULARITY_RTOL = 1e-12
 
 #: Taylor terms retained by the scaling-and-squaring series of :func:`expm`
 TAYLOR_TERMS = 18
@@ -77,21 +73,6 @@ def as_vector(v, dim: int = 4, stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("vector entries must be finite")
     return w
-
-
-def inverse(a) -> np.ndarray:
-    """Inverse, guarded by a scaled regularity test on the determinant.
-
-    Raises :class:`SingularMatrix` when |det A| <= SINGULARITY_RTOL * ||A||_F^n.
-    """
-    m = as_square(a)
-    n = m.shape[0]
-    with np.errstate(over="ignore"):  # an overflow reads as inf and is refused below
-        det = np.linalg.det(m)
-        scale = np.linalg.norm(m, "fro") ** n
-    if abs(det) <= SINGULARITY_RTOL * max(scale, 1e-300):
-        raise SingularMatrix("matrix is numerically singular", float(abs(det)))
-    return np.linalg.inv(m)
 
 
 def expm(a, tau=1.0) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NearDegenerate, RegimeRejected
+from .errors import RegimeRejected
 from .params import DerivedParams, RegimeReport, validate
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "spectrum",
     "characteristic_residual",
 ]
-
-#: minimum eigenvalue pair gap, relative to l4, before NearDegenerate fires
-DEGENERACY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,9 +84,7 @@ def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spec
     l^2, whose constant term is alpha^2 (1 - mu^2) = alpha.  ``report`` is
     :func:`params.validate`'s report of ``derived`` when the caller holds it
     already; otherwise validation runs here.  Raises :class:`RegimeRejected`
-    outside the strict regime and :class:`NearDegenerate` when eigenvalue pairs
-    come closer than DEGENERACY_RTOL * l4 (the intertwiner would be
-    ill-conditioned).
+    outside the strict regime; close pairs are judged by kappa(T) in :mod:`basis`.
     """
     if report is None:
         report = validate(derived)
@@ -101,11 +96,6 @@ def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spec
     l4 = math.sqrt((derived.gamma**2 - 2.0 * derived.alpha + math.sqrt(report.rho)) / 2.0)
     l2 = math.sqrt(derived.alpha) / l4
     l1, l3 = -l2, -l4
-    min_gap = min(2.0 * l2, l4 - l2)  # l2 - l1 and l4 - l2 = l1 - l3, exactly
-    if min_gap < DEGENERACY_RTOL * l4:
-        raise NearDegenerate(
-            f"minimum eigenvalue gap {min_gap:.3e} below {DEGENERACY_RTOL:g}*l4"
-        )
     return Spectrum(
         l1=l1, l2=l2, l3=l3, l4=l4,
         lambda0=0.0, lambda1=l1 - l3, lambda2=l2 - l3, lambda3=l4 - l3,

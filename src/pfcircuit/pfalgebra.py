@@ -30,7 +30,7 @@ from . import linalg
 from .basis import BasisPair
 from .errors import GaugeDegenerate, ReconstructionFailure, ZeroCoupling
 from .liouvillian import Spectrum
-from .params import DerivedParams
+from .params import GAMMA_MAX, DerivedParams
 
 __all__ = [
     "Gauge",
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 GAUGE_MIN = 1e-12
+#: the largest scale at which ||T||_F^4 = (2 scale)^4, all four columns at it, is a double
+GAUGE_MAX = GAMMA_MAX / 2.0
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,10 @@ class Gauge:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            if abs(value) <= GAUGE_MIN:
-                raise GaugeDegenerate(f"gauge scale {name} must exceed {GAUGE_MIN:g} in "
-                                      f"magnitude, relative to the unit-norm column; got {value}")
+            if not GAUGE_MIN < abs(value) <= GAUGE_MAX:
+                raise GaugeDegenerate(f"gauge scale {name} must lie in ({GAUGE_MIN:g}, "
+                                      f"{GAUGE_MAX!r}] in magnitude, relative to the "
+                                      f"unit-norm column; got {value}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t21, self.t22, self.t23, self.t24])
@@ -134,6 +137,7 @@ class PFSystem:
     S_psi: np.ndarray
     H0: np.ndarray
     spectrum: Spectrum
+    kappa: float
 
     @cached_property
     def metric_eigh(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -163,6 +167,7 @@ def build_pf(
     system = PFSystem(
         T=T, T_inv=T_inv, a=a, b=b, N=b @ a,
         S_phi=T @ T.T, S_psi=T_inv.T @ T_inv, H0=build_h0(spec), spectrum=spec,
+        kappa=pair.kappa,
     )
     if liouvillian is not None:
         residual = _reconstruction_residual(system, liouvillian)
@@ -332,7 +337,7 @@ def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
                _rel(liouvillian @ s.S_phi - s.S_phi @ liouvillian.T,
                     l_scale * sphi_scale), 1e-9)
 
-    report.add("reported_condition_number_T", float(np.linalg.cond(s.T)), None)
+    report.add("reported_condition_number_T", s.kappa, None)
     return report
 
 

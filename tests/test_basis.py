@@ -16,7 +16,7 @@ from pfcircuit.basis import (
     reconstruct,
     resolution_residuals,
 )
-from pfcircuit.errors import SingularMatrix
+from pfcircuit.errors import IllConditioned
 
 
 def test_identity_intertwiner_gives_canonical_bases(reference_spectrum):
@@ -27,8 +27,22 @@ def test_identity_intertwiner_gives_canonical_bases(reference_spectrum):
 
 
 def test_singular_intertwiner_rejected(reference_spectrum):
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(IllConditioned):
         build_bases(np.zeros((4, 4)), reference_spectrum)
+
+
+@pytest.mark.parametrize(("smallest", "refused"), [(2e-8, False), (1.06e-8, False),
+                                                    (1.05e-8, True), (1e-300, True)])
+def test_inverse_refused_where_u_kappa_squared_reaches_one(reference_spectrum, smallest, refused):
+    # kappa = 1/smallest; u*kappa^2 >= 1 from kappa = 2^26.5 = 9.49e7
+    T = np.diag([1.0, 1.0, 1.0, smallest])
+    if refused:
+        with pytest.raises(IllConditioned, match=r"u\*kappa\(T\)\^2 >= 1 \(kappa\(T\)="):
+            build_bases(T, reference_spectrum)
+        return
+    pair = build_bases(T, reference_spectrum)
+    assert pair.kappa == np.linalg.cond(T) == pytest.approx(1.0 / smallest, rel=1e-15)
+    np.testing.assert_array_equal(pair.psi, np.diag([1.0, 1.0, 1.0, 1.0 / smallest]))
 
 
 def test_gram_and_resolutions(reference_pair):

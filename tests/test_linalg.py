@@ -1,4 +1,4 @@
-"""The dense kernel: inverses, exponentials, Jacobi roots and norms."""
+"""The dense kernel: exponentials, Jacobi roots and norms."""
 
 import math
 
@@ -7,33 +7,13 @@ import pytest
 import scipy.linalg
 
 from pfcircuit import linalg
-from pfcircuit.errors import NotSPD, SeriesOverflow, SingularMatrix
+from pfcircuit.errors import NotSPD, SeriesOverflow
 
 
 def test_as_square_rejects_nonfinite():
     bad = np.full((4, 4), np.nan)
     with pytest.raises(ValueError):
         linalg.as_square(bad)
-
-
-def test_inverse_identity_and_diagonal():
-    np.testing.assert_allclose(linalg.inverse(np.eye(4)), np.eye(4), atol=1e-15)
-    np.testing.assert_allclose(
-        linalg.inverse(np.diag([1.0, 2.0, 4.0, 8.0])),
-        np.diag([1.0, 0.5, 0.25, 0.125]), atol=1e-15)
-
-
-def test_inverse_intertwiner_residual(reference_T):
-    T = reference_T
-    product = T @ linalg.inverse(T)
-    assert np.max(np.abs(product - np.eye(4))) < 1e-10
-
-
-def test_inverse_singular():
-    singular = np.ones((4, 4))
-    with pytest.raises(SingularMatrix) as err:
-        linalg.inverse(singular)
-    assert err.value.determinant < 1e-10
 
 
 def test_adjoint_fixes_symmetric(reference_pf):
