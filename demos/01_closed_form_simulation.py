@@ -41,13 +41,13 @@ tail = tau >= 4.0
 slope = np.polyfit(tau[tail], np.log(np.linalg.norm(traj.states[tail], axis=1)), 1)[0]
 print(f"measured growth rate {slope:.6f} vs l4 = {spec.l4:.6f}")
 
-pw = power(traj, params, derived)
+pw = power(traj)
 en = energy(traj, params)
 gl = classify_asymptotics(spec, derived, params, power_series=pw, coeffs=coeffs)
 print(f"power of sub-circuit 1 diverges to {gl.p1_diverges_to}inf "
       f"(measured tail sign {gl.measured_p1_sign})")
 print(f"power of sub-circuit 2 diverges to {gl.p2_diverges_to}inf "
       f"(measured tail sign {gl.measured_p2_sign})")
-e1_min, e2_min = np.min(en.e, axis=1)
+e1_min, e2_min = np.min(en, axis=1)
 print(f"energies stay nonnegative: E1 min {e1_min:.3e}, E2 min {e2_min:.3e}")
 print(f"l4 sits inside the damping window (-gamma, gamma): {gl.power_window_ok}")

@@ -36,6 +36,10 @@ __all__ = [
 KN_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 #: u, the unit roundoff of a double
 UNIT_ROUNDOFF = 2.0**-53
+#: relative slack of the frame bounds: the values carry a few u of relative
+#: error, and Jacobi's extreme eigenvalues 1e-14*||S||_F, at most 2e-14 of
+#: ||S||_2; relative, so that it scales with the gauge as values and bounds do
+FRAME_RTOL = 1e-9
 
 
 class BasisPair:
@@ -163,5 +167,6 @@ def frame_bounds(
         "upper_bound": upper,
         "min_observed": lowest,
         "max_observed": highest,
-        "within_bounds": bool(lowest >= lower - 1e-9 and highest <= upper + 1e-9),
+        "within_bounds": bool(lowest >= lower * (1.0 - FRAME_RTOL)
+                              and highest <= upper * (1.0 + FRAME_RTOL)),
     }

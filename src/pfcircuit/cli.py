@@ -17,11 +17,14 @@ subclasses one category, which main maps to the exit code:
 NotACircuit exits 2 (gamma above params.GAMMA_MAX, say; a sweep writes such a
 point's conditions as False); RegimeRefusal exits 3 where the command
 requires acceptance (a sweep fills every row that validate accepts);
-NumericalRefusal exits 3 at an accepted point, before any file is written:
-an intertwiner too ill-conditioned for the metric or for a failed kappa^2
-check (IllConditioned), a non-positive-definite metric, a generator that the
+NumericalRefusal exits 3 at an accepted point: an intertwiner too
+ill-conditioned for the metric or for a failed kappa^2 check
+(IllConditioned), a non-positive-definite metric, a generator that the
 operator system fails to reconstruct, a log-slope fit of verify that fails in
 floating point (SlopeFitFailure), or a series that overflows on the tau grid.
+Each command returns its files as bytes pieces, with its stdout lines and exit
+code, and main alone writes them once the command has returned, so every
+refusal comes before any file is written.
 verify writes a reported-only channel that gives no number as null.
 verify's RK4 oracle picks its own step from the generator (see
 dynamics.evolve_rk4).
@@ -37,7 +40,7 @@ import itertools
 import json
 import math
 import sys
-from contextlib import contextmanager
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -113,8 +116,9 @@ class RunConfig:
 
 def _load_config_file(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        # JSON text exchanged between systems is UTF-8 (RFC 8259, section 8.1)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -192,30 +196,11 @@ def _tau_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.tau_max, cfg.samples)
 
 
-@contextmanager
-def _open(path: Path):
-    """Open an artifact for binary writing, making its directory first.
-
-    Every command writes its files through here.  `wrote PATH` is printed once
-    the file is closed, and not at all if writing it fails.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as handle:
-        yield handle
-    print(f"wrote {path}")
-
-
 def _write(handle, text: bytes) -> None:
     """Append the ASCII bytes ``text`` (bytes, or a memoryview of a uint8 array)
     to an open artifact; every written byte passes here, which is what the
     benchmark's ``cli.bytes_written`` counts."""
     handle.write(text)
-
-
-def _save(path: Path, text: str) -> None:
-    """Write a small artifact whole."""
-    with _open(path) as handle:
-        _write(handle, text.encode())
 
 
 #: json's C encoder, which the indented json.dumps does not use, set to write a
@@ -251,18 +236,23 @@ def _json_text(payload: dict) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: RunConfig) -> int:
+#: what a command returns: each file's name and its bytes pieces, in write
+#: order; the lines it prints; and its exit code.  Only ``main`` writes.
+Output = tuple[dict[str, Iterable[bytes]], list[str], int]
+
+
+def cmd_validate(cfg: RunConfig) -> Output:
     report = _model(cfg).regime
-    _save(Path(cfg.output_dir) / "regime.json", _json_text(report.to_dict()))
-    print(f"accepted: {report.accepted} (rho={report.rho:.12g})")
-    return EXIT_OK if report.accepted else EXIT_REGIME
+    return ({"regime.json": [_json_text(report.to_dict()).encode()]},
+            [f"accepted: {report.accepted} (rho={report.rho:.12g})"],
+            EXIT_OK if report.accepted else EXIT_REGIME)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig) -> Output:
     spec = _model(cfg).spec
-    _save(Path(cfg.output_dir) / "spectrum.json", _json_text(spec.to_dict()))
-    print(f"l3={spec.l3:.12g} < l1={spec.l1:.12g} < 0 < l2={spec.l2:.12g} < l4={spec.l4:.12g}")
-    return EXIT_OK
+    return ({"spectrum.json": [_json_text(spec.to_dict()).encode()]},
+            [f"l3={spec.l3:.12g} < l1={spec.l1:.12g} < 0 < l2={spec.l2:.12g} < l4={spec.l4:.12g}"],
+            EXIT_OK)
 
 
 #: cells (values) per dyn.format_floats call and per written piece of CSV
@@ -285,12 +275,12 @@ def _fields(columns: list[np.ndarray]) -> np.ndarray:
 _CELL = np.dtype([("field", "S24"), ("sep", "S1")])
 
 
-def _write_rows(handle, fields: np.ndarray) -> None:
-    """Write (rows, columns) fields as CSV rows, one piece per block of rows.
+def _rows(fields: np.ndarray) -> Iterator[memoryview]:
+    """(rows, columns) fields as CSV rows, one piece per block of rows.
 
     Each field is copied into a cell whose 25th byte is its separator (a
     comma, or a line end after the last column); the NUL padding is then
-    dropped by one mask.
+    dropped by one mask, which also copies the piece out of the cells.
     """
     rows, cols = fields.shape
     step = max(1, _BLOCK_CELLS // cols)
@@ -301,58 +291,54 @@ def _write_rows(handle, fields: np.ndarray) -> None:
         piece = cells[:min(step, rows - lo)]
         piece["field"] = fields[lo:lo + step]
         text = piece.view(np.uint8)
-        _write(handle, text[text != 0].data)
+        yield text[text != 0].data
 
 
-def _save_csv(path: Path, header: str, fields: np.ndarray) -> None:
-    """Write a header line and the rows of (rows, columns) fields as a CSV file."""
-    with _open(path) as handle:
-        _write(handle, f"{header}\n".encode())
-        _write_rows(handle, fields)
+def _csv(header: str, fields: np.ndarray) -> Iterator[bytes]:
+    """A CSV file's pieces: a header line and the rows of (rows, columns) fields."""
+    yield f"{header}\n".encode()
+    yield from _rows(fields)
 
 
-def _write_json_columns(handle, columns: dict[str, np.ndarray]) -> None:
-    """``json.dumps(columns, indent=2)``, written one column at a time.
+def _json_columns(columns: dict[str, np.ndarray]) -> Iterator[bytes]:
+    """``json.dumps(columns, indent=2)``, one column at a time.
 
     json writes a finite float as its ``float.__repr__``, and every series
     here has passed the overflow check, so joining the reprs gives its bytes.
     """
     sep = "{\n"
     for name, series in columns.items():
-        _write(handle, f'{sep}  "{name}": [\n    '.encode())
-        _write(handle, ",\n    ".join(map(float.__repr__, series.tolist())).encode())
-        _write(handle, b"\n  ]")
+        yield f'{sep}  "{name}": [\n    '.encode()
+        yield ",\n    ".join(map(float.__repr__, series.tolist())).encode()
+        yield b"\n  ]"
         sep = ",\n"
-    _write(handle, b"\n}")
+    yield b"\n}"
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _plot_blocks(names: list[str], fields: np.ndarray) -> Iterator[bytes]:
+    """plot_data.dat's pieces: a block per series ``names[k - 1]`` of field column k."""
+    sep = ""  # a blank line between series blocks, none after the last
+    for k, name in enumerate(names, start=1):
+        yield f"{sep}# series {name}\ntau,{name}\n".encode()
+        yield from _rows(fields[:, 0:k + 1:k])  # columns 0 and k, as a view
+        sep = "\n"
+
+
+def cmd_simulate(cfg: RunConfig) -> Output:
     model = _model(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = model.evolve(_tau_grid(cfg))
-        # only the written series outlive this line, not the powers' and
-        # energies' comparison channels
-        columns = dyn.trajectory_columns(traj, obs.power(traj, model.params, model.derived),
-                                         obs.energy(traj, model.params))
+        columns = dyn.trajectory_columns(traj, obs.power(traj), obs.energy(traj, model.params))
     SeriesOverflow.check(cfg.tau_max, *columns.values())
-    out = Path(cfg.output_dir)
     fields = _fields(list(columns.values()))
-    if cfg.format == "csv":
-        _save_csv(out / "trajectory.csv", ",".join(columns), fields)
-    else:
-        with _open(out / "trajectory.json") as handle:
-            _write_json_columns(handle, columns)
-    with _open(out / "plot_data.dat") as handle:
-        sep = ""  # a blank line between series blocks, none after the last
-        for k, name in enumerate(list(columns)[1:], start=1):
-            _write(handle, f"{sep}# series {name}\ntau,{name}\n".encode())
-            _write_rows(handle, fields[:, 0:k + 1:k])  # columns 0 and k, as a view
-            sep = "\n"
-    print(f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]")
-    return EXIT_OK
+    trajectory = (_csv(",".join(columns), fields) if cfg.format == "csv"
+                  else _json_columns(columns))
+    return ({f"trajectory.{cfg.format}": trajectory,
+             "plot_data.dat": _plot_blocks(list(columns)[1:], fields)},
+            [f"simulated {cfg.samples} samples on tau in [0, {cfg.tau_max}]"], EXIT_OK)
 
 
-def cmd_adjoint(cfg: RunConfig) -> int:
+def cmd_adjoint(cfg: RunConfig) -> Output:
     model = _model(cfg)
     tau = _tau_grid(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -362,8 +348,6 @@ def cmd_adjoint(cfg: RunConfig) -> int:
     SeriesOverflow.check(cfg.tau_max, xtraj.states, report.residuals, metric_res)
     refuse_ill_conditioned("dynamics/adjoint_metric_route", metric_res, ADJOINT_METRIC_TOL,
                            model.pair.kappa)
-    out = Path(cfg.output_dir)
-    _save_csv(out / "adjoint.csv", "tau,x1,x2,x3,x4", _fields([tau, *xtraj.states.T]))
     payload = {
         "identification": "strict (x -> I1, I2, -V1, -V2)" if report.strict
         else "extended (voltage components scaled by C*omega0)",
@@ -371,41 +355,40 @@ def cmd_adjoint(cfg: RunConfig) -> int:
         "paper_literal_map_max_residual": report.paper_literal_map_max_residual,
         "metric_route_max_residual": metric_res,
     }
-    _save(out / "adjoint_report.json", _json_text(payload))
-    print(f"adjoint identification residual {report.max_residual:.3e}, "
-          f"metric route {metric_res:.3e}")
-    return EXIT_OK
+    return ({"adjoint.csv": _csv("tau,x1,x2,x3,x4", _fields([tau, *xtraj.states.T])),
+             "adjoint_report.json": [_json_text(payload).encode()]},
+            [f"adjoint identification residual {report.max_residual:.3e}, "
+             f"metric route {metric_res:.3e}"], EXIT_OK)
 
 
-def cmd_h0(cfg: RunConfig) -> int:
+def cmd_h0(cfg: RunConfig) -> Output:
     spec = _model(cfg).spec
     tau = _tau_grid(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = dyn.evolve_h0(spec, np.ones(4), tau)
     SeriesOverflow.check(cfg.tau_max, traj.states)
-    _save_csv(Path(cfg.output_dir) / "h0.csv", "tau,y1,y2,y3,y4", _fields([tau, *traj.states.T]))
-    print(f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}")
-    return EXIT_OK
+    return ({"h0.csv": _csv("tau,y1,y2,y3,y4", _fields([tau, *traj.states.T]))},
+            [f"diagonal-system rates: {', '.join(_fmt(r) for r in spec.shifted_eigenvalues)}"],
+            EXIT_OK)
 
 
-def cmd_heisenberg(cfg: RunConfig) -> int:
+def cmd_heisenberg(cfg: RunConfig) -> Output:
     model = _model(cfg)
     tau = np.linspace(0.0, min(cfg.tau_max, heis.TAU_END), min(cfg.samples, 61))
     evo = heis.number_evolution(model.pf, tau)
     bound = heis.growth_bound_report(evo, model.spec)
-    out = Path(cfg.output_dir)
-    _save_csv(out / "heisenberg.csv", "tau,normN1,normN2,ratio1,ratio2",
-              _fields([tau, *evo.generic.norms, *bound.ratios]))
     two_path, printed = evo.max_relative_deviation, evo.printed_order_max_relative_deviation
     payload = {**bound.to_dict(),
                "two_path_deviation_N1": two_path[0], "two_path_deviation_N2": two_path[1],
                "printed_order_deviation_N1": printed[0], "printed_order_deviation_N2": printed[1]}
-    _save(out / "heisenberg_report.json", _json_text(payload))
-    print("growth constants:", ", ".join(f"{c:.6g}" for c in bound.bound_constant))
-    return EXIT_OK
+    return ({"heisenberg.csv": _csv("tau,normN1,normN2,ratio1,ratio2",
+                                    _fields([tau, *evo.generic.norms, *bound.ratios])),
+             "heisenberg_report.json": [_json_text(payload).encode()]},
+            ["growth constants: " + ", ".join(f"{c:.6g}" for c in bound.bound_constant)],
+            EXIT_OK)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig) -> Output:
     tau = _tau_grid(cfg)
     held = int(np.count_nonzero(slope_tail(tau)))
     if held < 2:
@@ -417,14 +400,13 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"{SLOPE_TAIL * cfg.tau_max:g}, which holds {held} of {cfg.samples} "
             f"samples; the fit needs 2, so use --samples {needed} or more")
     report = run_verification_suite(_model(cfg), tau)
-    _save(Path(cfg.output_dir) / "verify_report.json", _json_text(report.to_dict()))
     n_asserted = sum(1 for c in report.checks.values() if c.passed is not None)
-    failed = report.failed()
-    print(f"{n_asserted} asserted checks, {len(failed)} failed")
-    for name in failed:
-        check = report.checks[name]
-        print(f"  FAIL {name}: residual {check.residual:.3e} > {check.tolerance:.3e}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    failed = {name: report.checks[name] for name in report.failed()}
+    return ({"verify_report.json": [_json_text(report.to_dict()).encode()]},
+            [f"{n_asserted} asserted checks, {len(failed)} failed",
+             *(f"  FAIL {name}: residual {c.residual:.3e} > {c.tolerance:.3e}"
+               for name, c in failed.items())],
+            EXIT_OK if report.all_passed else EXIT_CHECK_FAILED)
 
 
 #: the regime conditions, which a point that is not a circuit fails
@@ -453,15 +435,15 @@ def _sweep_row(mu: float, gamma: float) -> str:
                      for v in [cells.get(name, "") for name in _SWEEP_COLUMNS]])
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig) -> Output:
     if cfg.mu_range is None or cfg.gamma_range is None:
         raise ConfigError("sweep requires --mu-range and --gamma-range")
     gammas = np.linspace(*cfg.gamma_range).tolist()
     rows = [_sweep_row(mu, gamma) for mu in np.linspace(*cfg.mu_range).tolist()
             for gamma in gammas]
-    _save(Path(cfg.output_dir) / "sweep.csv", "\n".join([",".join(_SWEEP_COLUMNS), *rows]) + "\n")
-    print(f"swept {cfg.mu_range[2]}x{cfg.gamma_range[2]} grid")
-    return EXIT_OK
+    text = "\n".join([",".join(_SWEEP_COLUMNS), *rows]) + "\n"
+    return ({"sweep.csv": [text.encode()]},
+            [f"swept {cfg.mu_range[2]}x{cfg.gamma_range[2]} grid"], EXIT_OK)
 
 
 _COMMANDS = {
@@ -502,10 +484,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a command, then write the files it returned (the only writes) and print its lines."""
     args = _make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
+        files, lines, code = _COMMANDS[args.command](cfg)
     except (ConfigError, NotACircuit) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -515,6 +498,16 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalRefusal as exc:
         print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, pieces in files.items():
+        with open(out / name, "wb") as handle:
+            for piece in pieces:
+                _write(handle, piece)
+        print(f"wrote {out / name}")
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -477,12 +477,12 @@ def display_series(
 def trajectory_columns(traj: Trajectory, power, energy) -> dict[str, np.ndarray]:
     """The written series by name, in artifact column order: tau, states, currents, P, E.
 
-    ``power`` and ``energy`` are the trajectory's observables.PowerSeries and
-    EnergySeries; every value is a view of a stack, not a copy.
+    ``power`` and ``energy`` are the trajectory's (2, n) observables.power and
+    observables.energy; every value is a view of a stack, not a copy.
     """
     return dict(zip(("tau", "V1", "V2", "V1p", "V2p", "I1", "I2", "P1", "P2", "E1", "E2"),
                     [traj.tau, *traj.voltages, *traj.dvoltages, *traj.currents,
-                     *power.p, *energy.e]))
+                     *power, *energy]))
 
 
 def format_float(x: float) -> str:

@@ -2,7 +2,7 @@
 
 The power of each sub-circuit is P_j = V_j * I_j; substituting the current
 relations gives the equivalent form P_j = ((-1)^(j+1)/R) V_j^2 - C*Vdot_j*V_j,
-and both are computed as a mutual consistency check.  The energy is the
+and verify compares the two as a mutual consistency check.  The energy is the
 definitional E_n = (1/2) C V_n^2 + (1/2) L I_n^2 (a sum of squares, hence
 nonnegative); the rewritten closed forms that drop the cross term are
 evaluated only as a reported comparison channel.
@@ -26,11 +26,11 @@ from .liouvillian import Spectrum
 from .params import CircuitParams, DerivedParams
 
 __all__ = [
-    "PowerSeries",
-    "EnergySeries",
     "GainLossReport",
     "power",
+    "power_two_path_deviation",
     "energy",
+    "energy_rewrite_deviation",
     "classify_asymptotics",
 ]
 
@@ -41,17 +41,14 @@ MEASUREMENT_WINDOW = 0.1
 C11_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Both computation paths for the sub-circuit powers, each a (2, n) stack."""
-
-    p: np.ndarray
-    identity: np.ndarray
-    max_relative_deviation: float
+def power(traj: Trajectory) -> np.ndarray:
+    """P_j = V_j * I_j of both sub-circuits, a (2, n) stack."""
+    return traj.voltages * traj.currents
 
 
-def power(traj: Trajectory, params: CircuitParams, derived: DerivedParams) -> PowerSeries:
-    """P_j as the V*I product and as the rewritten quadratic form.
+def power_two_path_deviation(traj: Trajectory, p: np.ndarray, params: CircuitParams,
+                             derived: DerivedParams) -> float:
+    """Largest relative deviation of the powers ``p`` from the rewritten quadratic form.
 
     The two are algebraically identical given the trajectory's current
     relations; their deviation measures only floating-point noise and is
@@ -59,26 +56,21 @@ def power(traj: Trajectory, params: CircuitParams, derived: DerivedParams) -> Po
     """
     cw = params.C * derived.omega0
     v, vp = traj.voltages, traj.dvoltages
-    p = v * traj.currents
     p_id = GAIN_LOSS_SIGN * v**2 / params.R - cw * vp * v
     dev = linalg.relative_gap(p, p_id, np.abs(v) * (np.abs(v) / params.R + cw * np.abs(vp)))
     dev[(p == 0.0) & (p_id == 0.0)] = 0.0
-    return PowerSeries(p=p, identity=p_id, max_relative_deviation=float(np.max(dev)))
+    return float(np.max(dev))
 
 
-@dataclass(frozen=True)
-class EnergySeries:
-    """Definitional energies plus the rewritten forms as a comparison channel, each (2, n)."""
-
-    e: np.ndarray
-    rewrite: np.ndarray
-    rewrite_max_relative_deviation: float
+def energy(traj: Trajectory, params: CircuitParams) -> np.ndarray:
+    """E_n = (1/2) C V_n^2 + (1/2) L I_n^2, the authoritative definition, a (2, n) stack."""
+    return 0.5 * params.C * traj.voltages**2 + 0.5 * params.L * traj.currents**2
 
 
-def energy(traj: Trajectory, params: CircuitParams) -> EnergySeries:
-    """E_n = (1/2) C V_n^2 + (1/2) L I_n^2, the authoritative definition.
+def energy_rewrite_deviation(traj: Trajectory, e: np.ndarray, params: CircuitParams) -> float:
+    """Largest relative deviation of the rewritten closed forms from the energies ``e``.
 
-    The rewritten closed forms (1/2) L C^2 (V^2 (omega0^2 +- omega_p^2) - Vdot^2)
+    The rewritten forms (1/2) L C^2 (V^2 (omega0^2 +- omega_p^2) - Vdot^2)
     drop the V*Vdot cross term and flip the sign of the derivative square; they
     are evaluated verbatim and their deviation reported, never asserted.
     """
@@ -86,12 +78,10 @@ def energy(traj: Trajectory, params: CircuitParams) -> EnergySeries:
     omega0_sq = 1.0 / (L * C)
     omega_p_sq = 1.0 / (R * C) ** 2
     v, vp = traj.voltages, traj.dvoltages
-    e = 0.5 * C * v**2 + 0.5 * L * traj.currents**2
     # t-derivatives: Vdot = omega0 * dV/dtau
     e_rw = 0.5 * L * C * C * (v**2 * (omega0_sq + GAIN_LOSS_SIGN * omega_p_sq)
                               - (np.sqrt(omega0_sq) * vp) ** 2)
-    dev = linalg.relative_gap(e, e_rw)
-    return EnergySeries(e=e, rewrite=e_rw, rewrite_max_relative_deviation=float(np.max(dev)))
+    return float(np.max(linalg.relative_gap(e, e_rw)))
 
 
 @dataclass(frozen=True)
@@ -134,14 +124,14 @@ def classify_asymptotics(
     spec: Spectrum,
     derived: DerivedParams,
     params: CircuitParams,
-    power_series: PowerSeries | None = None,
+    power_series: np.ndarray | None = None,
     coeffs: Coefficients | None = None,
 ) -> GainLossReport:
     """Evaluate both asymptotic windows and optionally cross-check a trajectory.
 
     The dominant-mode power prefactors are (c11 t24 delta24)^2 (1/R - C w0 l4)
     and (c11 t24)^2 (-1/R - C w0 l4), so predicted signs follow those factors.
-    With a power series supplied, the measured tail signs must match whenever
+    With the (2, n) powers supplied, the measured tail signs must match whenever
     the dominant mode is populated (|c11 t24| above threshold); the comparison is
     recorded in the report.
     """
@@ -162,7 +152,7 @@ def classify_asymptotics(
     measured = [None, None]
     consistent = None
     if power_series is not None:
-        measured = _tail_signs(power_series.p)
+        measured = _tail_signs(power_series)
         if coeffs is not None and abs(coeffs.dominant_weight) > C11_THRESHOLD:
             consistent = measured == predicted
     return GainLossReport(

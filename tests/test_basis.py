@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pfcircuit import Gauge, build_T, build_bases
+from pfcircuit import Gauge, Model, build_T, build_bases, normalized
 from pfcircuit.basis import (
     KN_ORDER,
     eigen_check,
@@ -106,6 +106,17 @@ def test_frame_bounds(reference_pair, reference_pf):
     assert result["within_bounds"]
     assert result["lower_bound"] <= result["min_observed"] + 1e-9
     assert result["max_observed"] <= result["upper_bound"] + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_frame_bounds_flag_a_tenfold_metric_under_a_uniform_gauge(scale):
+    # a uniform gauge s scales the values and both bounds by s^2: at s = 1e-6
+    # they lie near 1e-12, where an absolute slack of 1e-9 let every one pass
+    model = Model(normalized(0.5, 3.0), Gauge(*[scale] * 4))
+    pair, pf = model.pair, model.pf
+    seed = 20260810  # verify's probes
+    assert frame_bounds(pair, pf.S_phi, pf.S_psi, seed=seed)["within_bounds"]
+    assert not frame_bounds(pair, pf.S_phi / 10, pf.S_psi * 10, seed=seed)["within_bounds"]
 
 
 def test_export(reference_pair, reference_spectrum):

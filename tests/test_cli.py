@@ -3,7 +3,6 @@
 import hashlib
 import importlib
 import inspect
-import io
 import json
 import math
 import os
@@ -124,8 +123,7 @@ def _joined_artifacts(samples, gauge):
     """trajectory.csv, trajectory.json and plot_data.dat at (0.5, 3), each joined whole."""
     model = Model(normalized(0.5, 3.0, i1=1.0), Gauge(*gauge))
     traj = model.evolve(np.linspace(0.0, 5.0, samples))
-    columns = dyn.trajectory_columns(traj, power(traj, model.params, model.derived),
-                                     energy(traj, model.params))
+    columns = dyn.trajectory_columns(traj, power(traj), energy(traj, model.params))
     strings = {name: [dyn.format_float(v) for v in c.tolist()] for name, c in columns.items()}
     tau = strings.pop("tau")
     return {
@@ -172,9 +170,7 @@ _WIDTH_VALUES = [0.0, math.inf, -math.inf, math.nan, 1e-4, 99999999999999984.0,
 
 
 def _rows_written(fields):
-    handle = io.BytesIO()
-    cli_mod._write_rows(handle, fields)
-    return handle.getvalue().decode("ascii")
+    return b"".join(cli_mod._rows(fields)).decode("ascii")
 
 
 @pytest.mark.parametrize("rows", _EDGE_ROWS)
@@ -298,6 +294,26 @@ def test_command_leaves_numpy_random_unloaded(tmp_path, command):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+#: the helper that makes each command's last bytes: its JSON report, its
+#: formatted fields or its sweep rows
+_LAST_STEP = {**dict.fromkeys(["validate", "spectrum", "adjoint", "heisenberg", "verify"],
+                              "_json_text"),
+              "simulate": "_fields", "h0": "_fields", "sweep": "_sweep_row"}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_no_file_written_before_the_command_returns(tmp_path, monkeypatch, capsys, command):
+    def refusing(*args):
+        raise NumericalRefusal(f"refused in {_LAST_STEP[command]}")
+
+    monkeypatch.setattr(cli_mod, _LAST_STEP[command], refusing)
+    out = tmp_path / "out"
+    assert main([command, *_COMMAND_ARGS[command], "--output", str(out)]) == EXIT_REGIME
+    assert capsys.readouterr() == ("", f"numerical refusal: NumericalRefusal: refused in "
+                                       f"{_LAST_STEP[command]}\n")
+    assert not out.exists()
 
 
 def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
@@ -1154,6 +1170,13 @@ def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(tmp_path, "simulate", "--config", str(bad)) == EXIT_CONFIG
+    # a config file is UTF-8 (RFC 8259), so Latin-1 bytes are refused, not a traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"mu": 0.5, "gamma": 3, "\u00e9": 1}'.encode("latin-1"))
+    capsys.readouterr()
+    assert run(tmp_path, "simulate", "--config", str(latin1)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: cannot read config file {latin1}: 'utf-8' codec can't decode")
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"mu": 0.5, "gamma": 3.0, "bogus": 1}))
     assert run(tmp_path, "simulate", "--config", str(unknown)) == EXIT_CONFIG
@@ -1199,6 +1222,21 @@ def test_config_errors(tmp_path, capsys):
         == (tmp_path / "flag" / "trajectory.csv").read_bytes()
 
 
+def test_config_file_read_as_utf8_under_the_c_locale(tmp_path):
+    # the C locale's preferred encoding is ASCII: a UTF-8 file read in it
+    # ended in a UnicodeDecodeError traceback and exit 1
+    config = tmp_path / "run.json"
+    config.write_bytes('{"mu": 0.5, "gamma": 3, "\u00b5": 1}'.encode())
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "pfcircuit.cli", "validate",
+         "--config", str(config), "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, encoding="utf-8", errors="replace",
+        env={**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("configuration error: unknown config fields: ")
+
+
 def test_physical_mode(tmp_path):
     assert run(tmp_path, "simulate", "--mode", "physical", "--L", "1",
                "--C", "1", "--R", "0.3333333333333333", "--M", "0.5",
@@ -1215,6 +1253,18 @@ def test_gauge_flag(tmp_path):
     a = np.genfromtxt(base / "trajectory.csv", delimiter=",", names=True)
     b = np.genfromtxt(scaled / "trajectory.csv", delimiter=",", names=True)
     np.testing.assert_allclose(a["V1"], b["V1"], atol=1e-10 * np.max(np.abs(a["V1"])))
+
+
+def test_negative_gauge_scales_write_the_same_bytes(tmp_path):
+    # a column's sign drops out of every written series; a negative scale
+    # needs the = form, since argparse takes "-2,0.5,-3,1" for a flag
+    for name, gauge in (("negative", ["--gauge=-2,0.5,-3,1"]),
+                        ("positive", ["--gauge", "2,0.5,3,1"])):
+        assert main(["simulate", "--mu", "0.5", "--gamma", "3", "--samples", "301", *gauge,
+                     "--output", str(tmp_path / name)]) == EXIT_OK
+    for artifact in ("trajectory.csv", "plot_data.dat"):
+        assert (tmp_path / "negative" / artifact).read_bytes() \
+            == (tmp_path / "positive" / artifact).read_bytes()
 
 
 def _parser_one_flag_set_per_command():

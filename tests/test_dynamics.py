@@ -378,10 +378,9 @@ HEADER = "tau,V1,V2,V1p,V2p,I1,I2,P1,P2,E1,E2"
 
 
 @pytest.fixture(scope="module")
-def reference_columns(reference_trajectory, reference_params, reference_derived):
+def reference_columns(reference_trajectory, reference_params):
     traj = reference_trajectory
-    return trajectory_columns(traj, power(traj, reference_params, reference_derived),
-                              energy(traj, reference_params))
+    return trajectory_columns(traj, power(traj), energy(traj, reference_params))
 
 
 def _trajectory_csv(columns):
@@ -412,16 +411,15 @@ def test_json_mirror(reference_trajectory, reference_columns):
     assert [",".join(map(format_float, r)) for r in zip(*payload.values())] == rows
 
 
-def test_trajectory_columns_are_views(reference_trajectory, reference_params,
-                                      reference_derived):
+def test_trajectory_columns_are_views(reference_trajectory, reference_params):
     # the written series are rows of the stacks they come from: a copy of the
     # 11 columns would hold a second trajectory in memory
     traj = reference_trajectory
-    pw, en = power(traj, reference_params, reference_derived), energy(traj, reference_params)
+    pw, en = power(traj), energy(traj, reference_params)
     columns = trajectory_columns(traj, pw, en)
     assert list(columns) == HEADER.split(",")
     assert columns["tau"] is traj.tau
-    bases = [traj.states] * 4 + [traj.currents] * 2 + [pw.p] * 2 + [en.e] * 2
+    bases = [traj.states] * 4 + [traj.currents] * 2 + [pw] * 2 + [en] * 2
     for (name, column), base in zip(list(columns.items())[1:], bases, strict=True):
         assert np.shares_memory(column, base), name
 
