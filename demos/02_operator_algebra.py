@@ -30,8 +30,9 @@ print(f"det(T) / prod(T[1]) = {np.linalg.det(T) / np.prod(T[1]):.6f} "
       f"(closed form -4*rho*l4*l2/(alpha*mu)^2 = "
       f"{-4 * spec.rho * spec.l4 * spec.l2 / (derived.alpha * derived.mu) ** 2:.6f})")
 
-# T^-1 is taken once, by the basis pair; the operator system reads both from it
-pf = build_pf(build_bases(T, spec), spec, liouvillian=generator)
+# the basis pair builds psi = T^-T in closed form from T's columns, without an
+# inverse; the operator system reads both families from it
+pf = build_pf(build_bases(T, spec, derived), spec)
 report = pf_verify(pf, liouvillian=generator)
 
 print(f"\nall asserted identities hold: {report.all_passed}")

@@ -1,14 +1,14 @@
 """Biorthogonal eigenbases of the generator and its adjoint.
 
 The phi family consists of the columns of the intertwiner T (eigenvectors of
-the generator); the psi family are the columns of (T^-1)^+ (eigenvectors of
-the adjoint).  Columns are labeled by the two-mode occupation numbers (k, n)
+the generator); the psi family, the columns of (T^-1)^+, are eigenvectors of
+the adjoint.  Columns are labeled by the two-mode occupation numbers (k, n)
 in the fixed order (0,0), (1,0), (0,1), (1,1), which pairs them with the
-eigenvalues l3, l1, l2, l4.  The two families are biorthonormal and each
-resolves the identity; no extra normalization layer is applied because the
-construction already gives <psi_kn, phi_lm> = delta exactly.
-T is inverted here only, after kappa = kappa_2(T) is taken; at u*kappa^2 >= 1 (u = 2^-53),
-where S_phi = T T^+ is singular in double, it is refused (:class:`IllConditioned`).
+eigenvalues l3, l1, l2, l4.  T is never inverted: J = [[-G, I], [I, 0]],
+G = diag(gamma, -gamma), makes J L symmetric, so L^+ J = J L (Mostafazadeh,
+J. Math. Phys. 43, 205, 2002) and psi_k = J phi_k / (phi_k^+ J phi_k).
+kappa = kappa_2(T) is taken once; at u*kappa^2 >= 1 (u = 2^-53), where
+S_phi = T T^+ is singular in double, the pair is refused (:class:`IllConditioned`).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import IllConditioned
 from .liouvillian import Spectrum
+from .params import DerivedParams
 
 __all__ = [
     "KN_ORDER",
@@ -65,20 +66,23 @@ class BasisPair:
                 for name, family in (("phi", self.phi), ("psi", self.psi))}
 
 
-def build_bases(T: np.ndarray, spec: Spectrum) -> BasisPair:
-    """Extract both families from the intertwiner.
+def build_bases(T: np.ndarray, spec: Spectrum, derived: DerivedParams) -> BasisPair:
+    """Both families from the intertwiner's columns, each tagged with its eigenvalue.
 
-    phi columns are the columns of T; psi columns are the columns of
-    (T^-1)^+.  Each column is tagged with its eigenvalue
-    k*lambda1 + n*lambda2 + l3.
+    With x = (T[0, k], T[1, k]) and l = (l3, l1, l2, l4)[k], J phi_k = ((l - G) x, x),
+    (l - G) x = -A x / l, and phi_k^+ J phi_k = p'(l) x1 x2 / (alpha mu) with p'(l) =
+    2 sqrt(rho) (-l4, l2, -l2, l4)[k] for the quartic p: no form subtracts or cancels.
     """
     T = linalg.as_square(T, 4)
     kappa = float(np.linalg.cond(T))  # inf for a singular T
     if not kappa < UNIT_ROUNDOFF**-0.5:
         raise IllConditioned(f"S_phi = T T^+ is singular in double: u*kappa(T)^2 >= 1 "
                              f"(kappa(T)={kappa:.6e})")
+    a, mu, ls, (x1, x2) = derived.alpha, derived.mu, spec.eigenvalues, T[:2]
+    j_phi = np.stack([a * (mu * x2 - x1) / ls, a * (mu * x1 - x2) / ls, x1, x2])
+    slope = 2.0 * np.sqrt(spec.rho) * np.array([-spec.l4, spec.l2, -spec.l2, spec.l4])
     labels = np.array([k * spec.lambda1 + n * spec.lambda2 + spec.l3 for k, n in KN_ORDER])
-    return BasisPair(phi=T.copy(), psi=np.linalg.inv(T).T.copy(), labels=labels, kappa=kappa)
+    return BasisPair(T.copy(), j_phi / (slope * x1 * x2 / (a * mu)), labels, kappa)
 
 
 def gram_residual(pair: BasisPair) -> float:
@@ -116,8 +120,8 @@ def metric_map_check(pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray) -> n
 
     Returns eight values: ||S_phi psi_kn - phi_kn||/||phi_kn|| in KN order,
     then the inverse direction ||S_psi phi_kn - psi_kn||/||psi_kn||, where
-    S_psi = S_phi^-1 is taken as given (it comes from T^-1, and inverting
-    S_phi = T T^+ would square the condition number of T).
+    S_psi = S_phi^-1 is taken as given (it is built from the psi family, and
+    inverting S_phi = T T^+ would square the condition number of T).
     """
     S_phi = linalg.as_square(S_phi, 4)
     S_psi = linalg.as_square(S_psi, 4)

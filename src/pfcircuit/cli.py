@@ -12,24 +12,25 @@ heisenberg  emit the number-operator norm series and the growth-bound report
 sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors and
-points that are not a circuit, 3 refusals.  Each refusal in pfcircuit.errors
-subclasses one category, which main maps to the exit code:
-NotACircuit exits 2 (gamma above params.GAMMA_MAX, say; a sweep writes such a
-point's conditions as False); RegimeRefusal exits 3 where the command
-requires acceptance (a sweep fills every row that validate accepts);
+points that are not a circuit, 3 refusals, 4 output that cannot be written.
+Each refusal in pfcircuit.errors subclasses one category, which main maps to
+the exit code: NotACircuit exits 2 (gamma above params.GAMMA_MAX, say; a sweep
+writes such a point's conditions as False); RegimeRefusal exits 3 where the
+command requires acceptance (a sweep fills every row that validate accepts);
 NumericalRefusal exits 3 at an accepted point: an intertwiner too
 ill-conditioned for the metric or for a failed kappa^2 check
-(IllConditioned), a non-positive-definite metric, a generator that the
-operator system fails to reconstruct, a log-slope fit of verify that fails in
-floating point (SlopeFitFailure), or a series that overflows on the tau grid.
+(IllConditioned), a non-positive-definite metric, a heisenberg generator
+reconstruction that fails beyond its kappa^2 bound (ReconstructionFailure, a
+defect), a log-slope fit of verify that fails in floating point
+(SlopeFitFailure), or a series that overflows on the tau grid.
 Each command returns its files as bytes pieces, with its stdout lines and exit
 code, and main alone writes them once the command has returned, so every
-refusal comes before any file is written.
-verify writes a reported-only channel that gives no number as null.
-verify's RK4 oracle picks its own step from the generator (see
-dynamics.evolve_rk4).
-All outputs are deterministic: fixed float formatting, fixed key and row
-ordering.
+refusal comes before any file is written.  A file is moved into place from a
+temporary name after its last piece, and an OSError exits 4 ("cannot write
+output"), leaving no temporary file.
+verify writes a reported-only channel that gives no number as null, and its
+RK4 oracle picks its own step from the generator (see dynamics.evolve_rk4).
+All outputs are deterministic: fixed float formatting, fixed key and row ordering.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
@@ -49,11 +51,12 @@ import numpy as np
 from . import dynamics as dyn
 from . import heisenberg as heis
 from . import observables as obs
+from . import pfalgebra
 from .dynamics import format_float as _fmt
-from .errors import NotACircuit, NumericalRefusal, RegimeRefusal, SeriesOverflow
+from .errors import (NotACircuit, NumericalRefusal, ReconstructionFailure, RegimeRefusal,
+                     SeriesOverflow)
 from .model import Model
 from .params import CircuitParams, normalized
-from .pfalgebra import Gauge
 from .verify import (ADJOINT_METRIC_TOL, SLOPE_TAIL, refuse_ill_conditioned,
                      run_verification_suite, slope_tail)
 
@@ -61,6 +64,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
+EXIT_OUTPUT = 4
 
 
 class ConfigError(ValueError):
@@ -189,7 +193,7 @@ def _model(cfg: RunConfig) -> Model:
         params = normalized(cfg.mu, cfg.gamma, i1=cfg.i1)
     else:
         params = CircuitParams(L=cfg.L, C=cfg.C, R=cfg.R, M=cfg.M, i1=cfg.i1)
-    return Model(params, Gauge(*cfg.gauge))
+    return Model(params, pfalgebra.Gauge(*cfg.gauge))
 
 
 def _tau_grid(cfg: RunConfig) -> np.ndarray:
@@ -374,6 +378,12 @@ def cmd_h0(cfg: RunConfig) -> Output:
 
 def cmd_heisenberg(cfg: RunConfig) -> Output:
     model = _model(cfg)
+    residual = pfalgebra.reconstruction_residual(model.pf, model.generator)
+    refuse_ill_conditioned("pfalgebra/generator_reconstruction", residual,
+                           pfalgebra.RECONSTRUCTION_TOL, model.pair.kappa)
+    if not residual <= pfalgebra.RECONSTRUCTION_TOL:
+        raise ReconstructionFailure(f"generator reconstruction residual {residual:.3e} exceeds "
+                                    f"1e-9 beyond its bound (kappa(T)={model.pair.kappa:.6e})")
     tau = np.linspace(0.0, min(cfg.tau_max, heis.TAU_END), min(cfg.samples, 61))
     evo = heis.number_evolution(model.pf, tau)
     bound = heis.growth_bound_report(evo, model.spec)
@@ -499,12 +509,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, pieces in files.items():
-        with open(out / name, "wb") as handle:
-            for piece in pieces:
-                _write(handle, piece)
-        print(f"wrote {out / name}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, pieces in files.items():
+            temp = out / f".{name}.{os.getpid()}.tmp"
+            try:
+                with open(temp, "wb") as handle:
+                    for piece in pieces:
+                        _write(handle, piece)
+                os.replace(temp, out / name)
+            finally:
+                temp.unlink(missing_ok=True)  # left only by a failed write
+            print(f"wrote {out / name}")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     for line in lines:
         print(line)
     return code

@@ -58,7 +58,7 @@ class SeriesOverflow(NumericalRefusal):
 
 
 class ReconstructionFailure(NumericalRefusal):
-    """lambda1 N1 + lambda2 N2 + l3 I misses the assembled generator by more than 1e-9."""
+    """lambda1 N1 + lambda2 N2 + l3 I misses the generator beyond its kappa^2 bound: a defect."""
 
 
 class SlopeFitFailure(NumericalRefusal):

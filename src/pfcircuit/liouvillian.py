@@ -29,7 +29,6 @@ __all__ = [
     "Spectrum",
     "build_liouvillian",
     "spectrum",
-    "characteristic_residual",
 ]
 
 
@@ -102,13 +101,3 @@ def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spec
         rho=report.rho,
     )
 
-
-def characteristic_residual(spec: Spectrum, derived: DerivedParams) -> np.ndarray:
-    """|l^4 + (2 alpha - gamma^2) l^2 + alpha^2 (1 - mu^2)| for each eigenvalue.
-
-    Ties the closed-form spectrum to the quartic characteristic polynomial of
-    the generator (the same quartic each voltage satisfies as a scalar ODE).
-    """
-    a, g, m = derived.alpha, derived.gamma, derived.mu
-    ls = np.array([spec.l1, spec.l2, spec.l3, spec.l4])
-    return np.abs(ls**4 + (2.0 * a - g * g) * ls**2 + a * a * (1.0 - m * m))

@@ -66,12 +66,12 @@ class Model:
 
     @cached_property
     def pair(self) -> basis.BasisPair:
-        """Both eigenfamilies; the only inverse of T is taken here."""
-        return basis.build_bases(self.T, self.spec)
+        """Both eigenfamilies, in closed form from T's columns; T is never inverted."""
+        return basis.build_bases(self.T, self.spec, self.derived)
 
     @cached_property
     def pf(self) -> pfalgebra.PFSystem:
-        return pfalgebra.build_pf(self.pair, self.spec, liouvillian=self.generator)
+        return pfalgebra.build_pf(self.pair, self.spec)
 
     @cached_property
     def psi0(self) -> np.ndarray:

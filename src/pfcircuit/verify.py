@@ -27,7 +27,7 @@ ADJOINT_METRIC_TOL = 1e-8
 KAPPA2_C = {"pfalgebra/metric_product_identity": 32.0, "basis/metric_maps_max": 16.0,
             **dict.fromkeys([f"pfalgebra/n_hat{j}_symmetric" for j in "12"], 112.0),
             **dict.fromkeys([f"pfalgebra/n_hat{j}_eigenvalues_binary" for j in "12"], 60.0),
-            "dynamics/adjoint_metric_route": 32.0}
+            "dynamics/adjoint_metric_route": 32.0, "pfalgebra/generator_reconstruction": 48.0}
 
 
 def slope_tail(tau: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from pfcircuit import Gauge, Model, build_T, build_bases, normalized
 from pfcircuit.basis import (
     KN_ORDER,
+    BasisPair,
     eigen_check,
     expand,
     frame_bounds,
@@ -19,30 +20,65 @@ from pfcircuit.basis import (
 from pfcircuit.errors import IllConditioned
 
 
-def test_identity_intertwiner_gives_canonical_bases(reference_spectrum):
-    pair = build_bases(np.eye(4), reference_spectrum)
-    np.testing.assert_array_equal(pair.phi, np.eye(4))
-    np.testing.assert_array_equal(pair.psi, np.eye(4))
-    assert gram_residual(pair) == 0.0
+def test_psi_is_J_phi_over_its_pairing(reference_model):
+    # J = [[-G, I], [I, 0]] makes J L symmetric, so psi_k = J phi_k / (phi_k^+ J phi_k),
+    # formed here directly, which is T^-T
+    T, gamma = reference_model.T, reference_model.derived.gamma
+    J = np.block([[-np.diag([gamma, -gamma]), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+    L = reference_model.generator
+    assert np.array_equal(J @ L, (J @ L).T)
+    pair = build_bases(T, reference_model.spec, reference_model.derived)
+    np.testing.assert_array_equal(pair.phi, T)
+    u = 2.0**-53
+    np.testing.assert_allclose(pair.psi, J @ T / np.sum(T * (J @ T), axis=0), rtol=0,
+                               atol=4 * u * np.max(np.abs(pair.psi)))
+    np.testing.assert_allclose(pair.psi, np.linalg.inv(T).T, rtol=0,
+                               atol=4 * u * np.max(np.abs(pair.psi)))
 
 
-def test_singular_intertwiner_rejected(reference_spectrum):
+@pytest.mark.parametrize("gamma", [40.0, 200.0, 1.4e4, 1e6])
+def test_psi_matches_the_exact_inverse_of_the_double_T(gamma):
+    # the closed form subtracts no gamma*x from l*x, which at gamma = 1e6 lost
+    # 4e5*u; each column within 16*u of (T^-1)^+, T^-1 taken in 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    model = Model(normalized(0.5, gamma))
+    with mpmath.workdps(60):
+        exact = mpmath.matrix(model.T.tolist()) ** -1
+        psi = np.array([[float(exact[j, i]) for j in range(4)] for i in range(4)])
+    error = np.linalg.norm(model.pair.psi - psi, axis=0) / np.linalg.norm(psi, axis=0)
+    assert np.max(error) <= 16 * 2.0**-53, error
+
+
+def test_singular_intertwiner_rejected(reference_model):
+    # a zero column scale: the columns are still eigenvectors, but T is singular
+    T = reference_model.T.copy()
+    T[:, 3] = 0.0
     with pytest.raises(IllConditioned):
-        build_bases(np.zeros((4, 4)), reference_spectrum)
+        build_bases(T, reference_model.spec, reference_model.derived)
 
 
 @pytest.mark.parametrize(("smallest", "refused"), [(2e-8, False), (1.06e-8, False),
                                                     (1.05e-8, True), (1e-300, True)])
-def test_inverse_refused_where_u_kappa_squared_reaches_one(reference_spectrum, smallest, refused):
-    # kappa = 1/smallest; u*kappa^2 >= 1 from kappa = 2^26.5 = 9.49e7
-    T = np.diag([1.0, 1.0, 1.0, smallest])
+def test_inverse_refused_where_u_kappa_squared_reaches_one(reference_model, smallest, refused):
+    # the reference T with its fourth column scaled by s: kappa(T) = K/s to
+    # within O(s^2), so s = K*smallest gives kappa = 1/smallest;
+    # u*kappa^2 >= 1 from kappa = 2^26.5 = 9.49e7
+    spec, derived = reference_model.spec, reference_model.derived
+    probe = 2.0**-30
+    T = reference_model.T.copy()
+    T[:, 3] *= probe
+    scale = np.linalg.cond(T) * probe * smallest
+    T = reference_model.T.copy()
+    T[:, 3] *= scale
     if refused:
         with pytest.raises(IllConditioned, match=r"u\*kappa\(T\)\^2 >= 1 \(kappa\(T\)="):
-            build_bases(T, reference_spectrum)
+            build_bases(T, spec, derived)
         return
-    pair = build_bases(T, reference_spectrum)
-    assert pair.kappa == np.linalg.cond(T) == pytest.approx(1.0 / smallest, rel=1e-15)
-    np.testing.assert_array_equal(pair.psi, np.diag([1.0, 1.0, 1.0, 1.0 / smallest]))
+    pair = build_bases(T, spec, derived)
+    assert pair.kappa == np.linalg.cond(T) == pytest.approx(1.0 / smallest, rel=1e-12)
+    # psi_k scales as 1/s where phi_k scales as s
+    np.testing.assert_allclose(pair.psi, reference_model.pair.psi / [1.0, 1.0, 1.0, scale],
+                               rtol=1e-15)
 
 
 def test_gram_and_resolutions(reference_pair):
@@ -76,7 +112,7 @@ def test_eigen_relations(reference_pair, reference_generator, reference_spectrum
 def test_eigen_relations_gauge_independent(reference_spectrum, reference_derived,
                                            reference_generator):
     T, _ = build_T(reference_spectrum, reference_derived, Gauge(2.0, 0.5, 3.0, 1.0))
-    pair = build_bases(T, reference_spectrum)
+    pair = build_bases(T, reference_spectrum, reference_derived)
     assert np.max(eigen_check(pair, reference_generator)) < 1e-9
 
 
@@ -85,8 +121,8 @@ def test_metric_maps(reference_pair, reference_pf):
     assert np.max(residuals) < 1e-9
 
 
-def test_metric_maps_identity_limit(reference_spectrum):
-    pair = build_bases(np.eye(4), reference_spectrum)
+def test_metric_maps_identity_limit():
+    pair = BasisPair(phi=np.eye(4), psi=np.eye(4), labels=np.zeros(4), kappa=1.0)
     residuals = metric_map_check(pair, np.eye(4), np.eye(4))
     assert np.max(residuals) == 0.0
 

@@ -1,5 +1,6 @@
 """Command-line interface: commands, artifacts, exit codes, determinism."""
 
+import errno
 import hashlib
 import importlib
 import inspect
@@ -21,9 +22,10 @@ from pfcircuit import (Gauge, Model, derive, energy, normalized, number_evolutio
                        spectrum, validate)
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
-from pfcircuit import errors, pfalgebra
+from pfcircuit import basis, errors, pfalgebra
 from pfcircuit import verify as verify_mod
-from pfcircuit.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_REGIME, main
+from pfcircuit.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_OUTPUT, EXIT_REGIME,
+                           main)
 from pfcircuit.errors import (IllConditioned, NotACircuit, NotSPD, NumericalRefusal,
                               RegimeRefusal, SlopeFitFailure)
 from pfcircuit.verify import run_verification_suite
@@ -316,6 +318,58 @@ def test_no_file_written_before_the_command_returns(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+@pytest.mark.parametrize("output", ["file", "file/sub"], ids=["file", "through-file"])
+def test_unwritable_output_refused_by_name(tmp_path, capsys, command, output):
+    # an --output that is a regular file, or a path through one, cannot hold
+    # the artifacts: a named refusal with its own exit code, not a traceback
+    (tmp_path / "file").write_bytes(b"kept")
+    code = main([command, *_COMMAND_ARGS[command], "--output", str(tmp_path / output)])
+    assert code == EXIT_OUTPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cannot write output: [Errno ")
+    assert (tmp_path / "file").read_bytes() == b"kept"
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+
+#: the commands whose artifacts are one piece in all
+_ONE_PIECE = ("validate", "spectrum", "verify", "sweep")
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys, command):
+    # an I/O error in the middle of the first artifact, after half of its
+    # second piece (its only one, for four commands) is written
+    write, calls = cli_mod._write, []
+
+    def failing(handle, text):
+        calls.append(len(text))
+        if len(calls) == (1 if command in _ONE_PIECE else 2):
+            write(handle, bytes(text)[:len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(handle, text)
+
+    monkeypatch.setattr(cli_mod, "_write", failing)
+    out = tmp_path / "out"
+    assert main([command, *_COMMAND_ARGS[command], "--output", str(out)]) == EXIT_OUTPUT
+    assert capsys.readouterr() == ("", "cannot write output: [Errno 28] No space left on "
+                                       "device\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_rewrite_replaces_each_artifact_whole(tmp_path, command):
+    # a second run over the same directory leaves the same files, and neither
+    # leaves a temporary file
+    out = tmp_path / "out"
+    argv = [command, *_COMMAND_ARGS[command], "--output", str(out)]
+    assert main(argv) == EXIT_OK
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert not any(name.startswith(".") for name in first)
+    assert main(argv) == EXIT_OK
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+
 def test_verify_exit_is_pure_function_of_residuals(tmp_path, monkeypatch):
     import pfcircuit.cli as cli_mod
 
@@ -507,7 +561,7 @@ def _count_calls(monkeypatch, targets):
     return counts
 
 
-def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
+def test_intertwiner_built_once_per_model_and_never_inverted(tmp_path, monkeypatch):
     # verify builds two Models: the run's own and its second-gauge copy
     counts = _count_calls(monkeypatch, ["pfalgebra.build_T", "basis.build_bases",
                                         "pfalgebra.build_pf", "params.validate",
@@ -519,14 +573,23 @@ def test_intertwiner_built_and_inverted_once_per_model(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "3",
                "--samples", "201") == EXIT_OK
-    # kappa(T) and the inverse: once in each build_bases, which
-    # reported_condition_number_T reads; S_psi = S_phi^-1 is read from the model.
-    # Jacobi: three stacked calls, one each for S_phi and S_psi (which the
-    # positivity, norm-bound, metric-root and frame-bound checks all read), for
-    # the two n-hat spectra, and for the N1 and N2 norm stacks
+    # kappa(T): once in each build_bases, which reported_condition_number_T
+    # reads; psi is built in closed form, and S_psi = S_phi^-1 is read from the
+    # model.  Jacobi: three stacked calls, one each for S_phi and S_psi (which
+    # the positivity, norm-bound, metric-root and frame-bound checks all read),
+    # for the two n-hat spectra, and for the N1 and N2 norm stacks
     assert counts == {"pfalgebra.build_T": 2, "basis.build_bases": 2,
                       "pfalgebra.build_pf": 1, "params.validate": 2,
-                      "linalg.jacobi_eigh": 3, "np.linalg.cond": 2, "np.linalg.inv": 2}
+                      "linalg.jacobi_eigh": 3, "np.linalg.cond": 2}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_no_command_inverts_the_intertwiner(tmp_path, monkeypatch, command):
+    def refusing(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refusing)
+    assert main([command, *_COMMAND_ARGS[command], "--output", str(tmp_path)]) == EXIT_OK
 
 
 def test_heisenberg_evolves_both_operators_in_one_pass(tmp_path, monkeypatch):
@@ -590,7 +653,9 @@ def test_heisenberg_norm_overflow_refused(tmp_path, capsys, command, mu):
 @pytest.mark.parametrize("command", ["verify", "heisenberg"])
 def test_reconstruction_failure_refused_by_name(tmp_path, capsys, monkeypatch, command):
     # a fault injected into T: lambda1 N1 + lambda2 N2 + l3 I then misses the
-    # generator by far more than 1e-9
+    # generator by far more than 1e-9, which the kappa^2 bound does not reach;
+    # heisenberg refuses it by name, and verify fails the check (at (0.1, 180)
+    # its dynamics overflow before the check is read)
     build_T = pfalgebra.build_T
 
     def faulty_build_T(*args, **kwargs):
@@ -601,6 +666,13 @@ def test_reconstruction_failure_refused_by_name(tmp_path, capsys, monkeypatch, c
 
     monkeypatch.setattr(pfalgebra, "build_T", faulty_build_T)
     out = tmp_path / "out"
+    if command == "verify":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--mu", "0.5", "--gamma", "3", "--output", str(out)])
+        assert code == EXIT_CHECK_FAILED
+        assert "  FAIL pfalgebra/generator_reconstruction: residual " in capsys.readouterr().out
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main([command, "--mu", "0.1", "--gamma", "180", "--output", str(out)])
@@ -677,7 +749,7 @@ def test_exceptional_point_refused_as_ill_conditioned(tmp_path, capsys, command,
 
 
 #: c of simulate's error model c*u*kappa(T): n = 4 times its three operations
-#: on T, the inverse, the projection T^-1 psi0 and the modal sum T e^{Lambda tau} c
+#: on T, psi's closed form, the projection psi^T psi0 and the modal sum T e^{Lambda tau} c
 _SIMULATE_C = 12.0
 
 
@@ -705,6 +777,66 @@ def test_simulate_near_the_exceptional_point_within_its_error_model(tmp_path, ca
         error = np.linalg.norm(states - exact, axis=1) / np.linalg.norm(exact, axis=1)
         assert np.max(error) <= _SIMULATE_C * 2.0**-53 * model.pair.kappa, (gamma, error)
     capsys.readouterr()
+
+
+#: the near-EP rays: gamma = gamma_first*(1 + 10^-k), k = 2..15, on 8 couplings,
+#: where kappa(T) runs from about 10 to the kappa refusal at 9.49e7
+_EP_RAYS = [(mu, k) for mu in (0.5, 0.7, -0.98, 0.05, 0.01, 0.3, -0.5, 0.9)
+            for k in range(2, 16)]
+_SLOPE_CHECKS = ["observables/power_log_slope_error", "observables/energy_log_slope_error"]
+
+
+def test_near_the_exceptional_point_only_kappa_refuses(tmp_path, capsys):
+    # with psi = inv(T)^T, 73 verify and 73 heisenberg runs here were refused
+    # ReconstructionFailure; with psi in closed form the reconstruction residual
+    # keeps to its kappa^2 model, so a refusal is IllConditioned, and verify's
+    # only failed checks are the fixed-tail slope checks (ROADMAP item 2)
+    first = {mu: _first_accepted_gamma(mu) for mu, _ in _EP_RAYS}
+    for mu, k in _EP_RAYS:
+        gamma = first[mu] * (1.0 + 10.0**-k)
+        for command in ("verify", "heisenberg"):
+            args = [command, "--mu", repr(mu), "--gamma", repr(gamma), "--output", str(tmp_path)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main(args)
+                except Exception as exc:  # report which run raised
+                    pytest.fail(f"{' '.join(args)} raised {exc!r}")
+            out, err = capsys.readouterr()
+            if code == EXIT_REGIME:
+                assert err.startswith("numerical refusal: IllConditioned: "), (args, err)
+            elif code == EXIT_CHECK_FAILED and command == "verify":
+                assert [line.split()[1].rstrip(":") for line in out.splitlines()
+                        if line.startswith("  FAIL ")] == _SLOPE_CHECKS, args
+            else:
+                assert code == EXIT_OK, args
+
+
+#: c of the Gram residual's error model c*u*kappa(T): n = 4 times its two
+#: operations on T, psi's closed form and the product psi^T T, times sqrt(n) = 2
+#: for its Frobenius norm
+_GRAM_C = 16.0
+
+
+@pytest.mark.parametrize("gauge", [(1.0, 1.0, 1.0, 1.0), (2.0, 0.5, 3.0, 1.0),
+                                   (1e3, 1e-3, 1.0, 1.0)])
+def test_near_the_exceptional_point_residuals_keep_to_their_error_models(gauge):
+    # with psi = inv(T)^T the reconstruction read up to 1.1e5*u*kappa^2 and the
+    # Gram residual 1.7e6*u*kappa on these rays
+    u = 2.0**-53
+    c_reconstruction = verify_mod.KAPPA2_C["pfalgebra/generator_reconstruction"]
+    first = {mu: _first_accepted_gamma(mu) for mu, _ in _EP_RAYS}
+    read = 0
+    for mu, k in _EP_RAYS:
+        model = Model(normalized(mu, first[mu] * (1.0 + 10.0**-k)), Gauge(*gauge))
+        kappa = float(np.linalg.cond(model.T))
+        if not u * kappa**2 < 1.0:
+            continue  # refused by build_bases
+        read += 1
+        assert pfalgebra.reconstruction_residual(model.pf, model.generator) \
+            <= c_reconstruction * u * kappa**2, (mu, k)
+        assert basis.gram_residual(model.pair) <= _GRAM_C * u * kappa, (mu, k)
+    assert read >= 20
 
 
 _BAD_GAUGE = "1e3,1e-3,1,1"
@@ -820,7 +952,7 @@ def test_rk4_oracle_refines_its_step_at_large_l4(tmp_path):
 
 def test_physical_point_with_ill_conditioned_metric_verifies(tmp_path):
     # unscaled columns give kappa(T) ~ 5e3 here, and S_phi = T T^+ then fails
-    # the inversion test that S_psi, taken from T^-1, does not need; with
+    # the inversion test that S_psi, taken from the psi family, does not need; with
     # unit-norm columns kappa(T) is 1.6 and every check passes with margin
     assert run(tmp_path, "verify", "--mode", "physical", "--L", "2", "--C", "0.5",
                "--R", "0.2", "--M", "0.7") == EXIT_OK
@@ -896,7 +1028,7 @@ def test_in_process_model_defaults_to_the_cli_initial_current():
 #: and 1,001 samples, in the default gauge, verify's second gauge and a
 #: deliberately bad one: a report's JSON text, or "Class: message" for a
 #: refusal; recorded with numpy 2.4.6
-_GRID_SLICE_SHA256 = "b85c0df01b51a5ea08ca64ff5174cf7cd446bc563ac8af9f7884d4e1c122a2ad"
+_GRID_SLICE_SHA256 = "f76714a6a95df36ebb4f829d0b887f0124414dc140f6526e481e3ce628421adc"
 
 
 def test_verify_outcomes_pinned_on_a_grid_slice():
@@ -943,64 +1075,64 @@ def test_n_hat_checks_pass_under_a_uniform_gauge(scale):
 #: with numpy 2.4.6, so an intended byte change (or another numpy) updates them
 _PINNED_SHA256 = {
     ("reference", "heisenberg"): {
-        "heisenberg.csv": "6ecfb3fd8067a3b798881519fd4c0c3d0d1af204292b2256969fbd7644b36fca",
+        "heisenberg.csv": "4d09b676fe206b0ba9bf5df58c8ca7ca618182b41a89ceaa758f1b7f8d057f86",
         "heisenberg_report.json":
-            "fcee824eaa8f248ea0316c6c88b02672ee55d37bf673c91c8918c3d1ff69f2ca",
+            "c627de351491715d157853bdabbcdfb8eb8591bf0726efda480cd5662fc1e2ad",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("reference", "verify"): {
-        "verify_report.json": "9c56b7f1d3b6b2fe1d4dc45db45473d063505d1f9ed8e17c0d34052698cff95a",
+        "verify_report.json": "20f7767a6dd2d7d6dbb7d6d40a3aaf219ed62e43d2070a925a59f483b4b9964a",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("gauge", "heisenberg"): {
-        "heisenberg.csv": "eff32836400b9b2454a545a515bda39aa45554b982047e54e4b020a98b325b86",
+        "heisenberg.csv": "b7ef10c129fab80a74b9d28042a24667cb06fda55828347a4a9e9de8bfde7da1",
         "heisenberg_report.json":
-            "0f0346b76c5905ea26642bb4a710838a6d972d0be7a22178ffffcfd341284cb6",
+            "cd0cc19360aefd6385f7d4b0d7e54cd31c66f4ed87f5b2c74a7c936701c99f4b",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("gauge", "verify"): {
-        "verify_report.json": "940b1462a0108b8cd4380e68d4d1b77c36dd8dfc0a0ec6d13b0886c2ed9d944b",
+        "verify_report.json": "bd5c84b549ecae39630019268fa0f6dfb82558d95b6a932a80c3fd639c079b04",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("physical", "heisenberg"): {
-        "heisenberg.csv": "f51e1e51e9e83d2cfb83cc121197163ac682428ff2c69f6ba9b72dc276b30c5e",
+        "heisenberg.csv": "729ea032da3206780b072a565980714a43bfa675d95bc603feda5bb4fe3bc945",
         "heisenberg_report.json":
-            "3bda8b6e51b035c59065e01e2201d9da0ab9b02f9d5db8889990337c54809f30",
+            "0c867da49fe01f81eba8800b282181a6a1ecc513fcfbdf87c0d3bf30a67963f4",
         "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
     ("physical", "verify"): {
-        "verify_report.json": "e9d12022acff9b9ea9a6ccc7d03ac4600a06901c41033a1d6ce1304f2538072d",
+        "verify_report.json": "58fef2a87a6682f58cbdbfb1541af3d4fc1585d590dfd546eebd692ddd88237f",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("reference", "adjoint"): {
-        "adjoint.csv": "5184f249dfee6c38558c5f3480814537085ba52505c5eeed59d8cb1bdd84b51b",
-        "adjoint_report.json": "2de5ccabcbce8b7c23c5434b32299d4c63dcfb92f1f5021fbb2931fcea450a3c",
-        "stdout": "796448e520b3185b625463c9b29ab14b6d51dd5a903a682a0a7cd5872f274470"},
+        "adjoint.csv": "87d2e8ce3bac021d758fa757bc1ae9f61caa66a027cc73553666a8a725bb469d",
+        "adjoint_report.json": "e341a239105bc5db85f0eb15883ef383721b43ad03aa2e941d43feaec6b8c468",
+        "stdout": "c847fbbf801c310056f85ec218b0b1d7db97b63b85d7a47a9387f20d13620a4e"},
     ("gauge", "adjoint"): {
-        "adjoint.csv": "65b746a71cce9bbd60120c255476bccdca3c5017a2c10a7eb93ca5c2707d1ef5",
-        "adjoint_report.json": "680de1397080f52963bc73288aa83e233f28e61da5ccbeec1e50cf5f33cd9ad5",
-        "stdout": "d062c02b855ece5c7bdc81d2c4c3dde14b55b9085fc6da309c44015476fe4ed1"},
+        "adjoint.csv": "71ce8e5bb53c55346e9685bf8658c22fad7e5892f7dae839cbac56b124ab6d83",
+        "adjoint_report.json": "554571a99c670e62d2bbf87b9f03563bca029024a199c1ca7d4ced076dd84ef4",
+        "stdout": "02953f9d8c04cb7fd1db833db69dc41b276efdf698c3f83c933008f4698e513f"},
     ("physical", "adjoint"): {
-        "adjoint.csv": "f219189ce177a81530cc58261e092fed3e3b1821b95ad5b8a0abd9cd058c9a99",
-        "adjoint_report.json": "674b57b4281b137b7d330b7b930ec99583c4184c191f523c083fa9c8a9c446e8",
-        "stdout": "7ade252979ff0270e6f539f1f5a178aa168273823c0782a44b5196f5fade5144"},
+        "adjoint.csv": "432d1e25ca5970ea2bb0443e0d5fa1b3c19d32713bfd8dc81fa7cafeb97d2f91",
+        "adjoint_report.json": "c5d5f5a534894743ca10f7de7ac4f13069302693b180d3f425b964ab0bb828a4",
+        "stdout": "3fa491f3aca0da42d33104a5ddf0d1281ddff7ad15774a1e0a79c501acc7e12a"},
     ("reference", "simulate"): {
-        "trajectory.csv": "0c4fcfcef9f2274653a24495a480dbfebe1a2f48b29c14b3d77e68e2bec278f6",
-        "plot_data.dat": "7308ec83914efa18a6d6ba3d879f158bb84334af0247904464d83cb96a20e754",
+        "trajectory.csv": "51f5de893e6d3e0923b58761b01cbb4eaa413bf4b830d01d3e813e64ae06209a",
+        "plot_data.dat": "cc595bf494edfdb56aad078b7f07b488c2220a186a4b25bdfaa94f46a1e5020a",
         "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
     ("gauge", "simulate"): {
-        "trajectory.csv": "75bfd2910ce7784af2f5574b39b3112403890627bb505766b73206f243dea44d",
-        "plot_data.dat": "3696dbd6fb7e3d9e65cbdd276ce96a5998b10aa4b0cdacc57438e53c91193f46",
+        "trajectory.csv": "60f51893748a9a0c80f5ed0b9a57c1a2b8786699c4f9a42a9c73e5696c9d4322",
+        "plot_data.dat": "8f1a7ed137d81360547cb4c6a2e6add2c6686a7a6cb45aa877597c4e9dc9513f",
         "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
     ("physical", "simulate"): {
-        "trajectory.csv": "4e4a12e9b33bea48e1bde60e9113631795f30832e54be1d6ad8abbceb2167c46",
-        "plot_data.dat": "fbe24a2ddf6e149bcd07d1b72e97fb30915acf3a27212879911c4ddb47d0d838",
+        "trajectory.csv": "36ed704585697ec0f3b5c3d566ddc8e15d5d1e9e148117dd806b491d0c94a4e5",
+        "plot_data.dat": "695930dd010aeffa41901020f9a90f096b40677a5189c613ae1e0f1c467b0a33",
         "stdout": "315b16a5ce1600cbc662bd7957a247a0011a7652be0d085243cf59bdd4e2c07c"},
     ("reference", "simulate-json"): {
-        "trajectory.json": "10d21eed52833157990305ac7251faa7c0b0b46c0df83e5255f4e450901db99c",
-        "plot_data.dat": "7308ec83914efa18a6d6ba3d879f158bb84334af0247904464d83cb96a20e754",
+        "trajectory.json": "bc8839388d1563cdf9c023ed56a86f98aeb24700aa562c454c080170c910dcb5",
+        "plot_data.dat": "cc595bf494edfdb56aad078b7f07b488c2220a186a4b25bdfaa94f46a1e5020a",
         "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
     ("gauge", "simulate-json"): {
-        "trajectory.json": "89959d52a6efc3661af31c13fdbf9b5f552b2946c5d6e14029f9c00ac2316a0c",
-        "plot_data.dat": "3696dbd6fb7e3d9e65cbdd276ce96a5998b10aa4b0cdacc57438e53c91193f46",
+        "trajectory.json": "5c44f1cd10ac13b0242a7c3f29c24916e778bec94822068e96d4a587ec36e9c5",
+        "plot_data.dat": "8f1a7ed137d81360547cb4c6a2e6add2c6686a7a6cb45aa877597c4e9dc9513f",
         "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
     ("physical", "simulate-json"): {
-        "trajectory.json": "a57cfff4e223fee225071894b2665c824a471d373b2e2632a347830488ca1af9",
-        "plot_data.dat": "fbe24a2ddf6e149bcd07d1b72e97fb30915acf3a27212879911c4ddb47d0d838",
+        "trajectory.json": "bf8c3be49786f43990f87adcad20f06675f2a4f0ede58242157b4f7ff3c061b8",
+        "plot_data.dat": "695930dd010aeffa41901020f9a90f096b40677a5189c613ae1e0f1c467b0a33",
         "stdout": "7cb5df3e73a23daa008e3706f706851f0625450ac739b1d325247ca6496f045b"},
     ("reference", "h0"): {
         "h0.csv": "08ccc3f59b538e568ca524b441b3382ff8ec05bff1630d4c5f4686ca9f14fdf0",

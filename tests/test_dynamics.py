@@ -138,7 +138,7 @@ def test_closed_form_vs_rk4(reference_trajectory, reference_generator):
 def test_trajectory_gauge_invariance(reference_spectrum, reference_derived,
                                      reference_params, reference_trajectory):
     T2, _ = build_T(reference_spectrum, reference_derived, Gauge(2.0, 0.5, 3.0, 1.0))
-    pair2 = build_bases(T2, reference_spectrum)
+    pair2 = build_bases(T2, reference_spectrum, reference_derived)
     psi0 = initial_state(1.0)
     traj2 = evolve_closed(coefficients(psi0, pair2), pair2, reference_spectrum,
                           TAU, reference_params, reference_derived, psi0=psi0)
@@ -316,7 +316,7 @@ def test_adjoint_identification_strict_rejects_physical_units(
     derived = derive(params)
     spec = spectrum(derived)
     T, _ = build_T(spec, derived)
-    pair = build_bases(T, spec)
+    pair = build_bases(T, spec, derived)
     xtraj = evolve_adjoint(np.array([1.0, 0.5, -0.25, 0.75]), pair, spec,
                            np.linspace(0.0, 2.0, 11))
     report = adjoint_circuit_map(xtraj, params, derived)

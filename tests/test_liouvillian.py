@@ -8,7 +8,17 @@ import pytest
 from conftest import sample_accepted
 from pfcircuit import Model, build_liouvillian, build_T, derive, normalized, spectrum, validate
 from pfcircuit.errors import RegimeRejected
-from pfcircuit.liouvillian import characteristic_residual
+
+
+def characteristic_residual(spec, derived):
+    """|l^4 + (2 alpha - gamma^2) l^2 + alpha^2 (1 - mu^2)| for each eigenvalue.
+
+    Ties the closed-form spectrum to the quartic characteristic polynomial of
+    the generator (the same quartic each voltage satisfies as a scalar ODE).
+    """
+    a, g, m = derived.alpha, derived.gamma, derived.mu
+    ls = np.array([spec.l1, spec.l2, spec.l3, spec.l4])
+    return np.abs(ls**4 + (2.0 * a - g * g) * ls**2 + a * a * (1.0 - m * m))
 
 
 def quartic_roots(derived):

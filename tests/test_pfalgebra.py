@@ -11,7 +11,6 @@ from pfcircuit import (
     Gauge,
     Model,
     build_T,
-    build_bases,
     build_pf,
     derive,
     normalized,
@@ -19,11 +18,14 @@ from pfcircuit import (
     spectrum,
     validate,
 )
+from pfcircuit import cli, pfalgebra
+from pfcircuit.basis import BasisPair
 from pfcircuit.errors import GaugeDegenerate, ReconstructionFailure, ZeroCoupling
 from pfcircuit.pfalgebra import (
     VerificationReport,
     build_h0,
     fermion_generators,
+    reconstruction_residual,
     verify_two_level_pair,
 )
 
@@ -184,8 +186,10 @@ def test_pf_verify_localizes_injected_fault(
     T = reference_T
     corrupted = T.copy()
     corrupted[0, 0] += 1e-3
-    report = pf_verify(build_pf(build_bases(corrupted, reference_spectrum), reference_spectrum),
-                       liouvillian=reference_generator)
+    # a consistent pair around the corrupted T, with numpy's inverse as psi: an
+    # invertible T that does not intertwine the generator
+    pair = BasisPair(corrupted, np.linalg.inv(corrupted).T, np.zeros(4), 1.0)
+    report = pf_verify(build_pf(pair, reference_spectrum), liouvillian=reference_generator)
     failed = report.failed()
     assert failed, "fault went unnoticed"
     assert any(report.checks[name].residual > 1e-5 for name in failed)
@@ -199,19 +203,27 @@ def test_pf_verify_localizes_injected_fault(
 
 
 def test_build_pf_refusal_reads_the_verifier_reconstruction_residual(
-        reference_T, reference_spectrum, reference_generator):
-    # build_pf's ReconstructionFailure and pf_verify's generator_reconstruction
-    # come from one computation, so a corrupted T reads the same residual in
-    # both; the fault is large enough (residual 0.16) that the message's four
-    # digits tell apart a residual scaled by ||recon|| instead of ||L||
-    corrupted = reference_T.copy()
-    corrupted[0, 0] += 0.5
-    pair = build_bases(corrupted, reference_spectrum)
-    residual = pf_verify(build_pf(pair, reference_spectrum),
-                         liouvillian=reference_generator).checks["generator_reconstruction"].residual
-    assert residual > 1e-9
+        monkeypatch, reference_model):
+    # build_pf refuses nothing; heisenberg's ReconstructionFailure and
+    # pf_verify's generator_reconstruction come from one computation, so a
+    # corrupted T reads the same residual in both; the fault is large enough
+    # that the message's four digits tell apart a residual scaled by ||recon||
+    # instead of ||L||
+    build = pfalgebra.build_T
+
+    def faulty_build_T(*args, **kwargs):
+        T, deltas = build(*args, **kwargs)
+        corrupted = T.copy()
+        corrupted[0, 0] += 0.5
+        return corrupted, deltas
+
+    monkeypatch.setattr(pfalgebra, "build_T", faulty_build_T)
+    model = Model(reference_model.params)
+    residual = pf_verify(model.pf, liouvillian=model.generator) \
+        .checks["generator_reconstruction"].residual
+    assert residual > 1e-9 and residual == reconstruction_residual(model.pf, model.generator)
     with pytest.raises(ReconstructionFailure) as refusal:
-        build_pf(pair, reference_spectrum, liouvillian=reference_generator)
+        cli.cmd_heisenberg(cli.RunConfig(mu=0.5, gamma=3.0))
     assert f"residual {residual:.3e} exceeds 1e-9" in str(refusal.value)
 
 
