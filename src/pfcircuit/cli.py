@@ -12,7 +12,8 @@ heisenberg  emit the number-operator norm series and the growth-bound report
 sweep       grid over (mu, gamma); regime + gain/loss report rows in one CSV
 
 Exit codes: 0 success, 1 failed asserted checks, 2 configuration errors and
-points that are not a circuit, 3 refusals, 4 output that cannot be written.
+points that are not a circuit, 3 refusals, 4 output that cannot be written,
+70 an unexpected exception, with its traceback (EX_SOFTWARE, BSD sysexits.h).
 Each refusal in pfcircuit.errors subclasses one category, which main maps to
 the exit code: NotACircuit exits 2 (gamma above params.GAMMA_MAX, say; a sweep
 writes such a point's conditions as False); RegimeRefusal exits 3 where the
@@ -21,15 +22,16 @@ NumericalRefusal exits 3 at an accepted point: an intertwiner too
 ill-conditioned for the metric or for a failed kappa^2 check
 (IllConditioned), a non-positive-definite metric, a heisenberg generator
 reconstruction that fails beyond its kappa^2 bound (ReconstructionFailure, a
-defect), a log-slope fit of verify that fails in floating point
-(SlopeFitFailure), or a series that overflows on the tau grid.
+defect), no window for verify's log-slope fits (SlopeFitFailure), or a
+series that overflows on the tau grid.
 Each command returns its files as bytes pieces, with its stdout lines and exit
 code, and main alone writes them once the command has returned, so every
 refusal comes before any file is written.  A file is moved into place from a
 temporary name after its last piece, and an OSError exits 4 ("cannot write
 output"), leaving no temporary file.
-verify writes a reported-only channel that gives no number as null, and its
-RK4 oracle picks its own step from the generator (see dynamics.evolve_rk4).
+verify writes a reported-only channel that gives no number as null, its
+RK4 oracle picks its own step from the generator (see dynamics.evolve_rk4),
+and its asymptotic checks pick their own window from the model (see verify).
 All outputs are deterministic: fixed float formatting, fixed key and row ordering.
 """
 
@@ -42,6 +44,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -57,14 +60,14 @@ from .errors import (NotACircuit, NumericalRefusal, ReconstructionFailure, Regim
                      SeriesOverflow)
 from .model import Model
 from .params import CircuitParams, normalized
-from .verify import (ADJOINT_METRIC_TOL, SLOPE_TAIL, refuse_ill_conditioned,
-                     run_verification_suite, slope_tail)
+from .verify import ADJOINT_METRIC_TOL, refuse_ill_conditioned, run_verification_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_OUTPUT = 4
+EXIT_SOFTWARE = 70  # an unexpected exception: EX_SOFTWARE of BSD sysexits.h
 
 
 class ConfigError(ValueError):
@@ -399,17 +402,7 @@ def cmd_heisenberg(cfg: RunConfig) -> Output:
 
 
 def cmd_verify(cfg: RunConfig) -> Output:
-    tau = _tau_grid(cfg)
-    held = int(np.count_nonzero(slope_tail(tau)))
-    if held < 2:
-        # a line through fewer than two points is not a slope
-        needed = next(n for n in itertools.count(cfg.samples + 1)
-                      if np.count_nonzero(slope_tail(np.linspace(0.0, cfg.tau_max, n))) >= 2)
-        raise ConfigError(
-            f"verify fits its log slopes on tau >= {SLOPE_TAIL:g}*tau_max = "
-            f"{SLOPE_TAIL * cfg.tau_max:g}, which holds {held} of {cfg.samples} "
-            f"samples; the fit needs 2, so use --samples {needed} or more")
-    report = run_verification_suite(_model(cfg), tau)
+    report = run_verification_suite(_model(cfg), _tau_grid(cfg))
     n_asserted = sum(1 for c in report.checks.values() if c.passed is not None)
     failed = {name: report.checks[name] for name in report.failed()}
     return ({"verify_report.json": [_json_text(report.to_dict()).encode()]},
@@ -499,17 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         files, lines, code = _COMMANDS[args.command](cfg)
-    except (ConfigError, NotACircuit) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RegimeRefusal as exc:
-        print(f"regime rejected: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except NumericalRefusal as exc:
-        print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    out = Path(cfg.output_dir)
-    try:
+        out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, pieces in files.items():
             temp = out / f".{name}.{os.getpid()}.tmp"
@@ -521,9 +504,21 @@ def main(argv: list[str] | None = None) -> int:
             finally:
                 temp.unlink(missing_ok=True)  # left only by a failed write
             print(f"wrote {out / name}")
+    except (ConfigError, NotACircuit) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RegimeRefusal as exc:
+        print(f"regime rejected: {exc}", file=sys.stderr)
+        return EXIT_REGIME
+    except NumericalRefusal as exc:
+        print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_REGIME
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
+    except Exception:  # a defect, which must not read as failed checks (exit 1)
+        traceback.print_exc()
+        return EXIT_SOFTWARE
     for line in lines:
         print(line)
     return code

@@ -62,7 +62,7 @@ class ReconstructionFailure(NumericalRefusal):
 
 
 class SlopeFitFailure(NumericalRefusal):
-    """A log-slope fit of verify failed in floating point on its tail window."""
+    """No window below the overflow horizon keeps the log-slopes of verify's fits within 1e-3."""
 
 
 class RegimeRejected(RegimeRefusal):

@@ -43,9 +43,6 @@ __all__ = [
     "validate",
 ]
 
-#: |rho| below this width raises the near-degeneracy warning flag
-NEAR_DEGENERATE_BAND = 1e-9
-
 #: the largest gamma whose gamma**4, the leading term of rho, is a double
 GAMMA_MAX = 1.1579208923731618e77
 
@@ -160,7 +157,6 @@ class RegimeReport:
     condition_mu_sq_lt_1: bool
     coupling_nonzero: bool
     accepted: bool
-    near_degenerate_warning: bool = False
 
     @property
     def spectrally_valid(self) -> bool:
@@ -187,19 +183,11 @@ def validate(derived: DerivedParams) -> RegimeReport:
     cond_gamma = gamma * gamma - 2.0 * alpha > 0.0
     cond_mu = mu * mu < 1.0
     coupling = mu != 0.0
-    accepted = cond_rho and cond_gamma and cond_mu and coupling
-    # l1, l2 real and nonzero needs rho < (gamma^2 - 2 alpha)^2, whose gap is
-    # 4 alpha, so it always holds when mu^2 < 1.  The two floats collide only
-    # where 4 alpha is below the rounding of gamma^4, so l2/l4 = sqrt(alpha)/l4^2
-    # is below about 1e-8: spectrum's l2 stays accurate there, but the pair
-    # l1, l2 is near-degenerate next to l4.
-    separation_lost = accepted and not (rho < (gamma * gamma - 2.0 * alpha) ** 2)
     return RegimeReport(
         rho=rho,
         condition_rho_positive=cond_rho,
         condition_gamma_sq_gt_2alpha=cond_gamma,
         condition_mu_sq_lt_1=cond_mu,
         coupling_nonzero=coupling,
-        accepted=accepted,
-        near_degenerate_warning=bool(abs(rho) < NEAR_DEGENERATE_BAND or separation_lost),
+        accepted=cond_rho and cond_gamma and cond_mu and coupling,
     )

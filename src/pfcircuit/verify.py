@@ -1,6 +1,8 @@
 """The identity suite behind ``pfcircuit verify``: named checks in a fixed order.
 
 Calls go through the defining modules so that wrappers installed there see them.
+The log-slope and tail-sign checks read the closed form on a window that
+:func:`_asymptotic_window` works out from the model, not on the caller's grid.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from . import pfalgebra
 from .errors import IllConditioned, SeriesOverflow, SlopeFitFailure
 from .model import Model
 
-#: the log-slope checks fit the grid's tail tau >= SLOPE_TAIL * tau_max
-SLOPE_TAIL = 0.8
 #: the tolerance of the adjoint metric route, which ``adjoint`` reads too
 ADJOINT_METRIC_TOL = 1e-8
 #: c of each check whose roundoff goes as c*u*kappa(T)^2: n = 4 times its 4x4 operations
@@ -30,9 +30,29 @@ KAPPA2_C = {"pfalgebra/metric_product_identity": 32.0, "basis/metric_maps_max": 
             "dynamics/adjoint_metric_route": 32.0, "pfalgebra/generator_reconstruction": 48.0}
 
 
-def slope_tail(tau: np.ndarray) -> np.ndarray:
-    """Mask of the grid samples that the log-slope checks fit a line through."""
-    return tau >= SLOPE_TAIL * tau[-1]
+def _asymptotic_window(model: Model) -> np.ndarray | str:
+    """The 64 samples on [0.9 b, b] where P1 and E1 grow like e^{2 l4 tau}, or why none exists.
+
+    b puts the largest e^{2 l4 tau} coefficient of P1, P2, E1 and E2 at e^600, whatever i1 is.
+    Their e^{(l4 + l2) tau} terms, x = r e^{-g tau} of it with g = l4 - l2, move the fitted
+    log-slopes by -g x/(1 + x), which must stay within 1e-3 on the window (x <= -1: a pole).
+    """
+    params, spec, cw = model.params, model.spec, model.params.C * model.derived.omega0
+    with np.errstate(all="ignore"):  # a weight out of range gives nan or inf, refused below
+        v = model.coeffs.vector[2:] * model.pair.phi[:2, 2:]  # rows V1, V2; columns l2, l4
+        i = v * (dyn.GAIN_LOSS_SIGN / params.R - cw * spec.eigenvalues[2:])  # I1, I2
+        (v2, v4), (i2, i4) = v.T, i.T
+        lead = np.concatenate([v4 * i4, (params.C * v4 * v4 + params.L * i4 * i4) / 2.0])
+        nxt = np.concatenate([v4 * i2 + v2 * i4, params.C * v4 * v2 + params.L * i4 * i2])
+        b = min(600.0, (600.0 - np.log(np.max(np.abs(lead)))) / 2.0) / spec.l4
+        gap = spec.l4 - spec.l2
+        x = nxt / lead * np.exp(-gap * 0.9 * b)
+        shift = np.where(x > -1.0, np.abs(gap * x / (1.0 + x)), np.inf)
+    for row, name in ((0, "P1"), (2, "E1")):
+        if not (b > 0.0 and shift[row] <= 1e-3):
+            return (f"no window for the log-slope fits on tau in [{0.9 * b:.6g}, {b:.6g}]: the "
+                    f"l4 + l2 mode moves {name}'s by {shift[row]:.3e}, above its bound 1e-3")
+    return np.linspace(0.9 * b, b, 64)
 
 
 def refuse_ill_conditioned(name: str, residual: float, tolerance: float, kappa: float) -> None:
@@ -140,25 +160,19 @@ def run_verification_suite(
     report.add("observables/power_two_path_max", pw_dev, 1e-10)
     report.add("observables/energy_nonnegative",
                max(0.0, -float(np.min(en))), 1e-12)
-    gl = obs.classify_asymptotics(spec, derived, params, power_series=pw, coeffs=coeffs)
+    populated = abs(coeffs.dominant_weight) > obs.C11_THRESHOLD
+    window = _asymptotic_window(model) if populated else None
+    asymptotic = model.evolve(window) if isinstance(window, np.ndarray) else None
+    pw_window = None if asymptotic is None else obs.power(asymptotic)
+    gl = obs.classify_asymptotics(spec, derived, params, power_series=pw_window, coeffs=coeffs)
     if gl.measurement_consistent is not None:
         report.add("observables/power_tail_signs_match_prediction",
                    0.0 if gl.measurement_consistent else 1.0, 0.0)
-    tail = slope_tail(tau)
-    if abs(coeffs.dominant_weight) > obs.C11_THRESHOLD:
-        try:
-            # a tail of tiny taus underflows in polyfit's column scaling
-            with np.errstate(divide="raise", invalid="raise"):
-                slope_p = np.polyfit(tau[tail], np.log(np.abs(pw[0][tail])), 1)[0]
-                slope_e = np.polyfit(tau[tail], np.log(np.maximum(en[0][tail], 1e-300)), 1)[0]
-        except (FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise SlopeFitFailure(
-                f"log-slope fit on the tail tau in [{tau[tail][0]:.6g}, {tau[-1]:.6g}] "
-                f"failed: {exc}") from None
-        report.add("observables/power_log_slope_error",
-                   abs(slope_p - 2.0 * spec.l4), 1e-2)
-        report.add("observables/energy_log_slope_error",
-                   abs(slope_e - 2.0 * spec.l4), 1e-2)
+    if asymptotic is not None:
+        slope_p = np.polyfit(window, np.log(np.abs(pw_window[0])), 1)[0]
+        slope_e = np.polyfit(window, np.log(obs.energy(asymptotic, params)[0]), 1)[0]
+        report.add("observables/power_log_slope_error", abs(slope_p - 2.0 * spec.l4), 1e-2)
+        report.add("observables/energy_log_slope_error", abs(slope_e - 2.0 * spec.l4), 1e-2)
     report.add("observables/reported_energy_rewrite_deviation", en_dev, None)
 
     # --- heisenberg ---
@@ -188,4 +202,6 @@ def run_verification_suite(
     for name in KAPPA2_C:
         check = report.checks[name]
         refuse_ill_conditioned(name, check.residual, check.tolerance, pair.kappa)
+    if isinstance(window, str):  # after the kappa^2 refusals, which take precedence
+        raise SlopeFitFailure(window)
     return report

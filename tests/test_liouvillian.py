@@ -126,12 +126,6 @@ def test_determinant_and_trace(reference_derived, reference_generator, reference
     assert product == pytest.approx(reference_derived.alpha, rel=1e-10)
 
 
-def test_near_degenerate_guard():
-    # at extreme gamma the eigenvalue pairs nearly collide, and the validator
-    # flags it; the spectrum is not refused for it (kappa(T) = 1.73 here)
-    assert validate(derive(normalized(0.5, 2.0e4))).near_degenerate_warning
-
-
 def test_spectrum_serialization(reference_spectrum):
     data = reference_spectrum.to_dict()
     assert list(data) == ["l1", "l2", "l3", "l4",

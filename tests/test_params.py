@@ -93,7 +93,6 @@ def test_validate_reference_rho():
     report = validate(derive(normalized(0.5, 3.0)))
     assert report.accepted
     assert report.rho == pytest.approx(float(rho_exact), rel=1e-12)
-    assert not report.near_degenerate_warning
 
 
 def test_validate_rejects_low_gamma():
@@ -151,25 +150,11 @@ def test_accepted_regime_strict_separation():
         assert report.rho < (d.gamma**2 - 2.0 * d.alpha) ** 2
 
 
-def test_near_degenerate_warning_band():
-    # park gamma^2 just above the acceptance threshold so rho is tiny
-    mu = 0.5
-    alpha = 1.0 / (1.0 - mu * mu)
-    s = np.sqrt(1.0 - mu * mu)
-    gamma_sq_critical = 2.0 * alpha * (1.0 + s)
-    # rho grows off the threshold at rate d(rho)/d(gamma^2) = 4*alpha*s
-    eps = 1e-10 / (4.0 * alpha * s)
-    report = validate(derive(normalized(mu, float(np.sqrt(gamma_sq_critical + eps)))))
-    assert abs(report.rho) < 1e-9
-    assert report.near_degenerate_warning
-
-
 def test_report_serialization():
     report = validate(derive(normalized(0.5, 3.0)))
     data = report.to_dict()
     assert list(data) == [
         "rho", "condition_rho_positive", "condition_gamma_sq_gt_2alpha",
         "condition_mu_sq_lt_1", "coupling_nonzero", "accepted",
-        "near_degenerate_warning",
     ]
     assert data["accepted"] is True
