@@ -43,11 +43,13 @@ print(f"measured growth rate {slope:.6f} vs l4 = {spec.l4:.6f}")
 
 pw = power(traj)
 en = energy(traj, params)
-gl = classify_asymptotics(spec, derived, params, power_series=pw, coeffs=coeffs)
+gl = classify_asymptotics(spec, derived, params)
+# the measured sign of each power is the sign of its mean over the tail
+measured = ["+" if m >= 0.0 else "-" for m in np.mean(pw[:, tail], axis=1)]
 print(f"power of sub-circuit 1 diverges to {gl.p1_diverges_to}inf "
-      f"(measured tail sign {gl.measured_p1_sign})")
+      f"(measured tail sign {measured[0]})")
 print(f"power of sub-circuit 2 diverges to {gl.p2_diverges_to}inf "
-      f"(measured tail sign {gl.measured_p2_sign})")
+      f"(measured tail sign {measured[1]})")
 e1_min, e2_min = np.min(en, axis=1)
 print(f"energies stay nonnegative: E1 min {e1_min:.3e}, E2 min {e2_min:.3e}")
 print(f"l4 sits inside the damping window (-gamma, gamma): {gl.power_window_ok}")

@@ -386,7 +386,8 @@ def cmd_heisenberg(cfg: RunConfig) -> Output:
                            pfalgebra.RECONSTRUCTION_TOL, model.pair.kappa)
     if not residual <= pfalgebra.RECONSTRUCTION_TOL:
         raise ReconstructionFailure(f"generator reconstruction residual {residual:.3e} exceeds "
-                                    f"1e-9 beyond its bound (kappa(T)={model.pair.kappa:.6e})")
+                                    f"{pfalgebra.RECONSTRUCTION_TOL:.0e} beyond its bound "
+                                    f"(kappa(T)={model.pair.kappa:.6e})")
     tau = np.linspace(0.0, min(cfg.tau_max, heis.TAU_END), min(cfg.samples, 61))
     evo = heis.number_evolution(model.pf, tau)
     bound = heis.growth_bound_report(evo, model.spec)

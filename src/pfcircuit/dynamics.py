@@ -281,7 +281,8 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     0.005/1e-3 = 5.000000000000001 into six steps.  On a linear system one RK4
     step of size h is exactly y <- P(h) y with the Taylor polynomial
     P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so an interval applies
-    P(h)^substeps - I, built once per distinct span by binary powering.
+    P(h)^substeps - I.  The distinct spans form one (k, 4, 4) stack, powered by
+    binary powering once per distinct substep count.
 
     The intervals' propagators then compose as an inclusive prefix scan
     (Hillis and Steele, CACM 29, 1986): after the passes with offsets 1, 2,
@@ -289,9 +290,8 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     states = y0 + D @ y0.  The scan runs on RK4_SCAN_CHUNK intervals at a
     time, each chunk starting from the state the previous one ended at, so
     its (chunk, 4, 4) stack bounds the memory.  Python passes: per chunk,
-    log2(RK4_SCAN_CHUNK) scan steps and one per distinct span in it, and per
-    distinct span of the grid, log2(substeps) powering steps; none is per
-    sample.
+    log2(RK4_SCAN_CHUNK) scan steps, and per distinct substep count of the
+    grid, log2(substeps) powering steps; none is per sample.
     """
     tau = _check_grid(tau_grid)
     m = linalg.as_square(liouvillian, 4)
@@ -299,27 +299,23 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     h = RK4_DEFAULT_STEP
     if tau_end * r > 0.0:
         h = min(h, (120.0 * RK4_TARGET_ERROR / (tau_end * r)) ** 0.25 / r)
-    spans = np.diff(tau)
+    spans, which = np.unique(np.diff(tau), return_inverse=True)
+    n_sub = np.maximum(1.0, np.round(spans / h))  # whole floats: no int64 overflow
+    hm = (spans / n_sub)[:, None, None] * m
     eye = np.eye(4)
-    increments = {}  # span -> P(h)^substeps - I
+    increments = hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)  # P(h) - I
+    for n in set(n_sub.tolist()):
+        increments[n_sub == n] = _power(increments[n_sub == n], int(n))  # P(h)^n - I
     states = np.empty((tau.size, 4))
     states[0] = y = linalg.as_vector(psi0)
-    for start in range(0, spans.size, RK4_SCAN_CHUNK):
-        chunk = spans[start:start + RK4_SCAN_CHUNK]
-        scan = np.empty((chunk.size, 4, 4))
-        for span in set(chunk.tolist()):
-            if span not in increments:
-                n_sub = max(1, round(span / h))
-                hm = (span / n_sub) * m
-                step = hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
-                increments[span] = _power(step, n_sub)
-            scan[chunk == span] = increments[span]
+    for start in range(0, which.size, RK4_SCAN_CHUNK):
+        scan = increments[which[start:start + RK4_SCAN_CHUNK]]
         offset = 1
-        while offset < chunk.size:
+        while offset < len(scan):
             scan[offset:] = _compose(scan[offset:], scan[:-offset])
             offset *= 2
-        states[start + 1:start + 1 + chunk.size] = y + scan @ y
-        y = states[start + chunk.size]
+        states[start + 1:start + 1 + len(scan)] = y + scan @ y
+        y = states[start + len(scan)]
     return StateTrajectory(tau=tau, states=states)
 
 

@@ -11,6 +11,7 @@ Asymptotically every populated quantity rides the dominant mode e^{l4 tau}.
 The powers carry prefactors proportional to (1/R - C omega0 l4) and
 (-1/R - C omega0 l4), so both windows of the classification reduce, in
 normalized units, to inequalities between l4, gamma, and sqrt(1 +- gamma^2).
+:func:`classify_asymptotics` predicts the divergence signs; verify measures them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import GAIN_LOSS_SIGN, Coefficients, Trajectory
+from .dynamics import GAIN_LOSS_SIGN, Trajectory
 from .errors import ZeroCoupling
 from .liouvillian import Spectrum
 from .params import CircuitParams, DerivedParams
@@ -33,12 +34,6 @@ __all__ = [
     "energy_rewrite_deviation",
     "classify_asymptotics",
 ]
-
-#: fraction of trailing samples used to measure divergence signs
-MEASUREMENT_WINDOW = 0.1
-
-#: threshold on the dominant mode's gauge-free weight c11 * t24 for sign measurements
-C11_THRESHOLD = 1e-12
 
 
 def power(traj: Trajectory) -> np.ndarray:
@@ -86,7 +81,7 @@ def energy_rewrite_deviation(traj: Trajectory, e: np.ndarray, params: CircuitPar
 
 @dataclass(frozen=True)
 class GainLossReport:
-    """Window inequalities and predicted/measured divergence behavior.
+    """Window inequalities and predicted divergence behavior.
 
     ``energy_lower`` is None when omega0^2 - omega_p^2 < 0 (the lower edge of
     the energy window is imaginary, so the corresponding condition holds
@@ -105,35 +100,22 @@ class GainLossReport:
     p2_diverges_to: str
     e1_diverges_to: str
     e2_diverges_to: str
-    measured_p1_sign: str | None = None
-    measured_p2_sign: str | None = None
-    measurement_consistent: bool | None = None
 
     def to_dict(self) -> dict:
         lower = "imaginary" if self.energy_lower is None else self.energy_lower
         return {**vars(self), "energy_lower": lower}
 
 
-def _tail_signs(series: np.ndarray) -> list[str]:
-    """The sign of each row's mean over its last MEASUREMENT_WINDOW of samples."""
-    n_tail = max(1, int(round(MEASUREMENT_WINDOW * series.shape[1])))
-    return ["+" if m >= 0.0 else "-" for m in np.mean(series[:, -n_tail:], axis=1).tolist()]
-
-
 def classify_asymptotics(
     spec: Spectrum,
     derived: DerivedParams,
     params: CircuitParams,
-    power_series: np.ndarray | None = None,
-    coeffs: Coefficients | None = None,
 ) -> GainLossReport:
-    """Evaluate both asymptotic windows and optionally cross-check a trajectory.
+    """Evaluate both asymptotic windows and predict the divergence signs.
 
     The dominant-mode power prefactors are (c11 t24 delta24)^2 (1/R - C w0 l4)
     and (c11 t24)^2 (-1/R - C w0 l4), so predicted signs follow those factors.
-    With the (2, n) powers supplied, the measured tail signs must match whenever
-    the dominant mode is populated (|c11 t24| above threshold); the comparison is
-    recorded in the report.
+    Only the prediction lives here: verify measures the signs on its own window.
     """
     if derived.mu == 0.0:
         raise ZeroCoupling("asymptotic classification needs coupled sub-circuits")
@@ -148,24 +130,14 @@ def classify_asymptotics(
     energy_ok = (lower_sq - rate_l4**2 < 0.0) and (
         derived.omega0**2 + derived.omega_p**2 - rate_l4**2 > 0.0
     )
-    predicted = ["+" if gain_factor > 0.0 else "-", "+" if loss_factor > 0.0 else "-"]
-    measured = [None, None]
-    consistent = None
-    if power_series is not None:
-        measured = _tail_signs(power_series)
-        if coeffs is not None and abs(coeffs.dominant_weight) > C11_THRESHOLD:
-            consistent = measured == predicted
     return GainLossReport(
         l4=spec.l4,
         power_window_ok=bool(power_ok),
         energy_lower=energy_lower,
         energy_upper=upper,
         energy_window_ok=bool(energy_ok),
-        p1_diverges_to=predicted[0],
-        p2_diverges_to=predicted[1],
+        p1_diverges_to="+" if gain_factor > 0.0 else "-",
+        p2_diverges_to="+" if loss_factor > 0.0 else "-",
         e1_diverges_to="+",
         e2_diverges_to="+",
-        measured_p1_sign=measured[0],
-        measured_p2_sign=measured[1],
-        measurement_consistent=consistent,
     )

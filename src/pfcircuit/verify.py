@@ -1,8 +1,9 @@
 """The identity suite behind ``pfcircuit verify``: named checks in a fixed order.
 
 Calls go through the defining modules so that wrappers installed there see them.
-The log-slope and tail-sign checks read the closed form on a window that
-:func:`_asymptotic_window` works out from the model, not on the caller's grid.
+The log-slope and tail-sign checks read the closed form of psi0/||psi0|| on a window
+that :func:`_asymptotic_window` works out from the model, not on the caller's grid;
+verify alone decides where they apply and measures the tail signs itself.
 """
 
 from __future__ import annotations
@@ -28,18 +29,22 @@ KAPPA2_C = {"pfalgebra/metric_product_identity": 32.0, "basis/metric_maps_max": 
             **dict.fromkeys([f"pfalgebra/n_hat{j}_symmetric" for j in "12"], 112.0),
             **dict.fromkeys([f"pfalgebra/n_hat{j}_eigenvalues_binary" for j in "12"], 60.0),
             "dynamics/adjoint_metric_route": 32.0, "pfalgebra/generator_reconstruction": 48.0}
+#: the dominant mode counts as populated where |c11 t24| exceeds this times ||psi0||
+C11_THRESHOLD = 1e-12
 
 
-def _asymptotic_window(model: Model) -> np.ndarray | str:
-    """The 64 samples on [0.9 b, b] where P1 and E1 grow like e^{2 l4 tau}, or why none exists.
+def _asymptotic_window(model: Model, s: float) -> np.ndarray | str:
+    """The 64 samples on [0.9 b, b] where P1 and E1 of psi0/s grow like e^{2 l4 tau}, or why not.
 
-    b puts the largest e^{2 l4 tau} coefficient of P1, P2, E1 and E2 at e^600, whatever i1 is.
-    Their e^{(l4 + l2) tau} terms, x = r e^{-g tau} of it with g = l4 - l2, move the fitted
-    log-slopes by -g x/(1 + x), which must stay within 1e-3 on the window (x <= -1: a pole).
+    The dynamics are linear in psi0, so the unit state psi0/s, with s = ||psi0||, has the run's
+    log-slopes and signs, and b does not depend on i1.  b puts the largest e^{2 l4 tau}
+    coefficient of its P1, P2, E1 and E2 at e^600.  Their e^{(l4 + l2) tau} terms, x = r e^{-g tau}
+    of it with g = l4 - l2, move the fitted log-slopes by -g x/(1 + x), which must stay within
+    1e-3 on the window (x <= -1: a pole).
     """
     params, spec, cw = model.params, model.spec, model.params.C * model.derived.omega0
     with np.errstate(all="ignore"):  # a weight out of range gives nan or inf, refused below
-        v = model.coeffs.vector[2:] * model.pair.phi[:2, 2:]  # rows V1, V2; columns l2, l4
+        v = model.coeffs.vector[2:] / s * model.pair.phi[:2, 2:]  # rows V1, V2; columns l2, l4
         i = v * (dyn.GAIN_LOSS_SIGN / params.R - cw * spec.eigenvalues[2:])  # I1, I2
         (v2, v4), (i2, i4) = v.T, i.T
         lead = np.concatenate([v4 * i4, (params.C * v4 * v4 + params.L * i4 * i4) / 2.0])
@@ -68,10 +73,13 @@ def run_verification_suite(
 ) -> pfalgebra.VerificationReport:
     """Every asserted identity across the package, plus the reported channels.
 
-    ``tau`` is the sample grid of the dynamics checks.
+    ``tau`` is the sample grid of the dynamics checks.  Every floor and threshold on the run's
+    trajectory is in units of s = ||psi0||, its one scale: states, paths and modal weights are
+    s times quantities that do not depend on i1.
     """
     params, derived, spec, gen = model.params, model.derived, model.spec, model.generator
     pair, pf, psi0, coeffs = model.pair, model.pf, model.psi0, model.coeffs
+    s = max(float(np.linalg.norm(psi0)), 1e-300)
     report = pfalgebra.VerificationReport()
     report.merge(pfalgebra.pf_verify(pf, gen), prefix="pfalgebra/")
 
@@ -95,7 +103,7 @@ def run_verification_suite(
     # --- dynamics ---
     with np.errstate(over="ignore", invalid="ignore"):
         closed = model.evolve(tau)
-        row_scale = np.maximum(1.0, np.linalg.norm(closed.states, axis=1))
+        row_scale = np.maximum(s, np.linalg.norm(closed.states, axis=1))
         pw = obs.power(closed)
         en = obs.energy(closed, params)
         pw_dev = obs.power_two_path_deviation(closed, pw, params, derived)
@@ -103,8 +111,7 @@ def run_verification_suite(
     SeriesOverflow.check(tau[-1], closed.states, row_scale, pw, en, pw_dev, en_dev)
     report.add(
         "dynamics/initial_state_reconstruction",
-        float(np.linalg.norm(closed.states[0] - psi0)
-              / max(1.0, np.linalg.norm(psi0))), 1e-12)
+        float(np.linalg.norm(closed.states[0] - psi0) / s), 1e-12)
     rk4 = dyn.evolve_rk4(gen, psi0, tau)
     rel = np.linalg.norm(closed.states - rk4.states, axis=1) / row_scale
     report.add("dynamics/closed_vs_rk4_max_rel", float(np.max(rel)), 1e-6)
@@ -127,12 +134,12 @@ def run_verification_suite(
         report.add("dynamics/reported_paper_literal_adjoint_map",
                    adj.paper_literal_map_max_residual, None)
 
-    y0 = np.ones(4)
+    y0 = np.ones(4)  # a fixed state, so its own scale floors the rows, not s
     h0_traj = dyn.evolve_h0(spec, y0, tau[:11])
     reference = linalg.expm(pf.H0, h0_traj.tau) @ y0
     report.add("dynamics/h0_vs_diagonal_expm",
                float(np.max(np.max(np.abs(h0_traj.states - reference), axis=1)
-                            / np.maximum(1.0, np.max(np.abs(reference), axis=1)))), 1e-12)
+                            / np.maximum(np.max(y0), np.max(np.abs(reference), axis=1)))), 1e-12)
 
     # steps of 1.3 and 0.9, shrunk onto a shorter grid so that no state leaves it
     t1, t2 = np.array([1.3, 0.9]) * min(1.0, tau[-1] / 2.2)
@@ -146,7 +153,7 @@ def run_verification_suite(
 
     display = dyn.display_series(coeffs, spec, derived, params, model.deltas, model.scales, tau)
     paths = np.concatenate([closed.voltages, closed.currents])
-    disp_dev = float(np.max(np.abs(display - paths) / np.maximum(np.abs(paths), 1.0)))
+    disp_dev = float(np.max(np.abs(display - paths) / np.maximum(np.abs(paths), s)))
     report.add("dynamics/display_extraction_agreement", disp_dev, 1e-9)
 
     comparison = dyn.coefficients_paper(coeffs, spec, model.deltas, model.scales,
@@ -160,15 +167,17 @@ def run_verification_suite(
     report.add("observables/power_two_path_max", pw_dev, 1e-10)
     report.add("observables/energy_nonnegative",
                max(0.0, -float(np.min(en))), 1e-12)
-    populated = abs(coeffs.dominant_weight) > obs.C11_THRESHOLD
-    window = _asymptotic_window(model) if populated else None
-    asymptotic = model.evolve(window) if isinstance(window, np.ndarray) else None
-    pw_window = None if asymptotic is None else obs.power(asymptotic)
-    gl = obs.classify_asymptotics(spec, derived, params, power_series=pw_window, coeffs=coeffs)
-    if gl.measurement_consistent is not None:
+    gl = obs.classify_asymptotics(spec, derived, params)
+    window = (_asymptotic_window(model, s)
+              if abs(coeffs.dominant_weight) > C11_THRESHOLD * s else None)
+    if isinstance(window, np.ndarray):  # the series of psi0/s, whose slopes and signs are the run's
+        asymptotic = dyn.evolve_closed(replace(coeffs, vector=coeffs.vector / s), pair, spec,
+                                       window, params, derived, psi0=psi0 / s)
+        pw_window = obs.power(asymptotic)
+        # the sign of each power's mean over the last tenth of the window, 6 of its 64 samples
+        tail = ["+" if m >= 0.0 else "-" for m in np.mean(pw_window[:, -6:], axis=1).tolist()]
         report.add("observables/power_tail_signs_match_prediction",
-                   0.0 if gl.measurement_consistent else 1.0, 0.0)
-    if asymptotic is not None:
+                   0.0 if tail == [gl.p1_diverges_to, gl.p2_diverges_to] else 1.0, 0.0)
         slope_p = np.polyfit(window, np.log(np.abs(pw_window[0])), 1)[0]
         slope_e = np.polyfit(window, np.log(obs.energy(asymptotic, params)[0]), 1)[0]
         report.add("observables/power_log_slope_error", abs(slope_p - 2.0 * spec.l4), 1e-2)

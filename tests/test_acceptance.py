@@ -171,8 +171,7 @@ def test_criterion_5_observables():
         for p in series:
             slope = np.polyfit(TAU[tail], np.log(np.abs(p[tail])), 1)[0]
             assert abs(slope - 2.0 * spec.l4) < 1e-2
-        report = classify_asymptotics(spec, derived, params,
-                                      power_series=series, coeffs=model.coeffs)
+        report = classify_asymptotics(spec, derived, params)
         # window booleans against direct inequality evaluation
         cw = params.C * derived.omega0
         assert report.power_window_ok == (

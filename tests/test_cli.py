@@ -1063,8 +1063,8 @@ def test_verify_outcomes_pinned_on_a_grid_slice():
 
 
 def test_verify_key_set_is_the_same_in_two_relative_gauges():
-    # the dominant-mode threshold reads c11 * t24, which no gauge changes; c11
-    # alone falls below it here once every column is scaled by 1e13
+    # the dominant-mode threshold reads |c11 * t24| relative to ||psi0||, which
+    # no gauge changes; c11 alone falls below it once every column is scaled by 1e13
     tau = np.linspace(0.0, 5.0, 1001)
     keys = [list(run_verification_suite(Model(normalized(0.5, 3.0), Gauge(*[scale] * 4)),
                                         tau).checks) for scale in (1.0, 1e13)]
@@ -1107,7 +1107,7 @@ _PINNED_SHA256 = {
             "0c867da49fe01f81eba8800b282181a6a1ecc513fcfbdf87c0d3bf30a67963f4",
         "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
     ("physical", "verify"): {
-        "verify_report.json": "40b7f3801ddfb798122af9ac057e57c9c4f49d266cdbbced336d4003611dcb94",
+        "verify_report.json": "bed584945dcaae253c8d4ba918001e8d29fb0a0b80e09308641127961f224b54",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("reference", "adjoint"): {
         "adjoint.csv": "87d2e8ce3bac021d758fa757bc1ae9f61caa66a027cc73553666a8a725bb469d",

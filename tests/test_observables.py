@@ -87,12 +87,8 @@ def test_energy_rewrite_deviation_reported(energy_series, traj, reference_params
     assert np.isfinite(deviation)
 
 
-def test_classification_reference(reference_spectrum, reference_derived,
-                                  reference_params, power_series,
-                                  reference_coefficients):
-    report = classify_asymptotics(reference_spectrum, reference_derived,
-                                  reference_params, power_series=power_series,
-                                  coeffs=reference_coefficients)
+def test_classification_reference(reference_spectrum, reference_derived, reference_params):
+    report = classify_asymptotics(reference_spectrum, reference_derived, reference_params)
     assert report.power_window_ok  # l4 ~ 2.473 < gamma = 3
     assert report.energy_lower is None  # omega0^2 - omega_p^2 = 1 - 9 < 0
     assert report.energy_upper == pytest.approx(np.sqrt(10.0), rel=1e-12)
@@ -100,17 +96,6 @@ def test_classification_reference(reference_spectrum, reference_derived,
     assert report.p1_diverges_to == "+"
     assert report.p2_diverges_to == "-"
     assert report.e1_diverges_to == "+" and report.e2_diverges_to == "+"
-    assert report.measured_p1_sign == "+"
-    assert report.measured_p2_sign == "-"
-    assert report.measurement_consistent
-
-
-def test_classification_without_measurement(reference_spectrum, reference_derived,
-                                            reference_params):
-    report = classify_asymptotics(reference_spectrum, reference_derived,
-                                  reference_params)
-    assert report.measured_p1_sign is None
-    assert report.measurement_consistent is None
 
 
 def test_classification_zero_coupling_guard():
@@ -149,21 +134,6 @@ def test_asymptotic_prefactors(power_series, traj, reference_spectrum,
     scaled2 = power_series[1][idx] * np.exp(-2.0 * l4 * traj.tau[idx])
     assert scaled1 == pytest.approx(pref1, rel=2e-3)
     assert scaled2 == pytest.approx(pref2, rel=2e-3)
-
-
-def test_dominant_mode_measured_signs_flip_with_prediction(
-        reference_spectrum, reference_derived, reference_params, reference_pair):
-    # drive only the decaying mode: the tail measurement then disagrees with
-    # the growth-based prediction, but the guard keeps consistency unset
-    from pfcircuit.dynamics import Coefficients
-    coeffs = Coefficients(np.array([1.0, 0.0, 0.0, 0.0]))
-    traj = evolve_closed(coeffs, reference_pair, reference_spectrum, TAU,
-                         reference_params, reference_derived)
-    series = power(traj)
-    report = classify_asymptotics(reference_spectrum, reference_derived,
-                                  reference_params, power_series=series,
-                                  coeffs=coeffs)
-    assert report.measurement_consistent is None
 
 
 def test_report_serialization(reference_spectrum, reference_derived, reference_params):

@@ -224,7 +224,8 @@ def test_build_pf_refusal_reads_the_verifier_reconstruction_residual(
     assert residual > 1e-9 and residual == reconstruction_residual(model.pf, model.generator)
     with pytest.raises(ReconstructionFailure) as refusal:
         cli.cmd_heisenberg(cli.RunConfig(mu=0.5, gamma=3.0))
-    assert f"residual {residual:.3e} exceeds 1e-9" in str(refusal.value)
+    tolerance = pfalgebra.RECONSTRUCTION_TOL
+    assert f"residual {residual:.3e} exceeds {tolerance:.0e}" in str(refusal.value)
 
 
 def test_operator_spectra_gauge_invariant(reference_model):
