@@ -53,18 +53,6 @@ class BasisPair:
         self.labels = labels
         self.kappa = kappa  # kappa_2(T), the phi family's 2-norm condition number
 
-    def phi_vec(self, k: int, n: int) -> np.ndarray:
-        return self.phi[:, KN_ORDER.index((k, n))]
-
-    def psi_vec(self, k: int, n: int) -> np.ndarray:
-        return self.psi[:, KN_ORDER.index((k, n))]
-
-    def to_dict(self) -> dict:
-        return {name: [{"k": k, "n": n, "eigenvalue": float(self.labels[j]),
-                        "vector": [float(x) for x in family[:, j]]}
-                       for j, (k, n) in enumerate(KN_ORDER)]
-                for name, family in (("phi", self.phi), ("psi", self.psi))}
-
 
 def build_bases(T: np.ndarray, spec: Spectrum, derived: DerivedParams) -> BasisPair:
     """Both families from the intertwiner's columns, each tagged with its eigenvalue.
@@ -73,7 +61,6 @@ def build_bases(T: np.ndarray, spec: Spectrum, derived: DerivedParams) -> BasisP
     (l - G) x = -A x / l, and phi_k^+ J phi_k = p'(l) x1 x2 / (alpha mu) with p'(l) =
     2 sqrt(rho) (-l4, l2, -l2, l4)[k] for the quartic p: no form subtracts or cancels.
     """
-    T = linalg.as_square(T, 4)
     kappa = float(np.linalg.cond(T))  # inf for a singular T
     if not kappa < UNIT_ROUNDOFF**-0.5:
         raise IllConditioned(f"S_phi = T T^+ is singular in double: u*kappa(T)^2 >= 1 "
@@ -110,7 +97,6 @@ def eigen_check(pair: BasisPair, liouvillian: np.ndarray) -> np.ndarray:
     Returns eight values in KN order: ||L phi - mu phi||/||phi|| followed by
     ||L^+ psi - mu psi||/||psi||.
     """
-    liouvillian = linalg.as_square(liouvillian, 4)
     return np.array([*_column_residuals(liouvillian, pair.phi, pair.labels * pair.phi, pair.phi),
                      *_column_residuals(liouvillian.T, pair.psi, pair.labels * pair.psi, pair.psi)])
 
@@ -123,8 +109,6 @@ def metric_map_check(pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray) -> n
     S_psi = S_phi^-1 is taken as given (it is built from the psi family, and
     inverting S_phi = T T^+ would square the condition number of T).
     """
-    S_phi = linalg.as_square(S_phi, 4)
-    S_psi = linalg.as_square(S_psi, 4)
     return np.array([*_column_residuals(S_phi, pair.psi, pair.phi, pair.phi),
                      *_column_residuals(S_psi, pair.phi, pair.psi, pair.psi)])
 
@@ -134,7 +118,6 @@ def expand(pair: BasisPair, v: np.ndarray) -> np.ndarray:
 
     An (m, 4) stack of vectors, one per row, gives their weights as rows.
     """
-    v = linalg.as_vector(v, stack=True)
     return (pair.psi.T @ v.T).T
 
 
@@ -159,7 +142,7 @@ def frame_bounds(
     with the bounds.
     """
     if eigenvalues is None:
-        eigenvalues = linalg.jacobi_eigh(linalg.as_square(np.stack([S_phi, S_psi]), 4, stack=True))[0]
+        eigenvalues = linalg.jacobi_eigh(np.stack([S_phi, S_psi]))[0]
     upper, inverse_lower = (float(np.max(np.abs(w))) for w in eigenvalues)
     lower = 1.0 / inverse_lower
     f = linalg.probes(seed, (n_samples, 4))

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import linalg
 from .basis import BasisPair, expand
-from .errors import GridEmpty
 from .liouvillian import Spectrum
 from .params import CircuitParams, DerivedParams
 
@@ -199,19 +198,10 @@ class Trajectory(StateTrajectory):
         return self.states[:, 2:].T
 
 
-def _check_grid(tau_grid) -> np.ndarray:
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or tau.size == 0:
-        raise GridEmpty("tau grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(tau)) or tau[0] < 0.0:
-        raise ValueError("tau grid must be finite and start at tau >= 0")
-    return tau
-
-
 def _modal(start: np.ndarray, rates: np.ndarray, weights: np.ndarray,
            tau_grid) -> StateTrajectory:
     """start + sum_j weights[j] (e^(rates[j] tau) - 1) on the grid, via expm1."""
-    tau = _check_grid(tau_grid)
+    tau = np.asarray(tau_grid, dtype=float)
     states = start[None, :] + (weights.T @ np.expm1(np.outer(rates, tau))).T
     return StateTrajectory(tau=tau, states=states, mode_rates=rates, mode_weights=weights)
 
@@ -240,7 +230,7 @@ def evolve_closed(
     the basis-reconstruction roundoff into every row.
     """
     weights = (pair.phi * coeffs.vector[None, :]).T  # (mode, component)
-    start = weights.sum(axis=0) if psi0 is None else linalg.as_vector(psi0)
+    start = weights.sum(axis=0) if psi0 is None else psi0
     modal = _modal(start, spec.eigenvalues, weights, tau_grid)
     return Trajectory(**vars(modal), currents=_currents(modal.states, params, derived))
 
@@ -293,21 +283,20 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
     log2(RK4_SCAN_CHUNK) scan steps, and per distinct substep count of the
     grid, log2(substeps) powering steps; none is per sample.
     """
-    tau = _check_grid(tau_grid)
-    m = linalg.as_square(liouvillian, 4)
-    r, tau_end = float(np.linalg.norm(m, np.inf)), float(tau[-1])
+    tau = np.asarray(tau_grid, dtype=float)
+    r, tau_end = float(np.linalg.norm(liouvillian, np.inf)), float(tau[-1])
     h = RK4_DEFAULT_STEP
     if tau_end * r > 0.0:
         h = min(h, (120.0 * RK4_TARGET_ERROR / (tau_end * r)) ** 0.25 / r)
     spans, which = np.unique(np.diff(tau), return_inverse=True)
     n_sub = np.maximum(1.0, np.round(spans / h))  # whole floats: no int64 overflow
-    hm = (spans / n_sub)[:, None, None] * m
+    hm = (spans / n_sub)[:, None, None] * liouvillian
     eye = np.eye(4)
     increments = hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)  # P(h) - I
     for n in set(n_sub.tolist()):
         increments[n_sub == n] = _power(increments[n_sub == n], int(n))  # P(h)^n - I
     states = np.empty((tau.size, 4))
-    states[0] = y = linalg.as_vector(psi0)
+    states[0] = y = psi0
     for start in range(0, which.size, RK4_SCAN_CHUNK):
         scan = increments[which[start:start + RK4_SCAN_CHUNK]]
         offset = 1
@@ -327,7 +316,6 @@ def evolve_adjoint(
     The psi vectors are eigenvectors of the adjoint with the same eigenvalues,
     so the machinery is the modal sum again with weights <phi_kn, x0>.
     """
-    x0 = linalg.as_vector(x0)
     weights = (pair.psi * (pair.phi.T @ x0)[None, :]).T
     return _modal(x0, spec.eigenvalues, weights, tau_grid)
 
@@ -418,8 +406,7 @@ def adjoint_circuit_map(
 
 def evolve_h0(spec: Spectrum, y0: np.ndarray, tau_grid) -> StateTrajectory:
     """Trivial solution of Y' = H0 Y: each component scales by its own exponential."""
-    y0 = linalg.as_vector(y0)
-    return _modal(y0, spec.shifted_eigenvalues, np.diag(y0.astype(float)), tau_grid)
+    return _modal(y0, spec.shifted_eigenvalues, np.diag(y0), tau_grid)
 
 
 def quartic_residual(traj: StateTrajectory, derived: DerivedParams) -> np.ndarray:
@@ -458,7 +445,7 @@ def display_series(
     weights +-1/R - C*omega0*l attached mode by mode.  Must agree with the
     state-layout extraction when fed the projection coefficients.
     """
-    tau = _check_grid(tau_grid)
+    tau = np.asarray(tau_grid, dtype=float)
     c = coeffs.vector
     rates = spec.eigenvalues
     exps = np.exp(np.outer(rates, tau))

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every refusal subclasses one of three categories, and the command line maps
-the category, not the concrete class, to an exit code.
+Every exception here is a refusal in exactly one of three categories, and
+the command line maps the category, not the concrete class, to an exit code.
+Inputs are checked where they enter, in the configuration and parameter
+types, so no type here stands for a malformed array or time grid.
 """
 
 import numpy as np
@@ -76,6 +78,3 @@ class ZeroCoupling(RegimeRefusal):
 class GaugeDegenerate(RegimeRefusal):
     """A free column scale of the intertwiner is zero, or so large that ||T||_F^4 overflows."""
 
-
-class GridEmpty(ValueError):
-    """An evolution was requested on an empty time grid."""

@@ -68,7 +68,7 @@ def evolve_observable(X0: np.ndarray, pf: PFSystem, tau_grid) -> ObservableTraje
     shape (k, n); a single 4x4 observable gives (n, 4, 4) and (n,).
     Raises :class:`SeriesOverflow` when X(tau) or its norm leaves the double range.
     """
-    X0 = linalg.as_square(X0, 4, stack=True)[..., None, :, :]
+    X0 = X0[..., None, :, :]
     tau = np.asarray(tau_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         e = shifted_propagator(pf, tau)
@@ -194,8 +194,7 @@ def expectation_consistency_residual(X0: np.ndarray, state0: np.ndarray, pf: PFS
     of tau give the k residuals as an array, through one propagator stack;
     one observable, one state and a scalar tau give a float.
     """
-    X0 = linalg.as_square(X0, 4, stack=True)
-    state0 = linalg.as_vector(state0, stack=True)[..., :, None]
+    state0 = state0[..., :, None]
     tau = np.asarray(tau, dtype=float)
     l3 = pf.spectrum.l3
     e_shift = shifted_propagator(pf, tau)
@@ -219,10 +218,9 @@ def effective_hamiltonian_route_residual(
     stacked series, so a wrong sign or a missing conjugate shows as an O(1)
     gap, not as rounding.
     """
-    m = linalg.as_square(liouvillian, 4)
-    X0 = linalg.as_square(X0, 4)
-    h = 1j * m
-    e_left, e_right, e_adj, e = linalg.expm(np.stack([1j * h.conj().T, -1j * h, m.T, m]), tau)
+    h = 1j * liouvillian
+    e_left, e_right, e_adj, e = linalg.expm(
+        np.stack([1j * h.conj().T, -1j * h, liouvillian.T, liouvillian]), tau)
     left = e_left @ X0 @ e_right
     right = e_adj @ X0 @ e
     return float(

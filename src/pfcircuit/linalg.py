@@ -1,8 +1,10 @@
 """Dense linear-algebra kernel for the 4x4 (and 2x2) matrices used everywhere else.
 
-Everything operates on plain numpy arrays in double precision.  The matrix
-exponential is a scaling-and-squaring truncated Taylor series that serves as a
-cross-check oracle; the propagator itself is taken through the intertwiner as
+Everything operates on plain numpy arrays in double precision, taken as
+given: the parameters they are built from are checked where they enter the
+package, and numpy raises on a wrong shape.  The matrix exponential is a
+scaling-and-squaring truncated Taylor series that serves as a cross-check
+oracle; the propagator itself is taken through the intertwiner as
 T diag(e^{lambda tau}) T^{-1} in :mod:`pfcircuit.heisenberg`.  The symmetric
 eigensolver is Jacobi's method, so that square roots and spectral norms do not
 depend on the same LAPACK path the tests compare against.  Each sweep runs
@@ -27,8 +29,6 @@ import numpy as np
 from .errors import NotSPD, SeriesOverflow
 
 __all__ = [
-    "as_square",
-    "as_vector",
     "expm",
     "jacobi_eigh",
     "sqrtm_spd",
@@ -47,34 +47,6 @@ JACOBI_MAX_SWEEPS = 50
 _SIGNS = np.array([[[1.0]], [[-1.0]]])
 
 
-def as_square(a, dim: int | None = None, stack: bool = False) -> np.ndarray:
-    """Validate and return a square matrix with finite entries.
-
-    With ``stack``, an (m, n, n) stack of square matrices is accepted as well.
-    """
-    m = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if dim is not None and m.shape[-1] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def as_vector(v, dim: int = 4, stack: bool = False) -> np.ndarray:
-    """Validate and return a length-`dim` vector with finite entries.
-
-    With ``stack``, an (m, dim) stack of vectors, one per row, is accepted as well.
-    """
-    w = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
-    if w.ndim not in ((1, 2) if stack else (1,)) or w.shape[-1] != dim:
-        raise ValueError(f"expected a length-{dim} vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("vector entries must be finite")
-    return w
-
-
 def expm(a, tau=1.0) -> np.ndarray:
     """e^{A tau} by scaling and squaring with TAYLOR_TERMS Taylor terms.
 
@@ -84,7 +56,7 @@ def expm(a, tau=1.0) -> np.ndarray:
     so a length-k tau gives a (k, n, n) stack of exponentials in one series.
     A scalar tau and one matrix give one matrix through the same code.
     """
-    b = as_square(a, stack=True) * np.asarray(tau, dtype=float)[..., None, None]
+    b = a * np.asarray(tau, dtype=float)[..., None, None]
     norm1 = np.max(np.sum(np.abs(b), axis=-2), axis=-1)
     with np.errstate(divide="ignore"):  # log2(0) = -inf, and 0 squarings
         squarings = np.maximum(np.ceil(np.log2(norm1 / 0.5)), 0.0)
@@ -111,14 +83,15 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
     the rounds of :func:`_rounds`, which rotate disjoint (p, q) planes: a
     round takes every angle from the matrix as the round found it, then
     updates the rows p and q of A (R^T A), then the columns p and q of A and
-    V (A R, V R).
+    V (A R, V R).  A complex matrix, or a member whose asymmetry exceeds
+    1e-10 times its largest entry, is refused with ``ValueError``.
     """
-    m = as_square(a, stack=True)
+    m = np.asarray(a)
     if np.iscomplexobj(m):
-        raise ValueError("jacobi_eigh expects a real symmetric matrix")
+        raise ValueError(f"jacobi_eigh expects a real matrix, got {m.dtype}")
     m_t = np.swapaxes(m, -1, -2)
     sym_err = np.max(np.abs(m - m_t), axis=(-2, -1))
-    if np.any(sym_err > 1e-10 * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
+    if np.any(sym_err > 1e-10 * np.max(np.abs(m), axis=(-2, -1))):
         raise ValueError(f"matrix is not symmetric (max asymmetry {np.max(sym_err):.3e})")
     w, v = _jacobi_eigh_stack(((m + m_t) / 2.0).reshape(-1, *m.shape[-2:]), tol, max_sweeps)
     return (w, v) if m.ndim == 3 else (w[0], v[0])
@@ -244,7 +217,7 @@ def sqrtm_spd(a, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarra
     has taken it already; otherwise it is taken here.  Raises :class:`NotSPD`
     when the smallest Jacobi eigenvalue is not positive.
     """
-    w, v = jacobi_eigh(as_square(a)) if eigh is None else eigh
+    w, v = jacobi_eigh(a) if eigh is None else eigh
     if w[0] <= 0.0:
         raise NotSPD("matrix is not positive definite", float(w[0]))
     root = v @ np.diag(np.sqrt(w)) @ v.T
@@ -256,13 +229,10 @@ def spectral_norm(a):
 
     One matrix gives a float and an (m, n, n) stack an array of m norms, from
     one Jacobi run.  Input that is not finite, or whose A^T A leaves the double
-    range, is refused with :class:`SeriesOverflow`.
+    range, is refused with :class:`SeriesOverflow`, and a complex one by
+    :func:`jacobi_eigh`.
     """
-    if np.iscomplexobj(a):
-        raise ValueError("spectral_norm expects a real matrix")
-    m = np.asarray(a, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = np.asarray(a)
     with np.errstate(over="ignore", invalid="ignore"):
         ata = np.swapaxes(m, -1, -2) @ m
     if not (np.isfinite(m).all() and np.isfinite(ata).all()):

@@ -85,8 +85,8 @@ class GainLossReport:
 
     ``energy_lower`` is None when omega0^2 - omega_p^2 < 0 (the lower edge of
     the energy window is imaginary, so the corresponding condition holds
-    automatically).  Divergence signs refer to the definitional quantities:
-    both energies are sums of squares and diverge to +infinity whenever the
+    automatically).  Divergence signs are given for the powers alone: both
+    energies are sums of squares and diverge to +infinity whenever the
     dominant mode is populated; the printed claim that E2 -> -infinity stems
     from the rewritten form and lives in the comparison channel instead.
     """
@@ -98,8 +98,6 @@ class GainLossReport:
     energy_window_ok: bool
     p1_diverges_to: str
     p2_diverges_to: str
-    e1_diverges_to: str
-    e2_diverges_to: str
 
     def to_dict(self) -> dict:
         lower = "imaginary" if self.energy_lower is None else self.energy_lower
@@ -138,6 +136,4 @@ def classify_asymptotics(
         energy_window_ok=bool(energy_ok),
         p1_diverges_to="+" if gain_factor > 0.0 else "-",
         p2_diverges_to="+" if loss_factor > 0.0 else "-",
-        e1_diverges_to="+",
-        e2_diverges_to="+",
     )

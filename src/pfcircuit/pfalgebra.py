@@ -311,7 +311,6 @@ def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
         report.add(f"n_hat{j}_eigenvalues_binary",
                    float(np.max(np.abs(w - np.array([0.0, 0.0, 1.0, 1.0])))), 1e-9)
 
-    liouvillian = linalg.as_square(liouvillian, 4)
     l_scale = np.linalg.norm(liouvillian, "fro")
     report.add("generator_reconstruction", reconstruction_residual(s, liouvillian),
                RECONSTRUCTION_TOL)
@@ -336,8 +335,6 @@ def verify_two_level_pair(a: np.ndarray, b: np.ndarray) -> VerificationReport:
     operators with their norm bounds and mapping/intertwining relations, and
     self-adjointness of the similarity-transported number operator.
     """
-    a = linalg.as_square(a, 2)
-    b = linalg.as_square(b, 2)
     report = VerificationReport()
     na = np.linalg.norm(a, "fro")
     nb = np.linalg.norm(b, "fro")

@@ -1,7 +1,5 @@
 """Biorthogonal families: construction, eigen-relations, metric maps, frame bounds."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -88,14 +86,15 @@ def test_gram_and_resolutions(reference_pair):
 
 
 def test_ladder_construction_matches_columns(reference_pair, reference_pf):
-    phi00 = reference_pair.phi_vec(0, 0)
+    phi00 = reference_pair.phi[:, KN_ORDER.index((0, 0))]
     # vacuum annihilated by both lowering operators
     assert np.linalg.norm(reference_pf.a[0] @ phi00) < 1e-10 * np.linalg.norm(phi00)
     assert np.linalg.norm(reference_pf.a[1] @ phi00) < 1e-10 * np.linalg.norm(phi00)
     for raised, column in (
-        (reference_pf.b[0] @ phi00, reference_pair.phi_vec(1, 0)),
-        (reference_pf.b[1] @ phi00, reference_pair.phi_vec(0, 1)),
-        (reference_pf.b[0] @ reference_pf.b[1] @ phi00, reference_pair.phi_vec(1, 1)),
+        (reference_pf.b[0] @ phi00, reference_pair.phi[:, KN_ORDER.index((1, 0))]),
+        (reference_pf.b[1] @ phi00, reference_pair.phi[:, KN_ORDER.index((0, 1))]),
+        (reference_pf.b[0] @ reference_pf.b[1] @ phi00,
+         reference_pair.phi[:, KN_ORDER.index((1, 1))]),
     ):
         assert np.linalg.norm(raised - column) < 1e-10 * np.linalg.norm(column)
 
@@ -104,7 +103,7 @@ def test_eigen_relations(reference_pair, reference_generator, reference_spectrum
     residuals = eigen_check(reference_pair, reference_generator)
     assert np.max(residuals) < 1e-9
     assert reference_pair.labels[0] == reference_spectrum.l3
-    phi00 = reference_pair.phi_vec(0, 0)
+    phi00 = reference_pair.phi[:, KN_ORDER.index((0, 0))]
     assert np.linalg.norm(reference_generator @ phi00 - reference_spectrum.l3 * phi00) \
         < 1e-10 * np.linalg.norm(phi00)
 
@@ -153,12 +152,3 @@ def test_frame_bounds_flag_a_tenfold_metric_under_a_uniform_gauge(scale):
     seed = 20260810  # verify's probes
     assert frame_bounds(pair, pf.S_phi, pf.S_psi, seed=seed)["within_bounds"]
     assert not frame_bounds(pair, pf.S_phi / 10, pf.S_psi * 10, seed=seed)["within_bounds"]
-
-
-def test_export(reference_pair, reference_spectrum):
-    payload = json.loads(json.dumps(reference_pair.to_dict()))
-    assert len(payload["phi"]) == 4 and len(payload["psi"]) == 4
-    for j, entry in enumerate(payload["phi"]):
-        assert (entry["k"], entry["n"]) == KN_ORDER[j]
-        assert len(entry["vector"]) == 4
-    assert payload["phi"][0]["eigenvalue"] == pytest.approx(reference_spectrum.l3)

@@ -431,10 +431,9 @@ _CATEGORIES = {NotACircuit: (EXIT_CONFIG, "configuration error: "),
 def test_every_refusal_in_exactly_one_category():
     refusals = [cls for cls in vars(errors).values() if isinstance(cls, type)
                 and issubclass(cls, ValueError) and cls not in _CATEGORIES]
-    assert errors.SlopeFitFailure in refusals and errors.GridEmpty in refusals
+    assert errors.SlopeFitFailure in refusals
     for cls in refusals:
-        expected = 0 if cls is errors.GridEmpty else 1
-        assert sum(issubclass(cls, category) for category in _CATEGORIES) == expected, cls
+        assert sum(issubclass(cls, category) for category in _CATEGORIES) == 1, cls
 
 
 @pytest.mark.parametrize("category", list(_CATEGORIES), ids=lambda c: c.__name__)
@@ -1331,10 +1330,26 @@ def test_config_errors(tmp_path, capsys):
         assert run(tmp_path, command, "--config", str(ranges)) == EXIT_CONFIG
         assert capsys.readouterr().err \
             == "configuration error: normalized mode requires mu and gamma\n"
-    # malformed values are refused by name, whether a flag or the file carries them
-    for flags in (["--gauge", "a,1,1,1"], ["--tau-max", "inf"]):
-        assert run(tmp_path, "simulate", "--mu", "0.5", "--gamma", "3", *flags) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error: ")
+    # malformed values are refused by name by every command that takes a point,
+    # whether a flag or the file carries them, before any file is written: the
+    # layers below take their arrays as given
+    nan_literal = tmp_path / "nan.json"
+    nan_literal.write_text('{"mu": 0.5, "gamma": NaN}')  # json.loads accepts NaN
+    point = ["--mu", "0.5", "--gamma", "3"]
+    physical = ["--mode", "physical", "--L", "2", "--C", "2", "--R", "0.4", "--M", "0.7"]
+    malformed = [[*point, "--gauge", "a,1,1,1"], [*point, "--tau-max", "inf"],
+                 ["--mu", "nan", "--gamma", "3"], ["--mu", "0.5", "--gamma", "nan"],
+                 [*point, "--i1", "nan"], [*point, "--tau-max", "nan"],
+                 *([*point, "--gauge", ",".join(["1"] * j + ["nan"] + ["1"] * (3 - j))]
+                   for j in range(4)),
+                 *([*physical[:i], "nan", *physical[i + 1:]] for i in (3, 5, 7, 9)),
+                 ["--config", str(nan_literal)]]
+    out = tmp_path / "malformed"
+    for command in ("validate", "spectrum", "simulate", "verify", "adjoint", "h0", "heisenberg"):
+        for flags in malformed:
+            assert main([command, *flags, "--output", str(out)]) == EXIT_CONFIG, (command, flags)
+            assert capsys.readouterr().err.startswith("configuration error: "), (command, flags)
+            assert not out.exists(), (command, flags)
     # so are non-finite range ends, before linspace writes nan or inf cells
     for mu_range, gamma_range in (("nan:1:2", "1:inf:2"), ("0.1:0.9:3", "1:inf:2")):
         out = tmp_path / "ranges"

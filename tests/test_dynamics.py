@@ -27,6 +27,7 @@ from pfcircuit import (
 )
 from pfcircuit import dynamics as dyn
 from pfcircuit import linalg
+from pfcircuit.basis import KN_ORDER
 from pfcircuit.dynamics import (
     adjoint_circuit_map,
     display_series,
@@ -34,7 +35,6 @@ from pfcircuit.dynamics import (
     format_floats,
     trajectory_columns,
 )
-from pfcircuit.errors import GridEmpty
 from pfcircuit.observables import energy, power
 
 TAU = np.linspace(0.0, 5.0, 1001)
@@ -59,7 +59,7 @@ def test_initial_state_values():
 
 
 def test_coefficients_of_basis_vector(reference_pair):
-    c = coefficients(reference_pair.phi_vec(1, 1), reference_pair)
+    c = coefficients(reference_pair.phi[:, KN_ORDER.index((1, 1))], reference_pair)
     np.testing.assert_allclose(c.vector, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
     assert c.c11 == pytest.approx(1.0, abs=1e-10)
 
@@ -251,15 +251,8 @@ def test_rk4_propagator_equals_stage_form(reference_generator, grid):
     assert np.max(rel) <= 1e-13
 
 
-def test_empty_grid_rejected(reference_coefficients, reference_pair,
-                             reference_spectrum, reference_params, reference_derived):
-    with pytest.raises(GridEmpty):
-        evolve_closed(reference_coefficients, reference_pair, reference_spectrum,
-                      np.array([]), reference_params, reference_derived)
-
-
 def test_adjoint_eigenvector_decay(reference_pair, reference_spectrum):
-    psi00 = reference_pair.psi_vec(0, 0)
+    psi00 = reference_pair.psi[:, KN_ORDER.index((0, 0))]
     grid = np.linspace(0.0, 3.0, 31)
     traj = evolve_adjoint(psi00, reference_pair, reference_spectrum, grid)
     np.testing.assert_array_equal(traj.states[0], psi00)

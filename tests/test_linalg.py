@@ -10,12 +10,6 @@ from pfcircuit import linalg
 from pfcircuit.errors import NotSPD, SeriesOverflow
 
 
-def test_as_square_rejects_nonfinite():
-    bad = np.full((4, 4), np.nan)
-    with pytest.raises(ValueError):
-        linalg.as_square(bad)
-
-
 def test_adjoint_fixes_symmetric(reference_pf):
     assert np.max(np.abs(reference_pf.S_phi - reference_pf.S_phi.T)) == 0.0
 
@@ -328,8 +322,10 @@ def test_jacobi_rotates_when_the_frobenius_norm_overflows():
 def test_jacobi_stack_rejects_an_asymmetric_member():
     stack = np.stack([np.eye(4)] * 3)
     stack[2, 0, 1] = 0.5
-    with pytest.raises(ValueError, match="not symmetric"):
-        linalg.jacobi_eigh(stack)
+    # the bound is relative to the member, so a small matrix has no absolute slack
+    for scale in (1.0, 1e-6, 1e-12):
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.jacobi_eigh(stack * scale)
 
 
 def test_spectral_norm_stack_refuses_overflow():
@@ -344,9 +340,7 @@ def test_spectral_norm_stack_refuses_overflow():
     (np.full((4, 4), 1e200), SeriesOverflow, "overflow"),  # A^T A overflows
     (np.diag([1.0, np.inf, 1.0, 1.0]), SeriesOverflow, "overflow"),
     (np.diag([1.0, np.nan, 1.0, 1.0]), SeriesOverflow, "overflow"),
-    (1j * np.eye(4), ValueError, "real matrix"),
-    (np.ones(4), ValueError, "square matrix"),
-    (np.ones((3, 4)), ValueError, "square matrix"),
+    (1j * np.eye(4), ValueError, "real matrix"),  # refused by jacobi_eigh
 ])
 def test_spectral_norm_refuses_a_single_matrix(a, error, match):
     assert issubclass(SeriesOverflow, ValueError)
