@@ -22,16 +22,16 @@ NumericalRefusal exits 3 at an accepted point: an intertwiner too
 ill-conditioned for the metric or for a failed kappa^2 check
 (IllConditioned), a non-positive-definite metric, a heisenberg generator
 reconstruction that fails beyond its kappa^2 bound (ReconstructionFailure, a
-defect), no window for verify's log-slope fits (SlopeFitFailure), or a
-series that overflows on the tau grid.
+defect), or a series that overflows on the tau grid.
 Each command returns its files as bytes pieces, with its stdout lines and exit
 code, and main alone writes them once the command has returned, so every
 refusal comes before any file is written.  A file is moved into place from a
 temporary name after its last piece, and an OSError exits 4 ("cannot write
 output"), leaving no temporary file.
-verify writes a reported-only channel that gives no number as null, its
-RK4 oracle picks its own step from the generator (see dynamics.evolve_rk4),
-and its asymptotic checks pick their own window from the model (see verify).
+verify writes a check that gives no number as null (a reported-only channel,
+or an asymptotic check where the dominant mode is unpopulated), its RK4
+oracle picks its own step from the generator (see dynamics.evolve_rk4), and
+its asymptotic checks pick their own window from the model (see verify).
 All outputs are deterministic: fixed float formatting, fixed key and row ordering.
 """
 

@@ -63,10 +63,6 @@ class ReconstructionFailure(NumericalRefusal):
     """lambda1 N1 + lambda2 N2 + l3 I misses the generator beyond its kappa^2 bound: a defect."""
 
 
-class SlopeFitFailure(NumericalRefusal):
-    """No window below the overflow horizon keeps the log-slopes of verify's fits within 1e-3."""
-
-
 class RegimeRejected(RegimeRefusal):
     """Parameters fall outside the real-spectrum regime."""
 

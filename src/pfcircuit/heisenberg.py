@@ -208,21 +208,21 @@ def expectation_consistency_residual(X0: np.ndarray, state0: np.ndarray, pf: PFS
 
 
 def effective_hamiltonian_route_residual(
-    liouvillian: np.ndarray, X0: np.ndarray, tau: float
+    liouvillian: np.ndarray, pf: PFSystem, X0: np.ndarray, tau: float
 ) -> float:
-    """Cross-check the H = i*L convention against the real-generator route.
+    """Cross-check the H = i*L convention against the operator system's propagator.
 
-    Computes e^{i H^+ tau} X0 e^{-i H tau} with the complex Taylor exponential
-    and compares against e^{L^+ tau} X0 e^{L tau}; agreement pins down the
-    sign/convention once and for all.  The four exponentials come from one
-    stacked series, so a wrong sign or a missing conjugate shows as an O(1)
-    gap, not as rounding.
+    Computes e^{i H^+ tau} X0 e^{-i H tau} with the complex Taylor exponential of
+    the generator and compares it with E^+ X0 E, where E = e^{l3 tau} e^{Lt tau}
+    is the closed-form propagator T diag(e^{lambda tau}) T^-1, scaled factor by
+    factor.  A wrong sign or a missing conjugate shows as an O(1) gap, and so
+    does a fault in T, T^-1 or the spectrum.
     """
     h = 1j * liouvillian
-    e_left, e_right, e_adj, e = linalg.expm(
-        np.stack([1j * h.conj().T, -1j * h, liouvillian.T, liouvillian]), tau)
+    e_left, e_right = linalg.expm(np.stack([1j * h.conj().T, -1j * h]), tau)
+    e = np.exp(pf.spectrum.l3 * tau) * shifted_propagator(pf, tau)
     left = e_left @ X0 @ e_right
-    right = e_adj @ X0 @ e
+    right = e.T @ X0 @ e
     return float(
         np.linalg.norm(left - right, "fro") / max(np.linalg.norm(right, "fro"), 1e-300)
     )

@@ -1,6 +1,7 @@
 """Observable evolution under the non-self-adjoint generator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,9 +157,19 @@ def test_growth_premise_holds_in_orthogonal_limit(reference_spectrum):
     assert linalg.spectral_norm(projection) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_effective_hamiltonian_route(reference_generator):
+def test_effective_hamiltonian_route(reference_generator, reference_pf):
     x0 = np.diag([1.0, 2.0, -1.0, 0.5])
-    assert effective_hamiltonian_route_residual(reference_generator, x0, 0.9) < 1e-9
+    assert effective_hamiltonian_route_residual(reference_generator, reference_pf, x0, 0.9) < 1e-9
+
+
+def test_effective_hamiltonian_route_sees_a_fault_in_the_inverse(reference_generator,
+                                                                 reference_pf):
+    # its Taylor side reads only L, so a wrong entry of T^-1 shows
+    t_inv = reference_pf.T_inv.copy()
+    t_inv[1, 2] += 1e-3
+    faulty = replace(reference_pf, T_inv=t_inv)
+    x0 = np.diag([1.0, 2.0, -1.0, 0.5])
+    assert effective_hamiltonian_route_residual(reference_generator, faulty, x0, 0.9) > 1e-9
 
 
 def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):

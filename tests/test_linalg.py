@@ -30,7 +30,7 @@ def test_expm_tau_stack_matches_the_scalar_call(reference_generator):
 
 
 def test_expm_matrix_stack_matches_the_single_calls(reference_generator):
-    # complex and real members in one stack, as effective_hamiltonian_route_residual takes them
+    # complex and real members in one stack, each with its own squarings
     mats = [reference_generator, reference_generator.T, 1j * reference_generator, np.zeros((4, 4))]
     stack = linalg.expm(np.stack(mats), 0.9)
     for m, member in zip(mats, stack):

@@ -2,8 +2,9 @@
 
 The dynamics are linear in the initial state, so scaling i1 changes no verdict;
 D L(mu) D = L(-mu) with D = diag(1, -1, 1, -1), so the sign of mu changes none;
-and a physical circuit runs the dynamics of its normalized image.  Points are
-drawn with stdlib ``random`` seeds.
+a physical circuit runs the dynamics of its normalized image; and a uniform
+gauge scales T by c and psi by 1/c, so the trajectory moves by roundoff only.
+Points are drawn with stdlib ``random`` seeds.
 """
 
 import json
@@ -24,6 +25,10 @@ _GRID_MU, _GRID_GAMMA = np.linspace(-0.98, 0.98, 25), np.geomspace(1.2, 200.0, 2
 #: the one residual whose printed numerators attach i1 to only part of each term
 _NOT_HOMOGENEOUS = "dynamics/reported_paper_coefficient_deviation"
 _KEYS = json.loads((Path(__file__).parents[1] / "bench" / "verify_keys.json").read_text())
+#: c of the gap between two simulate runs under c*u*kappa(T): each is within n = 4 times its
+#: three operations on T (psi's closed form, the projection psi^T psi0 and the modal sum
+#: T e^{Lambda tau} c) of the exact states, so two of them are within 2 * 12
+_UNIFORM_GAUGE_C = 24.0
 
 
 def _report(params, gauge=Gauge()):
@@ -94,3 +99,17 @@ def test_physical_circuit_and_its_normalized_image_agree():
         derived = derive(physical)
         image = normalized(derived.mu, derived.gamma)
         assert _verdict(physical) == _verdict(image), (L, C, mu, gamma)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 3.0, 1e6])
+def test_uniform_gauge_moves_simulate_by_roundoff_only(tmp_path, scale):
+    rows = []
+    for gauge in ([1.0] * 4, [scale] * 4):
+        out = tmp_path / repr(gauge[0])
+        assert main(["simulate", "--mu", "0.5", "--gamma", "3", "--gauge",
+                     ",".join(map(repr, gauge)), "--output", str(out)]) == EXIT_OK
+        data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+        rows.append(np.stack([data[name] for name in ("V1", "V2", "V1p", "V2p")], axis=1))
+    gap = np.linalg.norm(rows[1] - rows[0], axis=1) / np.linalg.norm(rows[0], axis=1)
+    kappa = Model(normalized(0.5, 3.0)).pair.kappa  # no uniform gauge changes it
+    assert np.max(gap) <= _UNIFORM_GAUGE_C * 2.0**-53 * kappa, np.max(gap)
