@@ -32,7 +32,7 @@ traj = model.evolve(tau)
 
 # independent oracle: classical RK4 on the same grid
 oracle = evolve_rk4(model.generator, model.psi0, tau)
-gap = np.max(np.linalg.norm(traj.states - oracle.states, axis=1)
+gap = np.max(np.linalg.norm(traj.states - oracle, axis=1)
              / np.maximum(1.0, np.linalg.norm(traj.states, axis=1)))
 print(f"closed form vs RK4, max relative gap: {gap:.3e}")
 

@@ -11,12 +11,12 @@ import numpy as np
 
 from pfcircuit import (
     Gauge, build_bases, build_T, build_liouvillian, build_pf, derive, normalized,
-    pf_verify, spectrum,
+    pf_verify, spectrum, validate,
 )
 from pfcircuit.pfalgebra import fermion_generators, verify_two_level_pair
 
 derived = derive(normalized(mu=0.5, gamma=3.0))
-spec = spectrum(derived)
+spec = spectrum(derived, validate(derived))
 generator = build_liouvillian(derived)
 
 a1, a2 = fermion_generators()

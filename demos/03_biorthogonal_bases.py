@@ -11,16 +11,18 @@ S_phi = T T^+ maps one family onto the other.
 
 import numpy as np
 
-from pfcircuit import build_T, build_bases, build_liouvillian, derive, normalized, spectrum
+from pfcircuit import (
+    Gauge, build_T, build_bases, build_liouvillian, derive, linalg, normalized, spectrum, validate,
+)
 from pfcircuit.basis import (
     KN_ORDER, eigen_check, expand, frame_bounds, gram_residual, metric_map_check,
     reconstruct, resolution_residuals,
 )
 
 derived = derive(normalized(mu=0.5, gamma=3.0))
-spec = spectrum(derived)
+spec = spectrum(derived, validate(derived))
 generator = build_liouvillian(derived)
-T, _ = build_T(spec, derived)
+T, _ = build_T(spec, derived, Gauge())
 pair = build_bases(T, spec, derived)
 
 g = derived.gamma
@@ -51,8 +53,8 @@ print(f"\nexpansion weights of a random vector: {np.array2string(weights, precis
 print(f"reconstruction error: {np.linalg.norm(reconstruct(pair, weights) - v):.3e}")
 
 # numerical frame-bound evidence (the families are images of an orthonormal
-# basis under a bounded invertible map)
-frame = frame_bounds(pair, s_phi, s_psi, n_samples=500, seed=1)
+# basis under a bounded invertible map), within the metrics' extreme eigenvalues
+frame = frame_bounds(pair, linalg.jacobi_eigh(np.stack([s_phi, s_psi]))[0], seed=1)
 print(f"\nframe bounds [{frame['lower_bound']:.4f}, {frame['upper_bound']:.4f}]")
 print(f"observed range [{frame['min_observed']:.4f}, {frame['max_observed']:.4f}]"
       f"  within bounds: {frame['within_bounds']}")

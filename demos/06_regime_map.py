@@ -28,10 +28,11 @@ l4_below_gamma = 0
 for mu in mus:
     for gamma in gammas:
         derived = derive(normalized(float(mu), float(gamma)))
-        if not validate(derived).accepted:
+        report = validate(derived)
+        if not report.accepted:
             continue
         inside += 1
-        spec = spectrum(derived)
+        spec = spectrum(derived, report)
         gl = classify_asymptotics(spec, derived, normalized(float(mu), float(gamma)))
         if spec.l4 < derived.gamma and gl.power_window_ok and gl.energy_window_ok:
             l4_below_gamma += 1

@@ -41,6 +41,8 @@ UNIT_ROUNDOFF = 2.0**-53
 #: error, and Jacobi's extreme eigenvalues 1e-14*||S||_F, at most 2e-14 of
 #: ||S||_2; relative, so that it scales with the gauge as values and bounds do
 FRAME_RTOL = 1e-9
+#: probe vectors of :func:`frame_bounds`
+FRAME_PROBES = 200
 
 
 class BasisPair:
@@ -126,26 +128,19 @@ def reconstruct(pair: BasisPair, weights: np.ndarray) -> np.ndarray:
     return (pair.phi @ np.asarray(weights, dtype=float).T).T
 
 
-def frame_bounds(
-    pair: BasisPair, S_phi: np.ndarray, S_psi: np.ndarray, n_samples: int = 200, seed: int = 0,
-    eigenvalues: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict:
+def frame_bounds(pair: BasisPair, eigenvalues: tuple[np.ndarray, np.ndarray], seed: int) -> dict:
     """Numerical frame-bound evidence for the phi family.
 
-    For normalised probe vectors f (rows of :func:`linalg.probes` scaled to
-    unit length), sum_kn |<phi_kn, f>|^2 equals <f, S_phi f> and must lie
-    within the extreme eigenvalues of S_phi, i.e. [1/||S_psi||, ||S_phi||],
-    with S_psi = S_phi^-1 given as in :func:`metric_map_check`.  For these
-    symmetric matrices ||S|| = max |eigenvalue|; ``eigenvalues`` holds those
-    of S_phi and S_psi when the caller has decomposed them already, and
-    otherwise they are taken here.  Returns the measured extremes together
-    with the bounds.
+    For FRAME_PROBES normalised probe vectors f (rows of :func:`linalg.probes`
+    scaled to unit length), sum_kn |<phi_kn, f>|^2 equals <f, S_phi f> and must
+    lie within the extreme eigenvalues of S_phi, i.e. [1/||S_psi||, ||S_phi||],
+    with S_psi = S_phi^-1.  ``eigenvalues`` holds the Jacobi eigenvalues of
+    S_phi and of S_psi, and for these symmetric matrices ||S|| = max
+    |eigenvalue|.  Returns the measured extremes together with the bounds.
     """
-    if eigenvalues is None:
-        eigenvalues = linalg.jacobi_eigh(np.stack([S_phi, S_psi]))[0]
     upper, inverse_lower = (float(np.max(np.abs(w))) for w in eigenvalues)
     lower = 1.0 / inverse_lower
-    f = linalg.probes(seed, (n_samples, 4))
+    f = linalg.probes(seed, (FRAME_PROBES, 4))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     values = np.sum((f @ pair.phi) ** 2, axis=1)
     lowest, highest = float(np.min(values)), float(np.max(values))

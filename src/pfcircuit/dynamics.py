@@ -65,7 +65,7 @@ class Coefficients:
 
     vector: np.ndarray
     """Weights in column order (0,0), (1,0), (0,1), (1,1)."""
-    t24: float = 1.0
+    t24: float
     """T[1, 3], the scale of the (1,1) column that the weights expand over."""
 
     @property
@@ -79,7 +79,7 @@ class Coefficients:
         return self.c11 * self.t24
 
 
-def initial_state(i1: float, capacitance: float = 1.0, omega0: float = 1.0) -> np.ndarray:
+def initial_state(i1: float, capacitance: float, omega0: float) -> np.ndarray:
     """Standard initial condition V1 = V2 = I2 = 0, I1 = i1.
 
     Resolving the current relation at t = 0 puts the whole excitation in the
@@ -125,7 +125,7 @@ def coefficients_paper(
     deltas: np.ndarray,
     t: np.ndarray,
     i1: float,
-    capacitance: float = 1.0,
+    capacitance: float,
 ) -> PaperCoefficientComparison | None:
     """Evaluate the printed closed-form coefficients and compare to the projection.
 
@@ -159,23 +159,20 @@ def coefficients_paper(
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """Sampled 4-vector evolution, optionally with its modal decomposition.
+    """Sampled 4-vector evolution with its modal decomposition.
 
-    When ``mode_rates``/``mode_weights`` are present the trajectory is the
-    exact exponential sum states(tau) = sum_j weights[j] * e^(rates[j] tau),
-    and derivatives of any order are analytic.
+    The trajectory is the exact exponential sum
+    states(tau) = sum_j weights[j] * e^(rates[j] tau), so its derivative is analytic.
     """
 
     tau: np.ndarray
     states: np.ndarray
-    mode_rates: np.ndarray | None = None
-    mode_weights: np.ndarray | None = None
+    mode_rates: np.ndarray
+    mode_weights: np.ndarray
 
-    def derivative(self, order: int = 1) -> np.ndarray:
-        """Analytic tau-derivative of the state samples; requires modal data."""
-        if self.mode_rates is None or self.mode_weights is None:
-            raise ValueError("trajectory carries no modal data; derivatives unavailable")
-        scaled = self.mode_weights * (self.mode_rates[:, None] ** order)
+    def derivative(self) -> np.ndarray:
+        """Analytic tau-derivative of the state samples."""
+        scaled = self.mode_weights * self.mode_rates[:, None]
         exps = np.exp(np.outer(self.mode_rates, self.tau))
         return (scaled.T @ exps).T
 
@@ -259,8 +256,8 @@ def _power(inc: np.ndarray, n: int) -> np.ndarray:
         inc = _compose(inc, inc)
 
 
-def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTrajectory:
-    """Classical fourth-order Runge-Kutta oracle for Psi' = L Psi.
+def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta oracle for Psi' = L Psi: the (n, 4) states on the grid.
 
     The target step is h = min(RK4_DEFAULT_STEP, z/r), with r = ||L||_inf,
     which bounds every |eigenvalue| without reading the closed form.  One step
@@ -305,7 +302,7 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> StateTraj
             offset *= 2
         states[start + 1:start + 1 + len(scan)] = y + scan @ y
         y = states[start + len(scan)]
-    return StateTrajectory(tau=tau, states=states)
+    return states
 
 
 def evolve_adjoint(
@@ -343,8 +340,9 @@ class AdjointCircuitReport:
     relations (columns: both voltage equations, then both current equations).
     ``strict`` tells which identification was used (strict iff L = C = 1).
     ``paper_literal_map_max_residual`` measures the printed "-L*V" relabeling
-    in non-normalized units; it is reported, not asserted, because that map is
-    not consistent with the circuit relations unless L = C = 1.
+    in non-normalized units, and is None in strict ones; it is reported, not
+    asserted, because that map is not consistent with the circuit relations
+    unless L = C = 1.
     """
 
     currents: np.ndarray
@@ -354,7 +352,7 @@ class AdjointCircuitReport:
     residuals: np.ndarray
     max_residual: float
     strict: bool
-    paper_literal_map_max_residual: float | None = None
+    paper_literal_map_max_residual: float | None
 
 
 def _circuit_relation_residuals(
@@ -388,7 +386,7 @@ def adjoint_circuit_map(
     """
     strict = params.L == 1.0 and params.C == 1.0
     x = xtraj.states
-    dx = xtraj.derivative(1)
+    dx = xtraj.derivative()
     v_scale = 1.0 if strict else params.C * derived.omega0
     residuals = _circuit_relation_residuals(x, dx, v_scale, params, derived)
     paper_literal = None
@@ -416,8 +414,6 @@ def quartic_residual(traj: StateTrajectory, derived: DerivedParams) -> np.ndarra
     voltage components using the analytic modal derivatives, scaled by the
     largest single term contributing at each sample.  Shape (2, n).
     """
-    if traj.mode_rates is None or traj.mode_weights is None:
-        raise ValueError("quartic residual needs a closed-form (modal) trajectory")
     a, g, m = derived.alpha, derived.gamma, derived.mu
     c2 = 2.0 * a - g * g
     c0 = a * a * (1.0 - m * m)

@@ -14,8 +14,10 @@ the whole stack, and the sweeps stop once the off-diagonal norm is at most
 JACOBI_TOL times ||A||_F, a threshold relative to the matrix.  The Jacobi
 eigensolver, the spectral norm and the exponential each run one matrix and an
 (m, n, n) stack through one body; the exponential also takes a stack of
-times.  Probe vectors for the numerical checks come from :func:`probes`, which
-reads the stdlib generator, so no command loads ``numpy.random``.
+times.  The square root takes a Jacobi decomposition that its caller holds,
+so no metric is decomposed twice.  Probe vectors for the numerical checks
+come from :func:`probes`, which reads the stdlib generator, so no command
+loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ JACOBI_MAX_SWEEPS = 50
 _SIGNS = np.array([[[1.0]], [[-1.0]]])
 
 
-def expm(a, tau=1.0) -> np.ndarray:
+def expm(a, tau) -> np.ndarray:
     """e^{A tau} by scaling and squaring with TAYLOR_TERMS Taylor terms.
 
     Each member A tau is scaled by 2^-s until ||A tau / 2^s||_1 < 0.5, then
@@ -72,13 +74,13 @@ def expm(a, tau=1.0) -> np.ndarray:
     return result
 
 
-def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_eigh(a):
     """Eigen-decomposition of a real symmetric matrix by Jacobi rotations in round-robin rounds.
 
     Returns ``(w, V)`` with ascending eigenvalues and orthonormal columns; an
     (m, n, n) stack gives (m, n) eigenvalues and (m, n, n) vectors.
     Sweeps stop once the off-diagonal Frobenius norm is at most
-    ``tol * ||A||_F`` or after ``max_sweeps`` sweeps; ||A||_F is taken
+    JACOBI_TOL * ||A||_F or after JACOBI_MAX_SWEEPS sweeps; ||A||_F is taken
     scaled by the largest entry when its square overflows.  Each sweep runs
     the rounds of :func:`_rounds`, which rotate disjoint (p, q) planes: a
     round takes every angle from the matrix as the round found it, then
@@ -93,7 +95,7 @@ def jacobi_eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS)
     sym_err = np.max(np.abs(m - m_t), axis=(-2, -1))
     if np.any(sym_err > 1e-10 * np.max(np.abs(m), axis=(-2, -1))):
         raise ValueError(f"matrix is not symmetric (max asymmetry {np.max(sym_err):.3e})")
-    w, v = _jacobi_eigh_stack(((m + m_t) / 2.0).reshape(-1, *m.shape[-2:]), tol, max_sweeps)
+    w, v = _jacobi_eigh_stack(((m + m_t) / 2.0).reshape(-1, *m.shape[-2:]))
     return (w, v) if m.ndim == 3 else (w[0], v[0])
 
 
@@ -123,15 +125,16 @@ def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 # inf and nan propagate, as in float arithmetic; a zero pivot's angle divides
 # by zero, and its rotation is discarded
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
+def _jacobi_eigh_stack(w: np.ndarray):
     """The Jacobi sweeps of :func:`jacobi_eigh` on every member of a symmetric (m, n, n) stack.
 
     The members run together with the stack on the last axis, each through the
     same rounds and stopping rule, so a member's bits do not depend on the
-    rest of the stack.  A member leaves the live set once its off-diagonal
-    norm passes the test.  A member whose pivot a_pq is exactly zero keeps its
-    rows and columns p and q unchanged in that round: rotating it by c = 1,
-    s = 0 could flip the sign of a zero, or make inf * 0 a nan.
+    rest of the stack.  JACOBI_TOL and JACOBI_MAX_SWEEPS are read at each
+    call.  A member leaves the live set once its off-diagonal norm passes the
+    test.  A member whose pivot a_pq is exactly zero keeps its rows and
+    columns p and q unchanged in that round: rotating it by c = 1, s = 0
+    could flip the sign of a zero, or make inf * 0 a nan.
     """
     m, n, _ = w.shape
     flat = w.reshape(m, n * n)
@@ -140,7 +143,7 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
     overflowed = ~np.isfinite(frobenius)
     if overflowed.any():
         frobenius[overflowed] = _scaled_frobenius(flat[overflowed])
-    threshold = tol * frobenius
+    threshold = JACOBI_TOL * frobenius
     # A stacked over V, member index last: a round's row update touches the
     # first n rows, and its column update both A and V at once
     av = np.empty((2 * n, n, m))
@@ -156,7 +159,7 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
         eigenvalues[live[members]] = np.diagonal(av[:n, :, members])
         vectors[live[members]] = av[n:, :, members].transpose(2, 0, 1)
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # off-diagonal norm taken entrywise, as ||A||_F^2 - sum a_ii^2 cancels
         # catastrophically for ill-conditioned input; the squares are added one
         # by one in a fixed order, as this test decides the number of sweeps and
@@ -192,7 +195,7 @@ def _jacobi_eigh_stack(w: np.ndarray, tol: float, max_sweeps: int):
                 np.copyto(rotated, x, where=held)
             av[:, pairs] = rotated
     else:
-        retire(slice(None))  # members still live after max_sweeps
+        retire(slice(None))  # members still live after JACOBI_MAX_SWEEPS
     order = np.argsort(eigenvalues, axis=-1)
     members = np.arange(m)[:, None]  # column j of a member's V is its vector order[j]
     return (eigenvalues[members, order],
@@ -210,14 +213,13 @@ def _scaled_frobenius(flat: np.ndarray) -> np.ndarray:
     return s * np.sqrt(scaled[:, None, :] @ scaled[:, :, None])[:, 0, 0]
 
 
-def sqrtm_spd(a, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix.
+def sqrtm_spd(eigh: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Symmetric square root of a symmetric positive-definite matrix, from its
+    :func:`jacobi_eigh` decomposition ``(w, V)``.
 
-    ``eigh`` is the matrix's :func:`jacobi_eigh` decomposition when the caller
-    has taken it already; otherwise it is taken here.  Raises :class:`NotSPD`
-    when the smallest Jacobi eigenvalue is not positive.
+    Raises :class:`NotSPD` when the smallest Jacobi eigenvalue is not positive.
     """
-    w, v = jacobi_eigh(a) if eigh is None else eigh
+    w, v = eigh
     if w[0] <= 0.0:
         raise NotSPD("matrix is not positive definite", float(w[0]))
     root = v @ np.diag(np.sqrt(w)) @ v.T

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import RegimeRejected
-from .params import DerivedParams, RegimeReport, validate
+from .params import DerivedParams, RegimeReport
 
 __all__ = [
     "Spectrum",
@@ -75,18 +75,16 @@ def build_liouvillian(derived: DerivedParams) -> np.ndarray:
     ])
 
 
-def spectrum(derived: DerivedParams, report: RegimeReport | None = None) -> Spectrum:
+def spectrum(derived: DerivedParams, report: RegimeReport) -> Spectrum:
     """Closed-form spectrum in the accepted regime, with no cancelling subtraction.
 
     l4^2 = (gamma^2 - 2 alpha + sqrt(rho))/2 adds positive terms, and l2 comes
     from l2 * l4 = sqrt(alpha): l2^2 and l4^2 are the roots of the quartic in
     l^2, whose constant term is alpha^2 (1 - mu^2) = alpha.  ``report`` is
-    :func:`params.validate`'s report of ``derived`` when the caller holds it
-    already; otherwise validation runs here.  Raises :class:`RegimeRejected`
-    outside the strict regime; close pairs are judged by kappa(T) in :mod:`basis`.
+    :func:`params.validate`'s report of ``derived``, which supplies rho.
+    Raises :class:`RegimeRejected` outside the strict regime; close pairs are
+    judged by kappa(T) in :mod:`basis`.
     """
-    if report is None:
-        report = validate(derived)
     if not report.spectrally_valid:
         raise RegimeRejected(
             f"spectral regime rejected for mu={derived.mu}, gamma={derived.gamma}: "

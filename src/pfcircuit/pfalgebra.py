@@ -97,9 +97,7 @@ def build_h0(spec: Spectrum) -> np.ndarray:
     return spec.lambda1 * (a1.T @ a1) + spec.lambda2 * (a2.T @ a2)
 
 
-def build_T(
-    spec: Spectrum, derived: DerivedParams, gauge: Gauge = Gauge()
-) -> tuple[np.ndarray, np.ndarray]:
+def build_T(spec: Spectrum, derived: DerivedParams, gauge: Gauge) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the intertwiner and its column parameters.
 
     Column j of T is the generator's eigenvector t (delta, 1, l delta, l) for
@@ -195,7 +193,7 @@ class VerificationReport:
         self.checks[name] = Check(residual=None if residual is None else float(residual),
                                   tolerance=tolerance, passed=passed)
 
-    def merge(self, other: "VerificationReport", prefix: str = "") -> None:
+    def merge(self, other: "VerificationReport", prefix: str) -> None:
         for name, check in other.checks.items():
             self.checks[prefix + name] = check
 
@@ -302,8 +300,8 @@ def pf_verify(system: PFSystem, liouvillian: np.ndarray) -> VerificationReport:
                    _rel(s.S_phi @ nj.T - nj @ s.S_phi, sphi_scale * nnj), 1e-9)
 
     # similarity-transported number operators are symmetric with spectrum {0, 1}
-    sqrt_S_psi = linalg.sqrtm_spd(s.S_psi, eigh_psi)
-    sqrt_S_phi = linalg.sqrtm_spd(s.S_phi, eigh_phi)  # equals S_psi^{-1/2}
+    sqrt_S_psi = linalg.sqrtm_spd(eigh_psi)
+    sqrt_S_phi = linalg.sqrtm_spd(eigh_phi)  # equals S_psi^{-1/2}
     n_hats = sqrt_S_psi @ s.N @ sqrt_S_phi
     spectra, _ = linalg.jacobi_eigh((n_hats + np.swapaxes(n_hats, 1, 2)) / 2.0)
     for j, nh, w in zip("12", n_hats, spectra):
@@ -390,6 +388,6 @@ def verify_two_level_pair(a: np.ndarray, b: np.ndarray) -> VerificationReport:
     report.add("intertwining_Sphi_Nadj",
                _rel(s_phi @ n_op.T - n_op @ s_phi, np.linalg.norm(s_phi, "fro") * n_scale), 1e-10)
 
-    n_hat = linalg.sqrtm_spd(s_psi, eigh_psi) @ n_op @ linalg.sqrtm_spd(s_phi, eigh_phi)
+    n_hat = linalg.sqrtm_spd(eigh_psi) @ n_op @ linalg.sqrtm_spd(eigh_phi)
     report.add("n_hat_symmetric", _rel(n_hat - n_hat.T, np.linalg.norm(n_hat, "fro")), 1e-9)
     return report

@@ -63,7 +63,7 @@ def test_criterion_1_regime_and_spectrum():
         report = validate(derived)
         assert report.accepted
         assert abs(report.rho - 313.0 / 9.0) < 1e-12 * (313.0 / 9.0)
-        spec = spectrum(derived)
+        spec = spectrum(derived, report)
         assert spec.l2 == -spec.l1 and spec.l4 == -spec.l3
         assert spec.l3 < spec.l1 < 0.0 < spec.l2 < spec.l4
         assert abs(spec.lambda3 - (spec.lambda1 + spec.lambda2)) < 1e-12
@@ -73,7 +73,8 @@ def test_criterion_1_regime_and_spectrum():
         roots = np.sort(np.roots(quartic).real)
         closed = np.sort([spec.l1, spec.l2, spec.l3, spec.l4])
         assert np.max(np.abs(closed - roots)) < 1e-9
-        decoupled = spectrum(derive(normalized(0.0, 3.0)))
+        decoupled_derived = derive(normalized(0.0, 3.0))
+        decoupled = spectrum(decoupled_derived, validate(decoupled_derived))
         assert abs(decoupled.l4 - (3.0 + math.sqrt(5.0)) / 2.0) < 1e-12
 
 
@@ -127,7 +128,7 @@ def test_criterion_4_dynamics():
         pair, psi0 = model.pair, model.psi0
         closed = model.evolve(TAU)
         rk4 = evolve_rk4(gen, psi0, TAU)
-        deviation = np.linalg.norm(closed.states - rk4.states, axis=1)
+        deviation = np.linalg.norm(closed.states - rk4, axis=1)
         scale = np.maximum(1.0, np.linalg.norm(closed.states, axis=1))
         assert np.max(deviation / scale) < 1e-6
 

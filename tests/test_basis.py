@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pfcircuit import Gauge, Model, build_T, build_bases, normalized
+from pfcircuit import Gauge, Model, build_T, build_bases, linalg, normalized
 from pfcircuit.basis import (
     KN_ORDER,
     BasisPair,
@@ -136,8 +136,7 @@ def test_expansion_identity(reference_pair):
 
 
 def test_frame_bounds(reference_pair, reference_pf):
-    result = frame_bounds(reference_pair, reference_pf.S_phi, reference_pf.S_psi,
-                          n_samples=200, seed=0)
+    result = frame_bounds(reference_pair, [w for w, _ in reference_pf.metric_eigh], seed=0)
     assert result["within_bounds"]
     assert result["lower_bound"] <= result["min_observed"] + 1e-9
     assert result["max_observed"] <= result["upper_bound"] + 1e-9
@@ -150,5 +149,6 @@ def test_frame_bounds_flag_a_tenfold_metric_under_a_uniform_gauge(scale):
     model = Model(normalized(0.5, 3.0), Gauge(*[scale] * 4))
     pair, pf = model.pair, model.pf
     seed = 20260810  # verify's probes
-    assert frame_bounds(pair, pf.S_phi, pf.S_psi, seed=seed)["within_bounds"]
-    assert not frame_bounds(pair, pf.S_phi / 10, pf.S_psi * 10, seed=seed)["within_bounds"]
+    assert frame_bounds(pair, [w for w, _ in pf.metric_eigh], seed)["within_bounds"]
+    tenfold = linalg.jacobi_eigh(np.stack([pf.S_phi / 10, pf.S_psi * 10]))[0]
+    assert not frame_bounds(pair, tenfold, seed)["within_bounds"]

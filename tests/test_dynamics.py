@@ -24,6 +24,7 @@ from pfcircuit import (
     normalized,
     quartic_residual,
     spectrum,
+    validate,
 )
 from pfcircuit import dynamics as dyn
 from pfcircuit import linalg
@@ -45,16 +46,16 @@ def reference_trajectory(reference_coefficients, reference_pair, reference_spect
                          reference_params, reference_derived):
     return evolve_closed(reference_coefficients, reference_pair, reference_spectrum,
                          TAU, reference_params, reference_derived,
-                         psi0=initial_state(1.0))
+                         psi0=initial_state(1.0, 1.0, 1.0))
 
 
 def test_initial_state_values():
-    np.testing.assert_array_equal(initial_state(1.0), [0.0, 0.0, -1.0, 0.0])
-    np.testing.assert_array_equal(initial_state(0.0), np.zeros(4))
-    np.testing.assert_array_equal(initial_state(2.0, capacitance=0.5),
+    np.testing.assert_array_equal(initial_state(1.0, 1.0, 1.0), [0.0, 0.0, -1.0, 0.0])
+    np.testing.assert_array_equal(initial_state(0.0, 1.0, 1.0), np.zeros(4))
+    np.testing.assert_array_equal(initial_state(2.0, 0.5, 1.0),
                                   [0.0, 0.0, -4.0, 0.0])
     # non-normalized units carry the omega0 factor
-    np.testing.assert_allclose(initial_state(1.0, capacitance=2.0, omega0=0.5),
+    np.testing.assert_allclose(initial_state(1.0, 2.0, 0.5),
                                [0.0, 0.0, -1.0, 0.0])
 
 
@@ -65,12 +66,12 @@ def test_coefficients_of_basis_vector(reference_pair):
 
 
 def test_coefficients_zero_current(reference_pair):
-    c = coefficients(initial_state(0.0), reference_pair)
+    c = coefficients(initial_state(0.0, 1.0, 1.0), reference_pair)
     np.testing.assert_array_equal(c.vector, np.zeros(4))
 
 
 def test_coefficients_reconstruction(reference_pair):
-    psi0 = initial_state(1.0)
+    psi0 = initial_state(1.0, 1.0, 1.0)
     c = coefficients(psi0, reference_pair)
     recon = reference_pair.phi @ c.vector
     assert np.linalg.norm(recon - psi0) < 1e-12 * np.linalg.norm(psi0)
@@ -91,7 +92,7 @@ def test_paper_coefficient_comparison(reference_model):
 
 
 def test_paper_coefficients_zero_current(reference_model):
-    result = _paper(reference_model, coefficients(initial_state(0.0), reference_model.pair),
+    result = _paper(reference_model, coefficients(initial_state(0.0, 1.0, 1.0), reference_model.pair),
                     i1=0.0)
     np.testing.assert_array_equal(result.projection, np.zeros(4))
     # the printed numerators keep their current-free terms, so the relative
@@ -106,7 +107,7 @@ def test_paper_coefficient_projection_physical_units():
     assert model.derived.omega0 == pytest.approx(0.5)
     psi0 = initial_state(1.0, model.params.C, model.derived.omega0)
     np.testing.assert_array_equal(model.psi0, psi0)
-    assert not np.array_equal(psi0, initial_state(1.0, model.params.C))
+    assert not np.array_equal(psi0, initial_state(1.0, model.params.C, 1.0))
     recon = model.pair.phi @ model.coeffs.vector
     assert np.linalg.norm(recon - psi0) < 1e-12 * np.linalg.norm(psi0)
     np.testing.assert_array_equal(_paper(model, capacitance=model.params.C).projection,
@@ -123,14 +124,14 @@ def test_paper_sigma_guard(monkeypatch, reference_model):
 
 
 def test_closed_form_initial_sample(reference_trajectory):
-    np.testing.assert_array_equal(reference_trajectory.states[0], initial_state(1.0))
+    np.testing.assert_array_equal(reference_trajectory.states[0], initial_state(1.0, 1.0, 1.0))
     assert reference_trajectory.currents[0][0] == 1.0
     assert reference_trajectory.currents[1][0] == 0.0
 
 
 def test_closed_form_vs_rk4(reference_trajectory, reference_generator):
-    oracle = evolve_rk4(reference_generator, initial_state(1.0), TAU)
-    deviation = np.linalg.norm(reference_trajectory.states - oracle.states, axis=1)
+    oracle = evolve_rk4(reference_generator, initial_state(1.0, 1.0, 1.0), TAU)
+    deviation = np.linalg.norm(reference_trajectory.states - oracle, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(reference_trajectory.states, axis=1))
     assert np.max(deviation / scale) < 1e-6
 
@@ -139,7 +140,7 @@ def test_trajectory_gauge_invariance(reference_spectrum, reference_derived,
                                      reference_params, reference_trajectory):
     T2, _ = build_T(reference_spectrum, reference_derived, Gauge(2.0, 0.5, 3.0, 1.0))
     pair2 = build_bases(T2, reference_spectrum, reference_derived)
-    psi0 = initial_state(1.0)
+    psi0 = initial_state(1.0, 1.0, 1.0)
     traj2 = evolve_closed(coefficients(psi0, pair2), pair2, reference_spectrum,
                           TAU, reference_params, reference_derived, psi0=psi0)
     deviation = np.linalg.norm(reference_trajectory.states - traj2.states, axis=1)
@@ -190,21 +191,21 @@ def test_display_extraction_agrees(reference_model, reference_trajectory):
 
 
 def test_rk4_zero_generator():
-    traj = evolve_rk4(np.zeros((4, 4)), np.array([1.0, -2.0, 3.0, 0.5]),
-                      np.linspace(0.0, 2.0, 21))
-    np.testing.assert_array_equal(traj.states, np.tile([1.0, -2.0, 3.0, 0.5], (21, 1)))
+    states = evolve_rk4(np.zeros((4, 4)), np.array([1.0, -2.0, 3.0, 0.5]),
+                        np.linspace(0.0, 2.0, 21))
+    np.testing.assert_array_equal(states, np.tile([1.0, -2.0, 3.0, 0.5], (21, 1)))
 
 
 def test_rk4_diagonal_decay():
     rates = np.array([-1.0, -2.0, -3.0, -4.0])
-    traj = evolve_rk4(np.diag(rates), np.ones(4), np.array([0.0, 1.0]))
-    np.testing.assert_allclose(traj.states[1], np.exp(rates), atol=1e-10)
+    states = evolve_rk4(np.diag(rates), np.ones(4), np.array([0.0, 1.0]))
+    np.testing.assert_allclose(states[1], np.exp(rates), atol=1e-10)
 
 
 def test_rk4_order_of_convergence(reference_generator, monkeypatch):
     # on [0, 1] at the reference point the error-model bound (about 7.9e-3) is
     # above both steps, so each run takes 1/RK4_DEFAULT_STEP substeps
-    psi0 = initial_state(1.0)
+    psi0 = initial_state(1.0, 1.0, 1.0)
     grid = np.array([0.0, 1.0])
     exact = None
     errors = []
@@ -214,7 +215,7 @@ def test_rk4_order_of_convergence(reference_generator, monkeypatch):
         if exact is None:
             from scipy.linalg import expm as scipy_expm
             exact = scipy_expm(reference_generator) @ psi0
-        errors.append(np.linalg.norm(approx.states[1] - exact))
+        errors.append(np.linalg.norm(approx[1] - exact))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 20.0
 
@@ -244,9 +245,9 @@ def _stage_rk4(m, y, tau):
                                              2 * dyn.RK4_SCAN_CHUNK + 1)),
 ], ids=["uniform", "nonuniform", "2-samples", "3-samples", "chunk", "chunk+1", "2chunk+1"])
 def test_rk4_propagator_equals_stage_form(reference_generator, grid):
-    psi0 = initial_state(1.0)
+    psi0 = initial_state(1.0, 1.0, 1.0)
     expected = _stage_rk4(reference_generator, psi0, grid)
-    states = evolve_rk4(reference_generator, psi0, grid).states
+    states = evolve_rk4(reference_generator, psi0, grid)
     rel = np.linalg.norm(states - expected, axis=1) / np.linalg.norm(expected, axis=1)
     assert np.max(rel) <= 1e-13
 
@@ -265,7 +266,7 @@ def test_adjoint_eigenvector_decay(reference_pair, reference_spectrum):
 def test_adjoint_metric_route(reference_pair, reference_spectrum, reference_pf,
                               reference_params, reference_derived,
                               reference_coefficients):
-    psi0 = initial_state(1.0)
+    psi0 = initial_state(1.0, 1.0, 1.0)
     x0 = np.linalg.solve(reference_pf.S_phi, psi0)
     grid = np.linspace(0.0, 5.0, 101)
     xtraj = evolve_adjoint(x0, reference_pair, reference_spectrum, grid)
@@ -284,7 +285,7 @@ def test_adjoint_satisfies_adjoint_equation(reference_pair, reference_spectrum,
     x0 = rng.standard_normal(4)
     grid = np.linspace(0.0, 2.0, 21)
     traj = evolve_adjoint(x0, reference_pair, reference_spectrum, grid)
-    derivative = traj.derivative(1)
+    derivative = traj.derivative()
     rhs = traj.states @ reference_generator  # (L^T x)^T = x^T L
     assert np.max(np.abs(derivative - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
@@ -292,7 +293,7 @@ def test_adjoint_satisfies_adjoint_equation(reference_pair, reference_spectrum,
 def test_adjoint_identification_strict(reference_pair, reference_spectrum,
                                        reference_params, reference_derived,
                                        reference_pf):
-    x0 = np.linalg.solve(reference_pf.S_phi, initial_state(1.0))
+    x0 = np.linalg.solve(reference_pf.S_phi, initial_state(1.0, 1.0, 1.0))
     grid = np.linspace(0.0, 5.0, 101)
     xtraj = evolve_adjoint(x0, reference_pair, reference_spectrum, grid)
     report = adjoint_circuit_map(xtraj, reference_params, reference_derived)
@@ -307,8 +308,8 @@ def test_adjoint_identification_strict_rejects_physical_units(
     from pfcircuit import CircuitParams
     params = CircuitParams(L=2.0, C=1.0, R=np.sqrt(2.0) / 3.0, M=1.0, i1=1.0)
     derived = derive(params)
-    spec = spectrum(derived)
-    T, _ = build_T(spec, derived)
+    spec = spectrum(derived, validate(derived))
+    T, _ = build_T(spec, derived, Gauge())
     pair = build_bases(T, spec, derived)
     xtraj = evolve_adjoint(np.array([1.0, 0.5, -0.25, 0.75]), pair, spec,
                            np.linspace(0.0, 2.0, 11))
@@ -353,17 +354,11 @@ def test_quartic_residual(reference_trajectory, reference_derived):
 def test_quartic_residual_single_mode(reference_pair, reference_spectrum,
                                       reference_params, reference_derived):
     from pfcircuit.dynamics import Coefficients
-    coeffs = Coefficients(np.array([1.0, 0.0, 0.0, 0.0]))
+    coeffs = Coefficients(np.array([1.0, 0.0, 0.0, 0.0]), float(reference_pair.phi[1, 3]))
     traj = evolve_closed(coeffs, reference_pair, reference_spectrum,
                          np.linspace(0.0, 5.0, 51), reference_params,
                          reference_derived)
     assert np.max(quartic_residual(traj, reference_derived)) < 1e-12
-
-
-def test_quartic_residual_needs_modes(reference_generator):
-    traj = evolve_rk4(reference_generator, initial_state(1.0), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        quartic_residual(traj, derive(normalized(0.5, 3.0)))
 
 
 #: simulate's trajectory header: tau, then each pair gain circuit first

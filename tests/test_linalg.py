@@ -68,14 +68,15 @@ def test_expm_derivative_at_zero(reference_generator):
 
 
 def test_sqrtm_identity_and_diagonal():
-    np.testing.assert_allclose(linalg.sqrtm_spd(np.eye(4)), np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(linalg.sqrtm_spd(linalg.jacobi_eigh(np.eye(4))), np.eye(4),
+                               atol=1e-14)
     np.testing.assert_allclose(
-        linalg.sqrtm_spd(np.diag([4.0, 9.0, 16.0, 25.0])),
+        linalg.sqrtm_spd(linalg.jacobi_eigh(np.diag([4.0, 9.0, 16.0, 25.0]))),
         np.diag([2.0, 3.0, 4.0, 5.0]), atol=1e-13)
 
 
 def test_sqrtm_metric(reference_pf):
-    root = linalg.sqrtm_spd(reference_pf.S_psi)
+    root = linalg.sqrtm_spd(reference_pf.metric_eigh[1])
     residual = np.linalg.norm(root @ root - reference_pf.S_psi)
     assert residual < 1e-9
     assert np.max(np.abs(root - root.T)) < 1e-12
@@ -83,7 +84,7 @@ def test_sqrtm_metric(reference_pf):
 
 def test_sqrtm_rejects_indefinite():
     with pytest.raises(NotSPD) as err:
-        linalg.sqrtm_spd(np.diag([1.0, 2.0, -3.0, 4.0]))
+        linalg.sqrtm_spd(linalg.jacobi_eigh(np.diag([1.0, 2.0, -3.0, 4.0])))
     assert err.value.eigenvalue == pytest.approx(-3.0, rel=1e-12)
 
 
@@ -91,7 +92,7 @@ def test_sqrtm_rejects_asymmetric():
     m = np.eye(4)
     m[0, 1] = 0.5
     with pytest.raises(ValueError):
-        linalg.sqrtm_spd(m)
+        linalg.sqrtm_spd(linalg.jacobi_eigh(m))
 
 
 def test_spectral_norm_basics():
@@ -207,12 +208,14 @@ def test_jacobi_stopping_sum_adds_left_to_right(members):
     assert np.cumsum(squares, axis=0)[-1].tobytes() == sequential.tobytes()
 
 
-def _list_route(a, tol=linalg.JACOBI_TOL, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
+def _list_route(a):
     """Round-robin Jacobi on one symmetric matrix held in float lists, one scalar at a time.
 
     The reference the stacked solver must match bit for bit: the same rounds,
-    formulas and stopping rule, written out for a single matrix.  A round takes
-    all its angles first, then rotates the rows of each pair, then the columns.
+    formulas and stopping rule, written out for a single matrix, with the
+    JACOBI_TOL and JACOBI_MAX_SWEEPS that linalg holds at the call.  A round
+    takes all its angles first, then rotates the rows of each pair, then the
+    columns.
     """
     w = (a + a.T) / 2.0
     n = w.shape[0]
@@ -220,11 +223,11 @@ def _list_route(a, tol=linalg.JACOBI_TOL, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
         frobenius = np.linalg.norm(w, "fro")
     if not math.isfinite(frobenius):
         frobenius = linalg._scaled_frobenius(w.reshape(1, n * n))[0]
-    threshold = tol * frobenius
+    threshold = linalg.JACOBI_TOL * frobenius
     w, v = w.tolist(), np.eye(n).tolist()
     off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
     rounds = [pairs.T.tolist() for pairs, _ in linalg._rounds(n)]
-    for _ in range(max_sweeps):
+    for _ in range(linalg.JACOBI_MAX_SWEEPS):
         total = 0.0  # added one by one: sum() compensates floats from Python 3.12 on
         for i, j in off_diagonal:
             total += w[i][j] * w[i][j]
@@ -252,24 +255,26 @@ def _list_route(a, tol=linalg.JACOBI_TOL, max_sweeps=linalg.JACOBI_MAX_SWEEPS):
     return eigenvalues[order], np.array(v)[:, order]
 
 
-def _assert_stack_matches_list_route(stack, **kwargs):
-    w, v = linalg.jacobi_eigh(stack, **kwargs)
+def _assert_stack_matches_list_route(stack):
+    w, v = linalg.jacobi_eigh(stack)
     assert w.shape == stack.shape[:2] and v.shape == stack.shape
     for k, member in enumerate(stack):
-        w_k, v_k = _list_route(member, **kwargs)
+        w_k, v_k = _list_route(member)
         # equal bits, the signs of zeros included
         assert w[k].tobytes() == w_k.tobytes() and v[k].tobytes() == v_k.tobytes()
 
 
 def _sweeps_taken(a):
-    full = linalg.jacobi_eigh(a)
-    return next(k for k in range(linalg.JACOBI_MAX_SWEEPS + 1)
-                if all(np.array_equal(x, y)
-                       for x, y in zip(linalg.jacobi_eigh(a, max_sweeps=k), full)))
+    full, cap = linalg.jacobi_eigh(a), linalg.JACOBI_MAX_SWEEPS
+    with pytest.MonkeyPatch.context() as patch:
+        for k in range(cap + 1):
+            patch.setattr(linalg, "JACOBI_MAX_SWEEPS", k)
+            if all(np.array_equal(x, y) for x, y in zip(linalg.jacobi_eigh(a), full)):
+                return k
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_jacobi_stack_is_bitwise_the_list_route(n):
+def test_jacobi_stack_is_bitwise_the_list_route(n, monkeypatch):
     rng = np.random.default_rng(40 + n)
     for _ in range(20):
         base = rng.standard_normal((12, n, n)) * np.exp(rng.uniform(-8.0, 8.0, (12, 1, 1)))
@@ -278,7 +283,9 @@ def test_jacobi_stack_is_bitwise_the_list_route(n):
         stack[0] = np.diag(rng.standard_normal(n))  # already diagonal: no sweep at all
         stack[1] = np.diag(rng.standard_normal(n)) + 1e-6 * stack[2]  # converges early
         _assert_stack_matches_list_route(stack)
-        _assert_stack_matches_list_route(stack, max_sweeps=1)  # members left unconverged
+        with monkeypatch.context() as patch:  # members left unconverged
+            patch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+            _assert_stack_matches_list_route(stack)
     assert len({_sweeps_taken(a) for a in stack}) > 1
 
 

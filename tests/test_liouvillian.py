@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import sample_accepted
-from pfcircuit import Model, build_liouvillian, build_T, derive, normalized, spectrum, validate
+from pfcircuit import (Gauge, Model, build_liouvillian, build_T, derive, normalized, spectrum,
+                       validate)
 from pfcircuit.errors import RegimeRejected
 
 
@@ -66,7 +67,8 @@ def test_spectrum_decoupled_closed_form():
     oracle = np.sort(np.roots([1.0, -3.0, 1.0]).real)
     np.testing.assert_allclose(oracle, [(3.0 - math.sqrt(5.0)) / 2.0,
                                         (3.0 + math.sqrt(5.0)) / 2.0], atol=1e-12)
-    spec = spectrum(derive(normalized(0.0, 3.0)))
+    derived = derive(normalized(0.0, 3.0))
+    spec = spectrum(derived, validate(derived))
     assert spec.l4 == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
     assert spec.l2 == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
     assert spec.l4 == pytest.approx(oracle[1], abs=1e-12)
@@ -86,7 +88,7 @@ def test_spectrum_structure_random():
     rng = np.random.default_rng(21)
     for mu, gamma in sample_accepted(rng, 100):
         derived = derive(normalized(mu, gamma))
-        spec = spectrum(derived)
+        spec = spectrum(derived, validate(derived))
         assert spec.l3 < spec.l1 < 0.0 < spec.l2 < spec.l4
         assert spec.l2 == -spec.l1 and spec.l4 == -spec.l3
         assert spec.lambda0 == 0.0 < spec.lambda1 < spec.lambda2 < spec.lambda3
@@ -105,7 +107,8 @@ def test_characteristic_residuals(reference_spectrum, reference_derived):
                        reference_spectrum.l3, reference_spectrum.l4]) ** 4)
     assert np.all(residuals < bounds)
     decoupled = derive(normalized(0.0, 3.0))
-    assert np.all(characteristic_residual(spectrum(decoupled), decoupled) < 1e-12)
+    assert np.all(characteristic_residual(spectrum(decoupled, validate(decoupled)), decoupled)
+                  < 1e-12)
 
 
 def test_quartic_constant_term_identity():
@@ -163,10 +166,11 @@ def test_closed_forms_against_mpmath():
     checked = 0
     for mu, gamma in _ORACLE_POINTS:
         derived = derive(normalized(mu, gamma))
-        if not validate(derived).accepted:
+        report = validate(derived)
+        if not report.accepted:
             continue
-        spec = spectrum(derived)
-        _, deltas = build_T(spec, derived)
+        spec = spectrum(derived, report)
+        _, deltas = build_T(spec, derived, Gauge())
         inputs = [mpmath.mpf(derived.mu), mpmath.mpf(derived.gamma)]
         inputs.append(1 / (1 - inputs[0] ** 2))
         exact = _paper_closed_forms(mpmath, *inputs)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import sample_accepted
 from pfcircuit import (
+    Gauge,
     build_T,
     classify_asymptotics,
     derive,
@@ -14,6 +15,7 @@ from pfcircuit import (
     normalized,
     power,
     spectrum,
+    validate,
 )
 from pfcircuit.errors import ZeroCoupling
 from pfcircuit.observables import energy_rewrite_deviation, power_two_path_deviation
@@ -26,7 +28,7 @@ def traj(reference_coefficients, reference_pair, reference_spectrum,
          reference_params, reference_derived):
     return evolve_closed(reference_coefficients, reference_pair, reference_spectrum,
                          TAU, reference_params, reference_derived,
-                         psi0=initial_state(1.0))
+                         psi0=initial_state(1.0, 1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +101,7 @@ def test_classification_reference(reference_spectrum, reference_derived, referen
 
 def test_classification_zero_coupling_guard():
     derived = derive(normalized(0.0, 3.0))
-    spec = spectrum(derived)
+    spec = spectrum(derived, validate(derived))
     with pytest.raises(ZeroCoupling):
         classify_asymptotics(spec, derived, normalized(0.0, 3.0))
 
@@ -110,7 +112,7 @@ def test_windows_hold_across_regime():
     rng = np.random.default_rng(71)
     for mu, gamma in sample_accepted(rng, 40):
         derived = derive(normalized(mu, gamma))
-        spec = spectrum(derived)
+        spec = spectrum(derived, validate(derived))
         report = classify_asymptotics(spec, derived, normalized(mu, gamma))
         assert spec.l4 < derived.gamma
         assert report.power_window_ok
@@ -122,7 +124,7 @@ def test_asymptotic_prefactors(power_series, traj, reference_spectrum,
                                reference_coefficients):
     # dominant-mode prefactors: P1 -> (c11 t24 d24)^2 (1/R - C w0 l4) e^{2 l4 tau},
     # P2 -> (c11 t24)^2 (-1/R - C w0 l4) e^{2 l4 tau}, with t24 = T[1, 3]
-    T, deltas = build_T(reference_spectrum, reference_derived)
+    T, deltas = build_T(reference_spectrum, reference_derived, Gauge())
     c11_t24 = reference_coefficients.c11 * T[1, 3]
     cw = reference_params.C * reference_derived.omega0
     l4 = reference_spectrum.l4

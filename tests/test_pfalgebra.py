@@ -122,9 +122,9 @@ def test_intertwiner_relation(reference_T, reference_generator, reference_spectr
 
 def test_zero_coupling_rejected():
     derived = derive(normalized(0.0, 3.0))
-    spec = spectrum(derived)
+    spec = spectrum(derived, validate(derived))
     with pytest.raises(ZeroCoupling):
-        build_T(spec, derived)
+        build_T(spec, derived, Gauge())
 
 
 def test_degenerate_gauge_rejected():
