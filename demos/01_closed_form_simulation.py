@@ -24,8 +24,7 @@ print(f"eigenvalues: l3={spec.l3:+.6f} < l1={spec.l1:+.6f} < 0 "
       f"< l2={spec.l2:+.6f} < l4={spec.l4:+.6f}")
 
 # closed-form solution: expand the initial kick over the eigenbasis
-coeffs = model.coeffs
-print("mode weights c_kn:", np.array2string(coeffs.vector, precision=6))
+print("mode weights c_kn:", np.array2string(model.coeffs, precision=6))
 
 tau = np.linspace(0.0, 5.0, 1001)
 traj = model.evolve(tau)

@@ -38,8 +38,8 @@ report = pf_verify(pf, liouvillian=generator)
 print(f"\nall asserted identities hold: {report.all_passed}")
 width = max(len(name) for name in report.checks)
 for name, check in report.checks.items():
-    verdict = "reported" if check.passed is None else ("ok" if check.passed else "FAIL")
-    print(f"  {name:<{width}}  residual {check.residual:9.3e}  [{verdict}]")
+    verdict = "reported" if check["pass"] is None else ("ok" if check["pass"] else "FAIL")
+    print(f"  {name:<{width}}  residual {check['residual']:9.3e}  [{verdict}]")
 
 print("\nnote the reported channels: the mixed-dagger cross anticommutators are")
 print("O(1) because T is not orthogonal; only the similarity-invariant")

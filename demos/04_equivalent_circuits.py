@@ -24,9 +24,8 @@ adjoint_traj, gap = adjoint_metric_route(model.psi0, forward, model.pair, spec)
 print(f"adjoint solution vs S_phi^-1 * forward solution, max gap: {gap:.3e}")
 
 # the adjoint system re-read as a circuit
-identification = adjoint_circuit_map(adjoint_traj, model.params, model.derived)
-print(f"circuit-relation residuals of the relabeled adjoint trajectory: "
-      f"{identification.max_residual:.3e}")
+residual, _ = adjoint_circuit_map(adjoint_traj, model.params, model.derived)
+print(f"circuit-relation residuals of the relabeled adjoint trajectory: {residual:.3e}")
 print("identification: x1 -> I1, x2 -> I2, x3 -> -V1, x4 -> -V2 (L = C = 1)")
 
 # the diagonal system is trivial: each component rides one exponential

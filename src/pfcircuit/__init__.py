@@ -9,9 +9,7 @@ oracles; and checks every algebraic identity and asymptotic claim numerically.
 
 from .basis import BasisPair, build_bases
 from .dynamics import (
-    Coefficients,
     Trajectory,
-    coefficients,
     coefficients_paper,
     evolve_adjoint,
     evolve_closed,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisPair",
     "CircuitParams",
-    "Coefficients",
     "DerivedParams",
     "GainLossReport",
     "Gauge",
@@ -68,7 +65,6 @@ __all__ = [
     "build_liouvillian",
     "build_pf",
     "classify_asymptotics",
-    "coefficients",
     "coefficients_paper",
     "derive",
     "energy",

@@ -21,19 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .basis import BasisPair, expand
+from .basis import BasisPair
 from .liouvillian import Spectrum
 from .params import CircuitParams, DerivedParams
 
 __all__ = [
-    "Coefficients",
-    "PaperCoefficientComparison",
     "StateTrajectory",
     "Trajectory",
-    "AdjointCircuitReport",
     "initial_state",
-    "coefficients",
     "coefficients_paper",
     "evolve_closed",
     "evolve_rk4",
@@ -59,26 +54,6 @@ RK4_SCAN_CHUNK = 1024
 GAIN_LOSS_SIGN = np.array([[1.0], [-1.0]])
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """Expansion weights of the initial state over the phi family."""
-
-    vector: np.ndarray
-    """Weights in column order (0,0), (1,0), (0,1), (1,1)."""
-    t24: float
-    """T[1, 3], the scale of the (1,1) column that the weights expand over."""
-
-    @property
-    def c11(self) -> float:
-        """Weight of the dominant (growing) mode, the (1,1) column."""
-        return float(self.vector[3])
-
-    @property
-    def dominant_weight(self) -> float:
-        """c11 * t24, the dominant mode's amplitude in V2, which no gauge changes."""
-        return self.c11 * self.t24
-
-
 def initial_state(i1: float, capacitance: float, omega0: float) -> np.ndarray:
     """Standard initial condition V1 = V2 = I2 = 0, I1 = i1.
 
@@ -86,11 +61,6 @@ def initial_state(i1: float, capacitance: float, omega0: float) -> np.ndarray:
     first voltage's derivative: (0, 0, -i1/(C*omega0), 0) in tau-units.
     """
     return np.array([0.0, 0.0, -i1 / (capacitance * omega0), 0.0])
-
-
-def coefficients(psi0: np.ndarray, pair: BasisPair) -> Coefficients:
-    """Biorthogonal projection of the initial state; the authoritative path."""
-    return Coefficients(expand(pair, psi0), float(pair.phi[1, 3]))
 
 
 def _paper_sigma(deltas: np.ndarray, l2: float, l4: float) -> float:
@@ -105,35 +75,20 @@ def _paper_sigma(deltas: np.ndarray, l2: float, l4: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PaperCoefficientComparison:
-    """Printed coefficient formulas evaluated verbatim, next to the projection."""
-
-    sigma: float
-    printed: np.ndarray
-    projection: np.ndarray
-    relative_deviation: np.ndarray
-
-    @property
-    def max_relative_deviation(self) -> float:
-        return float(np.max(self.relative_deviation))
-
-
 def coefficients_paper(
-    coeffs: Coefficients,
     spec: Spectrum,
     deltas: np.ndarray,
     t: np.ndarray,
     i1: float,
     capacitance: float,
-) -> PaperCoefficientComparison | None:
-    """Evaluate the printed closed-form coefficients and compare to the projection.
+) -> tuple[float, np.ndarray] | None:
+    """``(sigma, printed)``: the printed closed-form coefficients, evaluated verbatim.
 
     ``deltas`` and the column scales ``t`` are those of the intertwiner whose
-    projection ``coeffs`` is, so no inverse is taken here.  The printed
-    numerators attach i1 to only part of each term and the sigma display has
-    suspect bracketing, so the deviation is returned for inspection, never
-    asserted.  Returns None when the dimensionless bracket of the printed
+    projection the printed weights are compared with, so no inverse is taken
+    here.  The printed numerators attach i1 to only part of each term and the
+    sigma display has suspect bracketing, so the weights are for inspection,
+    never asserted.  Returns None when the dimensionless bracket of the printed
     denominator is below 1e-12 in magnitude or not finite (its products of
     deltas overflow at small coupling): the printed formulas give no number
     there, and nothing asserted depends on them.
@@ -151,10 +106,7 @@ def coefficients_paper(
         (l2 * (d21 - d24) + l4 * (d21 + d24 - 2.0 * d22) * i1) / (sigma * t[2]),
         (l4 * (d22 - d23) + l2 * (d22 + d23 - 2.0 * d21) * i1) / (sigma * t[3]),
     ])
-    return PaperCoefficientComparison(
-        sigma=float(sigma), printed=printed, projection=coeffs.vector,
-        relative_deviation=linalg.relative_gap(printed, coeffs.vector),
-    )
+    return float(sigma), printed
 
 
 @dataclass(frozen=True)
@@ -212,7 +164,7 @@ def _currents(states: np.ndarray, params: CircuitParams, derived: DerivedParams)
 
 
 def evolve_closed(
-    coeffs: Coefficients,
+    coeffs: np.ndarray,
     pair: BasisPair,
     spec: Spectrum,
     tau_grid,
@@ -222,11 +174,12 @@ def evolve_closed(
 ) -> Trajectory:
     """Exact solution as the four-term exponential sum over the phi family.
 
-    When the initial state is supplied the sum is anchored there through
-    expm1, so the tau = 0 sample reproduces it bitwise instead of freezing
-    the basis-reconstruction roundoff into every row.
+    ``coeffs`` are the weights of :func:`basis.expand`.  When the initial
+    state is supplied the sum is anchored there through expm1, so the tau = 0
+    sample reproduces it bitwise instead of freezing the basis-reconstruction
+    roundoff into every row.
     """
-    weights = (pair.phi * coeffs.vector[None, :]).T  # (mode, component)
+    weights = (pair.phi * coeffs[None, :]).T  # (mode, component)
     start = weights.sum(axis=0) if psi0 is None else psi0
     modal = _modal(start, spec.eigenvalues, weights, tau_grid)
     return Trajectory(**vars(modal), currents=_currents(modal.states, params, derived))
@@ -332,29 +285,6 @@ def adjoint_metric_route(
     return xtraj, float(np.max(gap))
 
 
-@dataclass(frozen=True)
-class AdjointCircuitReport:
-    """Adjoint trajectory relabeled as circuit quantities, with residuals.
-
-    ``residuals`` holds the scaled per-sample deviations from the four circuit
-    relations (columns: both voltage equations, then both current equations).
-    ``strict`` tells which identification was used (strict iff L = C = 1).
-    ``paper_literal_map_max_residual`` measures the printed "-L*V" relabeling
-    in non-normalized units, and is None in strict ones; it is reported, not
-    asserted, because that map is not consistent with the circuit relations
-    unless L = C = 1.
-    """
-
-    currents: np.ndarray
-    """(I1, I2) as a (2, n) view of the adjoint states."""
-    voltages: np.ndarray
-    """(V1, V2) as a (2, n) stack."""
-    residuals: np.ndarray
-    max_residual: float
-    strict: bool
-    paper_literal_map_max_residual: float | None
-
-
 def _circuit_relation_residuals(
     x: np.ndarray, dx: np.ndarray, v_scale: float,
     params: CircuitParams, derived: DerivedParams,
@@ -376,30 +306,25 @@ def _circuit_relation_residuals(
 
 def adjoint_circuit_map(
     xtraj: StateTrajectory, params: CircuitParams, derived: DerivedParams
-) -> AdjointCircuitReport:
-    """Relabel the adjoint trajectory as circuit quantities and verify them.
+) -> tuple[float, float | None]:
+    """The largest scaled deviation of the relabeled adjoint trajectory from the circuit relations.
 
     In normalized units (L = C = 1) the identification is the strict
     (x1, x2, x3, x4) -> (I1, I2, -V1, -V2).  Otherwise it is extended: the
     voltage components are rescaled by C*omega0, the factor forced by the
-    circuit relations, and the printed "-L*V" relabeling is measured too.
+    circuit relations.  The second value measures the printed "-L*V"
+    relabeling in the extended case, and is None in the strict one; it is
+    reported, not asserted, because that map is not consistent with the
+    circuit relations unless L = C = 1.
     """
     strict = params.L == 1.0 and params.C == 1.0
     x = xtraj.states
     dx = xtraj.derivative()
     v_scale = 1.0 if strict else params.C * derived.omega0
-    residuals = _circuit_relation_residuals(x, dx, v_scale, params, derived)
-    paper_literal = None
-    if not strict:
-        literal = _circuit_relation_residuals(x, dx, params.L, params, derived)
-        paper_literal = float(np.max(literal))
-    return AdjointCircuitReport(
-        currents=x[:, :2].T, voltages=-x[:, 2:].T / v_scale,
-        residuals=residuals,
-        max_residual=float(np.max(residuals)),
-        strict=strict,
-        paper_literal_map_max_residual=paper_literal,
-    )
+    residual = float(np.max(_circuit_relation_residuals(x, dx, v_scale, params, derived)))
+    if strict:
+        return residual, None
+    return residual, float(np.max(_circuit_relation_residuals(x, dx, params.L, params, derived)))
 
 
 def evolve_h0(spec: Spectrum, y0: np.ndarray, tau_grid) -> StateTrajectory:
@@ -426,7 +351,7 @@ def quartic_residual(traj: StateTrajectory, derived: DerivedParams) -> np.ndarra
 
 
 def display_series(
-    coeffs: Coefficients,
+    coeffs: np.ndarray,
     spec: Spectrum,
     derived: DerivedParams,
     params: CircuitParams,
@@ -442,10 +367,10 @@ def display_series(
     state-layout extraction when fed the projection coefficients.
     """
     tau = np.asarray(tau_grid, dtype=float)
-    c = coeffs.vector
     rates = spec.eigenvalues
     exps = np.exp(np.outer(rates, tau))
-    weights = np.stack([c * (deltas * t), c * t])  # V1, V2 per mode; delta * t is finite
+    # V1, V2 per mode; delta * t is finite
+    weights = np.stack([coeffs * (deltas * t), coeffs * t])
     # the spectrum sets l1 = -l2 and l3 = -l4 by exact negation, so -C*omega0*l
     # over (l3, l1, l2, l4) is the display's +C*omega0*l4, ..., -C*omega0*l4
     currents = weights * (GAIN_LOSS_SIGN / params.R - params.C * derived.omega0 * rates)

@@ -78,8 +78,9 @@ class Model:
         return dynamics.initial_state(self.params.i1, self.params.C, self.derived.omega0)
 
     @cached_property
-    def coeffs(self) -> dynamics.Coefficients:
-        return dynamics.coefficients(self.psi0, self.pair)
+    def coeffs(self) -> np.ndarray:
+        """Weights of psi0 over the phi family, in column order (0,0), (1,0), (0,1), (1,1)."""
+        return basis.expand(self.pair, self.psi0)
 
     def evolve(self, tau) -> dynamics.Trajectory:
         """Closed-form trajectory on ``tau``, anchored at the initial state."""

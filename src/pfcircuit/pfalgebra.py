@@ -35,7 +35,6 @@ from .params import GAMMA_MAX, DerivedParams
 __all__ = [
     "Gauge",
     "PFSystem",
-    "Check",
     "VerificationReport",
     "fermion_generators",
     "build_h0",
@@ -164,34 +163,22 @@ def build_pf(pair: BasisPair, spec: Spectrum) -> PFSystem:
                     H0=build_h0(spec), spectrum=spec, kappa=pair.kappa)
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named identity check.
+@dataclass
+class VerificationReport:
+    """Ordered named checks, each held as its JSON record ``{"residual", "tolerance", "pass"}``.
 
     Asserted checks carry a tolerance and a pass flag; reported-only channels
-    carry ``tolerance=None, passed=None`` and never gate anything; their
+    carry ``"tolerance": None, "pass": None`` and never gate anything; their
     residual is None where the channel gives no number.
     """
 
-    residual: float | None
-    tolerance: float | None
-    passed: bool | None
-
-    def to_dict(self) -> dict:
-        return {"residual": self.residual, "tolerance": self.tolerance, "pass": self.passed}
-
-
-@dataclass
-class VerificationReport:
-    """Ordered collection of named checks, JSON-serializable."""
-
-    checks: dict[str, Check] = field(default_factory=dict)
+    checks: dict[str, dict] = field(default_factory=dict)
 
     def add(self, name: str, residual: float | None, tolerance: float | None) -> None:
         """Record a check; a reported-only channel (no tolerance) may carry no residual."""
-        passed = None if tolerance is None else bool(residual <= tolerance)
-        self.checks[name] = Check(residual=None if residual is None else float(residual),
-                                  tolerance=tolerance, passed=passed)
+        self.checks[name] = {"residual": None if residual is None else float(residual),
+                             "tolerance": tolerance,
+                             "pass": None if tolerance is None else bool(residual <= tolerance)}
 
     def merge(self, other: "VerificationReport", prefix: str) -> None:
         for name, check in other.checks.items():
@@ -199,13 +186,10 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values() if c.passed is not None)
+        return all(c["pass"] for c in self.checks.values() if c["pass"] is not None)
 
     def failed(self) -> list[str]:
-        return [name for name, c in self.checks.items() if c.passed is False]
-
-    def to_dict(self) -> dict:
-        return {name: check.to_dict() for name, check in self.checks.items()}
+        return [name for name, c in self.checks.items() if c["pass"] is False]
 
 
 def _rel(x: np.ndarray, scale: float) -> float:

@@ -47,7 +47,7 @@ def _asymptotic_window(model: Model, s: float) -> np.ndarray:
     |x| <= SLOPE_EPS/(g + SLOPE_EPS) for both, which bounds that move by SLOPE_EPS.
     """
     params, spec = model.params, model.spec
-    v = model.coeffs.vector[2:] / s * model.pair.phi[0, 2:]  # V1's weights on l2, l4
+    v = model.coeffs[2:] / s * model.pair.phi[0, 2:]  # V1's weights on l2, l4
     (v2, v4), (i2, i4) = v, v * (1.0 / params.R - params.C * model.derived.omega0
                                  * spec.eigenvalues[2:])  # and I1's
     r = np.array([(v4 * i2 + v2 * i4) / (v4 * i4),  # P1, then E1
@@ -115,7 +115,13 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
     # a second gauge relative to the run's, so the check never compares a gauge
     # with itself; unanchored on purpose: it reaches psi0 only through its own basis
     alt = replace(model, gauge=pfalgebra.Gauge(*model.gauge.as_array() * (2.0, 0.5, 3.0, 1.0)))
-    closed2 = dyn.evolve_closed(alt.coeffs, alt.pair, spec, tau, params, derived)
+    try:
+        alt_pair = alt.pair
+    except IllConditioned:  # name the run's kappa(T), which every other refusal names
+        raise IllConditioned(f"dynamics/gauge_invariance's second gauge (the run's times 2, 0.5, "
+                             f"3, 1) has u*kappa^2 >= 1 at its kappa {np.linalg.cond(alt.T):.6e} "
+                             f"(kappa(T)={pair.kappa:.6e})") from None
+    closed2 = dyn.evolve_closed(alt.coeffs, alt_pair, spec, tau, params, derived)
     gauge_dev = np.linalg.norm(closed.states - closed2.states, axis=1) / row_scale
     report.add("dynamics/gauge_invariance", float(np.max(gauge_dev)), 1e-10)
 
@@ -124,11 +130,10 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
 
     xtraj, metric_res = dyn.adjoint_metric_route(psi0, closed, pair, spec)
     report.add("dynamics/adjoint_metric_route", metric_res, ADJOINT_METRIC_TOL)
-    adj = dyn.adjoint_circuit_map(xtraj, params, derived)
-    report.add("dynamics/adjoint_identification_max", adj.max_residual, 1e-8)
-    if adj.paper_literal_map_max_residual is not None:
-        report.add("dynamics/reported_paper_literal_adjoint_map",
-                   adj.paper_literal_map_max_residual, None)
+    adj_residual, paper_literal = dyn.adjoint_circuit_map(xtraj, params, derived)
+    report.add("dynamics/adjoint_identification_max", adj_residual, 1e-8)
+    if paper_literal is not None:
+        report.add("dynamics/reported_paper_literal_adjoint_map", paper_literal, None)
 
     y0 = np.ones(4)  # a fixed state, so its own scale floors the rows, not s
     h0_traj = dyn.evolve_h0(spec, y0, tau[:11])
@@ -140,7 +145,7 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
     # steps of 1.3 and 0.9, shrunk onto a shorter grid so that no state leaves it
     t1, t2 = np.array([1.3, 0.9]) * min(1.0, tau[-1] / 2.2)
     half = dyn.evolve_closed(coeffs, pair, spec, np.array([0.0, t1]), params, derived)
-    coeffs_half = dyn.coefficients(half.states[1], pair)
+    coeffs_half = basis_mod.expand(pair, half.states[1])
     two_step = dyn.evolve_closed(coeffs_half, pair, spec, np.array([0.0, t2]), params, derived)
     direct = dyn.evolve_closed(coeffs, pair, spec, np.array([0.0, t1 + t2]), params, derived)
     semigroup = float(np.linalg.norm(two_step.states[1] - direct.states[1])
@@ -152,10 +157,9 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
     disp_dev = float(np.max(np.abs(display - paths) / np.maximum(np.abs(paths), s)))
     report.add("dynamics/display_extraction_agreement", disp_dev, 1e-9)
 
-    comparison = dyn.coefficients_paper(coeffs, spec, model.deltas, model.scales,
-                                        params.i1, params.C)
-    printed = (None, None) if comparison is None else (comparison.max_relative_deviation,
-                                                       comparison.sigma)
+    paper = dyn.coefficients_paper(spec, model.deltas, model.scales, params.i1, params.C)
+    printed = (None, None) if paper is None else (
+        float(np.max(linalg.relative_gap(paper[1], coeffs))), paper[0])
     report.add("dynamics/reported_paper_coefficient_deviation", printed[0], None)
     report.add("dynamics/reported_paper_sigma", printed[1], None)
 
@@ -165,11 +169,12 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
                max(0.0, -float(np.min(en))), 1e-12)
     gl = obs.classify_asymptotics(spec, derived, params)
     asymptotic = [(None, None)] * 3  # nothing rides an unpopulated dominant mode
-    if abs(coeffs.dominant_weight) > C11_THRESHOLD * s:
+    # c11 * t24 = coeffs[3] * T[1, 3], the dominant mode's amplitude in V2, which no gauge changes
+    if abs(coeffs[3] * pair.phi[1, 3]) > C11_THRESHOLD * s:
         # psi0/s with every rate less l4: its log-slopes are the run's less 2 l4, its signs the
         # run's, and no sample can overflow
         window = _asymptotic_window(model, s)
-        weights = (pair.phi * coeffs.vector / s).T
+        weights = (pair.phi * coeffs / s).T
         modal = dyn._modal(weights.sum(axis=0), spec.eigenvalues - spec.l4, weights, window)
         scaled = dyn.Trajectory(**vars(modal),
                                 currents=dyn._currents(modal.states, params, derived))
@@ -212,5 +217,5 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
                                                          0.9), 1e-9)
     for name in KAPPA2_C:
         check = report.checks[name]
-        refuse_ill_conditioned(name, check.residual, check.tolerance, pair.kappa)
+        refuse_ill_conditioned(name, check["residual"], check["tolerance"], pair.kappa)
     return report

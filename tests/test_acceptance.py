@@ -97,8 +97,8 @@ def test_criterion_2_algebraic_suite():
             assert required <= set(report.checks)
             for name in required:
                 entry = report.checks[name]
-                assert entry.tolerance <= 1e-9
-                assert entry.passed, (name, entry.residual)
+                assert entry["tolerance"] <= 1e-9
+                assert entry["pass"], (name, entry["residual"])
             assert report.all_passed, report.failed()
 
         check(Model(normalized(0.5, 3.0)))
@@ -146,9 +146,9 @@ def test_criterion_4_dynamics():
                       / np.maximum(np.linalg.norm(mapped, axis=1), 1e-300))
         assert np.max(metric_dev) < 1e-8
 
-        identification = adjoint_circuit_map(xtraj, params, derived)
-        assert identification.strict
-        assert identification.max_residual < 1e-8
+        residual, paper_literal = adjoint_circuit_map(xtraj, params, derived)
+        assert paper_literal is None  # the strict identification
+        assert residual < 1e-8
 
         y0 = np.array([1.0, -2.0, 0.5, 0.75])
         h0_traj = evolve_h0(spec, y0, TAU[:101])
@@ -211,9 +211,9 @@ def test_criterion_7_reported_channels():
     with criterion(7, "reported-only channels"):
         model = reference_stack()
         params = model.params
-        comparison = coefficients_paper(model.coeffs, model.spec, model.deltas, model.scales,
+        _, printed = coefficients_paper(model.spec, model.deltas, model.scales,
                                         params.i1, params.C)
-        assert np.all(np.isfinite(comparison.relative_deviation))
+        assert np.all(np.isfinite(linalg.relative_gap(printed, model.coeffs)))
         traj = model.evolve(TAU)
         assert np.isfinite(energy_rewrite_deviation(traj, energy(traj, params), params))
         norm_n1 = linalg.spectral_norm(model.pf.N[0])
@@ -221,7 +221,7 @@ def test_criterion_7_reported_channels():
         # the channels are recorded in the verification report without a verdict
         # and therefore cannot gate its outcome
         report = run_verification_suite(model, np.linspace(0.0, 5.0, 201))
-        reported = [name for name, c in report.checks.items() if c.passed is None]
+        reported = [name for name, c in report.checks.items() if c["pass"] is None]
         assert "dynamics/reported_paper_coefficient_deviation" in reported
         assert "observables/reported_energy_rewrite_deviation" in reported
         assert "heisenberg/reported_norm_N1_initial" in reported

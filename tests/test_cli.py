@@ -885,9 +885,23 @@ def test_kappa_squared_checks_keep_to_their_error_models(monkeypatch, gauge):
         read += 1
         bound = 2.0**-53 * model.pair.kappa**2
         for name in _AUDITED_KAPPA2:
-            residual = report.checks[name].residual
+            residual = report.checks[name]["residual"]
             assert residual <= verify_mod.KAPPA2_C[name] * bound, (mu, gamma, name, residual)
     assert read >= 16
+
+
+def test_verify_second_gauge_refusal_names_the_runs_kappa(tmp_path, capsys):
+    # only the second T of dynamics/gauge_invariance, the run's gauge times (2, 0.5, 3, 1),
+    # has u*kappa^2 >= 1 here; its refusal named that T's kappa as if it were the run's
+    args = ["--mu", "0.5", "--gamma", "2.230710143300824", "--output", str(tmp_path)]
+    kappa = Model(normalized(0.5, 2.230710143300824)).pair.kappa
+    assert f"{kappa:.6e}" == "5.613766e+07"
+    for command in ("heisenberg", "verify"):
+        assert main([command, *args]) == EXIT_REGIME
+        err = capsys.readouterr().err
+        assert err.startswith("numerical refusal: IllConditioned: "), err
+        assert err.count("kappa(T)=") == 1 and "kappa(T)=5.613766e+07" in err, err
+    assert "dynamics/gauge_invariance's second gauge" in err and "1.533777e+08" in err, err
 
 
 _BAD_GAUGE = "1e3,1e-3,1,1"
@@ -963,7 +977,7 @@ def test_kappa_squared_failure_beyond_its_bound_fails(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("gamma", ["200", "400", "1e4"])
 def test_verify_semigroup_check_stays_on_a_short_grid(tmp_path, capsys, gamma):
     # the semigroup check evolved to tau = 2.2 whatever tau_max was: e^{2.2 l4}
-    # overflowed with warnings, and at 1e4 its state reached coefficients() as
+    # overflowed with warnings, and at 1e4 its state reached the projection as
     # inf; the fixed Heisenberg grid (tau up to 3) is refused by name
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -980,7 +994,7 @@ def test_verify_semigroup_times_shrink_onto_the_grid():
     for tau_max in (5.0, 0.5, 1e-3):
         report = run_verification_suite(Model(normalized(0.5, 3.0)),
                                         np.linspace(0.0, tau_max, 101))
-        assert report.checks["dynamics/semigroup"].passed, tau_max
+        assert report.checks["dynamics/semigroup"]["pass"], tau_max
 
 
 def test_gauge_check_relative_to_the_run_gauge(tmp_path):
@@ -1070,7 +1084,7 @@ def test_in_process_model_defaults_to_the_cli_initial_current():
     report = run_verification_suite(Model(normalized(0.5, 3.0)), np.linspace(0.0, 5.0, 1001))
     for name in ("observables/power_tail_signs_match_prediction",
                  "observables/power_log_slope_error", "observables/energy_log_slope_error"):
-        assert report.checks[name].passed, name
+        assert report.checks[name]["pass"], name
 
 
 #: sha256 over every verify outcome on a slice of the regime grid (rows mu[0]
@@ -1092,7 +1106,7 @@ def test_verify_outcomes_pinned_on_a_grid_slice():
             for gauge in ([1.0] * 4, [2.0, 0.5, 3.0, 1.0], [1e3, 1e-3, 1.0, 1.0]):
                 try:
                     report = run_verification_suite(Model(model.params, Gauge(*gauge)), tau)
-                    text, outcome = json.dumps(report.to_dict(), indent=2), "report"
+                    text, outcome = json.dumps(report.checks, indent=2), "report"
                 except ValueError as exc:
                     text, outcome = f"{type(exc).__name__}: {exc}", type(exc).__name__
                 outcomes.add(outcome)
@@ -1118,7 +1132,7 @@ def test_n_hat_checks_pass_under_a_uniform_gauge(scale):
     tau = np.linspace(0.0, 5.0, 1001)
     report = run_verification_suite(Model(normalized(0.5, 3.0), Gauge(*[scale] * 4)), tau)
     n_hat = {name: check for name, check in report.checks.items() if "/n_hat" in name}
-    assert len(n_hat) == 4 and all(check.passed for check in n_hat.values()), n_hat
+    assert len(n_hat) == 4 and all(check["pass"] for check in n_hat.values()), n_hat
 
 
 #: sha256 of each artifact and of stdout, written with ``--output .``; recorded

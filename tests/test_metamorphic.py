@@ -41,8 +41,8 @@ def _verdict(params):
         report = _report(params)
     except ValueError as exc:
         return type(exc).__name__
-    return [(name, check.passed) for name, check in report.checks.items()
-            if check.passed is not None]
+    return [(name, check["pass"]) for name, check in report.checks.items()
+            if check["pass"] is not None]
 
 
 def _physical(i1):
@@ -59,9 +59,9 @@ def test_power_of_two_initial_current_keeps_every_residual(point, gauge, exponen
     # relative residual keeps its bits
     base, scaled = (_report(point(i1), gauge).checks for i1 in (1.0, 2.0**exponent))
     assert list(scaled) == list(base)
-    assert [c.passed for c in scaled.values()] == [c.passed for c in base.values()]
-    assert all(scaled[name].passed is not False for name in scaled)
-    differ = [name for name in base if scaled[name].residual != base[name].residual]
+    assert [c["pass"] for c in scaled.values()] == [c["pass"] for c in base.values()]
+    assert all(scaled[name]["pass"] is not False for name in scaled)
+    differ = [name for name in base if scaled[name]["residual"] != base[name]["residual"]]
     assert differ in ([], [_NOT_HOMOGENEOUS])
 
 

@@ -125,7 +125,7 @@ def test_asymptotic_prefactors(power_series, traj, reference_spectrum,
     # dominant-mode prefactors: P1 -> (c11 t24 d24)^2 (1/R - C w0 l4) e^{2 l4 tau},
     # P2 -> (c11 t24)^2 (-1/R - C w0 l4) e^{2 l4 tau}, with t24 = T[1, 3]
     T, deltas = build_T(reference_spectrum, reference_derived, Gauge())
-    c11_t24 = reference_coefficients.c11 * T[1, 3]
+    c11_t24 = reference_coefficients[3] * T[1, 3]
     cw = reference_params.C * reference_derived.omega0
     l4 = reference_spectrum.l4
     pref1 = (c11_t24 * deltas[3]) ** 2 * (1.0 / reference_params.R - cw * l4)
