@@ -47,7 +47,7 @@ RK4_DEFAULT_STEP = 1e-3
 #: relative error the RK4 oracle aims for at the end of its grid: a tenth of
 #: the 1e-6 that verify's closed_vs_rk4 check allows
 RK4_TARGET_ERROR = 1e-7
-#: intervals per prefix-scan chunk of evolve_rk4
+#: intervals per chunk of evolve_rk4, whose (chunk, 4, 4) stack bounds its memory
 RK4_SCAN_CHUNK = 1024
 #: the sign of the resistance term of each sub-circuit, gain then loss, as a
 #: column that broadcasts over the (2, n) stacks of the twins' formulas
@@ -224,14 +224,15 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> np.ndarra
     P(h)^substeps - I.  The distinct spans form one (k, 4, 4) stack, powered by
     binary powering once per distinct substep count.
 
-    The intervals' propagators then compose as an inclusive prefix scan
-    (Hillis and Steele, CACM 29, 1986): after the passes with offsets 1, 2,
-    4, ..., entry k holds the product of every interval up to k, and
-    states = y0 + D @ y0.  The scan runs on RK4_SCAN_CHUNK intervals at a
-    time, each chunk starting from the state the previous one ended at, so
-    its (chunk, 4, 4) stack bounds the memory.  Python passes: per chunk,
-    log2(RK4_SCAN_CHUNK) scan steps, and per distinct substep count of the
-    grid, log2(substeps) powering steps; none is per sample.
+    The intervals' propagators then compose in blocks of b = ceil(sqrt(m))
+    intervals of a chunk of m: first the prefix products D inside every block,
+    one batched composition per position in the block; then the state y
+    carried across the block ends, one mat-vec per block; then every sample,
+    y + D @ y with its block's y, in one batched mat-vec.  The chunks hold
+    RK4_SCAN_CHUNK intervals, each starting from the state the previous one
+    ended at, so its (chunk, 4, 4) stack bounds the memory.  Python steps: per
+    chunk, about 2 sqrt(m) for O(m) compositions, and per distinct substep
+    count of the grid, log2(substeps) powering steps; none is per sample.
     """
     tau = np.asarray(tau_grid, dtype=float)
     r, tau_end = float(np.linalg.norm(liouvillian, np.inf)), float(tau[-1])
@@ -248,13 +249,22 @@ def evolve_rk4(liouvillian: np.ndarray, psi0: np.ndarray, tau_grid) -> np.ndarra
     states = np.empty((tau.size, 4))
     states[0] = y = psi0
     for start in range(0, which.size, RK4_SCAN_CHUNK):
-        scan = increments[which[start:start + RK4_SCAN_CHUNK]]
-        offset = 1
-        while offset < len(scan):
-            scan[offset:] = _compose(scan[offset:], scan[:-offset])
-            offset *= 2
-        states[start + 1:start + 1 + len(scan)] = y + scan @ y
-        y = states[start + len(scan)]
+        m = min(RK4_SCAN_CHUNK, which.size - start)
+        b = math.isqrt(m - 1) + 1
+        blocks = -(-m // b)
+        # position-major: prefix[k, i] is interval k of block i, and then the
+        # product of that block's intervals 0..k
+        prefix = increments[np.pad(which[start:start + m], (0, blocks * b - m)).reshape(-1, b).T]
+        prefix[m - (blocks - 1) * b:, -1] = 0.0  # the last block's padding: the identity
+        for k in range(1, b):
+            prefix[k] = _compose(prefix[k], prefix[k - 1])
+        carried = np.empty((blocks, 4, 1))  # the state at each block's start
+        carried[0, :, 0] = y
+        for i in range(1, blocks):
+            carried[i] = carried[i - 1] + prefix[-1, i - 1] @ carried[i - 1]
+        samples = (carried + prefix @ carried).transpose(1, 0, 2, 3)
+        states[start + 1:start + 1 + m] = samples.reshape(-1, 4)[:m]
+        y = states[start + m]
     return states
 
 

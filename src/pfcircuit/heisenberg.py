@@ -30,8 +30,10 @@ __all__ = [
     "ObservableTrajectory",
     "NumberEvolution",
     "GrowthBoundReport",
+    "sandwich",
     "evolve_observable",
     "number_evolution",
+    "number_paths",
     "growth_bound_report",
     "shifted_propagator",
     "product_formula_residual",
@@ -60,20 +62,31 @@ def shifted_propagator(pf: PFSystem, tau) -> np.ndarray:
                      np.exp(np.multiply.outer(tau, pf.spectrum.shifted_eigenvalues)), pf.T_inv)
 
 
-def evolve_observable(X0: np.ndarray, pf: PFSystem, tau_grid) -> ObservableTrajectory:
-    """X(tau) = e^{2 l3 tau} e^{Lt^+ tau} X(0) e^{Lt tau} on the sample grid; X(0) at tau = 0.
+def sandwich(X0: np.ndarray, pf: PFSystem, tau: np.ndarray) -> np.ndarray:
+    """X(tau) = e^{2 l3 tau} e^{Lt^+ tau} X(0) e^{Lt tau} on a 1-d float grid; X(0) at tau = 0.
 
-    A (k, 4, 4) stack of observables goes through one propagator stack and one
-    stacked spectral-norm call, giving X of shape (k, n, 4, 4) and norms of
-    shape (k, n); a single 4x4 observable gives (n, 4, 4) and (n,).
-    Raises :class:`SeriesOverflow` when X(tau) or its norm leaves the double range.
+    A (k, 4, 4) stack of observables goes through one propagator stack, giving
+    shape (k, n, 4, 4); a single 4x4 observable gives (n, 4, 4).  A sample
+    that leaves the double range is left inf or nan for :func:`linalg.gram` to refuse.
     """
     X0 = X0[..., None, :, :]
-    tau = np.asarray(tau_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         e = shifted_propagator(pf, tau)
         out = np.exp(2.0 * pf.spectrum.l3 * tau)[:, None, None] * (e.transpose(0, 2, 1) @ X0 @ e)
     out[..., tau == 0.0, :, :] = X0
+    return out
+
+
+def evolve_observable(X0: np.ndarray, pf: PFSystem, tau_grid) -> ObservableTrajectory:
+    """The :func:`sandwich` of ``X0`` on the sample grid, with its spectral-norm series.
+
+    A (k, 4, 4) stack of observables goes through one stacked spectral-norm
+    call, giving X of shape (k, n, 4, 4) and norms of shape (k, n); a single
+    4x4 observable gives (n, 4, 4) and (n,).
+    Raises :class:`SeriesOverflow` when X(tau) or its norm leaves the double range.
+    """
+    tau = np.asarray(tau_grid, dtype=float)
+    out = sandwich(X0, pf, tau)
     norms = linalg.spectral_norm(out.reshape(-1, 4, 4)).reshape(out.shape[:-2])
     return ObservableTrajectory(tau=tau, X=out, norms=norms)
 
@@ -104,6 +117,15 @@ class NumberEvolution:
 def number_evolution(pf: PFSystem, tau_grid) -> NumberEvolution:
     """Evolve N1 and N2 by the generic sandwich and by the expansion closed form.
 
+    The generic path is :func:`evolve_observable` of the (N1, N2) stack, and
+    :func:`number_paths` compares the closed forms with it.
+    """
+    return number_paths(pf, evolve_observable(pf.N, pf, tau_grid))
+
+
+def number_paths(pf: PFSystem, generic: ObservableTrajectory) -> NumberEvolution:
+    """N1 and N2 by the expansion closed form, against their generic sandwich ``generic``.
+
     The closed form applies e^{x N} = I + (e^x - 1) N factor by factor in
     sandwich order, which validates the expansion itself (it rests on the
     idempotence of N_j).  The printed variant that commutes the opposite
@@ -114,7 +136,6 @@ def number_evolution(pf: PFSystem, tau_grid) -> NumberEvolution:
     the same stack reversed.
     """
     spec = pf.spectrum
-    generic = evolve_observable(pf.N, pf, tau_grid)
     tau = generic.tau
     rates = np.array([spec.lambda1, spec.lambda2])
     prefactor = np.exp(np.multiply.outer(2.0 * spec.l3 + rates, tau))[..., None, None]

@@ -34,7 +34,9 @@ __all__ = [
     "expm",
     "jacobi_eigh",
     "sqrtm_spd",
+    "gram",
     "spectral_norm",
+    "norms_from_gram",
     "relative_gap",
     "probes",
 ]
@@ -226,13 +228,11 @@ def sqrtm_spd(eigh: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def spectral_norm(a):
-    """Largest singular value, via Jacobi eigenvalues of A^T A.
+def gram(a):
+    """A^T A for one matrix or an (m, n, n) stack, as :func:`spectral_norm` decomposes it.
 
-    One matrix gives a float and an (m, n, n) stack an array of m norms, from
-    one Jacobi run.  Input that is not finite, or whose A^T A leaves the double
-    range, is refused with :class:`SeriesOverflow`, and a complex one by
-    :func:`jacobi_eigh`.
+    Input that is not finite, or whose A^T A leaves the double range, is
+    refused with :class:`SeriesOverflow`.
     """
     m = np.asarray(a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,8 +240,23 @@ def spectral_norm(a):
     if not (np.isfinite(m).all() and np.isfinite(ata).all()):
         raise SeriesOverflow(
             "spectral-norm overflow: a stack member or its A^T A is not finite")
-    norms = np.sqrt(np.maximum(jacobi_eigh(ata)[0][..., -1], 0.0))
-    return norms if m.ndim == 3 else float(norms)
+    return ata
+
+
+def spectral_norm(a):
+    """Largest singular value, via Jacobi eigenvalues of A^T A.
+
+    One matrix gives a float and an (m, n, n) stack an array of m norms, from
+    one Jacobi run.  Input that :func:`gram` refuses raises
+    :class:`SeriesOverflow`, and a complex one is refused by :func:`jacobi_eigh`.
+    """
+    norms = norms_from_gram(jacobi_eigh(gram(a))[0])
+    return norms if norms.ndim else float(norms)
+
+
+def norms_from_gram(w):
+    """The spectral norms sqrt(max(w_max, 0)) from the ascending eigenvalues ``w`` of A^T A."""
+    return np.sqrt(np.maximum(w[..., -1], 0.0))
 
 
 def relative_gap(a, b, *scales):

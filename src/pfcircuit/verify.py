@@ -34,6 +34,8 @@ C11_THRESHOLD = 1e-12
 #: the most the l4 + l2 mode may move a log-slope fitted on verify's asymptotic window: at
 #: roundoff's size, so that the 1e-2 tolerance of those checks measures nothing else
 SLOPE_EPS = 1e-12
+#: the column factors of dynamics/gauge_invariance's second gauge, relative to the run's
+SECOND_GAUGE = np.array([2.0, 0.5, 3.0, 1.0])
 #: the seed of the frame-bound and expansion probes; the heisenberg probes take the next one
 PROBE_SEED = 20260810
 
@@ -78,7 +80,8 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
     pair, pf, psi0, coeffs = model.pair, model.pf, model.psi0, model.coeffs
     s = max(float(np.linalg.norm(psi0)), 1e-300)
     report = pfalgebra.VerificationReport()
-    report.merge(pfalgebra.pf_verify(pf, gen), prefix="pfalgebra/")
+    algebra, n_hats = pfalgebra.pf_checks(pf, gen)
+    report.merge(algebra, prefix="pfalgebra/")
 
     # --- basis ---
     report.add("basis/gram_identity", basis_mod.gram_residual(pair), 1e-10)
@@ -114,12 +117,17 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
 
     # a second gauge relative to the run's, so the check never compares a gauge
     # with itself; unanchored on purpose: it reaches psi0 only through its own basis
-    alt = replace(model, gauge=pfalgebra.Gauge(*model.gauge.as_array() * (2.0, 0.5, 3.0, 1.0)))
+    # each column multiplied by its factor where the product stays a gauge, else divided by it
+    gauge = model.gauge.as_array()
+    times = gauge * SECOND_GAUGE
+    multiply = (np.abs(times) > pfalgebra.GAUGE_MIN) & (np.abs(times) <= pfalgebra.GAUGE_MAX)
+    alt = replace(model, gauge=pfalgebra.Gauge(*np.where(multiply, times, gauge / SECOND_GAUGE)))
     try:
         alt_pair = alt.pair
     except IllConditioned:  # name the run's kappa(T), which every other refusal names
-        raise IllConditioned(f"dynamics/gauge_invariance's second gauge (the run's times 2, 0.5, "
-                             f"3, 1) has u*kappa^2 >= 1 at its kappa {np.linalg.cond(alt.T):.6e} "
+        used = ", ".join(f"{f:g}" if m else f"1/{f:g}" for f, m in zip(SECOND_GAUGE, multiply))
+        raise IllConditioned(f"dynamics/gauge_invariance's second gauge (the run's times {used}) "
+                             f"has u*kappa^2 >= 1 at its kappa {np.linalg.cond(alt.T):.6e} "
                              f"(kappa(T)={pair.kappa:.6e})") from None
     closed2 = dyn.evolve_closed(alt.coeffs, alt_pair, spec, tau, params, derived)
     gauge_dev = np.linalg.norm(closed.states - closed2.states, axis=1) / row_scale
@@ -192,7 +200,15 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
     report.add("observables/reported_energy_rewrite_deviation", en_dev, None)
 
     # --- heisenberg ---
-    evo = heis.number_evolution(pf, np.linspace(0.0, heis.TAU_END, 31))
+    # one Jacobi call decomposes the n-hat pair and the A^T A of N1(tau) and N2(tau), whose
+    # members do not interact: each gets the bits of pf_verify's and number_evolution's calls
+    tau_h = np.linspace(0.0, heis.TAU_END, 31)
+    x = heis.sandwich(pf.N, pf, tau_h)
+    w, _ = linalg.jacobi_eigh(np.concatenate([n_hats, linalg.gram(x.reshape(-1, 4, 4))]))
+    pfalgebra.add_n_hat_spectra(algebra, w[:2])
+    report.merge(algebra, prefix="pfalgebra/")  # the n-hat keys keep their place
+    norms = linalg.norms_from_gram(w[2:]).reshape(x.shape[:-2])
+    evo = heis.number_paths(pf, heis.ObservableTrajectory(tau=tau_h, X=x, norms=norms))
     for j, deviation in enumerate(evo.max_relative_deviation, 1):
         report.add(f"heisenberg/number_two_path_N{j}", deviation, 1e-8)
     for j, deviation in enumerate(evo.printed_order_max_relative_deviation, 1):

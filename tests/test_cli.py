@@ -22,7 +22,7 @@ from pfcircuit import (Gauge, Model, derive, energy, normalized, number_evolutio
                        validate)
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
-from pfcircuit import basis, errors, pfalgebra
+from pfcircuit import basis, errors, heisenberg, linalg, pfalgebra
 from pfcircuit import verify as verify_mod
 from pfcircuit.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, EXIT_OUTPUT, EXIT_REGIME,
                            main)
@@ -589,13 +589,44 @@ def test_intertwiner_built_once_per_model_and_never_inverted(tmp_path, monkeypat
                "--samples", "201") == EXIT_OK
     # kappa(T): once in each build_bases, which reported_condition_number_T
     # reads; psi is built in closed form, and S_psi = S_phi^-1 is read from the
-    # model.  Jacobi: three stacked calls, one each for S_phi and S_psi (which
-    # the positivity, norm-bound, metric-root and frame-bound checks all read),
-    # for the two n-hat spectra, and for the N1 and N2 norm stacks; at (0.5, 3.2),
+    # model.  Jacobi: two stacked calls, one for S_phi and S_psi (which the
+    # positivity, norm-bound, metric-root and frame-bound checks all read), and
+    # one for the two n-hat spectra with the N1 and N2 norm stacks; at (0.5, 3.2),
     # inside verify-ref's box, this is the benchmark's linalg.jacobi_eigh.calls
     assert counts == {"pfalgebra.build_T": 2, "basis.build_bases": 2,
                       "pfalgebra.build_pf": 1, "params.validate": 2,
-                      "linalg.jacobi_eigh": 3, "np.linalg.cond": 2}
+                      "linalg.jacobi_eigh": 2, "np.linalg.cond": 2}
+
+
+@pytest.mark.parametrize("gauge", [Gauge(1.0, 1.0, 1.0, 1.0), Gauge(2.0, 0.5, 3.0, 1.0)],
+                         ids=["unit", "2,0.5,3,1"])
+def test_verify_merged_jacobi_call_matches_separate_calls(monkeypatch, gauge):
+    # verify decomposes the n-hat pair and the N1, N2 norm stacks in one Jacobi call;
+    # each member must keep the bits of pf_verify's and number_evolution's own calls
+    model = Model(normalized(0.5, 3.0), gauge)
+    tau = np.linspace(0.0, heisenberg.TAU_END, 31)
+    seen = []
+    number_paths = heisenberg.number_paths
+
+    def capturing(pf, generic):
+        seen.append(generic)
+        return number_paths(pf, generic)
+
+    monkeypatch.setattr(heisenberg, "number_paths", capturing)
+    report = run_verification_suite(model, np.linspace(0.0, 5.0, 1001)).checks
+    separate = pfalgebra.pf_verify(model.pf, model.generator).checks
+    for j in "12":
+        name = f"n_hat{j}_eigenvalues_binary"
+        assert report[f"pfalgebra/{name}"] == separate[name]
+    (generic,) = seen
+    alone = number_evolution(model.pf, tau).generic
+    assert generic.tau.tobytes() == alone.tau.tobytes()
+    assert generic.X.tobytes() == alone.X.tobytes()
+    assert generic.norms.tobytes() == alone.norms.tobytes()
+    norms = [linalg.spectral_norm(x) for x in alone.X.reshape(-1, 4, 4)]
+    assert generic.norms.tobytes() == np.array(norms).reshape(2, -1).tobytes()
+    for j, norm in enumerate(alone.norms[:, 0], 1):
+        assert report[f"heisenberg/reported_norm_N{j}_initial"]["residual"] == norm
 
 
 @pytest.mark.parametrize("command", list(_COMMAND_ARGS))
@@ -904,6 +935,20 @@ def test_verify_second_gauge_refusal_names_the_runs_kappa(tmp_path, capsys):
     assert "dynamics/gauge_invariance's second gauge" in err and "1.533777e+08" in err, err
 
 
+@pytest.mark.parametrize("scale", ["2e76", "1.5e-12"])
+def test_verify_second_gauge_stays_inside_the_gauge_bounds(tmp_path, capsys, scale):
+    # a uniform gauge that simulate runs: verify's second gauge divides a column by its factor
+    # where multiplying would leave (GAUGE_MIN, GAUGE_MAX], so verify runs it too
+    gauge = ",".join([scale] * 4)
+    for command in ("simulate", "verify"):
+        assert run(tmp_path, command, "--mu", "0.5", "--gamma", "3", "--gauge", gauge) == EXIT_OK
+    assert capsys.readouterr().out.endswith("58 asserted checks, 0 failed\n")
+    # a refusal of that second gauge names the factors it used
+    assert run(tmp_path, "verify", "--mu", "0.5", "--gamma", "2.230710143300824",
+               "--gauge", "2e76,2e76,2e76,2e76") == EXIT_REGIME
+    assert "second gauge (the run's times 2, 0.5, 1/3, 1)" in capsys.readouterr().err
+
+
 _BAD_GAUGE = "1e3,1e-3,1,1"
 
 
@@ -1092,7 +1137,7 @@ def test_in_process_model_defaults_to_the_cli_initial_current():
 #: and 1,001 samples, in the default gauge, verify's second gauge and a
 #: deliberately bad one: a report's JSON text, or "Class: message" for a
 #: refusal; recorded with numpy 2.4.6
-_GRID_SLICE_SHA256 = "97e51fa82081d546a50400586dca4c876c70447c11f4c19d2433ebe19ea6d9b7"
+_GRID_SLICE_SHA256 = "38afbdef1cbe55459bdbfcd4c4b584e5b6d50f52c2d489dd64ac302c9d04c493"
 
 
 def test_verify_outcomes_pinned_on_a_grid_slice():
@@ -1144,7 +1189,7 @@ _PINNED_SHA256 = {
             "c627de351491715d157853bdabbcdfb8eb8591bf0726efda480cd5662fc1e2ad",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("reference", "verify"): {
-        "verify_report.json": "1c3f89072e8aa36d5c374133f815d70ad56fd64d8b04e06500cd36b7d24fc050",
+        "verify_report.json": "9f4c2c712d740561c77a1dc7f0f333a9ffecf9d0fc306eacdbe333e4e0cbdf61",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("gauge", "heisenberg"): {
         "heisenberg.csv": "b7ef10c129fab80a74b9d28042a24667cb06fda55828347a4a9e9de8bfde7da1",
@@ -1152,7 +1197,7 @@ _PINNED_SHA256 = {
             "cd0cc19360aefd6385f7d4b0d7e54cd31c66f4ed87f5b2c74a7c936701c99f4b",
         "stdout": "a57ca95d1ab6db615d7ac07c4f2b9fde7decb91e5340f50d9f18bde6b15e0835"},
     ("gauge", "verify"): {
-        "verify_report.json": "9b16685363d39fd5ccf52727f3c1a7bac2269918476a1402bbe13cfb8856085d",
+        "verify_report.json": "f5965c5bb79d145f30e928eb0ebc2fb014bfc9fe030a4f9a2da14a0c2284b6b9",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("physical", "heisenberg"): {
         "heisenberg.csv": "729ea032da3206780b072a565980714a43bfa675d95bc603feda5bb4fe3bc945",
@@ -1160,7 +1205,7 @@ _PINNED_SHA256 = {
             "0c867da49fe01f81eba8800b282181a6a1ecc513fcfbdf87c0d3bf30a67963f4",
         "stdout": "d323ceabedc40bcd91d1844c67e726ff57eaa60a887a546d090ecd47c8167d0a"},
     ("physical", "verify"): {
-        "verify_report.json": "ef9dd11cf2350fb1d82f69d3be2ccf54e4323d31d09874af4c397dd110a9c94c",
+        "verify_report.json": "b3344540aed5f77a01239901cfd729a18f69c7d1ac724d38d92d262e4b137f3b",
         "stdout": "bc10b9cd9a2b9284a5c63213be0554fadac1898e5db8369cf7a0e9ff696c4db4"},
     ("reference", "adjoint"): {
         "adjoint.csv": "87d2e8ce3bac021d758fa757bc1ae9f61caa66a027cc73553666a8a725bb469d",

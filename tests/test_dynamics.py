@@ -232,10 +232,15 @@ def _stage_rk4(m, y, tau):
 @pytest.mark.parametrize("grid", [
     TAU, np.array([0.0, 0.013, 0.05, 0.0501, 0.4, 0.75, 2.0, 5.0]),
     np.linspace(0.0, 5.0, 2), np.linspace(0.0, 5.0, 3),
-    # one scan chunk of intervals, one more, and two chunks and one
+    # one chunk of intervals, one more, and two chunks and one: the last chunk holds a
+    # single interval, which is a single block
     *(np.linspace(0.0, 1.0, n + 1) for n in (dyn.RK4_SCAN_CHUNK, dyn.RK4_SCAN_CHUNK + 1,
                                              2 * dyn.RK4_SCAN_CHUNK + 1)),
-], ids=["uniform", "nonuniform", "2-samples", "3-samples", "chunk", "chunk+1", "2chunk+1"])
+    # blocks of b = ceil(sqrt(n)) intervals whose last block is one interval short of b,
+    # exactly b, or a single interval, for b = 3 and b = 32
+    *(np.linspace(0.0, 1.0, n + 1) for n in (8, 9, 7, 1023, 992, 993)),
+], ids=["uniform", "nonuniform", "2-samples", "3-samples", "chunk", "chunk+1", "2chunk+1",
+        "b3-short", "b3-full", "b3-single", "b32-short", "b32-full", "b32-single"])
 def test_rk4_propagator_equals_stage_form(reference_generator, grid):
     psi0 = initial_state(1.0, 1.0, 1.0)
     expected = _stage_rk4(reference_generator, psi0, grid)
