@@ -10,9 +10,10 @@ e^{-2 l3 tau}; the constant is reported rather than assumed to be one, since
 
 import numpy as np
 
-from pfcircuit import Model, normalized, number_evolution
+from pfcircuit import Model, linalg, normalized
 from pfcircuit.heisenberg import (
-    expectation_consistency_residual, growth_bound_report, product_formula_residual,
+    expectation_consistency_residual, growth_bound_report, number_paths,
+    product_formula_residual, sandwich,
 )
 
 model = Model(normalized(mu=0.5, gamma=3.0))
@@ -32,16 +33,17 @@ print(f"product-formula residual at tau=1.3: "
       f"{product_formula_residual(pf, 1.3):.3e}")
 
 # N1 and N2 evolve together: one propagator stack, one stacked norm call
-evo = number_evolution(pf, np.linspace(0.0, 3.0, 31))
-(dev1, dev2), (printed1, printed2) = (evo.max_relative_deviation,
-                                      evo.printed_order_max_relative_deviation)
+tau = np.linspace(0.0, 3.0, 31)
+x = sandwich(pf.N, pf, tau)
+norms = linalg.spectral_norm(x.reshape(-1, 4, 4)).reshape(2, -1)
+(dev1, dev2), (printed1, printed2) = number_paths(pf, tau, x)
 print(f"\nN1: generic path vs ordered expansion product: {dev1:.3e}")
 print(f"N1: the printed reordering (sliding the opposite adjoint factor through"
       f" N1) is off by {printed1:.3f}")
 print(f"N2: generic vs ordered {dev2:.3e}, printed reordering off by {printed2:.3f}")
 
 # the growth report holds each quantity as an (N1, N2) pair
-bound = growth_bound_report(evo, model.spec)
+bound = growth_bound_report(norms, tau, model.spec)
 (norm1, norm2), (const1, const2) = bound.norm_initial, bound.bound_constant
 print(f"\n||N1(0)|| = {norm1:.6f}, ||N2(0)|| = {norm2:.6f} (the norm-one premise "
       f"holds: {bound.premise_norm_one[0]}, {bound.premise_norm_one[1]})")

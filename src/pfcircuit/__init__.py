@@ -18,12 +18,7 @@ from .dynamics import (
     initial_state,
     quartic_residual,
 )
-from .heisenberg import (
-    ObservableTrajectory,
-    evolve_observable,
-    growth_bound_report,
-    number_evolution,
-)
+from .heisenberg import growth_bound_report
 from .liouvillian import Spectrum, build_liouvillian, spectrum
 from .model import Model
 from .observables import GainLossReport, classify_asymptotics, energy, power
@@ -54,7 +49,6 @@ __all__ = [
     "GainLossReport",
     "Gauge",
     "Model",
-    "ObservableTrajectory",
     "PFSystem",
     "RegimeReport",
     "Spectrum",
@@ -71,13 +65,11 @@ __all__ = [
     "evolve_adjoint",
     "evolve_closed",
     "evolve_h0",
-    "evolve_observable",
     "evolve_rk4",
     "fermion_generators",
     "growth_bound_report",
     "initial_state",
     "normalized",
-    "number_evolution",
     "pf_verify",
     "power",
     "quartic_residual",

@@ -14,6 +14,13 @@ number operators ([N2^+, N1] != 0 for non-orthogonal intertwiners), so the
 factors must be kept in sandwich order; the printed form that slides the
 N2^+ factor through N1 is evaluated in a reported-only channel.  The
 spectrum of L is read from the operator system (``pf.spectrum``).
+
+The ``heisenberg`` command and verify evolve N1 and N2 by the same steps:
+:func:`sandwich` of the (N1, N2) stack, the spectral norms of its samples,
+:func:`number_paths` against the closed forms, and :func:`growth_bound_report`
+on the norms.  Only the norm step differs: the command takes
+:func:`linalg.spectral_norm`, and verify reads the norms from the Jacobi call
+it shares with the n-hat spectra.
 """
 
 from __future__ import annotations
@@ -27,12 +34,8 @@ from .liouvillian import Spectrum
 from .pfalgebra import PFSystem
 
 __all__ = [
-    "ObservableTrajectory",
-    "NumberEvolution",
     "GrowthBoundReport",
     "sandwich",
-    "evolve_observable",
-    "number_evolution",
     "number_paths",
     "growth_bound_report",
     "shifted_propagator",
@@ -44,16 +47,6 @@ __all__ = [
 #: end of the tau grid on which verify and the heisenberg command evolve
 #: observables (the command stops at tau_max when that is earlier)
 TAU_END = 3.0
-
-
-@dataclass(frozen=True)
-class ObservableTrajectory:
-    """Sampled operator evolution with its spectral-norm series."""
-
-    tau: np.ndarray
-    X: np.ndarray
-    """Shape (n, 4, 4), or (k, n, 4, 4) for a stack of k observables."""
-    norms: np.ndarray
 
 
 def shifted_propagator(pf: PFSystem, tau) -> np.ndarray:
@@ -77,20 +70,6 @@ def sandwich(X0: np.ndarray, pf: PFSystem, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve_observable(X0: np.ndarray, pf: PFSystem, tau_grid) -> ObservableTrajectory:
-    """The :func:`sandwich` of ``X0`` on the sample grid, with its spectral-norm series.
-
-    A (k, 4, 4) stack of observables goes through one stacked spectral-norm
-    call, giving X of shape (k, n, 4, 4) and norms of shape (k, n); a single
-    4x4 observable gives (n, 4, 4) and (n,).
-    Raises :class:`SeriesOverflow` when X(tau) or its norm leaves the double range.
-    """
-    tau = np.asarray(tau_grid, dtype=float)
-    out = sandwich(X0, pf, tau)
-    norms = linalg.spectral_norm(out.reshape(-1, 4, 4)).reshape(out.shape[:-2])
-    return ObservableTrajectory(tau=tau, X=out, norms=norms)
-
-
 def _expansion_factors(pf: PFSystem, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E_j = I + (e^{lambda_j tau} - 1) N_j for both modes on a 1-d tau grid.
 
@@ -102,30 +81,13 @@ def _expansion_factors(pf: PFSystem, tau: np.ndarray) -> tuple[np.ndarray, np.nd
     return grow, np.eye(4) + grow * pf.N[:, None]
 
 
-@dataclass(frozen=True)
-class NumberEvolution:
-    """N1 and N2 evolved along both computation paths; a leading axis of 2 is (N1, N2)."""
+def number_paths(pf: PFSystem, tau: np.ndarray,
+                 X: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """N1 and N2 by the expansion closed form, against their :func:`sandwich` ``X`` on ``tau``.
 
-    generic: ObservableTrajectory
-    """X of shape (2, n, 4, 4) and norms of shape (2, n)."""
-    closed: np.ndarray
-    """Shape (2, n, 4, 4): the expansion closed form on the generic trajectory's grid."""
-    max_relative_deviation: tuple[float, float]
-    printed_order_max_relative_deviation: tuple[float, float]
-
-
-def number_evolution(pf: PFSystem, tau_grid) -> NumberEvolution:
-    """Evolve N1 and N2 by the generic sandwich and by the expansion closed form.
-
-    The generic path is :func:`evolve_observable` of the (N1, N2) stack, and
-    :func:`number_paths` compares the closed forms with it.
-    """
-    return number_paths(pf, evolve_observable(pf.N, pf, tau_grid))
-
-
-def number_paths(pf: PFSystem, generic: ObservableTrajectory) -> NumberEvolution:
-    """N1 and N2 by the expansion closed form, against their generic sandwich ``generic``.
-
+    ``X`` is the (2, n, 4, 4) sandwich of the (N1, N2) stack.  Returns the
+    maximum relative deviation of each operator's closed form from it, then
+    that of its printed form, each as an (N1, N2) pair.
     The closed form applies e^{x N} = I + (e^x - 1) N factor by factor in
     sandwich order, which validates the expansion itself (it rests on the
     idempotence of N_j).  The printed variant that commutes the opposite
@@ -136,7 +98,6 @@ def number_paths(pf: PFSystem, generic: ObservableTrajectory) -> NumberEvolution
     the same stack reversed.
     """
     spec = pf.spectrum
-    tau = generic.tau
     rates = np.array([spec.lambda1, spec.lambda2])
     prefactor = np.exp(np.multiply.outer(2.0 * spec.l3 + rates, tau))[..., None, None]
     grow, factor = _expansion_factors(pf, tau)
@@ -147,11 +108,11 @@ def number_paths(pf: PFSystem, generic: ObservableTrajectory) -> NumberEvolution
     printed = prefactor * (factor_adj @ n_own @ (
         np.eye(4) + grow[::-1] * (n_other + n_other_adj)
         + grow[::-1]**2 * (n_other_adj @ n_other)))
-    scale = np.maximum(np.linalg.norm(generic.X, axis=(-2, -1)), 1e-300)
+    scale = np.maximum(np.linalg.norm(X, axis=(-2, -1)), 1e-300)
     dev_closed, dev_printed = (
-        tuple(np.max(np.linalg.norm(path - generic.X, axis=(-2, -1)) / scale, axis=-1).tolist())
+        tuple(np.max(np.linalg.norm(path - X, axis=(-2, -1)) / scale, axis=-1).tolist())
         for path in (closed, printed))
-    return NumberEvolution(generic, closed, dev_closed, dev_printed)
+    return dev_closed, dev_printed
 
 
 @dataclass(frozen=True)
@@ -179,10 +140,12 @@ class GrowthBoundReport:
                 for j, value in enumerate(pair, 1)}
 
 
-def growth_bound_report(evo: NumberEvolution, spec: Spectrum) -> GrowthBoundReport:
-    """Compute the scaled norm ratios r_j(tau) = ||N_j(tau)|| e^{2 l3 tau}."""
-    norms = evo.generic.norms
-    ratios = norms * np.exp(2.0 * spec.l3 * evo.generic.tau)
+def growth_bound_report(norms: np.ndarray, tau: np.ndarray, spec: Spectrum) -> GrowthBoundReport:
+    """Compute the scaled norm ratios r_j(tau) = ||N_j(tau)|| e^{2 l3 tau}.
+
+    ``norms`` holds the spectral norms of N1(tau) and N2(tau), shape (2, n).
+    """
+    ratios = norms * np.exp(2.0 * spec.l3 * tau)
     initial = tuple(norms[:, 0].tolist())
     return GrowthBoundReport(
         norm_initial=initial,

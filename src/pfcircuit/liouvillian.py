@@ -18,7 +18,7 @@ operator construction rides on.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class Spectrum:
         return np.array([self.lambda0, self.lambda1, self.lambda2, self.lambda3])
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def build_liouvillian(derived: DerivedParams) -> np.ndarray:

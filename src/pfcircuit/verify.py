@@ -201,17 +201,18 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
 
     # --- heisenberg ---
     # one Jacobi call decomposes the n-hat pair and the A^T A of N1(tau) and N2(tau), whose
-    # members do not interact: each gets the bits of pf_verify's and number_evolution's calls
+    # members do not interact: each gets the bits of pf_verify's call and of the
+    # heisenberg command's spectral_norm call
     tau_h = np.linspace(0.0, heis.TAU_END, 31)
     x = heis.sandwich(pf.N, pf, tau_h)
     w, _ = linalg.jacobi_eigh(np.concatenate([n_hats, linalg.gram(x.reshape(-1, 4, 4))]))
     pfalgebra.add_n_hat_spectra(algebra, w[:2])
     report.merge(algebra, prefix="pfalgebra/")  # the n-hat keys keep their place
     norms = linalg.norms_from_gram(w[2:]).reshape(x.shape[:-2])
-    evo = heis.number_paths(pf, heis.ObservableTrajectory(tau=tau_h, X=x, norms=norms))
-    for j, deviation in enumerate(evo.max_relative_deviation, 1):
+    two_path, printed_order = heis.number_paths(pf, tau_h, x)
+    for j, deviation in enumerate(two_path, 1):
         report.add(f"heisenberg/number_two_path_N{j}", deviation, 1e-8)
-    for j, deviation in enumerate(evo.printed_order_max_relative_deviation, 1):
+    for j, deviation in enumerate(printed_order, 1):
         report.add(f"heisenberg/reported_printed_order_deviation_N{j}", deviation, None)
     report.add("heisenberg/product_formula",
                float(np.max(heis.product_formula_residual(pf, np.array([0.5, 1.3, 2.7])))), 1e-9)
@@ -221,7 +222,7 @@ def run_verification_suite(model: Model, tau: np.ndarray) -> pfalgebra.Verificat
     expectation = heis.expectation_consistency_residual(
         rows[:, :16].reshape(20, 4, 4), rows[:, 16:20], pf, times)
     report.add("heisenberg/expectation_consistency_max", float(np.max(expectation)), 1e-8)
-    bound = heis.growth_bound_report(evo, spec)
+    bound = heis.growth_bound_report(norms, tau_h, spec)
     finite = np.all(np.isfinite(bound.bound_constant))
     report.add("heisenberg/growth_ratio_finite", 0.0 if finite else float("inf"), 0.0)
     for j, constant in enumerate(bound.bound_constant, 1):

@@ -22,7 +22,6 @@ from pfcircuit import (
     evolve_h0,
     evolve_rk4,
     normalized,
-    number_evolution,
     pf_verify,
     power,
     quartic_residual,
@@ -35,7 +34,9 @@ from pfcircuit.dynamics import adjoint_circuit_map
 from pfcircuit.heisenberg import (
     expectation_consistency_residual,
     growth_bound_report,
+    number_paths,
     product_formula_residual,
+    sandwich,
 )
 from pfcircuit.observables import energy_rewrite_deviation
 from pfcircuit.verify import run_verification_suite
@@ -197,12 +198,14 @@ def test_criterion_6_heisenberg():
             t = float(rng.uniform(0.0, 3.0))
             assert expectation_consistency_residual(x0, state, pf, t) < 1e-8
         grid = np.linspace(0.0, 3.0, 31)
-        evo = number_evolution(pf, grid)
-        assert evo.max_relative_deviation[0] < 1e-8
-        assert evo.max_relative_deviation[1] < 1e-8
+        x = sandwich(pf.N, pf, grid)
+        two_path, _ = number_paths(pf, grid, x)
+        assert two_path[0] < 1e-8
+        assert two_path[1] < 1e-8
         for t in (0.4, 1.1, 2.6):
             assert product_formula_residual(pf, t) < 1e-9
-        bound = growth_bound_report(evo, model.spec)
+        norms = linalg.spectral_norm(x.reshape(-1, 4, 4)).reshape(2, -1)
+        bound = growth_bound_report(norms, grid, model.spec)
         assert np.isfinite(bound.bound_constant[0])
         assert np.isfinite(bound.bound_constant[1])
 

@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 import pfcircuit
-from pfcircuit import (Gauge, Model, derive, energy, normalized, number_evolution, power,
-                       validate)
+from pfcircuit import Gauge, Model, derive, energy, normalized, power, validate
 from pfcircuit import cli as cli_mod
 from pfcircuit import dynamics as dyn
 from pfcircuit import basis, errors, heisenberg, linalg, pfalgebra
@@ -602,30 +601,36 @@ def test_intertwiner_built_once_per_model_and_never_inverted(tmp_path, monkeypat
                          ids=["unit", "2,0.5,3,1"])
 def test_verify_merged_jacobi_call_matches_separate_calls(monkeypatch, gauge):
     # verify decomposes the n-hat pair and the N1, N2 norm stacks in one Jacobi call;
-    # each member must keep the bits of pf_verify's and number_evolution's own calls
+    # each member must keep the bits of pf_verify's and the heisenberg command's own calls
     model = Model(normalized(0.5, 3.0), gauge)
     tau = np.linspace(0.0, heisenberg.TAU_END, 31)
-    seen = []
-    number_paths = heisenberg.number_paths
+    seen = {}
+    number_paths, growth_bound_report = heisenberg.number_paths, heisenberg.growth_bound_report
 
-    def capturing(pf, generic):
-        seen.append(generic)
-        return number_paths(pf, generic)
+    def capturing_paths(pf, grid, x):
+        seen["paths"] = grid, x
+        return number_paths(pf, grid, x)
 
-    monkeypatch.setattr(heisenberg, "number_paths", capturing)
+    def capturing_growth(norms, grid, spec):
+        seen["growth"] = norms, grid
+        return growth_bound_report(norms, grid, spec)
+
+    monkeypatch.setattr(heisenberg, "number_paths", capturing_paths)
+    monkeypatch.setattr(heisenberg, "growth_bound_report", capturing_growth)
     report = run_verification_suite(model, np.linspace(0.0, 5.0, 1001)).checks
     separate = pfalgebra.pf_verify(model.pf, model.generator).checks
     for j in "12":
         name = f"n_hat{j}_eigenvalues_binary"
         assert report[f"pfalgebra/{name}"] == separate[name]
-    (generic,) = seen
-    alone = number_evolution(model.pf, tau).generic
-    assert generic.tau.tobytes() == alone.tau.tobytes()
-    assert generic.X.tobytes() == alone.X.tobytes()
-    assert generic.norms.tobytes() == alone.norms.tobytes()
-    norms = [linalg.spectral_norm(x) for x in alone.X.reshape(-1, 4, 4)]
-    assert generic.norms.tobytes() == np.array(norms).reshape(2, -1).tobytes()
-    for j, norm in enumerate(alone.norms[:, 0], 1):
+    (tau_paths, x), (norms, tau_growth) = seen["paths"], seen["growth"]
+    x_alone = heisenberg.sandwich(model.pf.N, model.pf, tau)
+    norms_alone = linalg.spectral_norm(x_alone.reshape(-1, 4, 4)).reshape(2, -1)
+    assert tau_paths.tobytes() == tau_growth.tobytes() == tau.tobytes()
+    assert x.tobytes() == x_alone.tobytes()
+    assert norms.tobytes() == norms_alone.tobytes()
+    one_by_one = [linalg.spectral_norm(a) for a in x_alone.reshape(-1, 4, 4)]
+    assert norms.tobytes() == np.array(one_by_one).reshape(2, -1).tobytes()
+    for j, norm in enumerate(norms_alone[:, 0], 1):
         assert report[f"heisenberg/reported_norm_N{j}_initial"]["residual"] == norm
 
 
@@ -639,19 +644,41 @@ def test_no_command_inverts_the_intertwiner(tmp_path, monkeypatch, command):
 
 
 def test_heisenberg_evolves_both_operators_in_one_pass(tmp_path, monkeypatch):
-    counts = _count_calls(monkeypatch, ["heisenberg.number_evolution",
-                                        "heisenberg.evolve_observable", "linalg.jacobi_eigh"])
+    steps = ["heisenberg.sandwich", "linalg.spectral_norm", "heisenberg.number_paths",
+             "heisenberg.growth_bound_report"]
+    counts = _count_calls(monkeypatch, [*steps, "linalg.jacobi_eigh"])
     assert run(tmp_path, "heisenberg", "--mu", "0.5", "--gamma", "3") == EXIT_OK
     # Jacobi: one stacked call that norms N1(tau) and N2(tau) together; the metric
     # roots are taken by the verifier only
-    assert counts == {"heisenberg.number_evolution": 1, "heisenberg.evolve_observable": 1,
-                      "linalg.jacobi_eigh": 1}
+    assert counts == {**dict.fromkeys(steps, 1), "linalg.jacobi_eigh": 1}
 
 
 def test_heisenberg_checks_the_regime_once(tmp_path, monkeypatch):
     counts = _count_calls(monkeypatch, ["params.validate"])
     assert run(tmp_path, "heisenberg", "--mu", "0.5", "--gamma", "3") == EXIT_OK
     assert counts == {"params.validate": 1}
+
+
+@pytest.mark.parametrize(("point", "gauge"), [(("0.5", "3"), "1,1,1,1"),
+                                              (("0.5", "3"), "2,0.5,3,1"),
+                                              (("-0.7", "2.9"), "1,1,1,1")])
+def test_heisenberg_and_verify_agree(tmp_path, point, gauge):
+    # heisenberg on 31 samples of [0, 3] runs verify's grid linspace(0, TAU_END, 31)
+    # through the same steps, so every shared number is the same double
+    mu, gamma = point
+    args = ["--mu", mu, "--gamma", gamma, "--gauge", gauge]
+    assert run(tmp_path, "heisenberg", *args, "--tau-max", "3", "--samples", "31") == EXIT_OK
+    assert run(tmp_path, "verify", *args) == EXIT_OK
+    command = json.loads((tmp_path / "heisenberg_report.json").read_text())
+    checks = json.loads((tmp_path / "verify_report.json").read_text())
+    for j in (1, 2):
+        for ours, theirs in [(f"two_path_deviation_N{j}", f"number_two_path_N{j}"),
+                             (f"printed_order_deviation_N{j}",
+                              f"reported_printed_order_deviation_N{j}"),
+                             (f"bound_constant_{j}", f"reported_growth_constant_N{j}"),
+                             (f"norm_N{j}_initial", f"reported_norm_N{j}_initial")]:
+            value = checks[f"heisenberg/{theirs}"]["residual"]
+            assert command[ours].hex() == value.hex(), (ours, command[ours], value)
 
 
 def test_sweep_checks_the_regime_once_per_point(tmp_path, monkeypatch):
@@ -1113,7 +1140,7 @@ def test_heisenberg_artifacts(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     model = Model(normalized(0.5, 3.0))
-    norm0 = number_evolution(model.pf, np.array([0.0])).generic.norms[0, 0]
+    norm0 = linalg.spectral_norm(model.pf.N[0])
     assert float(first[1]) == pytest.approx(norm0, rel=1e-15)
     payload = json.loads((tmp_path / "heisenberg_report.json").read_text())
     assert payload["two_path_deviation_N1"] < 1e-8

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfcircuit import Gauge, Model, evolve_observable, growth_bound_report, normalized
-from pfcircuit import linalg, number_evolution
+from pfcircuit import Gauge, Model, growth_bound_report, linalg, normalized
 from pfcircuit.cli import EXIT_OK, main
 from pfcircuit.heisenberg import (
     effective_hamiltonian_route_residual,
     expectation_consistency_residual,
+    number_paths,
     product_formula_residual,
+    sandwich,
     shifted_propagator,
 )
 from pfcircuit.pfalgebra import fermion_generators
@@ -20,31 +21,42 @@ from pfcircuit.pfalgebra import fermion_generators
 TAU = np.linspace(0.0, 3.0, 31)
 
 
+def _numbers(pf, tau):
+    """The sandwich of the (N1, N2) stack on ``tau`` and its spectral norms, shape (2, n)."""
+    x = sandwich(pf.N, pf, tau)
+    return x, linalg.spectral_norm(x.reshape(-1, 4, 4)).reshape(x.shape[:-2])
+
+
 @pytest.fixture(scope="module")
-def number_evolutions(reference_pf):
-    return number_evolution(reference_pf, TAU)
+def numbers(reference_pf):
+    return _numbers(reference_pf, TAU)
+
+
+@pytest.fixture(scope="module")
+def deviations(reference_pf, numbers):
+    return number_paths(reference_pf, TAU, numbers[0])
 
 
 def test_initial_observable_unchanged(reference_pf):
     x0 = np.diag([1.0, 2.0, 3.0, 4.0])
-    traj = evolve_observable(x0, reference_pf, np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(traj.X[0], x0)
+    X = sandwich(x0, reference_pf, np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(X[0], x0)
 
 
 def test_identity_observable_stays_positive(reference_pf):
-    traj = evolve_observable(np.eye(4), reference_pf, TAU)
+    X = sandwich(np.eye(4), reference_pf, TAU)
     for idx in range(TAU.size):
-        xt = traj.X[idx]
+        xt = X[idx]
         assert np.max(np.abs(xt - xt.T)) < 1e-9 * np.linalg.norm(xt)
         assert np.min(np.linalg.eigvalsh((xt + xt.T) / 2.0)) > 0.0
 
 
 def test_batched_evolution_matches_per_sample_sandwich(reference_pf, reference_spectrum):
     x0 = np.arange(16.0).reshape(4, 4) / 7.0 - 1.0
-    traj = evolve_observable(x0, reference_pf, TAU)
-    assert traj.X.shape == (TAU.size, 4, 4) and traj.norms.shape == (TAU.size,)
-    np.testing.assert_array_equal(traj.X[0], x0)
-    for t, xt in zip(TAU, traj.X):
+    X = sandwich(x0, reference_pf, TAU)
+    assert X.shape == (TAU.size, 4, 4) and linalg.spectral_norm(X).shape == (TAU.size,)
+    np.testing.assert_array_equal(X[0], x0)
+    for t, xt in zip(TAU, X):
         e = shifted_propagator(reference_pf, t)
         expected = np.exp(2.0 * reference_spectrum.l3 * t) * (e.T @ x0 @ e)
         assert np.max(np.abs(xt - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
@@ -72,24 +84,24 @@ def test_expectation_consistency_stack_matches_the_rows(reference_pf):
     assert np.max(stacked) < 1e-8
 
 
-def test_number_two_path_agreement(number_evolutions):
-    for deviation in number_evolutions.max_relative_deviation:
+def test_number_two_path_agreement(deviations):
+    for deviation in deviations[0]:
         assert deviation < 1e-8
 
 
-def test_number_printed_order_deviates(number_evolutions):
+def test_number_printed_order_deviates(deviations):
     # the printed rearrangement commutes the opposite adjoint factor through
     # N_j, which is invalid here; the deviation is O(1) and reported
-    for deviation in number_evolutions.printed_order_max_relative_deviation:
+    for deviation in deviations[1]:
         assert deviation > 1e-2
 
 
-def test_number_initial_sample(number_evolutions, reference_pf):
-    evo = number_evolutions
-    for generic, closed, n_op in zip(evo.generic.X, evo.closed,
-                                     reference_pf.N):
-        assert np.max(np.abs(generic[0] - n_op)) < 1e-12
-        assert np.max(np.abs(closed[0] - n_op)) < 1e-12
+def test_number_initial_sample(numbers, reference_pf):
+    # at tau = 0 the sandwich is N_j itself, and every expansion factor is I, so
+    # both closed forms give N_j bit for bit and deviate from it by exactly 0.0
+    assert numbers[0][:, 0].tobytes() == reference_pf.N.tobytes()
+    at_zero = number_paths(reference_pf, np.array([0.0]), reference_pf.N[:, None])
+    assert at_zero == ((0.0, 0.0), (0.0, 0.0))
 
 
 def test_scalar_expansion_identity(reference_pf):
@@ -124,8 +136,8 @@ def test_propagator_matches_taylor_route(reference_pf, reference_spectrum,
     assert np.max(np.abs(at_zero - np.eye(4))) < 1e-14
 
 
-def test_number_evolution_norms_only_generic(reference_pf, monkeypatch):
-    # the closed-form stack carries no norms: one Jacobi norm per generic sample
+def test_heisenberg_norms_only_the_sandwich(monkeypatch, tmp_path):
+    # the closed-form stacks carry no norms: one Jacobi norm per sandwich sample
     # of both operators, all of them from one stacked call
     normed = []
     real_norm = linalg.spectral_norm
@@ -135,12 +147,13 @@ def test_number_evolution_norms_only_generic(reference_pf, monkeypatch):
         return real_norm(a)
 
     monkeypatch.setattr(linalg, "spectral_norm", counting_norm)
-    number_evolution(reference_pf, np.linspace(0.0, 3.0, 31))
+    assert main(["heisenberg", "--mu", "0.5", "--gamma", "3", "--tau-max", "3",
+                 "--samples", str(TAU.size), "--output", str(tmp_path)]) == EXIT_OK
     assert normed == [62]
 
 
-def test_growth_bound(number_evolutions, reference_spectrum):
-    report = growth_bound_report(number_evolutions, reference_spectrum)
+def test_growth_bound(numbers, reference_spectrum):
+    report = growth_bound_report(numbers[1], TAU, reference_spectrum)
     assert np.isfinite(report.bound_constant[0])
     assert np.isfinite(report.bound_constant[1])
     assert np.all(report.ratios <= max(report.bound_constant[0] * report.norm_initial[0],
@@ -172,7 +185,7 @@ def test_effective_hamiltonian_route_sees_a_fault_in_the_inverse(reference_gener
     assert effective_hamiltonian_route_residual(reference_generator, faulty, x0, 0.9) > 1e-9
 
 
-def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):
+def test_norm_series_csv(numbers, reference_spectrum, tmp_path):
     # `heisenberg` on the TAU grid writes the fixture's norms and growth ratios
     assert main(["heisenberg", "--mu", "0.5", "--gamma", "3", "--tau-max", "3",
                  "--samples", str(TAU.size), "--output", str(tmp_path)]) == EXIT_OK
@@ -181,9 +194,9 @@ def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):
     assert len(lines) == TAU.size + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
-    norms = number_evolutions.generic.norms
+    norms = numbers[1]
     assert float(first[1]) == pytest.approx(norms[0, 0], rel=1e-15)
-    ratios = growth_bound_report(number_evolutions, reference_spectrum).ratios
+    ratios = growth_bound_report(norms, TAU, reference_spectrum).ratios
     written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     np.testing.assert_allclose(written[:, 1], norms[0], rtol=1e-15)
     np.testing.assert_allclose(written[:, 2], norms[1], rtol=1e-15)
@@ -193,13 +206,13 @@ def test_norm_series_csv(number_evolutions, reference_spectrum, tmp_path):
 def _single_operator_route(j, pf, tau):
     """N_j evolved alone, with its closed and printed forms written out for that operator.
 
-    Returns the generic trajectory, the closed form, and the closed and printed
-    maximum relative deviations from the generic path.
+    Returns the sandwich and its spectral norms, the closed and printed forms,
+    and their maximum relative deviations from the sandwich.
     """
     spec = pf.spectrum
     n_own, n_other = (pf.N[0], pf.N[1]) if j == 1 else (pf.N[1], pf.N[0])
     lam_own, lam_other = (spec.lambda1, spec.lambda2) if j == 1 else (spec.lambda2, spec.lambda1)
-    generic = evolve_observable(n_own, pf, tau)
+    generic = sandwich(n_own, pf, tau)
 
     def factor(n_op, rate):
         return np.eye(4) + np.multiply.outer(np.exp(rate * tau) - 1.0, n_op)
@@ -210,10 +223,10 @@ def _single_operator_route(j, pf, tau):
     grow = (np.exp(lam_other * tau) - 1.0)[:, None, None]
     printed = prefactor * (factor(n_own.T, lam_own) @ n_own @ (
         np.eye(4) + grow * (n_other + n_other.T) + grow**2 * (n_other.T @ n_other)))
-    scale = np.maximum(np.linalg.norm(generic.X, axis=(1, 2)), 1e-300)
-    dev_closed, dev_printed = (float(np.max(np.linalg.norm(path - generic.X, axis=(1, 2)) / scale))
+    scale = np.maximum(np.linalg.norm(generic, axis=(1, 2)), 1e-300)
+    dev_closed, dev_printed = (float(np.max(np.linalg.norm(path - generic, axis=(1, 2)) / scale))
                                for path in (closed, printed))
-    return generic, closed, dev_closed, dev_printed
+    return generic, linalg.spectral_norm(generic), closed, printed, dev_closed, dev_printed
 
 
 @pytest.mark.parametrize("gauge", [Gauge(1.0, 1.0, 1.0, 1.0), Gauge(2.0, 0.5, 3.0, 1.0)],
@@ -222,13 +235,17 @@ def test_one_pass_matches_the_single_operator_route(gauge):
     # the stacked pass gives each operator the bits of evolving it alone
     model = Model(normalized(0.5, 3.0, i1=1.0), gauge)
     pf = model.pf
-    evo = number_evolution(pf, TAU)
-    assert evo.generic.X.shape == evo.closed.shape == (2, TAU.size, 4, 4)
-    for k, j in enumerate((1, 2)):
-        generic, closed, dev_closed, dev_printed = _single_operator_route(j, pf, TAU)
-        assert evo.generic.tau.tobytes() == generic.tau.tobytes()
-        assert evo.generic.X[k].tobytes() == generic.X.tobytes()
-        assert evo.generic.norms[k].tobytes() == generic.norms.tobytes()
-        assert evo.closed[k].tobytes() == closed.tobytes()
-        assert evo.max_relative_deviation[k].hex() == dev_closed.hex()
-        assert evo.printed_order_max_relative_deviation[k].hex() == dev_printed.hex()
+    x, norms = _numbers(pf, TAU)
+    assert x.shape == (2, TAU.size, 4, 4)
+    two_path, printed_order = number_paths(pf, TAU, x)
+    alone = [_single_operator_route(j, pf, TAU) for j in (1, 2)]
+    for k, (generic, generic_norms, _, _, dev_closed, dev_printed) in enumerate(alone):
+        assert x[k].tobytes() == generic.tobytes()
+        assert norms[k].tobytes() == generic_norms.tobytes()
+        assert two_path[k].hex() == dev_closed.hex()
+        assert printed_order[k].hex() == dev_printed.hex()
+    # measured against the single-operator closed and printed forms, the stacked
+    # ones deviate by exactly 0.0, which holds only where every entry is equal
+    closed, printed = (np.stack([route[i] for route in alone]) for i in (2, 3))
+    assert number_paths(pf, TAU, closed)[0] == (0.0, 0.0)
+    assert number_paths(pf, TAU, printed)[1] == (0.0, 0.0)

@@ -291,9 +291,9 @@ def test_jacobi_stack_is_bitwise_the_list_route(n, monkeypatch):
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_jacobi_stack_on_the_verify_norm_stacks(reference_pf, j):
-    from pfcircuit.heisenberg import evolve_observable
+    from pfcircuit.heisenberg import sandwich
     n_op = reference_pf.N[j - 1]
-    X = evolve_observable(n_op, reference_pf, np.linspace(0.0, 3.0, 31)).X
+    X = sandwich(n_op, reference_pf, np.linspace(0.0, 3.0, 31))
     ata = np.swapaxes(X, 1, 2) @ X
     for k, x in enumerate(X):
         assert ata[k].tobytes() == (x.T @ x).tobytes()
